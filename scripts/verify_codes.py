@@ -9,27 +9,21 @@ so simply finishing is already a verification pass.
 import argparse
 import time
 
-from eaqc.eacode import (
-    build_theorem5,
-    build_theorem6,
-    build_theorem7,
-    build_theorem8,
-    build_theorem9,
-    build_theorem10,
-    girth_floor_of,
-    theorem5_selection,
-    theorem7_model,
+from eaqc.eacode import FAMILIES
+
+# The README instances: family, builder arguments, waive the exponent floor.
+SMALL = (
+    ("thm5", (3, 1, 1), False),
+    ("thm5", (5, 2, 2), False),
+    ("thm5", (7, 3, 3), False),
+    ("thm6", (7, 3, 3), False),
+    ("thm7", (11, 5), False),
 )
-from eaqc.gf2 import gfrank
-from eaqc.models import theorem6_models, theorem8_model, theorem9_model
-
-
-def report(label, code, floor):
-    print(
-        f"{label:28s} [[{code.n}, {code.k}; {code.c}]]  "
-        f"rank(hx)={gfrank(code.hx):4d}  rank(hz)={gfrank(code.hz):4d}  "
-        f"girth>={floor}"
-    )
+LARGE = (
+    ("thm8", (6, 2), False),
+    ("thm9", ((2, 4, 6), 2), True),
+    ("thm10", ((2, 4, 6), 2), True),
+)
 
 
 def main() -> int:
@@ -39,29 +33,17 @@ def main() -> int:
     args = parser.parse_args()
 
     t0 = time.perf_counter()
-    for p, l1, l2 in ((3, 1, 1), (5, 2, 2), (7, 3, 3)):
-        code = build_theorem5(p, l1, l2)
-        report(f"theorem5 p={p} l1=l2={l1}", code,
-               girth_floor_of(*theorem5_selection(p, l1, l2)))
-
-    code = build_theorem6(7, 3, 3)
-    report("theorem6 p=7 l1=l2=3", code, girth_floor_of(*theorem6_models(7, 3, 3)))
-
-    code = build_theorem7(11, 5)
-    report("theorem7 p=11 l=5", code, girth_floor_of(theorem7_model(11, 5)))
-
-    if not args.skip_large:
-        code = build_theorem8(6, 2)
-        report("theorem8 l=6 w=2", code, girth_floor_of(theorem8_model(6, 2)))
-
-        s = (2, 4, 6)
-        code = build_theorem9(s, 2, enforce_scale=False)
-        report("theorem9 s=2,4,6 w=2", code,
-               girth_floor_of(theorem9_model(s, 2, enforce_scale=False)))
-        code = build_theorem10(s, 2, enforce_scale=False)
-        report("theorem10 s=2,4,6 w=2", code,
-               girth_floor_of(theorem9_model(s, 2, enforce_scale=False)))
-
+    for family, values, reduced in SMALL if args.skip_large else SMALL + LARGE:
+        build, flags = FAMILIES[family]
+        code = build(*values, enforce_scale=False) if reduced else build(*values)
+        shown = [",".join(map(str, v)) if flag == "set" else v
+                 for flag, v in zip(flags, values)]
+        label = " ".join([family] + [f"{f}={v}" for f, v in zip(flags, shown)])
+        print(
+            f"{label + ' reduced' * reduced:28s} [[{code.n}, {code.k}; {code.c}]]  "
+            f"rank(hx)={code.rank_hx:4d}  rank(hz)={code.rank_hz:4d}  "
+            f"girth>={code.girth_floor}"
+        )
     print(f"all constructions verified in {time.perf_counter() - t0:.2f}s")
     return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eaqc.clifford import PauliVector
+from eaqc.clifford import PauliVector, category_bits
 
 __all__ = [
     "ChannelParams",
@@ -65,19 +65,13 @@ def _chain(u: np.ndarray, v: np.ndarray, params: ChannelParams) -> np.ndarray:
     return np.take_along_axis(cats, src, axis=-1)
 
 
-def _to_bits(cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = ((cats == 1) | (cats == 2)).astype(np.uint8)
-    z = ((cats == 2) | (cats == 3)).astype(np.uint8)
-    return x, z
-
-
 def sample_error(n: int, params: ChannelParams, seed) -> PauliVector:
     if n < 1:
         raise ValueError("qubit count must be at least 1")
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     v = rng.random(n)
-    x, z = _to_bits(_chain(u, v, params))
+    x, z = category_bits(_chain(u, v, params))
     return PauliVector(x, z)
 
 
@@ -96,7 +90,7 @@ def sample_error_batch(
         rng = np.random.default_rng(trial_seed(master_seed, t))
         u = rng.random(n)
         v = rng.random(n)
-        xs[t], zs[t] = _to_bits(_chain(u, v, params))
+        xs[t], zs[t] = category_bits(_chain(u, v, params))
     return xs, zs
 
 

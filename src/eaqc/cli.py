@@ -24,19 +24,7 @@ from eaqc.clifford import (
     stabilizer_matrix,
 )
 from eaqc.decoder import DecoderConfig
-from eaqc.eacode import (
-    StructureCheckFailed,
-    build_theorem5,
-    build_theorem6,
-    build_theorem7,
-    build_theorem8,
-    build_theorem9,
-    build_theorem10,
-    girth_floor_of,
-    theorem5_selection,
-    theorem7_model,
-)
-from eaqc.gf2 import expand, gfrank
+from eaqc.eacode import FAMILIES, StructureCheckFailed
 from eaqc.girth import girth_bfs
 from eaqc.harness import (
     BurstTooLarge,
@@ -46,21 +34,13 @@ from eaqc.harness import (
     sweep,
     write_csv,
 )
-from eaqc.models import (
-    OrderExhausted,
-    theorem6_models,
-    theorem8_model,
-    theorem9_model,
-    theorem10_model,
-)
+from eaqc.models import OrderExhausted
 
 _DECODER_NAMES = {
     "binary": "binary-spa",
     "quat": "quaternary-spa",
     "quat-minsum": "quaternary-minsum",
 }
-
-_FAMILIES = ("thm5", "thm6", "thm7", "thm8", "thm9", "thm10")
 
 
 def _usage_error(message: str) -> SystemExit:
@@ -75,51 +55,16 @@ def _parse_set(text: str) -> tuple[int, ...]:
         raise _usage_error(f"--set expects comma-separated integers: {err}")
 
 
-def _require(args, names):
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+def _build_code(args):
+    build, flags = FAMILIES[args.family]
+    missing = [f"--{n}" for n in flags if getattr(args, n) is None]
     if missing:
         raise _usage_error(f"--family {args.family} needs {', '.join(missing)}")
-
-
-def _build_models(args):
-    fam = args.family
-    if fam == "thm5":
-        _require(args, ("p", "l1", "l2"))
-        return theorem5_selection(args.p, args.l1, args.l2)
-    if fam == "thm6":
-        _require(args, ("p", "l1", "l2"))
-        return theorem6_models(args.p, args.l1, args.l2)
-    if fam == "thm7":
-        _require(args, ("p", "l"))
-        m = theorem7_model(args.p, args.l)
-        return m, m
-    if fam == "thm8":
-        _require(args, ("l", "w"))
-        m = theorem8_model(args.l, args.w)
-        return m, m
-    _require(args, ("set", "w"))
-    build = theorem9_model if fam == "thm9" else theorem10_model
-    m = build(_parse_set(args.set), args.w, enforce_scale=not args.reduced)
-    return m, m
-
-
-def _build_code(args):
-    fam = args.family
-    if fam == "thm5":
-        _require(args, ("p", "l1", "l2"))
-        return build_theorem5(args.p, args.l1, args.l2)
-    if fam == "thm6":
-        _require(args, ("p", "l1", "l2"))
-        return build_theorem6(args.p, args.l1, args.l2)
-    if fam == "thm7":
-        _require(args, ("p", "l"))
-        return build_theorem7(args.p, args.l)
-    if fam == "thm8":
-        _require(args, ("l", "w"))
-        return build_theorem8(args.l, args.w)
-    _require(args, ("set", "w"))
-    build = build_theorem9 if fam == "thm9" else build_theorem10
-    return build(_parse_set(args.set), args.w, enforce_scale=not args.reduced)
+    values = [_parse_set(args.set) if n == "set" else getattr(args, n)
+              for n in flags]
+    if "set" in flags:
+        return build(*values, enforce_scale=not args.reduced)
+    return build(*values)
 
 
 def _bit_rows(m) -> list[str]:
@@ -138,14 +83,13 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_construct(args) -> int:
     code = _build_code(args)
-    mx, mz = _build_models(args)
     doc = {
         "family": code.family,
         "n": code.n,
         "k": code.k,
         "c": code.c,
-        "mx": mx.to_json_dict(),
-        "mz": mz.to_json_dict(),
+        "mx": code.mx.to_json_dict(),
+        "mz": code.mz.to_json_dict(),
         "hex": _bit_rows(code.hex),
         "hez": _bit_rows(code.hez),
     }
@@ -155,27 +99,26 @@ def _cmd_construct(args) -> int:
 
 def _cmd_params(args) -> int:
     code = _build_code(args)
-    mx, mz = _build_models(args)
     doc = {
         "family": code.family,
         "n": code.n,
         "k": code.k,
         "c": code.c,
-        "gfrank_hx": gfrank(code.hx),
-        "gfrank_hz": gfrank(code.hz),
-        "girth_floor": girth_floor_of(mx, None if mz is mx else mz),
+        "gfrank_hx": code.rank_hx,
+        "gfrank_hz": code.rank_hz,
+        "girth_floor": code.girth_floor,
     }
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
 
 def _cmd_girth(args) -> int:
-    mx, mz = _build_models(args)
-    floor = girth_floor_of(mx, None if mz is mx else mz)
-    stacked = mx if mz is mx else mx.vstack(mz)
-    found = girth_bfs(expand(stacked), cap=8)
+    code = _build_code(args)
+    floor = code.girth_floor
+    stacked = code.hx if code.hz is code.hx else code.hx.vstack(code.hz)
+    found = girth_bfs(stacked, cap=8)
     bfs_value = None if found == float("inf") else int(found)
-    doc = {"family": args.family.replace("thm", "theorem"),
+    doc = {"family": code.family,
            "girth_floor": floor, "bfs_cap": 8, "bfs_girth": bfs_value}
     _emit(json.dumps(doc, indent=2), args.out)
     if floor in (4, 6):
@@ -291,7 +234,7 @@ def _cmd_burst_check(args) -> int:
 
 
 def _add_code_flags(sp) -> None:
-    sp.add_argument("--family", required=True, choices=_FAMILIES)
+    sp.add_argument("--family", required=True, choices=tuple(FAMILIES))
     sp.add_argument("--p", type=int)
     sp.add_argument("--l1", type=int)
     sp.add_argument("--l2", type=int)

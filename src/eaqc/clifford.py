@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from eaqc.eacode import EaCode
-from eaqc.gf2 import BinaryMatrix, RowBasis, gfrank, nullspace
+from eaqc.gf2 import BinaryMatrix, RowBasis, gfrank, independent_rows, nullspace
 from eaqc.models import _require_odd_prime, special_prime_model
 
 __all__ = [
     "PauliVector",
+    "category_bits",
     "Tableau",
     "GateSequence",
     "stabilizer_matrix",
@@ -111,6 +112,13 @@ class PauliVector:
 
     def __hash__(self) -> int:
         return hash((self.x.tobytes(), self.z.tobytes(), self.phase))
+
+
+def category_bits(cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) bit arrays of Pauli categories (I, X, Y, Z) = (0, 1, 2, 3)."""
+    x = ((cats == 1) | (cats == 2)).astype(np.uint8)
+    z = ((cats == 2) | (cats == 3)).astype(np.uint8)
+    return x, z
 
 
 @dataclass(frozen=True)
@@ -336,30 +344,12 @@ def code_tableau(code: EaCode) -> Tableau:
     """Independent generators from the extended check matrices.
 
     X-type rows carry hex in the x half, Z-type rows carry hez in the z
-    half; dependent rows are dropped greedily.
+    half; a row that depends on the rows before it is dropped.
     """
     q = code.n + code.c
-    rows = []
-    hx_dense = code.hex.to_dense()
-    hz_dense = code.hez.to_dense()
-    zeros = np.zeros(q, dtype=np.uint8)
-    for r in hx_dense:
-        rows.append(np.concatenate([r, zeros]))
-    for r in hz_dense:
-        rows.append(np.concatenate([zeros, r]))
-    keep = []
-    rank = 0
-    for i, r in enumerate(rows):
-        cand = keep + [i]
-        m = BinaryMatrix.from_dense(np.stack([rows[j] for j in cand]))
-        if gfrank(m) > rank:
-            keep = cand
-            rank += 1
-    gens = []
-    for i in keep:
-        v = rows[i]
-        gens.append(PauliVector(v[:q], v[q:]))
-    return Tableau(tuple(gens))
+    rows = code.stabilizer_rows()
+    kept = rows.to_dense()[independent_rows(rows)]
+    return Tableau(tuple(PauliVector(v[:q], v[q:]) for v in kept))
 
 
 def _symplectic_form(u: np.ndarray, v: np.ndarray, q: int) -> int:
@@ -379,17 +369,10 @@ def logical_operators(obj) -> list[tuple[PauliVector, PauliVector]]:
     swapped = np.hstack([sym[:, q:], sym[:, :q]])
     kernel = nullspace(BinaryMatrix.from_dense(swapped)).to_dense()
     # extend the stabilizer rows to a basis of the normalizer
-    reps: list[np.ndarray] = []
-    stacked = sym.copy()
-    rank = gfrank(BinaryMatrix.from_dense(stacked))
-    for v in kernel:
-        trial = np.vstack([stacked, v])
-        r = gfrank(BinaryMatrix.from_dense(trial))
-        if r > rank:
-            stacked, rank = trial, r
-            reps.append(v.copy())
+    stacked = np.vstack([sym, kernel])
+    kept = independent_rows(BinaryMatrix.from_dense(stacked))
+    remaining = list(stacked[kept[kept >= len(sym)]])
     pairs = []
-    remaining = reps
     while remaining:
         a = remaining[0]
         rest = remaining[1:]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eaqc.clifford import PauliVector
+from eaqc.clifford import PauliVector, category_bits
 from eaqc.eacode import EaCode
 from eaqc.gf2 import DimensionMismatch
 
@@ -34,6 +34,7 @@ __all__ = [
     "DecodeOutcome",
     "build_graphs",
     "syndrome",
+    "syndrome_batch",
     "decode_binary",
     "decode_binary_batch",
     "decode_quaternary",
@@ -132,17 +133,29 @@ def build_graphs(code: EaCode) -> tuple[TannerGraph, TannerGraph, TannerGraph]:
     return graph_x, graph_z, joint
 
 
+def syndrome_batch(
+    code: EaCode, x: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """GF(2) syndromes of a batch of errors on the n transmitted qubits.
+
+    x and z are (T, n) bit arrays; returns sx = z·Hxᵀ and sz = x·Hzᵀ with
+    one row per error.  Ebits are noise-free.
+    """
+    hx = code.hx.to_dense().astype(np.int64)
+    hz = code.hz.to_dense().astype(np.int64)
+    sx = (z.astype(np.int64) @ hx.T) % 2
+    sz = (x.astype(np.int64) @ hz.T) % 2
+    return sx.astype(np.uint8), sz.astype(np.uint8)
+
+
 def syndrome(code: EaCode, e: PauliVector) -> tuple[np.ndarray, np.ndarray]:
-    """sx = Hx z-partᵀ, sz = Hz x-partᵀ over GF(2); ebits are noise-free."""
+    """The syndrome pair (sx, sz) of one error on the n transmitted qubits."""
     if e.qubits != code.n:
         raise DimensionMismatch(
             f"error acts on {e.qubits} qubits, code transmits {code.n}"
         )
-    hx = code.hx.to_dense().astype(np.int64)
-    hz = code.hz.to_dense().astype(np.int64)
-    sx = (hx @ e.z.astype(np.int64)) % 2
-    sz = (hz @ e.x.astype(np.int64)) % 2
-    return sx.astype(np.uint8), sz.astype(np.uint8)
+    sx, sz = syndrome_batch(code, e.x[None, :], e.z[None, :])
+    return sx[0], sz[0]
 
 
 @dataclass(frozen=True)
@@ -287,9 +300,7 @@ def _quat_decision(
     l_y = m0 - s_one - s_omega
     l_z = m0 - s_omega
     stacked = np.stack([np.zeros_like(l_x), l_x, l_y, l_z], axis=-1)
-    cats = np.argmax(stacked, axis=-1)
-    ex = ((cats == 1) | (cats == 2)).astype(np.uint8)
-    ez = ((cats == 2) | (cats == 3)).astype(np.uint8)
+    ex, ez = category_bits(np.argmax(stacked, axis=-1))
     return l_x, l_y, l_z, ex, ez
 
 

@@ -33,6 +33,7 @@ from eaqc.models import (
 
 __all__ = [
     "EaCode",
+    "FAMILIES",
     "CodeParams",
     "StructureCheckFailed",
     "ebit_count",
@@ -60,7 +61,10 @@ class EaCode:
 
     hx/hz act on the n transmitted qubits; hex/hez carry c extra columns
     for the receiver-side halves of the entangled pairs and commute
-    exactly.  k counts logical qubits.
+    exactly.  k counts logical qubits.  mx/mz are the model matrices that
+    expand to hx/hz (the same object, as are hx and hz, for single-matrix
+    families); girth_floor is girth_floor_of(mx, mz), and rank_hx/rank_hz
+    are the GF(2) ranks of hx/hz.
     """
 
     n: int
@@ -72,6 +76,18 @@ class EaCode:
     hez: BinaryMatrix
     family: str
     p_or_order: int
+    mx: ModelMatrix
+    mz: ModelMatrix
+    girth_floor: int
+    rank_hx: int
+    rank_hz: int
+
+    def stabilizer_rows(self) -> BinaryMatrix:
+        """The extended checks in symplectic (x | z) layout: [hex | 0; 0 | hez]."""
+        q = self.n + self.c
+        return self.hex.hstack(BinaryMatrix.zeros(self.hex.rows, q)).vstack(
+            BinaryMatrix.zeros(self.hez.rows, q).hstack(self.hez)
+        )
 
 
 @dataclass(frozen=True)
@@ -165,8 +181,8 @@ def _assemble(
     mz: ModelMatrix,
     *,
     min_floor: int,
-) -> tuple[EaCode, int, int]:
-    """Expand, extend, and parameter-check one code; returns ranks too."""
+) -> EaCode:
+    """Expand, extend, and parameter-check one code."""
     floor = girth_floor_of(mx, mz)
     if floor < min_floor:
         raise StructureCheckFailed(
@@ -184,11 +200,11 @@ def _assemble(
         raise StructureCheckFailed(f"{family}: extended matrices do not commute")
     if hex_.cols != n + c or hez.cols != n + c:
         raise StructureCheckFailed(f"{family}: extension width is not c={c}")
-    code = EaCode(
+    return EaCode(
         n=n, k=k, c=c, hx=hx, hz=hz, hex=hex_, hez=hez,
         family=family, p_or_order=p_or_order,
+        mx=mx, mz=mz, girth_floor=floor, rank_hx=gx, rank_hz=gz,
     )
-    return code, gx, gz
 
 
 def _expect(family: str, name: str, got: int, want: int) -> None:
@@ -259,7 +275,7 @@ def build_theorem5(
         if l1 + l2 > p:
             raise ValueError(f"need l1 + l2 <= p, got {l1 + l2} > {p}")
         _check_scalar_class_rows(p, mx, mz)
-    code, _, _ = _assemble("theorem5", p, mx, mz, min_floor=6)
+    code = _assemble("theorem5", p, mx, mz, min_floor=6)
     _expect("theorem5", "n", code.n, p * p)
     _expect("theorem5", "c", code.c, 1)
     _expect("theorem5", "k", code.k, p * p - 2 * p - (p - 1) * (l1 + l2 - 2) + 1)
@@ -272,10 +288,10 @@ def build_theorem5(
 def build_theorem6(p: int, l1: int, l2: int) -> EaCode:
     """[[p² − p, p² − 3p − (p−1)(l1+l2−2) + (p−1); p − 1]]."""
     mx, mz = theorem6_models(p, l1, l2)
-    code, gx, _ = _assemble("theorem6", p, mx, mz, min_floor=6)
+    code = _assemble("theorem6", p, mx, mz, min_floor=6)
     _expect("theorem6", "n", code.n, p * p - p)
     _expect("theorem6", "c", code.c, p - 1)
-    _expect("theorem6", "gfrank(hx)", gx, p + (p - 1) * (l1 - 1))
+    _expect("theorem6", "gfrank(hx)", code.rank_hx, p + (p - 1) * (l1 - 1))
     _expect(
         "theorem6", "k", code.k,
         p * p - 3 * p - (p - 1) * (l1 + l2 - 2) + (p - 1),
@@ -297,10 +313,10 @@ def theorem7_model(p: int, l: int) -> ModelMatrix:
 def build_theorem7(p: int, l: int) -> EaCode:
     """[[p², (p−1)(p−l+1); p + (l−1)(p−1)]] with hx = hz = H."""
     m = theorem7_model(p, l)
-    code, gx, gz = _assemble("theorem7", p, m, m, min_floor=6)
+    code = _assemble("theorem7", p, m, m, min_floor=6)
     want_c = p + (l - 1) * (p - 1)
     _expect("theorem7", "n", code.n, p * p)
-    _expect("theorem7", "gfrank(H)", gx, want_c)
+    _expect("theorem7", "gfrank(H)", code.rank_hx, want_c)
     _expect("theorem7", "c", code.c, want_c)
     _expect("theorem7", "k", code.k, (p - 1) * (p - l + 1))
     return code
@@ -310,13 +326,13 @@ def build_theorem7(p: int, l: int) -> EaCode:
 
 
 def _geometric_bounds(
-    family: str, code: EaCode, g: int, order: int, diag_blocks: int
+    family: str, code: EaCode, order: int, diag_blocks: int
 ) -> None:
     # 3 block-rows cap the rank at 3*order − 2, 4 block-rows at 4*order − 3
     cap = diag_blocks * order - (diag_blocks - 1)
-    if g > cap:
+    if code.rank_hx > cap:
         raise StructureCheckFailed(
-            f"{family}: gfrank(H) = {g} exceeds the bound {cap}"
+            f"{family}: gfrank(H) = {code.rank_hx} exceeds the bound {cap}"
         )
     if code.c > cap:
         raise StructureCheckFailed(
@@ -327,25 +343,38 @@ def _geometric_bounds(
 def build_theorem8(l: int, w: int) -> EaCode:
     """Single-H geometric family over order w^l + 1, girth above 6."""
     m = theorem8_model(l, w)
-    code, g, _ = _assemble("theorem8", m.order, m, m, min_floor=8)
+    code = _assemble("theorem8", m.order, m, m, min_floor=8)
     _expect("theorem8", "n", code.n, m.order * l)
-    _geometric_bounds("theorem8", code, g, m.order, 3)
+    _geometric_bounds("theorem8", code, m.order, 3)
     return code
 
 
 def build_theorem9(s, w: int, *, enforce_scale: bool = True) -> EaCode:
     """Four-row geometric family, even w, girth above 6."""
     m = theorem9_model(s, w, enforce_scale=enforce_scale)
-    code, g, _ = _assemble("theorem9", m.order, m, m, min_floor=8)
+    code = _assemble("theorem9", m.order, m, m, min_floor=8)
     _expect("theorem9", "n", code.n, m.order * m.block_cols)
-    _geometric_bounds("theorem9", code, g, m.order, 4)
+    _geometric_bounds("theorem9", code, m.order, 4)
     return code
 
 
 def build_theorem10(s, w: int, *, enforce_scale: bool = True) -> EaCode:
     """Four-row geometric family, pairwise gaps of 2, girth above 6."""
     m = theorem10_model(s, w, enforce_scale=enforce_scale)
-    code, g, _ = _assemble("theorem10", m.order, m, m, min_floor=8)
+    code = _assemble("theorem10", m.order, m, m, min_floor=8)
     _expect("theorem10", "n", code.n, m.order * m.block_cols)
-    _geometric_bounds("theorem10", code, g, m.order, 4)
+    _geometric_bounds("theorem10", code, m.order, 4)
     return code
+
+
+# CLI family name -> (builder, the CLI flags that supply its positional
+# arguments in order).  "set" is a comma-separated list; the builders that
+# take it also accept enforce_scale.
+FAMILIES = {
+    "thm5": (build_theorem5, ("p", "l1", "l2")),
+    "thm6": (build_theorem6, ("p", "l1", "l2")),
+    "thm7": (build_theorem7, ("p", "l")),
+    "thm8": (build_theorem8, ("l", "w")),
+    "thm9": (build_theorem9, ("set", "w")),
+    "thm10": (build_theorem10, ("set", "w")),
+}

@@ -22,6 +22,7 @@ __all__ = [
     "RowBasis",
     "expand",
     "gfrank",
+    "independent_rows",
     "matmul",
     "nullspace",
     "rowspace_member",
@@ -98,9 +99,6 @@ class BinaryMatrix:
         bits = np.unpackbits(bytes_view, axis=1, bitorder="little")
         return bits[:, : self.cols].copy()
 
-    def row(self, i: int) -> np.ndarray:
-        return self.to_dense()[i]
-
     def column_bit(self, c: int) -> np.ndarray:
         """The c-th column as a uint64 0/1 vector (cheap, no unpacking)."""
         if not 0 <= c < self.cols:
@@ -132,10 +130,6 @@ class BinaryMatrix:
 
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix.from_dense(self.to_dense().T)
-
-    def submatrix(self, row_idx) -> "BinaryMatrix":
-        idx = np.asarray(row_idx, dtype=np.intp)
-        return BinaryMatrix(len(idx), self.cols, self.words[idx].copy())
 
     def hstack(self, other: "BinaryMatrix") -> "BinaryMatrix":
         if self.rows != other.rows:
@@ -173,6 +167,16 @@ class ModelMatrix:
         if e.size and (e.min() < 0 or e.max() >= self.order):
             raise ValueError(f"exponents must lie in [0, {self.order})")
         self.exponents.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModelMatrix):
+            return NotImplemented
+        return self.order == other.order and np.array_equal(
+            self.exponents, other.exponents
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.exponents.shape, self.exponents.tobytes()))
 
     @property
     def block_rows(self) -> int:
@@ -359,19 +363,21 @@ def rowspace_member(basis: BinaryMatrix, v) -> bool:
     return RowBasis.build(basis).contains(arr)
 
 
+def independent_rows(a: BinaryMatrix) -> np.ndarray:
+    """Indices of the rows that an in-order greedy rank scan keeps.
+
+    Row i is kept when it lies outside the span of rows 0..i-1, which makes
+    the kept rows exactly the pivot columns of the echelon form of aᵀ.
+    """
+    return RowBasis.build(a.transpose()).pivot_cols
+
+
 def nullspace(a: BinaryMatrix) -> BinaryMatrix:
     """Independent rows spanning {v : a·v = 0}, one per free column."""
     basis = RowBasis.build(a)
-    rref = np.zeros((basis.rank, a.cols), dtype=np.uint8)
-    for t in range(basis.rank):
-        rref[t] = np.unpackbits(
-            basis.rref_words[t].view(np.uint8), bitorder="little"
-        )[: a.cols]
-    pivots = basis.pivot_cols.tolist()
-    free = [c for c in range(a.cols) if c not in set(pivots)]
+    rref = BinaryMatrix(basis.rank, a.cols, basis.rref_words).to_dense()
+    free = np.setdiff1d(np.arange(a.cols), basis.pivot_cols)
     out = np.zeros((len(free), a.cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        out[i, f] = 1
-        for t, pc in enumerate(pivots):
-            out[i, pc] = rref[t, f]
+    out[np.arange(len(free)), free] = 1
+    out[:, basis.pivot_cols] = rref[:, free].T
     return BinaryMatrix.from_dense(out)

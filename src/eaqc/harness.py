@@ -18,12 +18,13 @@ from itertools import combinations, product
 import numpy as np
 
 from eaqc.channel import ChannelParams, sample_error_batch
-from eaqc.clifford import logical_operators
+from eaqc.clifford import category_bits, logical_operators
 from eaqc.decoder import (
     DecoderConfig,
     build_graphs,
     decode_binary_batch,
     decode_quaternary_batch,
+    syndrome_batch,
 )
 from eaqc.eacode import EaCode
 from eaqc.gf2 import BinaryMatrix, RowBasis
@@ -117,11 +118,7 @@ def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float,
 
 def stabilizer_symplectic(code: EaCode) -> RowBasis:
     """Row basis of the extended stabilizer rows in (x-part | z-part) layout."""
-    q = code.n + code.c
-    zeros = np.zeros(q, dtype=np.uint8)
-    rows = [np.concatenate([r, zeros]) for r in code.hex.to_dense()]
-    rows += [np.concatenate([zeros, r]) for r in code.hez.to_dense()]
-    return RowBasis.build(BinaryMatrix.from_dense(np.stack(rows)))
+    return RowBasis.build(code.stabilizer_rows())
 
 
 def residual_in_group(
@@ -149,11 +146,8 @@ def run_trials(cfg: SimConfig) -> SimResult:
     code = cfg.code
     graphs = build_graphs(code)
     basis = stabilizer_symplectic(code)
-    hx = code.hx.to_dense().astype(np.int64)
-    hz = code.hz.to_dense().astype(np.int64)
     xs, zs = sample_error_batch(code.n, cfg.channel, cfg.master_seed, cfg.trials)
-    sx = ((zs.astype(np.int64) @ hx.T) % 2).astype(np.uint8)
-    sz = ((xs.astype(np.int64) @ hz.T) % 2).astype(np.uint8)
+    sx, sz = syndrome_batch(code, xs, zs)
     est_x, est_z, conv, _ = _decode_batch(code, graphs, sx, sz, cfg.decoder)
     member = residual_in_group(basis, code, xs ^ est_x, zs ^ est_z)
     failed = ~(member & conv)
@@ -171,12 +165,6 @@ def run_trials(cfg: SimConfig) -> SimResult:
 
 # ── brute-force oracles ───────────────────────────────────────────────
 
-def _cats_to_bits(cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = ((cats == 1) | (cats == 2)).astype(np.uint8)
-    z = ((cats == 2) | (cats == 3)).astype(np.uint8)
-    return x, z
-
-
 def min_weight_decoder(code: EaCode, syndromes):
     """Map each (sx, sz) byte pair to a minimum-weight error matching it.
 
@@ -184,13 +172,11 @@ def min_weight_decoder(code: EaCode, syndromes):
     layer, and keeps the first hit per syndrome; deterministic, so the
     chosen coset representative is reproducible.
     """
-    hx = code.hx.to_dense().astype(np.int64)
-    hz = code.hz.to_dense().astype(np.int64)
     n = code.n
     needed = set(syndromes)
     table: dict = {}
-    zero = (np.zeros(hx.shape[0], np.uint8).tobytes(),
-            np.zeros(hz.shape[0], np.uint8).tobytes())
+    zero = (np.zeros(code.hx.rows, np.uint8).tobytes(),
+            np.zeros(code.hz.rows, np.uint8).tobytes())
     if zero in needed:
         table[zero] = (np.zeros(n, np.uint8), np.zeros(n, np.uint8))
         needed.discard(zero)
@@ -201,9 +187,8 @@ def min_weight_decoder(code: EaCode, syndromes):
         for support in combinations(range(n), weight):
             cats = np.zeros((assignments.shape[0], n), np.int8)
             cats[:, support] = assignments
-            x, z = _cats_to_bits(cats)
-            sx = ((z.astype(np.int64) @ hx.T) % 2).astype(np.uint8)
-            sz = ((x.astype(np.int64) @ hz.T) % 2).astype(np.uint8)
+            x, z = category_bits(cats)
+            sx, sz = syndrome_batch(code, x, z)
             for t in range(x.shape[0]):
                 key = (sx[t].tobytes(), sz[t].tobytes())
                 if key in needed:
@@ -231,58 +216,65 @@ def _logical_coordinates(code: EaCode):
 
 def _class_bits(coords: np.ndarray, q: int, n: int,
                 x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    trials = x.shape[0]
-    vec = np.zeros((trials, 2 * q), dtype=np.int64)
-    vec[:, :n] = x
-    vec[:, q : q + n] = z
-    return (vec @ coords.T) % 2
+    """Logical class bits of each (x, z) row; the ebit coordinates are zero.
+
+    uint8 sums wrap mod 256, which keeps their parity.
+    """
+    cx = coords[:, :n].T.astype(np.uint8)
+    cz = coords[:, q : q + n].T.astype(np.uint8)
+    return (x.astype(np.uint8) @ cx + z.astype(np.uint8) @ cz) & 1
 
 
 def ml_coset_decoder(code: EaCode, p_d: float, limit: int = 2_000_000):
     """Exhaustive maximum-likelihood coset decoding table for tiny codes.
 
-    Enumerates every Pauli error, accumulates coset probabilities per
-    syndrome, and returns {syndrome: representative of the most likely
-    coset}.  Refuses when 4^n exceeds the limit.
+    Enumerates every Pauli error, counts the errors of each weight in each
+    (syndrome, logical class) coset, and returns {sx‖sz bytes: the first
+    error, in enumeration order, of the syndrome's most likely coset}.
+    Refuses when 4^n exceeds the limit.
 
-    Ties between equally likely cosets are common on degenerate codes: on
-    [[9,4;1]] at p_d 0.03, 52 of the 64 syndromes have two or more.  The
-    table then holds one of them, picked by comparing the float sums and,
-    where those come out bit-equal, the class bytes; no decoder promises
-    the same pick.  A comparison against this table must therefore accept
-    any most likely coset on a tied syndrome.
+    A coset's probability is one Horner evaluation of its integer weight
+    counts, so cosets with equal weight enumerators compare bit-equal.
+    Such ties are common on degenerate codes: on [[9,4;1]] at p_d 0.03, 52
+    of the 64 syndromes have two or more most likely cosets.  The table
+    then holds the one with the largest class bytes; no decoder promises
+    the same pick, so a comparison against this table must accept any most
+    likely coset on a tied syndrome.
     """
     n = code.n
     total = 4 ** n
     if total > limit:
         raise BurstTooLarge(total, limit)
-    hx = code.hx.to_dense().astype(np.int64)
-    hz = code.hz.to_dense().astype(np.int64)
     coords, q = _logical_coordinates(code)
     digits = np.arange(total, dtype=np.int64)
-    cats = np.stack([(digits >> (2 * j)) & 3 for j in range(n)], axis=1).astype(np.int8)
-    x, z = _cats_to_bits(cats)
+    cats = ((digits[:, None] >> (2 * np.arange(n))) & 3).astype(np.int8)
+    x, z = category_bits(cats)
     weights = np.count_nonzero(cats, axis=1)
-    sx = ((z.astype(np.int64) @ hx.T) % 2).astype(np.uint8)
-    sz = ((x.astype(np.int64) @ hz.T) % 2).astype(np.uint8)
-    cls = _class_bits(coords, q, n, x, z).astype(np.uint8)
+    syn_bytes = np.concatenate(syndrome_batch(code, x, z), axis=1)
+    cls = _class_bits(coords, q, n, x, z)
+    # one integer per (syndrome, class); the first class bit is the most
+    # significant, so integer order is class-bytes order
+    bits = cls.shape[1]
+    key = ((syn_bytes @ (1 << np.arange(syn_bytes.shape[1]))) << bits
+           | cls @ (1 << np.arange(bits - 1, -1, -1)))
+    cosets, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    counts = np.bincount(
+        inv * (n + 1) + weights, minlength=len(cosets) * (n + 1)
+    ).reshape(len(cosets), n + 1)
     p = min(max(p_d, 1e-12), 1 - 1e-12)
-    logw = np.log(p / 3.0) - np.log(1.0 - p)  # per unit of weight, up to a constant
-    scores: dict = {}
-    reps: dict = {}
-    syn_bytes = np.concatenate([sx, sz], axis=1)
-    for t in range(total):
-        key = syn_bytes[t].tobytes()
-        ckey = cls[t].tobytes()
-        bucket = scores.setdefault(key, {})
-        prob = math.exp(logw * int(weights[t]))
-        bucket[ckey] = bucket.get(ckey, 0.0) + prob
-        if (key, ckey) not in reps:
-            reps[(key, ckey)] = (x[t].copy(), z[t].copy())
+    ratio = (p / 3.0) / (1.0 - p)  # per unit of weight, up to a constant
+    prob = np.zeros(len(cosets))
+    for w in range(n, -1, -1):
+        prob = prob * ratio + counts[:, w]
+    # cosets are sorted by syndrome; per syndrome take the last coset in
+    # (probability, class) order, and list syndromes as they first occur
+    syn_of = cosets >> bits
+    order = np.lexsort((cosets, prob, syn_of))
+    best = order[np.append(np.flatnonzero(np.diff(syn_of[order])), len(order) - 1)]
+    syn_first = np.minimum.reduceat(first, np.flatnonzero(np.diff(syn_of, prepend=-1)))
     table = {}
-    for key, bucket in scores.items():
-        best = max(bucket.items(), key=lambda kv: (kv[1], kv[0]))[0]
-        table[key] = reps[(key, best)]
+    for t in first[best[np.argsort(syn_first)]]:
+        table[syn_bytes[t].tobytes()] = (x[t].copy(), z[t].copy())
     return table
 
 
@@ -323,15 +315,12 @@ def burst_oracle(
                 continue
             cats = np.zeros(n, np.int8)
             cats[start : start + burst_len] = assignment
-            x, z = _cats_to_bits(cats[None, :])
+            x, z = category_bits(cats[None, :])
             patterns.setdefault(cats.tobytes(), (x[0], z[0]))
     xs = np.stack([v[0] for v in patterns.values()])
     zs = np.stack([v[1] for v in patterns.values()])
     count = xs.shape[0]
-    hx = code.hx.to_dense().astype(np.int64)
-    hz = code.hz.to_dense().astype(np.int64)
-    sx = ((zs.astype(np.int64) @ hx.T) % 2).astype(np.uint8)
-    sz = ((xs.astype(np.int64) @ hz.T) % 2).astype(np.uint8)
+    sx, sz = syndrome_batch(code, xs, zs)
     keys = [(sx[t].tobytes(), sz[t].tobytes()) for t in range(count)]
     table = min_weight_decoder(code, keys)
     basis = stabilizer_symplectic(code)

@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -31,6 +32,7 @@ import pytest
 from eaqc.channel import ChannelParams
 from eaqc.clifford import (
     PauliVector,
+    category_bits,
     conjugate,
     group_preserved,
     h_s_cz,
@@ -55,7 +57,6 @@ from eaqc.gf2 import BinaryMatrix, ModelMatrix, expand, gfrank, matmul
 from eaqc.girth import girth_bfs, has_four_cycle, has_six_cycle
 from eaqc.harness import (
     SimConfig,
-    _cats_to_bits,
     _class_bits,
     _decode_batch,
     _logical_coordinates,
@@ -125,7 +126,7 @@ def _coset_weight_enumerators(code):
     n = code.n
     digits = np.arange(4 ** n, dtype=np.int64)
     cats = ((digits[:, None] >> (2 * np.arange(n))) & 3).astype(np.int8)
-    x, z = _cats_to_bits(cats)
+    x, z = category_bits(cats)
     syn, cls = _coset_keys(code, x, z)
     shape = (1 << (code.hx.shape[0] + code.hz.shape[0]), 1 << (2 * code.k), n + 1)
     flat = (syn * shape[1] + cls) * shape[2] + np.count_nonzero(cats, axis=1)
@@ -347,7 +348,7 @@ def test_criterion_07_single_error_correction_and_ml_match():
                 cats[list(support)] = assign
                 pats.append(cats)
     cats = np.stack(pats)
-    x, z = _cats_to_bits(cats)
+    x, z = category_bits(cats)
     sx, sz = _syndromes(code, x, z)
     syn, cls = _coset_keys(code, x, z)
     singles = np.count_nonzero(cats, axis=1) == 1
@@ -412,7 +413,7 @@ def test_criterion_07_single_error_correction_and_ml_match():
     stray_ok = not any(strays.values())
     # 5. where the distance allows it, both decoders correct every single
     code25 = build_theorem5(5, 2, 2)
-    x25, z25 = _cats_to_bits(_window_patterns(code25.n, 1))
+    x25, z25 = category_bits(_window_patterns(code25.n, 1))
     sx25, sz25 = _syndromes(code25, x25, z25)
     distinct25 = len(np.unique(np.concatenate([sx25, sz25], axis=1), axis=0))
     basis25, graphs25 = stabilizer_symplectic(code25), build_graphs(code25)
@@ -446,6 +447,25 @@ def test_criterion_07_single_error_correction_and_ml_match():
     assert match_ok, (into_ml, int(untied.sum()))
     assert stray_ok, strays
     assert full_ok, (distinct25, fixed25)
+
+
+def test_ml_table_breaks_ties_by_the_largest_class():
+    """On each syndrome the ML table holds, among the cosets of maximal
+    probability (computed exactly), the one with the largest class bytes."""
+    code = build_theorem5(3, 1, 1)
+    n, p_d = code.n, Fraction(3, 100)
+    enum = _coset_weight_enumerators(code).astype(object)
+    prob = enum @ np.array([(p_d / 3) ** w * (1 - p_d) ** (n - w)
+                            for w in range(n + 1)], dtype=object)
+    most_likely = (prob == prob.max(axis=1)[:, None]) & (prob > 0)
+    # class bytes compare with the first class bit most significant
+    bits = (np.arange(enum.shape[1])[:, None] >> np.arange(2 * code.k)) & 1
+    byte_order = bits @ (1 << np.arange(2 * code.k - 1, -1, -1))
+    want = np.where(most_likely, byte_order, -1).argmax(axis=1)
+    key_syn, rep_syn, rep_cls, _ = _table_cosets(code, ml_coset_decoder(code, 0.03))
+    assert int((most_likely.sum(axis=1) > 1).sum()) == 52
+    assert np.array_equal(rep_syn, key_syn)
+    assert np.array_equal(rep_cls, want[key_syn])
 
 
 def test_criterion_08_quaternary_beats_binary():
@@ -495,7 +515,7 @@ def test_criterion_09_exhaustive_burst_window():
     n = code.n
     report = burst_oracle(code, 3)
     cats = _window_patterns(n, 3)
-    x, z = _cats_to_bits(cats)
+    x, z = category_bits(cats)
     syn, cls = _coset_keys(code, x, z)
 
     # 1. singles, pairs one and two apart, then full three-qubit windows:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,3 +184,17 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 9
+
+
+def test_verify_codes_script_prints_one_line_per_small_family():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "verify_codes.py"
+    proc = subprocess.run([sys.executable, str(script), "--skip-large"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["thm5"] * 3 + ["thm6", "thm7"]
+    assert [line[line.index("[["):line.index("]]") + 2] for line in lines] == [
+        "[[9, 4; 1]]", "[[25, 8; 1]]", "[[49, 12; 1]]", "[[42, 10; 6]]",
+        "[[121, 70; 51]]",
+    ]
+    assert last.startswith("all constructions verified")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eaqc.eacode import (
+    FAMILIES,
     CodeParams,
     EaCode,
     StructureCheckFailed,
@@ -22,7 +23,13 @@ from eaqc.eacode import (
     theorem7_model,
 )
 from eaqc.gf2 import BinaryMatrix, DimensionMismatch, ModelMatrix, expand, gfrank, matmul
-from eaqc.models import construct_prime_model, theorem6_models, theorem8_model
+from eaqc.models import (
+    construct_prime_model,
+    theorem6_models,
+    theorem8_model,
+    theorem9_model,
+    theorem10_model,
+)
 
 
 def dense(a) -> BinaryMatrix:
@@ -292,6 +299,52 @@ def test_girth_floors_by_family():
     assert girth_floor_of(*theorem5_selection(3, 2, 1)) == 6
     assert girth_floor_of(theorem7_model(5, 2)) == 8
     assert girth_floor_of(theorem8_model(6, 2)) == 8
+
+
+# CLI family -> (builder arguments, builder keywords, the family's own models)
+REGISTRY_CASES = {
+    "thm5": ((3, 2, 1), {}, lambda: theorem5_selection(3, 2, 1)),
+    "thm6": ((7, 3, 3), {}, lambda: theorem6_models(7, 3, 3)),
+    "thm7": ((11, 5), {}, lambda: (theorem7_model(11, 5), None)),
+    "thm8": ((6, 2), {}, lambda: (theorem8_model(6, 2), None)),
+    "thm9": (((2, 4, 6), 2), {"enforce_scale": False},
+             lambda: (theorem9_model((2, 4, 6), 2, enforce_scale=False), None)),
+    "thm10": (((2, 4, 6), 2), {"enforce_scale": False},
+              lambda: (theorem10_model((2, 4, 6), 2, enforce_scale=False), None)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(REGISTRY_CASES))
+def test_registry_codes_carry_their_models_floor_and_ranks(family):
+    build, flags = FAMILIES[family]
+    args, kwargs, models = REGISTRY_CASES[family]
+    assert len(flags) == len(args)
+    code = build(*args, **kwargs)
+    mx, mz = models()
+    assert code.mx == mx and code.mz == (mx if mz is None else mz)
+    assert code.girth_floor == girth_floor_of(mx, mz)
+    assert code.rank_hx == gfrank(code.hx) and code.rank_hz == gfrank(code.hz)
+
+
+def test_registry_covers_every_family():
+    assert set(FAMILIES) == set(REGISTRY_CASES)
+
+
+def test_codes_compare_and_hash_by_value():
+    a, b = build_theorem5(3, 1, 1), build_theorem5(3, 1, 1)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_theorem5(3, 2, 1)
+    assert len({a, b, build_theorem7(5, 2)}) == 2
+
+
+def test_stabilizer_rows_layout():
+    code = build_theorem5(3, 1, 1)
+    rows = code.stabilizer_rows().to_dense()
+    q = code.n + code.c
+    top, bottom = rows[: code.hex.rows], rows[code.hex.rows :]
+    assert rows.shape == (code.hex.rows + code.hez.rows, 2 * q)
+    assert np.array_equal(top[:, :q], code.hex.to_dense()) and not top[:, q:].any()
+    assert np.array_equal(bottom[:, q:], code.hez.to_dense()) and not bottom[:, :q].any()
 
 
 def test_builder_constraint_errors():

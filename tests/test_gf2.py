@@ -14,6 +14,7 @@ from eaqc.gf2 import (
     RowBasis,
     expand,
     gfrank,
+    independent_rows,
     matmul,
     nullspace,
     rowspace_member,
@@ -51,6 +52,15 @@ def span_member_oracle(dense: np.ndarray, v: np.ndarray) -> bool:
     return False
 
 
+def greedy_rows_oracle(dense: np.ndarray) -> list[int]:
+    """The in-order greedy scan: keep a row when it raises the rank."""
+    keep: list[int] = []
+    for i in range(dense.shape[0]):
+        if gfrank(BinaryMatrix.from_dense(dense[keep + [i]])) > len(keep):
+            keep.append(i)
+    return keep
+
+
 def int_matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.int64) @ b.astype(np.int64)) % 2
 
@@ -61,6 +71,18 @@ def circulant(order: int, a: int) -> np.ndarray:
     p[u, (u + a) % order] = 1
     return p
 
+
+def _low_rank(shape_and_seed) -> np.ndarray:
+    """A product of two random factors, so that many rows depend on earlier ones."""
+    rows, inner, cols, seed = shape_and_seed
+    rng = np.random.default_rng(seed)
+    prod = rng.integers(0, 2, (rows, inner)) @ rng.integers(0, 2, (inner, cols))
+    return (prod % 2).astype(np.uint8)
+
+
+low_rank_matrices = st.tuples(
+    st.integers(1, 24), st.integers(1, 8), st.integers(1, 150), st.integers(0, 2**32 - 1)
+).map(_low_rank)
 
 dense_matrices = st.integers(1, 8).flatmap(
     lambda r: st.integers(1, 10).flatmap(
@@ -131,6 +153,15 @@ def test_expand_injective_on_small_models():
                 key = expand(m).to_dense().tobytes()
                 assert key not in seen, (order, e00, e01, seen[key])
                 seen[key] = (order, e00, e01)
+
+
+def test_model_matrix_compares_and_hashes_by_value():
+    a = ModelMatrix(5, [[0, 1, 2], [0, 3, 1]])
+    b = ModelMatrix(5, np.array([[0, 1, 2], [0, 3, 1]]))
+    assert a == b and hash(a) == hash(b)
+    assert a != ModelMatrix(7, [[0, 1, 2], [0, 3, 1]])
+    assert a != ModelMatrix(5, [[0, 1, 2, 0, 3, 1]])
+    assert a != a.row_submodel([0])
 
 
 def test_model_matrix_rejects_out_of_range():
@@ -273,6 +304,14 @@ def test_coefficients_raise_outside_span():
 
 
 # ── kernels ───────────────────────────────────────────────────────────
+
+
+@given(st.one_of(dense_matrices, low_rank_matrices))
+@settings(max_examples=80, deadline=None)
+def test_independent_rows_match_greedy_scan(m):
+    kept = independent_rows(BinaryMatrix.from_dense(m))
+    assert kept.tolist() == greedy_rows_oracle(m)
+
 
 
 def test_nullspace_known_cases():
