@@ -6,6 +6,15 @@ convention; the test suite validates every primitive against brute-force
 unitary conjugation on 2x2 / 4x4 matrices before anything else relies on
 them.
 
+Two rules of the stabilizer formalism (Aaronson & Gottesman, PRA 70,
+052328, 2004) each have one home here.  `symplectic_product` is the only
+place that forms x·z' + z·x' (mod 2): commutation, the tableau gram check,
+the pairing of logicals, their checks and images, and the harness's
+coset classes all call it on stacks of (x | z) rows.  `_product_phases` is
+the only place that works out the sign of an in-order product of
+generators, Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4); the tableau's dependency
+check and `group_preserved` call it.
+
 The three operators built here act across a full code block: a Hadamard
 layer with a block-reversal qubit permutation, a phase-gate/CZ layer, and
 the Hadamard conjugate of the latter.
@@ -23,6 +32,7 @@ from eaqc.models import _require_odd_prime, special_prime_model
 
 __all__ = [
     "PauliVector",
+    "symplectic_product",
     "category_bits",
     "Tableau",
     "GateSequence",
@@ -95,8 +105,8 @@ class PauliVector:
     def commutes(self, other: "PauliVector") -> bool:
         if self.qubits != other.qubits:
             raise ValueError("qubit counts differ")
-        s = int(np.sum(self.x & other.z)) + int(np.sum(self.z & other.x))
-        return s % 2 == 0
+        pair = symplectic_product(self.symplectic()[None], other.symplectic()[None])
+        return not pair[0, 0]
 
     def symplectic(self) -> np.ndarray:
         return np.concatenate([self.x, self.z])
@@ -112,6 +122,33 @@ class PauliVector:
 
     def __hash__(self) -> int:
         return hash((self.x.tobytes(), self.z.tobytes(), self.phase))
+
+
+def symplectic_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Forms x·z' + z·x' (mod 2) of every row of a with every row of b.
+
+    a and b are 2-D stacks of (x | z) rows of one even width, as 0/1
+    integers; entry [i, j] of the result is 1 exactly when row i of a
+    anticommutes with row j of b.  uint8 sums wrap mod 256, which keeps
+    their parity.
+    """
+    q = a.shape[1] // 2
+    return (a[:, :q] @ b[:, q:].T + a[:, q:] @ b[:, :q].T) & 1
+
+
+def _product_phases(sel: np.ndarray, rows: np.ndarray,
+                    phases: np.ndarray) -> np.ndarray:
+    """Phase exponent of each in-order product of selected generators.
+
+    Row r of sel (0/1 over the generators) selects i_1 < i_2 < ...; rows
+    are the generators' (x | z) bits and phases their exponents.  Moving
+    each later X block through the earlier Z blocks gives
+    Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4).
+    """
+    q = rows.shape[1] // 2
+    cross = np.triu(rows[:, q:] @ rows[:, :q].T, 1) & 1
+    pairs = ((sel @ cross) & 1) & sel
+    return (sel @ phases + 2 * pairs.sum(axis=1)) % 4
 
 
 def category_bits(cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,18 +208,13 @@ class Tableau:
         q = gens[0].qubits
         if any(g.qubits != q for g in gens):
             raise ValueError("generators disagree on qubit count")
-        xs = np.stack([g.x for g in gens])
-        zs = np.stack([g.z for g in gens])
-        gram = (xs @ zs.T + zs @ xs.T) % 2
-        if gram.any():
+        rows = np.stack([g.symplectic() for g in gens])
+        if symplectic_product(rows, rows).any():
             raise ValueError("generators do not pairwise commute")
-        deps = nullspace(self.symplectic().transpose())
-        for lam in deps.to_dense():
-            prod = PauliVector.identity(q)
-            for idx in np.nonzero(lam)[0]:
-                prod = prod * gens[idx]
-            if prod.phase != 0:
-                raise ValueError("a generator dependency multiplies to -I")
+        deps = nullspace(BinaryMatrix.from_dense(rows.T)).to_dense()
+        phases = np.array([g.phase for g in gens])
+        if len(deps) and _product_phases(deps, rows, phases).any():
+            raise ValueError("a generator dependency multiplies to -I")
 
     @property
     def qubits(self) -> int:
@@ -324,20 +356,17 @@ def group_preserved(before: Tableau, after: Tableau) -> bool:
     """Row spaces match and every after-generator re-expresses with sign +1."""
     if before.qubits != after.qubits:
         raise ValueError("tableaux act on different registers")
-    basis = RowBasis.build(before.symplectic())
+    sym_before = before.symplectic()
+    basis = RowBasis.build(sym_before)
     sym_after = after.symplectic()
     if not bool(np.all(basis.contains_batch(sym_after))):
         return False
     if gfrank(sym_after) != basis.rank:
         return False
-    for gen in after.generators:
-        coeff = basis.coefficients(gen.symplectic())
-        prod = PauliVector.identity(before.qubits)
-        for idx in np.nonzero(coeff)[0]:
-            prod = prod * before.generators[idx]
-        if prod.phase != gen.phase:
-            return False
-    return True
+    coeff = np.atleast_2d(basis.coefficients(sym_after))
+    phases = _product_phases(coeff, sym_before.to_dense(),
+                             np.array([g.phase for g in before.generators]))
+    return bool(np.array_equal(phases, [g.phase for g in after.generators]))
 
 
 def code_tableau(code: EaCode) -> Tableau:
@@ -350,10 +379,6 @@ def code_tableau(code: EaCode) -> Tableau:
     rows = code.stabilizer_rows()
     kept = rows.to_dense()[independent_rows(rows)]
     return Tableau(tuple(PauliVector(v[:q], v[q:]) for v in kept))
-
-
-def _symplectic_form(u: np.ndarray, v: np.ndarray, q: int) -> int:
-    return int(np.sum(u[:q] & v[q:]) + np.sum(u[q:] & v[:q])) % 2
 
 
 def logical_operators(obj) -> list[tuple[PauliVector, PauliVector]]:
@@ -371,54 +396,54 @@ def logical_operators(obj) -> list[tuple[PauliVector, PauliVector]]:
     # extend the stabilizer rows to a basis of the normalizer
     stacked = np.vstack([sym, kernel])
     kept = independent_rows(BinaryMatrix.from_dense(stacked))
-    remaining = list(stacked[kept[kept >= len(sym)]])
+    remaining = stacked[kept[kept >= len(sym)]]
     pairs = []
-    while remaining:
-        a = remaining[0]
-        rest = remaining[1:]
-        hit = next(
-            (i for i, b in enumerate(rest) if _symplectic_form(a, b, q) == 1),
-            None,
-        )
-        if hit is None:
+    while len(remaining):
+        a, rest = remaining[0], remaining[1:]
+        with_a = symplectic_product(rest, a[None])[:, 0]
+        if not with_a.any():
             raise RuntimeError("degenerate symplectic form on the quotient")
-        b = rest.pop(hit)
-        cleaned = []
-        for cvec in rest:
-            if _symplectic_form(cvec, b, q):
-                cvec = cvec ^ a
-            if _symplectic_form(cvec, a, q):
-                cvec = cvec ^ b
-            cleaned.append(cvec)
+        hit = int(np.argmax(with_a))
+        b = rest[hit]
+        rest = np.delete(rest, hit, axis=0)
+        with_a = np.delete(with_a, hit)
+        with_b = symplectic_product(rest, b[None])[:, 0]
+        # clear each row's form with b by adding a, then its form with a by
+        # adding b; (c ^ a)·a = c·a, so both read the rows as they were
+        remaining = rest ^ np.outer(with_b, a) ^ np.outer(with_a, b)
         pairs.append(
             (PauliVector(a[:q], a[q:]), PauliVector(b[:q], b[q:]))
         )
-        remaining = cleaned
     return pairs
 
 
 def _check_logical_basis(
     t: Tableau, logicals: list[tuple[PauliVector, PauliVector]]
-) -> None:
+) -> np.ndarray:
+    """The logicals' (x | z) rows X1, Z1, X2, Z2, ... once they pass.
+
+    The first failing operator, in that order, names the error: one on the
+    wrong register, or one that anticommutes with a generator; then the
+    first pair that does not anticommute or meets another pair.
+    """
     flat = [op for pair in logicals for op in pair]
-    for op in flat:
-        if op.qubits != t.qubits:
-            raise ValueError("logical operator register size mismatch")
-        if any(not op.commutes(g) for g in t.generators):
-            raise ValueError("a supplied logical fails to commute with the group")
-    for i, (xi, zi) in enumerate(logicals):
-        if xi.commutes(zi):
+    fits = next((i for i, op in enumerate(flat) if op.qubits != t.qubits), len(flat))
+    rows = np.array([op.symplectic() for op in flat[:fits]], dtype=np.uint8)
+    rows = rows.reshape(fits, 2 * t.qubits)
+    if symplectic_product(rows, t.symplectic().to_dense()).any():
+        raise ValueError("a supplied logical fails to commute with the group")
+    if fits < len(flat):
+        raise ValueError("logical operator register size mismatch")
+    k = len(logicals)
+    gram = symplectic_product(rows, rows)
+    pattern = np.kron(np.eye(k, dtype=np.uint8), [[0, 1], [1, 0]])
+    wrong = (gram != pattern).reshape(k, 4 * k).any(axis=1)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        if not gram[2 * i, 2 * i + 1]:
             raise ValueError(f"pair {i} does not anticommute")
-        for j, (xj, zj) in enumerate(logicals):
-            if i == j:
-                continue
-            if not (
-                xi.commutes(xj)
-                and xi.commutes(zj)
-                and zi.commutes(xj)
-                and zi.commutes(zj)
-            ):
-                raise ValueError("cross-pair commutation violated")
+        raise ValueError("cross-pair commutation violated")
+    return rows
 
 
 def logical_action(
@@ -435,26 +460,22 @@ def logical_action(
     after = conjugate(t, g)
     if not group_preserved(t, after):
         raise ValueError("the gate sequence does not preserve the stabilizer group")
-    _check_logical_basis(t, logicals)
+    basis = _check_logical_basis(t, logicals)
     q = t.qubits
+    xs, zs = basis[:, :q].copy(), basis[:, q:].copy()
+    _apply_gates(xs, zs, np.zeros(len(basis), dtype=np.int64), g, q)
+    images = np.hstack([xs, zs])
+    # the form with Z_j is the X_j coefficient and the form with X_j the
+    # Z_j coefficient, so pair each basis row with its partner
+    coeff = symplectic_product(images, basis[np.arange(len(basis)) ^ 1])
+    residual = images ^ ((coeff @ basis) & 1)
     stab = RowBasis.build(t.symplectic())
-    out: dict[str, tuple[str, ...]] = {}
-    for i, pair in enumerate(logicals, start=1):
-        for kind, op in zip(("X", "Z"), pair):
-            image = conjugate_pauli(op, g)
-            vec = image.symplectic()
-            factors = []
-            residual = vec.copy()
-            for j, (xj, zj) in enumerate(logicals, start=1):
-                if _symplectic_form(vec, zj.symplectic(), q):
-                    factors.append(f"X{j}")
-                    residual = residual ^ xj.symplectic()
-                if _symplectic_form(vec, xj.symplectic(), q):
-                    factors.append(f"Z{j}")
-                    residual = residual ^ zj.symplectic()
-            if not stab.contains(residual):
-                raise RuntimeError(
-                    "image does not reduce to the logical basis modulo the group"
-                )
-            out[f"{kind}{i}"] = tuple(factors)
-    return out
+    if not stab.contains_batch(BinaryMatrix.from_dense(residual)).all():
+        raise RuntimeError(
+            "image does not reduce to the logical basis modulo the group"
+        )
+    labels = [f"{kind}{j}" for j in range(1, len(logicals) + 1) for kind in "XZ"]
+    return {
+        label: tuple(labels[c] for c in np.flatnonzero(row))
+        for label, row in zip(labels, coeff)
+    }

@@ -34,7 +34,6 @@ from eaqc.models import (
 __all__ = [
     "EaCode",
     "FAMILIES",
-    "CodeParams",
     "StructureCheckFailed",
     "ebit_count",
     "extend",
@@ -88,20 +87,6 @@ class EaCode:
         return self.hex.hstack(BinaryMatrix.zeros(self.hex.rows, q)).vstack(
             BinaryMatrix.zeros(self.hez.rows, q).hstack(self.hez)
         )
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    n: int
-    k: int
-    c: int
-    girth_floor: int  # verified inclusive lower bound on unassisted girth
-
-    def __post_init__(self) -> None:
-        if self.n <= 0 or not 0 <= self.k <= self.n or self.c < 0:
-            raise ValueError(
-                f"inconsistent parameters n={self.n}, k={self.k}, c={self.c}"
-            )
 
 
 def ebit_count(hx: BinaryMatrix, hz: BinaryMatrix) -> int:

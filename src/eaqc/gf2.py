@@ -25,7 +25,6 @@ __all__ = [
     "independent_rows",
     "matmul",
     "nullspace",
-    "rowspace_member",
 ]
 
 _WORD = 64
@@ -353,14 +352,6 @@ class RowBasis:
                 )[: self.source_rows]
                 out[hit] ^= trow
         return out[0] if vm.rows == 1 else out
-
-
-def rowspace_member(basis: BinaryMatrix, v) -> bool:
-    """True iff v is a GF(2) combination of the rows of `basis`."""
-    arr = np.atleast_2d(np.asarray(v, dtype=np.uint8))
-    if arr.shape[1] != basis.cols:
-        raise DimensionMismatch(f"vector length {arr.shape[1]} != {basis.cols}")
-    return RowBasis.build(basis).contains(arr)
 
 
 def independent_rows(a: BinaryMatrix) -> np.ndarray:

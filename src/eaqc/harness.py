@@ -18,7 +18,7 @@ from itertools import combinations, product
 import numpy as np
 
 from eaqc.channel import ChannelParams, sample_error_batch
-from eaqc.clifford import category_bits, logical_operators
+from eaqc.clifford import category_bits, logical_operators, symplectic_product
 from eaqc.decoder import (
     DecoderConfig,
     build_graphs,
@@ -203,26 +203,16 @@ def min_weight_decoder(code: EaCode, syndromes):
     return table
 
 
-def _logical_coordinates(code: EaCode):
-    """Symplectically swapped logical vectors, for coset classification."""
-    pairs = logical_operators(code)
-    q = code.n + code.c
-    vecs = []
-    for xbar, zbar in pairs:
-        for op in (zbar, xbar):  # products with these give X / Z coefficients
-            vecs.append(np.concatenate([op.z, op.x]))
-    return np.stack(vecs).astype(np.int64), q
+def _class_bits(code: EaCode, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Logical class bits of each (x, z) row: its forms with Z1, X1, Z2, X2, ...
 
-
-def _class_bits(coords: np.ndarray, q: int, n: int,
-                x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Logical class bits of each (x, z) row; the ebit coordinates are zero.
-
-    uint8 sums wrap mod 256, which keeps their parity.
+    The rows act on the n transmitted qubits, so only those columns of the
+    logicals count; the form with Z_j is the X_j coefficient.
     """
-    cx = coords[:, :n].T.astype(np.uint8)
-    cz = coords[:, q : q + n].T.astype(np.uint8)
-    return (x.astype(np.uint8) @ cx + z.astype(np.uint8) @ cz) & 1
+    n = code.n
+    ops = [op for xbar, zbar in logical_operators(code) for op in (zbar, xbar)]
+    logicals = np.array([np.concatenate([op.x[:n], op.z[:n]]) for op in ops])
+    return symplectic_product(np.hstack([x, z]), logicals)
 
 
 def ml_coset_decoder(code: EaCode, p_d: float, limit: int = 2_000_000):
@@ -245,13 +235,12 @@ def ml_coset_decoder(code: EaCode, p_d: float, limit: int = 2_000_000):
     total = 4 ** n
     if total > limit:
         raise BurstTooLarge(total, limit)
-    coords, q = _logical_coordinates(code)
     digits = np.arange(total, dtype=np.int64)
     cats = ((digits[:, None] >> (2 * np.arange(n))) & 3).astype(np.int8)
     x, z = category_bits(cats)
     weights = np.count_nonzero(cats, axis=1)
     syn_bytes = np.concatenate(syndrome_batch(code, x, z), axis=1)
-    cls = _class_bits(coords, q, n, x, z)
+    cls = _class_bits(code, x, z)
     # one integer per (syndrome, class); the first class bit is the most
     # significant, so integer order is class-bytes order
     bits = cls.shape[1]
@@ -349,6 +338,12 @@ def burst_oracle(
 # ── sweeps ────────────────────────────────────────────────────────────
 
 def sweep(cfg: SimConfig) -> list[dict]:
+    """One CSV row per (p_d, eta) grid point, p_d outer, same seed for each.
+
+    Every point decodes with cfg.decoder as given, so its prior stays at
+    cfg.decoder.p_d whatever the point's p_d; `eaqc sweep` sets it to the
+    first --pd value.
+    """
     if not cfg.pd_axis and not cfg.eta_axis:
         raise ValueError("a sweep needs at least one axis")
     pd_values = cfg.pd_axis or (cfg.channel.p_d,)

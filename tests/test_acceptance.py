@@ -59,7 +59,6 @@ from eaqc.harness import (
     SimConfig,
     _class_bits,
     _decode_batch,
-    _logical_coordinates,
     burst_oracle,
     min_weight_decoder,
     ml_coset_decoder,
@@ -100,8 +99,7 @@ def _coset_keys(code, x, z):
     """
     sx, sz = _syndromes(code, x, z)
     syn = np.concatenate([sx, sz], axis=1).astype(np.int64)
-    coords, q = _logical_coordinates(code)
-    cls = _class_bits(coords, q, code.n, x, z)
+    cls = _class_bits(code, x, z)
     return syn @ (1 << np.arange(syn.shape[1])), cls @ (1 << np.arange(cls.shape[1]))
 
 

@@ -10,6 +10,7 @@ from eaqc.clifford import (
     GateSequence,
     PauliVector,
     Tableau,
+    _product_phases,
     code_tableau,
     conjugate,
     conjugate_pauli,
@@ -20,6 +21,7 @@ from eaqc.clifford import (
     logical_operators,
     s_cz,
     stabilizer_matrix,
+    symplectic_product,
 )
 from eaqc.eacode import build_theorem5
 from eaqc.gf2 import gfrank
@@ -238,6 +240,68 @@ def test_block_stabilizer_counts_and_rank(p, rank):
     assert gfrank(t.symplectic()) == rank
 
 
+# ── the shared symplectic form and product phase ──────────────────────
+
+
+def _form_loop(u: np.ndarray, v: np.ndarray, q: int) -> int:
+    """x·z' + z·x' (mod 2), qubit by qubit."""
+    s = 0
+    for j in range(q):
+        s += int(u[j]) * int(v[q + j]) + int(u[q + j]) * int(v[j])
+    return s % 2
+
+
+def _folded_phase(gens: list, lam: np.ndarray) -> int:
+    """Phase of the in-order product of the selected generators."""
+    prod = PauliVector.identity(gens[0].qubits)
+    for idx in np.nonzero(lam)[0]:
+        prod = prod * gens[idx]
+    return prod.phase
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 300),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_symplectic_product_matches_per_qubit_loop_and_commutes(r, s, q, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2, (r, 2 * q), dtype=np.uint8)
+    b = rng.integers(0, 2, (s, 2 * q), dtype=np.uint8)
+    got = symplectic_product(a, b)
+    assert got.shape == (r, s)
+    for i in range(r):
+        u = PauliVector(a[i, :q], a[i, q:])
+        for j in range(s):
+            assert got[i, j] == _form_loop(a[i], b[j], q)
+            assert u.commutes(PauliVector(b[j, :q], b[j, q:])) == (got[i, j] == 0)
+
+
+def test_uint8_sums_keep_parity_past_255():
+    q = 257
+    x_all = np.concatenate([np.ones(q), np.zeros(q)]).astype(np.uint8)[None]
+    z_all = np.concatenate([np.zeros(q), np.ones(q)]).astype(np.uint8)[None]
+    assert symplectic_product(x_all, z_all)[0, 0] == 1
+    assert symplectic_product(x_all, x_all)[0, 0] == 0
+    # 258 copies of X0Z0: the j-th moves its X past j earlier Z blocks
+    g = 258
+    rows = np.ones((g, 2), dtype=np.uint8)
+    gens = [PauliVector(r[:1], r[1:]) for r in rows]
+    sel = np.ones((1, g), dtype=np.uint8)
+    got = _product_phases(sel, rows, np.zeros(g, dtype=np.int64))
+    assert got[0] == _folded_phase(gens, sel[0]) == 2
+
+
+@given(st.integers(1, 300), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_product_phases_match_folded_products(g, q, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, (g, 2 * q), dtype=np.uint8)
+    phases = rng.integers(0, 4, g)
+    sel = rng.integers(0, 2, (4, g), dtype=np.uint8)
+    gens = [PauliVector(rows[i, :q], rows[i, q:], phases[i]) for i in range(g)]
+    got = _product_phases(sel, rows, phases)
+    assert list(got) == [_folded_phase(gens, lam) for lam in sel]
+
+
 def test_block_stabilizer_rejects_composite():
     with pytest.raises(ValueError):
         stabilizer_matrix(9)
@@ -257,6 +321,13 @@ def test_dependency_with_negative_sign_rejected():
         Tableau((a, b))
     # same dependency with matching signs is a legal generating set
     Tableau((a, PauliVector.from_support(1, x_on=[0])))
+    # Z0X1 · X0Z1 = i^2 X0Z0·X1Z1: the phases sum to 0, so only the
+    # cross term z_i·x_j of the product rule gives the sign
+    z0x1 = PauliVector.from_support(2, x_on=[1], z_on=[0])
+    x0z1 = PauliVector.from_support(2, x_on=[0], z_on=[1])
+    with pytest.raises(ValueError, match="multiplies to -I"):
+        Tableau((z0x1, x0z1, PauliVector.from_support(2, [0, 1], [0, 1])))
+    Tableau((z0x1, x0z1, PauliVector.from_support(2, [0, 1], [0, 1], phase=2)))
 
 
 # ── the transversal operators ─────────────────────────────────────────
@@ -330,6 +401,13 @@ def test_sign_flip_breaks_preservation_even_with_equal_span():
     flipped = Tableau(tuple(gens))
     assert not group_preserved(t, flipped)
     assert group_preserved(t, t)
+    # the re-expressed generator's sign comes from the cross term alone
+    z0x1 = PauliVector.from_support(2, x_on=[1], z_on=[0])
+    x0z1 = PauliVector.from_support(2, x_on=[0], z_on=[1])
+    before = Tableau((z0x1, x0z1))
+    for phase, kept in ((0, False), (2, True)):
+        xzxz = PauliVector.from_support(2, [0, 1], [0, 1], phase)
+        assert group_preserved(before, Tableau((z0x1, xzxz))) == kept
 
 
 # ── logical structure ─────────────────────────────────────────────────
@@ -356,6 +434,29 @@ def test_logical_pair_counts(p, pairs):
         for j, (xj, zj) in enumerate(logs):
             if i != j:
                 assert xi.commutes(xj) and xi.commutes(zj) and zi.commutes(zj)
+
+
+# supports of the basis logical_operators returns on the p=5 block
+# stabilizer and on [[25,8;1]]; the transversal tables are written in it
+_CANONICAL_P5 = [
+    ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9], [0, 1, 3, 4, 5, 6, 7, 10]),
+    ([3, 6, 7, 10], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+    ([3, 4, 6, 8, 10, 11], [1, 3, 4, 5, 10, 13]),
+    ([1, 2, 4, 5, 10, 12], [2, 3, 5, 8, 10, 11]),
+    ([2, 7, 8, 9, 10, 11, 12, 13], [3, 4, 6, 9, 11, 12]),
+    ([4, 5, 6, 9, 10, 12, 13, 14], [4, 7, 8, 9, 10, 11, 13, 14]),
+    ([3, 6, 7, 8, 10, 11, 12, 15], [0, 1, 2, 6, 7, 8, 13, 20]),
+    ([0, 3, 4, 7, 8, 9, 12, 20], [2, 7, 8, 9, 10, 13, 14, 15]),
+]
+
+
+@pytest.mark.parametrize("source", ["block", "code"])
+def test_logical_basis_is_pinned(source):
+    obj = stabilizer_matrix(5) if source == "block" else build_theorem5(5, 2, 2)
+    mk = PauliVector.from_support
+    assert logical_operators(obj) == [
+        (mk(26, x_on=xs), mk(26, z_on=zs)) for xs, zs in _CANONICAL_P5
+    ]
 
 
 def test_code_tableau_generates_the_same_group():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from eaqc.eacode import (
     FAMILIES,
-    CodeParams,
     EaCode,
     StructureCheckFailed,
     build_theorem5,
@@ -362,12 +361,3 @@ def test_builder_constraint_errors():
     bad = ModelMatrix(5, np.array([[0, 1, 2, 3, 4], [0, 2, 1, 3, 4]]))
     with pytest.raises(ValueError):
         build_theorem5(5, 2, 2, mx, bad)  # not scalar multiples of one row
-
-
-def test_code_params_validation():
-    p = CodeParams(n=9, k=4, c=1, girth_floor=6)
-    assert p.girth_floor == 6
-    with pytest.raises(ValueError):
-        CodeParams(n=9, k=10, c=1, girth_floor=6)
-    with pytest.raises(ValueError):
-        CodeParams(n=0, k=0, c=0, girth_floor=4)

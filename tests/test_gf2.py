@@ -17,7 +17,6 @@ from eaqc.gf2 import (
     independent_rows,
     matmul,
     nullspace,
-    rowspace_member,
 )
 
 # ── independent oracles ───────────────────────────────────────────────
@@ -250,14 +249,14 @@ def test_matmul_dimension_mismatch():
 
 def test_member_zero_vector():
     basis = BinaryMatrix.from_dense(np.asarray([[1, 1, 0], [0, 1, 1]], dtype=np.uint8))
-    assert rowspace_member(basis, np.zeros(3, dtype=np.uint8))
+    assert RowBasis.build(basis).contains(np.zeros(3, dtype=np.uint8))
 
 
 def test_member_basis_row():
     rows = np.asarray([[1, 1, 0, 1], [0, 1, 1, 0]], dtype=np.uint8)
     basis = BinaryMatrix.from_dense(rows)
-    assert rowspace_member(basis, rows[0])
-    assert rowspace_member(basis, rows[0] ^ rows[1])
+    assert RowBasis.build(basis).contains(rows[0])
+    assert RowBasis.build(basis).contains(rows[0] ^ rows[1])
 
 
 def test_member_even_weight_basis_rejects_odd():
@@ -266,7 +265,7 @@ def test_member_even_weight_basis_rejects_odd():
         [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint8
     )
     basis = BinaryMatrix.from_dense(rows)
-    assert not rowspace_member(basis, np.asarray([1, 0, 0, 0], dtype=np.uint8))
+    assert not RowBasis.build(basis).contains(np.asarray([1, 0, 0, 0], dtype=np.uint8))
 
 
 @given(dense_matrices, st.integers(0, 2**32 - 1))
@@ -274,12 +273,12 @@ def test_member_even_weight_basis_rejects_odd():
 def test_member_matches_span_oracle(a, seed):
     rng = np.random.default_rng(seed)
     v = rng.integers(0, 2, size=a.shape[1], dtype=np.uint8)
-    assert rowspace_member(BinaryMatrix.from_dense(a), v) == span_member_oracle(a, v)
+    assert RowBasis.build(BinaryMatrix.from_dense(a)).contains(v) == span_member_oracle(a, v)
 
 
 def test_member_length_mismatch():
     with pytest.raises(DimensionMismatch):
-        rowspace_member(BinaryMatrix.identity(3), np.zeros(4, dtype=np.uint8))
+        RowBasis.build(BinaryMatrix.identity(3)).contains(np.zeros(4, dtype=np.uint8))
 
 
 # ── RowBasis coefficients ─────────────────────────────────────────────
