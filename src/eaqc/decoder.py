@@ -1,18 +1,39 @@
-"""Syndrome-based sum-product decoders on Tanner graphs.
+"""Syndrome-based sum-product decoders on one Tanner graph.
 
-Binary decoding runs two independent graphs: the X-check graph explains
-the Z error component from sx, the Z-check graph explains the X component
-from sz.  Quaternary decoding works on the joint graph whose X-check rows
-carry edge label omega and Z-check rows label 1; messages are scalarized
-per edge into a single log ratio of the commuting pair against the
-anticommuting pair, pushed through the same tanh check rule, and fanned
-back out by commutation class.
+`build_graphs` returns a single graph over the rows of [hx; hz].  Its
+variables are the 2n columns of an [x | z] layout of the n transmitted
+qubits: X-check rows read the z half (columns n + j) and Z-check rows
+read the x half (columns j); ebit columns are not part of decoding.
+Summing check messages per column thus gives [s_one | s_omega], where
+s_one collects the Z-check (label 1) messages into each qubit and s_omega
+the X-check (label omega) ones.
 
-All cores are vectorized over a batch of trials; the single-shot
-functions wrap a batch of one.  Numerical guards: tanh-domain clip at
-1 - 1e-12 and a message clamp at |mu| <= 30.  Hard decisions break ties
-toward the lowest Pauli index in the order (I, X, Y, Z).  Convergence is
-checked before the first message exchange and after every iteration.
+One flooding loop, `_flood`, serves all three algorithms:
+
+* binary-spa takes prior + [s_one | s_omega] as the log ratios of the x
+  and z bits, and runs each check block as a graph of its own: the X-check
+  rows explain the z half from sx, the Z-check rows the x half from sz.
+  A block freezes its half of a trial's estimate when it meets its own
+  syndrome, so the outputs equal two separate graph runs; a trial
+  converges when both blocks have and reports the later of the two
+  iteration counts.
+* quaternary-spa and quaternary-minsum (Poulin & Chung, QIC 8, 987, 2008)
+  take l_x = m0 - s_one, l_z = m0 - s_omega and l_y = l_x - s_omega as
+  the log ratios of X, Y and Z against I.  Each edge sends the single log
+  ratio fmax(0, a) - fmax(l_y + mu, b + mu) of the pair commuting with its
+  row against the anticommuting pair, where a and b are the commuting and
+  anticommuting single-Pauli ratios (l_x and l_z on an X-check row, l_z
+  and l_x on a Z-check row).  fmax is the Jacobian logarithm, or max under
+  min-sum.  Both blocks freeze together.
+
+Messages pass through the tanh check rule (or its min-sum form) with the
+syndrome sign.  Everything is vectorized over a batch of trials, and each
+row depends only on its own syndrome; there are no single-shot wrappers.
+Numerical guards: tanh-domain clip at 1 - 1e-12 and a message clamp at
+|mu| <= 30.  Hard decisions break ties toward the lowest Pauli index in
+the order (I, X, Y, Z).  Convergence, the parity of the hard decision
+gathered over each row's edges against the syndrome, is checked before
+the first message exchange and after every iteration.
 """
 
 from __future__ import annotations
@@ -21,29 +42,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eaqc.clifford import PauliVector, category_bits
+from eaqc.clifford import category_bits
 from eaqc.eacode import EaCode
 from eaqc.gf2 import DimensionMismatch
 
 __all__ = [
-    "LABEL_NONE",
-    "LABEL_ONE",
-    "LABEL_OMEGA",
     "TannerGraph",
     "DecoderConfig",
-    "DecodeOutcome",
     "build_graphs",
-    "syndrome",
     "syndrome_batch",
-    "decode_binary",
+    "decode_batch",
     "decode_binary_batch",
-    "decode_quaternary",
     "decode_quaternary_batch",
 ]
-
-LABEL_NONE = 0   # plain binary graph
-LABEL_ONE = 1    # Z-check rows of the joint graph: {I, Z} commute
-LABEL_OMEGA = 2  # X-check rows of the joint graph: {I, X} commute
 
 _ALGORITHMS = ("binary-spa", "quaternary-spa", "quaternary-minsum")
 _CLIP = 1.0 - 1e-12
@@ -51,86 +62,46 @@ _CLAMP = 30.0
 
 
 @dataclass(frozen=True)
-class _VarGroups:
-    """Edges sorted by variable with reduceat segment starts."""
+class TannerGraph:
+    """The rows of [hx; hz] over the [x | z] columns.
 
-    eb: np.ndarray
-    et: np.ndarray
+    Rows below x_checks are X checks.  Row b has edges to the columns
+    idx[b][mask[b]]; padding slots point at column 0 and are masked.
+    edges lists the flat positions of the edges in idx, sorted by column,
+    and starts[i] is the first edge into column var_ids[i].
+    """
+
+    n: int
+    x_checks: int
+    idx: np.ndarray
+    mask: np.ndarray
+    edges: np.ndarray
     starts: np.ndarray
     var_ids: np.ndarray
 
-
-@dataclass(frozen=True)
-class TannerGraph:
-    n: int
-    h: np.ndarray
-    idx: np.ndarray
-    mask: np.ndarray
-    row_kind: np.ndarray
-    groups_all: _VarGroups
-    groups_one: _VarGroups
-    groups_omega: _VarGroups
-
     @property
     def checks(self) -> int:
-        return self.h.shape[0]
+        return self.idx.shape[0]
 
 
-def _group(eb: np.ndarray, et: np.ndarray, ev: np.ndarray) -> _VarGroups:
-    order = np.argsort(ev, kind="stable")
-    eb, et, ev = eb[order], et[order], ev[order]
-    if ev.size:
-        var_ids, starts = np.unique(ev, return_index=True)
-    else:
-        var_ids = np.zeros(0, dtype=np.int64)
-        starts = np.zeros(0, dtype=np.int64)
-    return _VarGroups(eb, et, starts, var_ids)
+def _graph(hx: np.ndarray, hz: np.ndarray) -> TannerGraph:
+    h = np.block([[np.zeros_like(hx), hx], [hz, np.zeros_like(hz)]])
+    rows, cols = np.nonzero(h)
+    degree = np.bincount(rows, minlength=h.shape[0])
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    idx = np.zeros((h.shape[0], max(1, int(degree.max(initial=0)))), np.int64)
+    mask = np.zeros(idx.shape, dtype=bool)
+    idx[rows, slot] = cols
+    mask[rows, slot] = True
+    order = np.argsort(cols, kind="stable")
+    var_ids, starts = np.unique(cols[order], return_index=True)
+    edges = (rows * idx.shape[1] + slot)[order]
+    return TannerGraph(hx.shape[1], hx.shape[0], idx, mask, edges, starts, var_ids)
 
 
-def _graph(h_dense: np.ndarray, row_kind: np.ndarray) -> TannerGraph:
-    h = np.ascontiguousarray(h_dense.astype(np.uint8) & 1)
-    checks, n = h.shape
-    degrees = h.sum(axis=1, dtype=np.int64)
-    dmax = max(1, int(degrees.max(initial=0)))
-    idx = np.full((checks, dmax), n, dtype=np.int64)
-    mask = np.zeros((checks, dmax), dtype=bool)
-    for b in range(checks):
-        cols = np.nonzero(h[b])[0]
-        idx[b, : cols.size] = cols
-        mask[b, : cols.size] = True
-    eb, et = np.nonzero(mask)
-    ev = idx[eb, et]
-    kind = np.ascontiguousarray(row_kind.astype(np.int8))
-    one = kind[eb] == LABEL_ONE
-    omega = kind[eb] == LABEL_OMEGA
-    return TannerGraph(
-        n=n,
-        h=h,
-        idx=idx,
-        mask=mask,
-        row_kind=kind,
-        groups_all=_group(eb, et, ev),
-        groups_one=_group(eb[one], et[one], ev[one]),
-        groups_omega=_group(eb[omega], et[omega], ev[omega]),
-    )
-
-
-def build_graphs(code: EaCode) -> tuple[TannerGraph, TannerGraph, TannerGraph]:
-    """X graph, Z graph, and the labeled joint graph.
-
-    All three range over the n transmitted qubits only; ebit columns are
-    not part of decoding.
-    """
-    hx = code.hx.to_dense()
-    hz = code.hz.to_dense()
-    graph_x = _graph(hx, np.full(hx.shape[0], LABEL_NONE, np.int8))
-    graph_z = _graph(hz, np.full(hz.shape[0], LABEL_NONE, np.int8))
-    joint_kind = np.concatenate([
-        np.full(hx.shape[0], LABEL_OMEGA, np.int8),
-        np.full(hz.shape[0], LABEL_ONE, np.int8),
-    ])
-    joint = _graph(np.vstack([hx, hz]), joint_kind)
-    return graph_x, graph_z, joint
+def build_graphs(code: EaCode) -> TannerGraph:
+    """The Tanner graph of [hx; hz] on the n transmitted qubits."""
+    return _graph(code.hx.to_dense(), code.hz.to_dense())
 
 
 def syndrome_batch(
@@ -148,16 +119,6 @@ def syndrome_batch(
     return sx.astype(np.uint8), sz.astype(np.uint8)
 
 
-def syndrome(code: EaCode, e: PauliVector) -> tuple[np.ndarray, np.ndarray]:
-    """The syndrome pair (sx, sz) of one error on the n transmitted qubits."""
-    if e.qubits != code.n:
-        raise DimensionMismatch(
-            f"error acts on {e.qubits} qubits, code transmits {code.n}"
-        )
-    sx, sz = syndrome_batch(code, e.x[None, :], e.z[None, :])
-    return sx[0], sz[0]
-
-
 @dataclass(frozen=True)
 class DecoderConfig:
     algorithm: str
@@ -171,13 +132,6 @@ class DecoderConfig:
             raise ValueError("l_max must be at least 1")
         if not 0.0 <= self.p_d <= 1.0:
             raise ValueError("p_d must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DecodeOutcome:
-    estimate: PauliVector
-    converged: bool
-    iterations: int
 
 
 def _safe_p(p_d: float) -> float:
@@ -220,168 +174,110 @@ def _check_messages_minsum(m: np.ndarray, mask: np.ndarray,
     return np.where(mask, mu, 0.0)
 
 
-def _scatter_sum(mu: np.ndarray, groups: _VarGroups, n: int) -> np.ndarray:
+def _jacobian_log(a, b):
+    """log(e^a + e^b); symmetric in a and b bit for bit."""
+    return np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
+
+
+def _scatter(mu: np.ndarray, g: TannerGraph) -> np.ndarray:
+    """[s_one | s_omega]: the check messages summed into each column."""
     trials = mu.shape[0]
-    out = np.zeros((trials, n))
-    if groups.eb.size:
-        contrib = mu[:, groups.eb, groups.et]
-        out[:, groups.var_ids] = np.add.reduceat(contrib, groups.starts, axis=1)
+    out = np.zeros((trials, 2 * g.n))
+    if g.edges.size:
+        contrib = mu.reshape(trials, -1)[:, g.edges]
+        out[:, g.var_ids] = np.add.reduceat(contrib, g.starts, axis=1)
     return out
 
 
-def _padded_gather(tot: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    padded = np.concatenate([tot, np.zeros((tot.shape[0], 1))], axis=1)
-    return padded[:, idx]
-
-
-def _binary_graph_core(
-    g: TannerGraph, s: np.ndarray, prior: float, l_max: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    trials = s.shape[0]
+def _flood(
+    g: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pass messages until every block of every trial meets its syndrome."""
+    sx, sz = np.atleast_2d(sx, sz)
+    if sx.shape[1] != g.x_checks or sz.shape[1] != g.checks - g.x_checks:
+        raise DimensionMismatch(
+            f"syndromes have {sx.shape[1]} X and {sz.shape[1]} Z columns, the "
+            f"graph {g.x_checks} X-check and {g.checks - g.x_checks} Z-check rows"
+        )
+    if sx.shape[0] != sz.shape[0]:
+        raise DimensionMismatch(
+            f"sx holds {sx.shape[0]} trials but sz holds {sz.shape[0]}"
+        )
+    n, l_max = g.n, cfg.l_max
+    s = np.concatenate([sx, sz], axis=1)
     sign_row = 1.0 - 2.0 * s.astype(np.float64)
+    p = _safe_p(cfg.p_d)
+    binary = cfg.algorithm == "binary-spa"
+    if binary:
+        prior = float(np.log((1.0 - p) / p))
+        # (rows, columns) of each block that freezes on its own
+        blocks = ((slice(None, g.x_checks), slice(n, None)),
+                  (slice(g.x_checks, None), slice(None, n)))
+    else:
+        m0 = float(np.log(p / (3.0 * (1.0 - p))))
+        blocks = ((slice(None), slice(None)),)
+        cross = (g.idx + n) % (2 * n)  # the edge's column in the other half
+        qubit = g.idx % n
+    minsum = cfg.algorithm == "quaternary-minsum"
+    kernel = _check_messages_minsum if minsum else _check_messages_exact
+    fmax = np.maximum if minsum else _jacobian_log
+
+    trials = s.shape[0]
     mu = np.zeros((trials,) + g.mask.shape)
-    est = np.zeros((trials, g.n), dtype=np.uint8)
-    conv = np.zeros(trials, dtype=bool)
-    iters = np.full(trials, l_max, dtype=np.int64)
-    done = np.zeros(trials, dtype=bool)
-    ht = g.h.T.astype(np.int64)
-    cur = est
+    est = np.zeros((trials, 2 * n), dtype=np.uint8)
+    conv = np.zeros((len(blocks), trials), dtype=bool)
+    iters = np.full((len(blocks), trials), l_max, dtype=np.int64)
     for it in range(l_max + 1):
-        tot = prior + _scatter_sum(mu, g.groups_all, g.n)
-        cur = (tot < 0.0).astype(np.uint8)
-        s_hat = (cur.astype(np.int64) @ ht) % 2
-        hit = np.all(s_hat == s, axis=1) & ~done
-        est[hit] = cur[hit]
-        iters[hit] = it
-        conv[hit] = True
-        done |= hit
-        if done.all() or it == l_max:
+        summed = _scatter(mu, g)
+        if binary:
+            tot = prior + summed
+            cur = (tot < 0.0).astype(np.uint8)
+        else:
+            tot = m0 - summed  # [l_x | l_z]
+            l_y = tot[:, :n] - summed[:, n:]
+            stacked = np.stack(
+                [np.zeros_like(l_y), tot[:, :n], l_y, tot[:, n:]], axis=-1)
+            cur = np.concatenate(category_bits(np.argmax(stacked, axis=-1)), axis=1)
+        met = np.bitwise_xor.reduce(cur[:, g.idx] & g.mask, axis=2) == s
+        for k, (rows, cols) in enumerate(blocks):
+            hit = met[:, rows].all(axis=1) & ~conv[k]
+            est[hit, cols] = cur[hit, cols]
+            iters[k, hit] = it
+            conv[k, hit] = True
+        if conv.all() or it == l_max:
             break
-        nu = _padded_gather(tot, g.idx) - mu
-        mu = _check_messages_exact(nu, g.mask, sign_row)
-    est[~done] = cur[~done]
-    return est, conv, iters
+        if binary:
+            m = tot[:, g.idx] - mu
+        else:
+            m = fmax(0.0, tot[:, cross]) - fmax(l_y[:, qubit] + mu, tot[:, g.idx] + mu)
+        mu = kernel(m, g.mask, sign_row)
+    for k, (_, cols) in enumerate(blocks):
+        est[~conv[k], cols] = cur[~conv[k], cols]
+    return est[:, :n], est[:, n:], conv.all(axis=0), iters.max(axis=0)
 
 
 def decode_binary_batch(
-    graph_x: TannerGraph,
-    graph_z: TannerGraph,
-    sx: np.ndarray,
-    sz: np.ndarray,
-    cfg: DecoderConfig,
+    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Estimate (x, z) components trial-wise; also convergence and counts."""
+    """(est_x, est_z, conv, iters) of each trial under binary-spa."""
     if cfg.algorithm != "binary-spa":
         raise ValueError("binary decoding requires the binary-spa algorithm")
-    p = _safe_p(cfg.p_d)
-    prior = float(np.log((1.0 - p) / p))
-    est_z, conv_x, it_x = _binary_graph_core(graph_x, sx, prior, cfg.l_max)
-    est_x, conv_z, it_z = _binary_graph_core(graph_z, sz, prior, cfg.l_max)
-    return est_x, est_z, conv_x & conv_z, np.maximum(it_x, it_z)
-
-
-def decode_binary(
-    graph_x: TannerGraph,
-    graph_z: TannerGraph,
-    sx: np.ndarray,
-    sz: np.ndarray,
-    cfg: DecoderConfig,
-) -> DecodeOutcome:
-    ex, ez, conv, iters = decode_binary_batch(
-        graph_x, graph_z, np.atleast_2d(sx), np.atleast_2d(sz), cfg
-    )
-    return DecodeOutcome(PauliVector(ex[0], ez[0]), bool(conv[0]), int(iters[0]))
-
-
-def _quat_decision(
-    m0: float, s_one: np.ndarray, s_omega: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    l_x = m0 - s_one
-    l_y = m0 - s_one - s_omega
-    l_z = m0 - s_omega
-    stacked = np.stack([np.zeros_like(l_x), l_x, l_y, l_z], axis=-1)
-    ex, ez = category_bits(np.argmax(stacked, axis=-1))
-    return l_x, l_y, l_z, ex, ez
-
-
-def _quat_core(
-    g: TannerGraph, s: np.ndarray, m0: float, l_max: int, minsum: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    trials = s.shape[0]
-    sign_row = 1.0 - 2.0 * s.astype(np.float64)
-    kernel = _check_messages_minsum if minsum else _check_messages_exact
-
-    def fmax(a, b):
-        if minsum:
-            return np.maximum(a, b)
-        return np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
-
-    hx_t = g.h[g.row_kind == LABEL_OMEGA].T.astype(np.int64)
-    hz_t = g.h[g.row_kind == LABEL_ONE].T.astype(np.int64)
-    s_x = s[:, g.row_kind == LABEL_OMEGA]
-    s_z = s[:, g.row_kind == LABEL_ONE]
-    is_omega = (g.row_kind[:, None] == LABEL_OMEGA) & g.mask
-
-    mu = np.zeros((trials,) + g.mask.shape)
-    est_x = np.zeros((trials, g.n), dtype=np.uint8)
-    est_z = np.zeros((trials, g.n), dtype=np.uint8)
-    conv = np.zeros(trials, dtype=bool)
-    iters = np.full(trials, l_max, dtype=np.int64)
-    done = np.zeros(trials, dtype=bool)
-    cur_x, cur_z = est_x, est_z
-    for it in range(l_max + 1):
-        s_one = _scatter_sum(mu, g.groups_one, g.n)
-        s_omega = _scatter_sum(mu, g.groups_omega, g.n)
-        l_x, l_y, l_z, cur_x, cur_z = _quat_decision(m0, s_one, s_omega)
-        s_hat = np.concatenate(
-            [(cur_z.astype(np.int64) @ hx_t) % 2,
-             (cur_x.astype(np.int64) @ hz_t) % 2],
-            axis=1,
-        )
-        want = np.concatenate([s_x, s_z], axis=1)
-        hit = np.all(s_hat == want, axis=1) & ~done
-        est_x[hit] = cur_x[hit]
-        est_z[hit] = cur_z[hit]
-        iters[hit] = it
-        conv[hit] = True
-        done |= hit
-        if done.all() or it == l_max:
-            break
-        lxg = _padded_gather(l_x, g.idx)
-        lyg = _padded_gather(l_y, g.idx)
-        lzg = _padded_gather(l_z, g.idx)
-        m_omega = fmax(0.0, lxg) - fmax(lyg + mu, lzg + mu)
-        m_one = fmax(0.0, lzg) - fmax(lxg + mu, lyg + mu)
-        m_edges = np.where(is_omega, m_omega, m_one)
-        mu = kernel(m_edges, g.mask, sign_row)
-    est_x[~done] = cur_x[~done]
-    est_z[~done] = cur_z[~done]
-    return est_x, est_z, conv, iters
+    return _flood(graph, sx, sz, cfg)
 
 
 def decode_quaternary_batch(
-    joint: TannerGraph,
-    sx: np.ndarray,
-    sz: np.ndarray,
-    cfg: DecoderConfig,
+    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(est_x, est_z, conv, iters) of each trial under a quaternary algorithm."""
     if cfg.algorithm not in ("quaternary-spa", "quaternary-minsum"):
         raise ValueError("joint decoding requires a quaternary algorithm")
-    p = _safe_p(cfg.p_d)
-    m0 = float(np.log(p / (3.0 * (1.0 - p))))
-    s = np.concatenate([np.atleast_2d(sx), np.atleast_2d(sz)], axis=1)
-    return _quat_core(
-        joint, s, m0, cfg.l_max, minsum=cfg.algorithm == "quaternary-minsum"
-    )
+    return _flood(graph, sx, sz, cfg)
 
 
-def decode_quaternary(
-    joint: TannerGraph,
-    sx: np.ndarray,
-    sz: np.ndarray,
-    cfg: DecoderConfig,
-) -> DecodeOutcome:
-    ex, ez, conv, iters = decode_quaternary_batch(
-        joint, np.atleast_2d(sx), np.atleast_2d(sz), cfg
-    )
-    return DecodeOutcome(PauliVector(ex[0], ez[0]), bool(conv[0]), int(iters[0]))
+def decode_batch(
+    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decode with whichever of the two entry points cfg.algorithm names."""
+    if cfg.algorithm == "binary-spa":
+        return decode_binary_batch(graph, sx, sz, cfg)
+    return decode_quaternary_batch(graph, sx, sz, cfg)

@@ -19,13 +19,7 @@ import numpy as np
 
 from eaqc.channel import ChannelParams, sample_error_batch
 from eaqc.clifford import category_bits, logical_operators, symplectic_product
-from eaqc.decoder import (
-    DecoderConfig,
-    build_graphs,
-    decode_binary_batch,
-    decode_quaternary_batch,
-    syndrome_batch,
-)
+from eaqc.decoder import DecoderConfig, build_graphs, decode_batch, syndrome_batch
 from eaqc.eacode import EaCode
 from eaqc.gf2 import BinaryMatrix, RowBasis
 
@@ -135,20 +129,13 @@ def residual_in_group(
     return basis.contains_batch(BinaryMatrix.from_dense(vecs))
 
 
-def _decode_batch(code, graphs, sx, sz, cfg: DecoderConfig):
-    graph_x, graph_z, joint = graphs
-    if cfg.algorithm == "binary-spa":
-        return decode_binary_batch(graph_x, graph_z, sx, sz, cfg)
-    return decode_quaternary_batch(joint, sx, sz, cfg)
-
-
 def run_trials(cfg: SimConfig) -> SimResult:
     code = cfg.code
-    graphs = build_graphs(code)
+    graph = build_graphs(code)
     basis = stabilizer_symplectic(code)
     xs, zs = sample_error_batch(code.n, cfg.channel, cfg.master_seed, cfg.trials)
     sx, sz = syndrome_batch(code, xs, zs)
-    est_x, est_z, conv, _ = _decode_batch(code, graphs, sx, sz, cfg.decoder)
+    est_x, est_z, conv, _ = decode_batch(graph, sx, sz, cfg.decoder)
     member = residual_in_group(basis, code, xs ^ est_x, zs ^ est_z)
     failed = ~(member & conv)
     failures = int(np.sum(failed))
@@ -316,8 +303,7 @@ def burst_oracle(
     est_x = np.stack([table[k][0] for k in keys])
     est_z = np.stack([table[k][1] for k in keys])
     oracle_ok = residual_in_group(basis, code, xs ^ est_x, zs ^ est_z)
-    graphs = build_graphs(code)
-    dx, dz, conv, _ = _decode_batch(code, graphs, sx, sz, spa_cfg)
+    dx, dz, conv, _ = decode_batch(build_graphs(code), sx, sz, spa_cfg)
     spa_ok = residual_in_group(basis, code, xs ^ dx, zs ^ dz) & conv
     failures = []
     for t in np.nonzero(~oracle_ok)[0][:8]:

@@ -41,7 +41,7 @@ from eaqc.clifford import (
     s_cz,
     stabilizer_matrix,
 )
-from eaqc.decoder import DecoderConfig, build_graphs
+from eaqc.decoder import DecoderConfig, build_graphs, decode_batch
 from eaqc.eacode import (
     build_theorem5,
     build_theorem6,
@@ -58,7 +58,6 @@ from eaqc.girth import girth_bfs, has_four_cycle, has_six_cycle
 from eaqc.harness import (
     SimConfig,
     _class_bits,
-    _decode_batch,
     burst_oracle,
     min_weight_decoder,
     ml_coset_decoder,
@@ -335,7 +334,7 @@ def test_criterion_07_single_error_correction_and_ml_match():
     code = build_theorem5(3, 1, 1)
     n = code.n
     p_d = 0.03
-    graphs = build_graphs(code)
+    graph = build_graphs(code)
     basis = stabilizer_symplectic(code)
 
     pats = []
@@ -365,7 +364,7 @@ def test_criterion_07_single_error_correction_and_ml_match():
     decoded = {}
     for alg in ("binary-spa", "quaternary-spa"):
         cfg = DecoderConfig(alg, p_d, l_max=100)
-        ex, ez, conv, _ = _decode_batch(code, graphs, sx, sz, cfg)
+        ex, ez, conv, _ = decode_batch(graph, sx, sz, cfg)
         out_syn, out_cls = _coset_keys(code, ex, ez)
         decoded[alg] = (
             residual_in_group(basis, code, x ^ ex, z ^ ez) & conv,
@@ -414,11 +413,11 @@ def test_criterion_07_single_error_correction_and_ml_match():
     x25, z25 = category_bits(_window_patterns(code25.n, 1))
     sx25, sz25 = _syndromes(code25, x25, z25)
     distinct25 = len(np.unique(np.concatenate([sx25, sz25], axis=1), axis=0))
-    basis25, graphs25 = stabilizer_symplectic(code25), build_graphs(code25)
+    basis25, graph25 = stabilizer_symplectic(code25), build_graphs(code25)
     fixed25 = {}
     for alg in ("binary-spa", "quaternary-spa"):
         cfg = DecoderConfig(alg, p_d, l_max=100)
-        ex, ez, conv, _ = _decode_batch(code25, graphs25, sx25, sz25, cfg)
+        ex, ez, conv, _ = decode_batch(graph25, sx25, sz25, cfg)
         fixed25[alg] = int(
             (residual_in_group(basis25, code25, x25 ^ ex, z25 ^ ez) & conv).sum())
     full_ok = distinct25 == 75 and set(fixed25.values()) == {75}

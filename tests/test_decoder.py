@@ -1,5 +1,5 @@
-"""Tanner graphs and the three syndrome decoders, pinned against exact
-single-error behavior and internal message identities."""
+"""The Tanner graph and the three syndrome decoders, pinned against exact
+single-error behavior, internal message identities and recorded outputs."""
 
 import hashlib
 from itertools import combinations, product
@@ -10,12 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqc.channel import ChannelParams, sample_error, sample_error_batch
-from eaqc.clifford import PauliVector, category_bits
+from eaqc.clifford import category_bits
 from eaqc.decoder import (
-    LABEL_NONE,
-    LABEL_OMEGA,
-    LABEL_ONE,
-    DecodeOutcome,
     DecoderConfig,
     TannerGraph,
     _check_messages_exact,
@@ -23,17 +19,17 @@ from eaqc.decoder import (
     _exclusive_min,
     _exclusive_prod,
     _graph,
+    _scatter,
     build_graphs,
-    decode_binary,
+    decode_batch,
     decode_binary_batch,
-    decode_quaternary,
     decode_quaternary_batch,
-    syndrome,
     syndrome_batch,
 )
-from eaqc.eacode import build_theorem5
+from eaqc.eacode import build_theorem5, build_theorem6
 from eaqc.gf2 import BinaryMatrix, DimensionMismatch, RowBasis
-from eaqc.harness import _decode_batch
+
+_ALGS = ("binary-spa", "quaternary-spa", "quaternary-minsum")
 
 
 def _stab_basis(code):
@@ -55,12 +51,11 @@ def _coset_ok(basis, code, rx, rz):
 
 
 def _singles(n):
-    for i in range(n):
-        for name, (xb, zb) in (("X", (1, 0)), ("Y", (1, 1)), ("Z", (0, 1))):
-            x = np.zeros(n, np.uint8)
-            z = np.zeros(n, np.uint8)
-            x[i], z[i] = xb, zb
-            yield f"{name}{i}", x, z
+    """Names and (x, z) rows of the 3n single-qubit errors: X, Y, Z per qubit."""
+    cats = np.tile(np.eye(n, dtype=np.int8), (1, 3)).reshape(3 * n, n)
+    cats *= np.tile(np.array([1, 2, 3], np.int8), n)[:, None]
+    x, z = category_bits(cats)
+    return [f"{p}{i}" for i in range(n) for p in "XYZ"], x, z
 
 
 @pytest.fixture(scope="module")
@@ -78,55 +73,49 @@ def twentyfive():
 # ── graph construction ────────────────────────────────────────────────
 
 def test_graph_counts_and_adjacency(twentyfive):
-    code, _, (gx, gz, joint) = twentyfive
-    assert gx.n == gz.n == joint.n == code.n
-    assert gx.checks == code.hx.rows
-    assert gz.checks == code.hz.rows
-    assert joint.checks == code.hx.rows + code.hz.rows
-    # padded index arrays must reproduce the parity-check matrices
-    for g, h in ((gx, code.hx), (gz, code.hz)):
-        dense = np.zeros((g.checks, g.n), np.uint8)
-        for b in range(g.checks):
-            dense[b, g.idx[b][g.mask[b]]] = 1
-        assert np.array_equal(dense, h.to_dense())
-        assert np.array_equal(g.h, h.to_dense())
+    code, _, g = twentyfive
+    assert isinstance(g, TannerGraph)
+    assert g.n == code.n
+    assert g.x_checks == code.hx.rows
+    assert g.checks == code.hx.rows + code.hz.rows
+    # the padded index arrays must reproduce [0 | hx] over [hz | 0]
+    dense = np.zeros((g.checks, 2 * g.n), np.uint8)
+    for b in range(g.checks):
+        dense[b, g.idx[b][g.mask[b]]] = 1
+    hx, hz = code.hx.to_dense(), code.hz.to_dense()
+    assert np.array_equal(dense[: g.x_checks], np.hstack([np.zeros_like(hx), hx]))
+    assert np.array_equal(dense[g.x_checks :], np.hstack([hz, np.zeros_like(hz)]))
 
 
 def test_joint_graph_labels(twentyfive):
-    code, _, (_, _, joint) = twentyfive
-    bx = code.hx.rows
-    assert np.all(joint.row_kind[:bx] == LABEL_OMEGA)
-    assert np.all(joint.row_kind[bx:] == LABEL_ONE)
-    assert np.array_equal(joint.h[:bx], code.hx.to_dense())
-    assert np.array_equal(joint.h[bx:], code.hz.to_dense())
-
-
-def test_separate_graphs_are_unlabeled(nine):
-    _, _, (gx, gz, _) = nine
-    assert np.all(gx.row_kind == LABEL_NONE)
-    assert np.all(gz.row_kind == LABEL_NONE)
+    # X-check rows (label omega) read the z half and Z-check rows (label 1)
+    # the x half, so one unit message per edge sums to the column weights
+    # of [hz | hx]: the scatter is [s_one | s_omega]
+    code, _, g = twentyfive
+    bx = g.x_checks
+    assert np.all(g.idx[:bx][g.mask[:bx]] >= g.n)
+    assert np.all(g.idx[bx:][g.mask[bx:]] < g.n)
+    summed = _scatter(g.mask[None].astype(np.float64), g)[0]
+    weights = np.concatenate([code.hz.to_dense().sum(axis=0), code.hx.to_dense().sum(axis=0)])
+    assert np.array_equal(summed, weights)
 
 
 # ── syndromes ─────────────────────────────────────────────────────────
 
 def test_identity_error_has_zero_syndrome(nine):
     code, _, _ = nine
-    sx, sz = syndrome(code, PauliVector.identity(code.n))
+    zero = np.zeros((1, code.n), np.uint8)
+    sx, sz = syndrome_batch(code, zero, zero)
     assert not sx.any() and not sz.any()
 
 
 def test_single_x_hits_first_z_column(nine):
     code, _, _ = nine
-    e = PauliVector.from_support(code.n, x_on=[0])
-    sx, sz = syndrome(code, e)
+    x = np.zeros((1, code.n), np.uint8)
+    x[0, 0] = 1
+    sx, sz = syndrome_batch(code, x, np.zeros_like(x))
     assert not sx.any()
-    assert np.array_equal(sz, code.hz.to_dense()[:, 0])
-
-
-def test_syndrome_rejects_wrong_register(nine):
-    code, _, _ = nine
-    with pytest.raises(DimensionMismatch):
-        syndrome(code, PauliVector.identity(code.n + 1))
+    assert np.array_equal(sz[0], code.hz.to_dense()[:, 0])
 
 
 def test_config_validation():
@@ -138,69 +127,71 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DecoderConfig("binary-spa", 1.5)
     with pytest.raises(ValueError):
-        decode_binary_batch(None, None, None, None, DecoderConfig("quaternary-spa", 0.1))
+        decode_binary_batch(None, None, None, DecoderConfig("quaternary-spa", 0.1))
     with pytest.raises(ValueError):
         decode_quaternary_batch(None, None, None, DecoderConfig("binary-spa", 0.1))
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+def test_mis_sized_syndromes_are_rejected(alg):
+    code = build_theorem6(7, 3, 2)
+    g = build_graphs(code)
+    assert (g.x_checks, g.checks - g.x_checks) == (21, 14)
+    cfg = DecoderConfig(alg, 0.03)
+    sx, sz = np.zeros((5, 21), np.uint8), np.zeros((5, 14), np.uint8)
+    wide_x, narrow_z = np.zeros((5, 28), np.uint8), np.zeros((5, 7), np.uint8)
+    for bad_x, bad_z, named in ((wide_x, narrow_z, "28"), (wide_x, sz, "28"),
+                                (sx, narrow_z, "7"), (sx, sz[:4], "4")):
+        with pytest.raises(DimensionMismatch, match=named):
+            decode_batch(g, bad_x, bad_z, cfg)
+    assert decode_batch(g, sx, sz, cfg)[2].all()
 
 
 # ── decoding basics ───────────────────────────────────────────────────
 
 def test_zero_syndrome_converges_immediately(nine):
-    code, _, (gx, gz, joint) = nine
-    z = np.zeros(code.hx.rows, np.uint8)
-    for alg in ("binary-spa", "quaternary-spa", "quaternary-minsum"):
-        cfg = DecoderConfig(alg, 0.03)
-        if alg == "binary-spa":
-            out = decode_binary(gx, gz, z, z, cfg)
-        else:
-            out = decode_quaternary(joint, z, z, cfg)
-        assert out.converged and out.iterations == 0
-        assert not out.estimate.x.any() and not out.estimate.z.any()
+    code, _, g = nine
+    sx = np.zeros((1, code.hx.rows), np.uint8)
+    sz = np.zeros((1, code.hz.rows), np.uint8)
+    for alg in _ALGS:
+        ex, ez, conv, iters = decode_batch(g, sx, sz, DecoderConfig(alg, 0.03))
+        assert conv[0] and iters[0] == 0
+        assert not ex.any() and not ez.any()
 
 
-@pytest.mark.parametrize("alg", ["binary-spa", "quaternary-spa", "quaternary-minsum"])
+@pytest.mark.parametrize("alg", _ALGS)
 def test_convergence_flag_soundness(twentyfive, alg):
-    code, _, (gx, gz, joint) = twentyfive
+    code, _, g = twentyfive
     cfg = DecoderConfig(alg, 0.04)
-    for t in range(60):
-        e = sample_error(code.n, ChannelParams(0.04, 0.3), seed=(3, t))
-        sx, sz = syndrome(code, e)
-        if alg == "binary-spa":
-            out = decode_binary(gx, gz, sx, sz, cfg)
-        else:
-            out = decode_quaternary(joint, sx, sz, cfg)
-        if out.converged:
-            s2x, s2z = syndrome(code, out.estimate)
-            assert np.array_equal(s2x, sx) and np.array_equal(s2z, sz)
-        else:
-            assert out.iterations == cfg.l_max
+    xs, zs = sample_error_batch(code.n, ChannelParams(0.04, 0.3), 3, 60)
+    sx, sz = syndrome_batch(code, xs, zs)
+    ex, ez, conv, iters = decode_batch(g, sx, sz, cfg)
+    s2x, s2z = syndrome_batch(code, ex, ez)
+    assert np.array_equal(s2x[conv], sx[conv]) and np.array_equal(s2z[conv], sz[conv])
+    assert np.all(iters[~conv] == cfg.l_max)
 
 
 # ── single-error behavior, frozen after measurement ───────────────────
 
 def test_quaternary_singles_on_nine_correct_exactly_the_y_errors(nine):
-    code, basis, (_, _, joint) = nine
-    cfg = DecoderConfig("quaternary-spa", 0.03)
-    corrected = []
-    for name, x, z in _singles(code.n):
-        sx, sz = syndrome(code, PauliVector(x, z))
-        out = decode_quaternary(joint, sx, sz, cfg)
-        ok = out.converged and _coset_ok(basis, code, x ^ out.estimate.x, z ^ out.estimate.z)
-        if ok:
-            corrected.append(name)
+    code, basis, g = nine
+    names, x, z = _singles(code.n)
+    sx, sz = syndrome_batch(code, x, z)
+    ex, ez, conv, _ = decode_quaternary_batch(g, sx, sz, DecoderConfig("quaternary-spa", 0.03))
+    corrected = [name for t, name in enumerate(names)
+                 if conv[t] and _coset_ok(basis, code, x[t] ^ ex[t], z[t] ^ ez[t])]
     assert corrected == [f"Y{i}" for i in range(9)]
 
 
 def test_binary_singles_on_nine_all_deadlock(nine):
-    # every column of each separate graph has degree 1, so the excluded
+    # every column of each check block has degree 1, so the excluded
     # incoming message leaves variable-to-check messages at the prior
     # forever and no nonzero syndrome is ever reproduced
-    code, _, (gx, gz, _) = nine
-    cfg = DecoderConfig("binary-spa", 0.03, l_max=30)
-    for name, x, z in _singles(code.n):
-        sx, sz = syndrome(code, PauliVector(x, z))
-        out = decode_binary(gx, gz, sx, sz, cfg)
-        assert not out.converged, name
+    code, _, g = nine
+    _, x, z = _singles(code.n)
+    sx, sz = syndrome_batch(code, x, z)
+    _, _, conv, _ = decode_binary_batch(g, sx, sz, DecoderConfig("binary-spa", 0.03, l_max=30))
+    assert not conv.any()
 
 
 def test_shared_syndrome_classes_on_nine(nine):
@@ -208,10 +199,11 @@ def test_shared_syndrome_classes_on_nine(nine):
     # three-member classes mix logically inequivalent errors, so no
     # decoder can coset-correct every single error
     code, basis, _ = nine
+    names, x, z = _singles(code.n)
+    sx, sz = syndrome_batch(code, x, z)
     seen = {}
-    for name, x, z in _singles(code.n):
-        sx, sz = syndrome(code, PauliVector(x, z))
-        seen.setdefault((sx.tobytes(), sz.tobytes()), []).append((name, x, z))
+    for t, name in enumerate(names):
+        seen.setdefault((sx[t].tobytes(), sz[t].tobytes()), []).append((name, x[t], z[t]))
     assert len(seen) == 15
     shared = [v for v in seen.values() if len(v) > 1]
     assert len(shared) == 6 and all(len(v) == 3 for v in shared)
@@ -222,27 +214,22 @@ def test_shared_syndrome_classes_on_nine(nine):
 
 
 def test_both_decoders_correct_all_singles_on_twentyfive(twentyfive):
-    code, basis, (gx, gz, joint) = twentyfive
-    cfgq = DecoderConfig("quaternary-spa", 0.03)
-    cfgb = DecoderConfig("binary-spa", 0.03)
-    for name, x, z in _singles(code.n):
-        sx, sz = syndrome(code, PauliVector(x, z))
-        for out in (
-            decode_quaternary(joint, sx, sz, cfgq),
-            decode_binary(gx, gz, sx, sz, cfgb),
-        ):
-            assert out.converged, name
-            assert _coset_ok(basis, code, x ^ out.estimate.x, z ^ out.estimate.z), name
+    code, basis, g = twentyfive
+    names, x, z = _singles(code.n)
+    sx, sz = syndrome_batch(code, x, z)
+    for alg in ("quaternary-spa", "binary-spa"):
+        ex, ez, conv, _ = decode_batch(g, sx, sz, DecoderConfig(alg, 0.03))
+        for t, name in enumerate(names):
+            assert conv[t], (alg, name)
+            assert _coset_ok(basis, code, x[t] ^ ex[t], z[t] ^ ez[t]), (alg, name)
 
 
 def test_twentyfive_single_syndromes_all_distinct(twentyfive):
     code, _, _ = twentyfive
-    seen = set()
-    for _, x, z in _singles(code.n):
-        sx, sz = syndrome(code, PauliVector(x, z))
-        assert sx.any() or sz.any()
-        seen.add((sx.tobytes(), sz.tobytes()))
-    assert len(seen) == 75
+    _, x, z = _singles(code.n)
+    s = np.concatenate(syndrome_batch(code, x, z), axis=1)
+    assert s.any(axis=1).all()
+    assert len(np.unique(s, axis=0)) == 75
 
 
 # ── message kernels ───────────────────────────────────────────────────
@@ -285,57 +272,49 @@ def test_minsum_kernel_is_signed_minimum():
 
 
 def test_degree_one_check_clamps_instead_of_overflowing():
-    g = _graph(np.array([[1, 0], [1, 1]], np.uint8), np.zeros(2, np.int8))
+    h = np.array([[1, 0], [1, 1]], np.uint8)
+    g = _graph(h, h)
     cfg = DecoderConfig("binary-spa", 0.2, l_max=5)
-    s = np.array([1, 0], np.uint8)
-    out = decode_binary(g, g, s, s, cfg)
-    assert isinstance(out, DecodeOutcome)
-    assert np.isfinite(out.iterations)
+    s = np.array([[1, 0]], np.uint8)
+    with np.errstate(all="raise"):
+        _, _, conv, iters = decode_binary_batch(g, s, s, cfg)
+    assert conv.shape == iters.shape == (1,)
+    assert 0 <= iters[0] <= cfg.l_max
 
 
 def test_uniform_prior_first_messages_all_equal(nine):
     # p_d = 0.75 zeroes every initial log ratio, so the first round of
     # check messages must be identical across the joint graph
-    _, _, (_, _, joint) = nine
+    _, _, g = nine
     m0 = 0.0
-    m_edges = np.where(joint.mask, m0, 0.0)[None]
-    sign = np.ones((1, joint.checks))
-    mu = _check_messages_exact(m_edges, joint.mask, sign)
-    vals = mu[0][joint.mask]
+    m_edges = np.where(g.mask, m0, 0.0)[None]
+    sign = np.ones((1, g.checks))
+    mu = _check_messages_exact(m_edges, g.mask, sign)
+    vals = mu[0][g.mask]
     assert np.allclose(vals, vals[0])
 
 
 def test_minsum_matches_exact_spa_on_most_trials(twentyfive):
     # regression: measured 98.9% agreement at p_d = 0.02; threshold 90%
-    code, _, (_, _, joint) = twentyfive
+    code, _, g = twentyfive
     xs, zs = sample_error_batch(code.n, ChannelParams(0.02, 0.0), 1234, 600)
-    hx = code.hx.to_dense().astype(np.int64)
-    hz = code.hz.to_dense().astype(np.int64)
-    sx = ((zs.astype(np.int64) @ hx.T) % 2).astype(np.uint8)
-    sz = ((xs.astype(np.int64) @ hz.T) % 2).astype(np.uint8)
-    ex1, ez1, _, _ = decode_quaternary_batch(joint, sx, sz, DecoderConfig("quaternary-spa", 0.02))
-    ex2, ez2, _, _ = decode_quaternary_batch(joint, sx, sz, DecoderConfig("quaternary-minsum", 0.02))
+    sx, sz = syndrome_batch(code, xs, zs)
+    ex1, ez1, _, _ = decode_quaternary_batch(g, sx, sz, DecoderConfig("quaternary-spa", 0.02))
+    ex2, ez2, _, _ = decode_quaternary_batch(g, sx, sz, DecoderConfig("quaternary-minsum", 0.02))
     agree = np.all((ex1 == ex2) & (ez1 == ez2), axis=1).mean()
     assert agree >= 0.9
 
 
-_ALGS = ("binary-spa", "quaternary-spa", "quaternary-minsum")
-
-
-def _decode(graphs, sx, sz, cfg):
-    return _decode_batch(None, graphs, sx, sz, cfg)
-
-
 def test_results_do_not_depend_on_batching(twentyfive):
-    code, _, graphs = twentyfive
+    code, _, g = twentyfive
     xs, zs = sample_error_batch(code.n, ChannelParams(0.05, 0.4), 77, 30)
     sx, sz = syndrome_batch(code, xs, zs)
     for alg in _ALGS:
         cfg = DecoderConfig(alg, 0.05)
-        whole = _decode(graphs, sx, sz, cfg)
+        whole = decode_batch(g, sx, sz, cfg)
         assert not whole[2].all()  # a stalled trial keeps the batch going
         for size in (1, 7):
-            parts = [_decode(graphs, sx[i : i + size], sz[i : i + size], cfg)
+            parts = [decode_batch(g, sx[i : i + size], sz[i : i + size], cfg)
                      for i in range(0, len(sx), size)]
             for got, want in zip(zip(*parts), whole):
                 assert np.array_equal(np.concatenate(got), want)
@@ -384,8 +363,8 @@ def test_decoder_outputs_are_pinned(case):
     else:
         xs, zs = sample_error_batch(code.n, ChannelParams(p_d, eta), 0, 400)
     sx, sz = syndrome_batch(code, xs, zs)
-    graphs = build_graphs(code)
-    got = tuple(_digest(_decode(graphs, sx, sz, DecoderConfig(alg, p_d)))
+    g = build_graphs(code)
+    got = tuple(_digest(decode_batch(g, sx, sz, DecoderConfig(alg, p_d)))
                 for alg in _ALGS)
     assert got == _PINNED[case]
 
@@ -393,10 +372,10 @@ def test_decoder_outputs_are_pinned(case):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(["quaternary-spa", "quaternary-minsum"]))
 def test_estimates_are_deterministic(nine, seed, alg):
-    code, _, (_, _, joint) = nine
+    code, _, g = nine
     e = sample_error(code.n, ChannelParams(0.1, 0.2), seed)
-    sx, sz = syndrome(code, e)
+    sx, sz = syndrome_batch(code, e.x[None], e.z[None])
     cfg = DecoderConfig(alg, 0.1)
-    a = decode_quaternary(joint, sx, sz, cfg)
-    b = decode_quaternary(joint, sx, sz, cfg)
-    assert a.estimate == b.estimate and a.converged == b.converged
+    a = decode_quaternary_batch(g, sx, sz, cfg)
+    b = decode_quaternary_batch(g, sx, sz, cfg)
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
