@@ -8,7 +8,8 @@ order with no wrap-around.
 Draw order per sample, frozen for reproducibility: one uniform array u of
 length n (mixture coin, u[0] unused), then one uniform array v (category
 draw).  Qubit 0 takes category(v[0]); qubit j copies qubit j-1 when
-u[j] < eta and takes category(v[j]) otherwise.
+u[j] < eta and takes category(v[j]) otherwise.  A generator's first 2n
+uniforms are u then v, so drawing them in one call keeps this order.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eaqc.clifford import PauliVector, category_bits
+from eaqc.clifford import category_bits
 
 __all__ = [
     "ChannelParams",
     "trial_seed",
-    "sample_error",
     "sample_error_batch",
-    "max_burst_length",
 ]
 
 
@@ -65,40 +64,18 @@ def _chain(u: np.ndarray, v: np.ndarray, params: ChannelParams) -> np.ndarray:
     return np.take_along_axis(cats, src, axis=-1)
 
 
-def sample_error(n: int, params: ChannelParams, seed) -> PauliVector:
-    if n < 1:
-        raise ValueError("qubit count must be at least 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    v = rng.random(n)
-    x, z = category_bits(_chain(u, v, params))
-    return PauliVector(x, z)
-
-
 def sample_error_batch(
     n: int, params: ChannelParams, master_seed: int, trials: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """x and z bit arrays of shape (trials, n), one row per trial seed.
 
-    Row t equals sample_error(n, params, trial_seed(master_seed, t)), so
+    Row t is drawn from default_rng(trial_seed(master_seed, t)) alone, so
     any way of splitting the trial range across workers reproduces the
     same rows.
     """
-    xs = np.empty((trials, n), dtype=np.uint8)
-    zs = np.empty((trials, n), dtype=np.uint8)
+    if n < 1:
+        raise ValueError("qubit count must be at least 1")
+    uv = np.empty((trials, 2 * n))
     for t in range(trials):
-        rng = np.random.default_rng(trial_seed(master_seed, t))
-        u = rng.random(n)
-        v = rng.random(n)
-        xs[t], zs[t] = category_bits(_chain(u, v, params))
-    return xs, zs
-
-
-def max_burst_length(e: PauliVector) -> int:
-    """Longest run of consecutive non-identity Paulis."""
-    hit = (e.x | e.z).astype(np.int64)
-    best = run = 0
-    for h in hit:
-        run = run + 1 if h else 0
-        best = max(best, run)
-    return best
+        np.random.default_rng(trial_seed(master_seed, t)).random(out=uv[t])
+    return category_bits(_chain(uv[:, :n], uv[:, n:], params))

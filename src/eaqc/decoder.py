@@ -29,6 +29,9 @@ One flooding loop, `_flood`, serves all three algorithms:
 Messages pass through the tanh check rule (or its min-sum form) with the
 syndrome sign.  Everything is vectorized over a batch of trials, and each
 row depends only on its own syndrome; there are no single-shot wrappers.
+A trial leaves the batch once all its blocks have converged: each pass
+runs only the trials still decoding, so a batch costs the sum of its
+trials' iterations rather than its slowest trial times the batch size.
 Numerical guards: tanh-domain clip at 1 - 1e-12 and a message clamp at
 |mu| <= 30.  Hard decisions break ties toward the lowest Pauli index in
 the order (I, X, Y, Z).  Convergence, the parity of the hard decision
@@ -227,6 +230,8 @@ def _flood(
     est = np.zeros((trials, 2 * n), dtype=np.uint8)
     conv = np.zeros((len(blocks), trials), dtype=bool)
     iters = np.full((len(blocks), trials), l_max, dtype=np.int64)
+    # the trials still decoding; mu, s, sign_row, tot and l_y hold their rows
+    act = np.arange(trials)
     for it in range(l_max + 1):
         summed = _scatter(mu, g)
         if binary:
@@ -240,19 +245,28 @@ def _flood(
             cur = np.concatenate(category_bits(np.argmax(stacked, axis=-1)), axis=1)
         met = np.bitwise_xor.reduce(cur[:, g.idx] & g.mask, axis=2) == s
         for k, (rows, cols) in enumerate(blocks):
-            hit = met[:, rows].all(axis=1) & ~conv[k]
-            est[hit, cols] = cur[hit, cols]
-            iters[k, hit] = it
-            conv[k, hit] = True
-        if conv.all() or it == l_max:
+            hit = met[:, rows].all(axis=1) & ~conv[k, act]
+            est[act[hit], cols] = cur[hit, cols]
+            iters[k, act[hit]] = it
+            conv[k, act[hit]] = True
+        if it == l_max:
             break
+        keep = ~conv[:, act].all(axis=0)
+        if not keep.any():
+            break
+        if not keep.all():
+            act, mu, s, sign_row = act[keep], mu[keep], s[keep], sign_row[keep]
+            tot = tot[keep]
+            if not binary:
+                l_y = l_y[keep]
         if binary:
             m = tot[:, g.idx] - mu
         else:
             m = fmax(0.0, tot[:, cross]) - fmax(l_y[:, qubit] + mu, tot[:, g.idx] + mu)
         mu = kernel(m, g.mask, sign_row)
     for k, (_, cols) in enumerate(blocks):
-        est[~conv[k], cols] = cur[~conv[k], cols]
+        stalled = ~conv[k, act]
+        est[act[stalled], cols] = cur[stalled, cols]
     return est[:, :n], est[:, n:], conv.all(axis=0), iters.max(axis=0)
 
 

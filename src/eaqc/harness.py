@@ -40,6 +40,11 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
+# Trials decode in chunks whose (trials, checks, dmax) float64 check
+# messages fit in this many bytes.  The flooding loop peaks at about four
+# times that, whatever the trial count.
+_DECODE_BYTES = 8 * 2**20
+
 CSV_COLUMNS = (
     "family", "n", "k", "c", "p_d", "eta", "decoder",
     "trials", "failures", "LER", "ci_low", "ci_high", "seed",
@@ -135,7 +140,10 @@ def run_trials(cfg: SimConfig) -> SimResult:
     basis = stabilizer_symplectic(code)
     xs, zs = sample_error_batch(code.n, cfg.channel, cfg.master_seed, cfg.trials)
     sx, sz = syndrome_batch(code, xs, zs)
-    est_x, est_z, conv, _ = decode_batch(graph, sx, sz, cfg.decoder)
+    step = max(1, _DECODE_BYTES // (8 * graph.idx.size))
+    chunks = [decode_batch(graph, sx[lo : lo + step], sz[lo : lo + step], cfg.decoder)
+              for lo in range(0, cfg.trials, step)]
+    est_x, est_z, conv, _ = (np.concatenate(part) for part in zip(*chunks))
     member = residual_in_group(basis, code, xs ^ est_x, zs ^ est_z)
     failed = ~(member & conv)
     failures = int(np.sum(failed))

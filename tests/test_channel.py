@@ -1,19 +1,49 @@
 """Markov-correlated depolarizing sampler: frozen draw scheme, marginals,
-and burst bookkeeping."""
+and burst bookkeeping.
+
+`sample_error` is the per-row oracle: one trial's error drawn with two
+separate calls (u, then v) and chained by a plain loop over the qubits.
+Every row of `sample_error_batch` must equal it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqc.channel import (
-    ChannelParams,
-    max_burst_length,
-    sample_error,
-    sample_error_batch,
-    trial_seed,
-)
+from eaqc.channel import ChannelParams, sample_error_batch, trial_seed
 from eaqc.clifford import PauliVector
+
+
+def sample_error(n, params, seed):
+    """One error from default_rng(seed), by the documented draw scheme."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    v = rng.random(n)
+    cats = np.zeros(n, dtype=int)
+    for j in range(n):
+        if v[j] < 1.0 - params.p_d:
+            c = 0
+        else:
+            c = 1 + min(2, int((v[j] - (1.0 - params.p_d)) / params.p_d * 3))
+        cats[j] = cats[j - 1] if j > 0 and u[j] < params.eta else c
+    x = ((cats == 1) | (cats == 2)).astype(np.uint8)
+    z = ((cats == 2) | (cats == 3)).astype(np.uint8)
+    return PauliVector(x, z)
+
+
+def _row(n, params, seed):
+    """The error sample_error_batch draws for trial 0 of master seed seed."""
+    xs, zs = sample_error_batch(n, params, seed, 1)
+    return PauliVector(xs[0], zs[0])
+
+
+def max_burst_length(e):
+    """Longest run of consecutive non-identity Paulis."""
+    best = run = 0
+    for h in e.x | e.z:
+        run = run + 1 if h else 0
+        best = max(best, run)
+    return best
 
 
 def test_params_validated():
@@ -27,60 +57,45 @@ def test_params_validated():
 
 def test_zero_noise_is_identity_for_any_correlation():
     for eta in (0.0, 0.3, 1.0):
-        e = sample_error(50, ChannelParams(0.0, eta), seed=7)
+        e = _row(50, ChannelParams(0.0, eta), 7)
         assert not e.x.any() and not e.z.any() and e.phase == 0
 
 
 def test_full_correlation_gives_constant_runs():
     for seed in range(20):
-        e = sample_error(40, ChannelParams(0.9, 1.0), seed=seed)
+        e = _row(40, ChannelParams(0.9, 1.0), seed)
         assert np.all(e.x == e.x[0]) and np.all(e.z == e.z[0])
+        assert max_burst_length(e) in (0, 40)
 
 
 def test_determinism_and_seed_sensitivity():
     params = ChannelParams(0.3, 0.4)
-    a = sample_error(60, params, seed=11)
-    b = sample_error(60, params, seed=11)
-    c = sample_error(60, params, seed=12)
+    a = _row(60, params, 11)
+    b = _row(60, params, 11)
+    c = _row(60, params, 12)
     assert a == b
     assert a != c  # 60 qubits at p_d=0.3 collide with negligible probability
 
 
 def test_frozen_draw_scheme():
-    # the documented order: u array first, then v; qubit 0 ignores u
+    # the documented order, which sample_error spells out: u array first,
+    # then v; qubit 0 ignores u
     params = ChannelParams(0.25, 0.6)
-    n, seed = 30, 424242
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    v = rng.random(n)
-    cats = np.zeros(n, dtype=int)
-    for j in range(n):
-        if v[j] < 1.0 - params.p_d:
-            c = 0
-        else:
-            c = 1 + min(2, int((v[j] - (1.0 - params.p_d)) / params.p_d * 3))
-        if j > 0 and u[j] < params.eta:
-            cats[j] = cats[j - 1]
-        else:
-            cats[j] = c
-    e = sample_error(n, params, seed)
-    x = ((cats == 1) | (cats == 2)).astype(np.uint8)
-    z = ((cats == 2) | (cats == 3)).astype(np.uint8)
-    assert np.array_equal(e.x, x) and np.array_equal(e.z, z)
+    assert _row(30, params, 424242) == sample_error(30, params, (424242, 0))
 
 
 def test_batch_rows_match_per_trial_seeds():
     params = ChannelParams(0.2, 0.5)
     xs, zs = sample_error_batch(25, params, master_seed=99, trials=40)
     assert xs.shape == zs.shape == (40, 25)
-    for t in (0, 7, 39):
+    for t in range(40):
         e = sample_error(25, params, trial_seed(99, t))
         assert np.array_equal(xs[t], e.x) and np.array_equal(zs[t], e.z)
 
 
 def test_uncorrelated_frequencies_match_marginal():
     n = 100_000
-    e = sample_error(n, ChannelParams(0.3, 0.0), seed=5)
+    e = _row(n, ChannelParams(0.3, 0.0), 5)
     cats = e.x.astype(int) + 2 * e.z.astype(int)  # I=0 X=1 Y=3 Z=2 relabeling
     counts = np.bincount(cats, minlength=4)
     for count, prob in zip(counts, (0.7, 0.1, 0.1, 0.1)):
@@ -105,7 +120,7 @@ def test_marginal_is_stationary_along_the_chain(eta):
 def test_adjacent_repeat_rate_matches_conditional(eta):
     p_d = 0.3
     n = 100_000
-    e = sample_error(n, ChannelParams(p_d, eta), seed=8)
+    e = _row(n, ChannelParams(p_d, eta), 8)
     cats = e.x.astype(int) + 2 * e.z.astype(int)
     repeats = int(np.sum(cats[1:] == cats[:-1]))
     prob = (1 - eta) * ((1 - p_d) ** 2 + 3 * (p_d / 3) ** 2) + eta
@@ -124,7 +139,7 @@ def test_burst_length_hand_cases():
 
 def test_rejects_empty_register():
     with pytest.raises(ValueError):
-        sample_error(0, ChannelParams(0.1, 0.0), seed=1)
+        sample_error_batch(0, ChannelParams(0.1, 0.0), 1, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,8 +151,9 @@ def test_rejects_empty_register():
 )
 def test_samples_are_reproducible_and_phase_free(n, p_d, eta, seed):
     params = ChannelParams(p_d, eta)
-    a = sample_error(n, params, seed)
-    b = sample_error(n, params, seed)
-    assert a == b
-    assert a.phase == 0
-    assert a.qubits == n
+    xs, zs = sample_error_batch(n, params, seed, 3)
+    again = sample_error_batch(n, params, seed, 3)
+    assert np.array_equal(xs, again[0]) and np.array_equal(zs, again[1])
+    assert xs.shape == zs.shape == (3, n)
+    for t in range(3):
+        assert PauliVector(xs[t], zs[t]) == sample_error(n, params, (seed, t))

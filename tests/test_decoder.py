@@ -1,5 +1,6 @@
 """The Tanner graph and the three syndrome decoders, pinned against exact
-single-error behavior, internal message identities and recorded outputs."""
+single-error behavior, internal message identities, recorded outputs and a
+scalar reference decoder."""
 
 import hashlib
 from itertools import combinations, product
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqc.channel import ChannelParams, sample_error, sample_error_batch
+from eaqc.channel import ChannelParams, sample_error_batch
 from eaqc.clifford import category_bits
 from eaqc.decoder import (
     DecoderConfig,
@@ -318,6 +319,24 @@ def test_results_do_not_depend_on_batching(twentyfive):
                      for i in range(0, len(sx), size)]
             for got, want in zip(zip(*parts), whole):
                 assert np.array_equal(np.concatenate(got), want)
+    # a batch that sheds trials at several iterations: a zero syndrome
+    # (done at iteration 0), the three latest converging trials of a larger
+    # sample, and a trial that stalls to l_max, interleaved
+    xs, zs = sample_error_batch(code.n, ChannelParams(0.05, 0.4), 77, 400)
+    sx, sz = syndrome_batch(code, xs, zs)
+    zero = np.flatnonzero(~sx.any(axis=1) & ~sz.any(axis=1))[0]
+    for alg in _ALGS:
+        cfg = DecoderConfig(alg, 0.05)
+        _, _, conv, iters = decode_batch(g, sx, sz, cfg)
+        late = np.argsort(np.where(conv, iters, -1), kind="stable")[-3:]
+        pick = np.array([late[0], zero, np.flatnonzero(~conv)[0], late[1], late[2]])
+        mixed = decode_batch(g, sx[pick], sz[pick], cfg)
+        assert mixed[3][1] == 0 and mixed[3][2] == cfg.l_max and not mixed[2][2]
+        assert len(set(mixed[3].tolist())) >= 3
+        for row, t in enumerate(pick):
+            alone = decode_batch(g, sx[t : t + 1], sz[t : t + 1], cfg)
+            for got, want in zip(mixed, alone):
+                assert np.array_equal(got[row], want[0])
 
 
 # ── outputs pinned before the decoders were merged into one loop ──────
@@ -373,9 +392,173 @@ def test_decoder_outputs_are_pinned(case):
 @given(st.integers(0, 10_000), st.sampled_from(["quaternary-spa", "quaternary-minsum"]))
 def test_estimates_are_deterministic(nine, seed, alg):
     code, _, g = nine
-    e = sample_error(code.n, ChannelParams(0.1, 0.2), seed)
-    sx, sz = syndrome_batch(code, e.x[None], e.z[None])
+    sx, sz = syndrome_batch(code, *sample_error_batch(code.n, ChannelParams(0.1, 0.2), seed, 1))
     cfg = DecoderConfig(alg, 0.1)
     a = decode_quaternary_batch(g, sx, sz, cfg)
     b = decode_quaternary_batch(g, sx, sz, cfg)
     assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+# ── a scalar reference decoder ────────────────────────────────────────
+#
+# It decodes one trial at a time with plain loops over the checks and
+# their edges, and shares no code with `eaqc.decoder`: it builds its own
+# edge lists from hx and hz, and its own variable-to-check messages from
+# the commutation class of each Pauli with each check.  Its sums and
+# products run left to right, so its messages may differ from the
+# vectorized ones in the last bits; the estimates, convergence flags and
+# iteration counts must still be equal.
+
+CLIP = 1.0 - 1e-12  # tanh-domain clip
+CLAMP = 30.0  # message clamp
+
+
+def _check_rule(m, syndrome_bit, minsum):
+    """Outgoing messages of one check from its incoming messages m."""
+    sign = -1.0 if syndrome_bit else 1.0
+    d = len(m)
+    t = None if minsum else [np.tanh(v / 2.0) for v in m]
+    out = []
+    for e in range(d):
+        if minsum:
+            others = [m[f] for f in range(d) if f != e]
+            s = 1.0
+            for v in others:
+                s *= -1.0 if v < 0 else 1.0
+            mag = min([abs(v) for v in others] + [CLAMP])
+            out.append(sign * s * mag)
+        else:
+            pe = 1.0
+            for f in range(d):
+                if f != e:
+                    pe *= t[f]
+            pe = min(max(pe, -CLIP), CLIP)
+            out.append(min(max(2.0 * sign * np.arctanh(pe), -CLAMP), CLAMP))
+    return out
+
+
+def _binary_block(rows, syndrome, n, prior, l_max):
+    """One check block as a graph of its own: (bits, converged, iteration)."""
+    mu = [[0.0] * len(cols) for cols in rows]
+    into = [[] for _ in range(n)]  # (check, slot) of each edge into a bit
+    for c, cols in enumerate(rows):
+        for e, j in enumerate(cols):
+            into[j].append((c, e))
+    for it in range(l_max + 1):
+        total = [prior + sum([mu[c][e] for c, e in into[j]]) for j in range(n)]
+        bits = [1 if t < 0.0 else 0 for t in total]
+        if all(sum(bits[j] for j in cols) % 2 == syndrome[c]
+               for c, cols in enumerate(rows)):
+            return bits, True, it
+        if it == l_max:
+            return bits, False, l_max
+        mu = [_check_rule([total[j] - mu[c][e] for e, j in enumerate(cols)],
+                          syndrome[c], minsum=False)
+              for c, cols in enumerate(rows)]
+
+
+def _quaternary(x_rows, z_rows, sx, sz, n, m0, l_max, minsum):
+    fmax = max if minsum else (
+        lambda a, b: max(a, b) + np.log1p(np.exp(-abs(a - b))))
+    # checks in [hx; hz] order: (is an X check, columns, syndrome bit)
+    checks = ([(True, cols, s) for cols, s in zip(x_rows, sx)]
+              + [(False, cols, s) for cols, s in zip(z_rows, sz)])
+    mu = [[0.0] * len(cols) for _, cols, _ in checks]
+    # per qubit, the edges of X checks (which Z and Y anticommute with)
+    # and of Z checks (which X and Y anticommute with)
+    from_x = [[] for _ in range(n)]
+    from_z = [[] for _ in range(n)]
+    for c, (is_x, cols, _) in enumerate(checks):
+        for e, j in enumerate(cols):
+            (from_x if is_x else from_z)[j].append((c, e))
+    for it in range(l_max + 1):
+        s_x = [sum([mu[c][e] for c, e in from_x[j]]) for j in range(n)]
+        s_z = [sum([mu[c][e] for c, e in from_z[j]]) for j in range(n)]
+        # log ratios against I: each anticommuting check subtracts its message
+        lx = [m0 - s_z[j] for j in range(n)]
+        lz = [m0 - s_x[j] for j in range(n)]
+        ly = [lx[j] - s_x[j] for j in range(n)]
+        cats = []
+        for j in range(n):
+            scores = (0.0, lx[j], ly[j], lz[j])  # I, X, Y, Z; ties go to I
+            cats.append(scores.index(max(scores)))
+        xb, zb = ([int(c in (1, 2)) for c in cats], [int(c in (2, 3)) for c in cats])
+        if all(sum((zb if is_x else xb)[j] for j in cols) % 2 == s
+               for is_x, cols, s in checks):
+            return xb, zb, True, it
+        if it == l_max:
+            return xb, zb, False, l_max
+        new = []
+        for c, (is_x, cols, s) in enumerate(checks):
+            m = []
+            for e, j in enumerate(cols):
+                # the pair commuting with the check against the other pair,
+                # without this check's own message
+                a, b = (lx[j], lz[j]) if is_x else (lz[j], lx[j])
+                m.append(fmax(0.0, a) - fmax(ly[j] + mu[c][e], b + mu[c][e]))
+            new.append(_check_rule(m, s, minsum))
+        mu = new
+
+
+def reference_decode(hx, hz, sx, sz, cfg):
+    """(est_x, est_z, converged, iterations) of one trial."""
+    n = hx.shape[1]
+    x_rows = [list(np.flatnonzero(r)) for r in hx]
+    z_rows = [list(np.flatnonzero(r)) for r in hz]
+    p = min(max(cfg.p_d, 1e-12), 1.0 - 1e-12)
+    if cfg.algorithm == "binary-spa":
+        prior = float(np.log((1.0 - p) / p))
+        # X checks explain the z bits from sx, Z checks the x bits from sz;
+        # each block stops on its own syndrome
+        zb, z_ok, z_it = _binary_block(x_rows, sx, n, prior, cfg.l_max)
+        xb, x_ok, x_it = _binary_block(z_rows, sz, n, prior, cfg.l_max)
+        return xb, zb, x_ok and z_ok, max(x_it, z_it)
+    m0 = float(np.log(p / (3.0 * (1.0 - p))))
+    return _quaternary(x_rows, z_rows, sx, sz, n, m0, cfg.l_max,
+                       cfg.algorithm == "quaternary-minsum")
+
+
+def _compare(code, g, xs, zs, cfg):
+    """Assert that decode_batch equals the reference on every row."""
+    sx, sz = syndrome_batch(code, xs, zs)
+    est_x, est_z, conv, iters = decode_batch(g, sx, sz, cfg)
+    hx, hz = code.hx.to_dense(), code.hz.to_dense()
+    seen = {}
+    for t in range(len(sx)):
+        key = (sx[t].tobytes(), sz[t].tobytes())
+        if key not in seen:
+            seen[key] = reference_decode(hx, hz, list(sx[t]), list(sz[t]), cfg)
+        want_x, want_z, want_conv, want_iters = seen[key]
+        got = (est_x[t].tolist(), est_z[t].tolist(), bool(conv[t]), int(iters[t]))
+        assert got == (want_x, want_z, want_conv, want_iters), (cfg.algorithm, t)
+    return conv, iters
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+def test_flood_matches_the_reference_on_nine(nine, alg):
+    # every weight <= 2 error of [[9,4;1]]: 351 patterns on 49 syndromes
+    code, _, g = nine
+    conv, _ = _compare(code, g, *_weight_two_patterns(code.n), DecoderConfig(alg, 0.03))
+    assert (~conv).any() and conv.any()
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+def test_flood_matches_the_reference_on_twentyfive(twentyfive, alg):
+    # a seeded sample of [[25,8;1]] with stalled and late trials
+    code, _, g = twentyfive
+    xs, zs = sample_error_batch(code.n, ChannelParams(0.05, 0.4), 77, 40)
+    conv, iters = _compare(code, g, xs, zs, DecoderConfig(alg, 0.05))
+    assert (~conv).any() and (conv & (iters > 0)).any()
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+def test_flood_matches_the_reference_at_the_guards(twentyfive, alg):
+    # at p_d 1e-11 the priors sit near the clip's bound of 28.3, so messages
+    # saturate and the clip and the clamp decide estimates: 60 seeded
+    # weight-2 errors of [[25,8;1]]
+    code, _, g = twentyfive
+    xs, zs = _weight_two_patterns(code.n)
+    pick = np.sort(np.random.default_rng(0).choice(np.arange(3 * code.n, len(xs)), 60,
+                                                   replace=False))
+    conv, _ = _compare(code, g, xs[pick], zs[pick], DecoderConfig(alg, 1e-11))
+    assert (~conv).any()

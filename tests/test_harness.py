@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eaqc import harness
 from eaqc.channel import ChannelParams
 from eaqc.decoder import DecoderConfig, build_graphs, decode_quaternary_batch, syndrome_batch
 from eaqc.eacode import build_theorem5
@@ -121,6 +122,33 @@ def test_run_trials_is_deterministic(nine):
     cfg = SimConfig(nine, ChannelParams(0.05, 0.3),
                     DecoderConfig("quaternary-spa", 0.05), 300, 11)
     assert run_trials(cfg) == run_trials(cfg)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from(["binary-spa", "quaternary-spa",
+                                                "quaternary-minsum"]))
+def test_decode_chunks_do_not_change_the_result(twentyfive, seed, alg):
+    # the byte budget sets the chunk size; 1, 7 and all trials per chunk
+    # must give the same SimResult, stalled trials included
+    trials = 40
+    cfg = SimConfig(twentyfive, ChannelParams(0.06, 0.4), DecoderConfig(alg, 0.06),
+                    trials, seed)
+    per_trial = 8 * build_graphs(twentyfive).idx.size
+    decode = harness.decode_batch
+    results = []
+    for size in (1, 7, trials):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return decode(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_DECODE_BYTES", size * per_trial)
+            mp.setattr(harness, "decode_batch", counted)
+            results.append(run_trials(cfg))
+        assert len(calls) == -(-trials // size)
+    assert results[0] == results[1] == results[2]
 
 
 def test_ler_strictly_inside_unit_interval_at_moderate_noise(nine):
