@@ -1,5 +1,7 @@
 """Trial runner, burst audits, and sweep output."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,27 @@ def test_ml_decoder_prefers_singles_cosets(nine):
 def test_ml_decoder_refuses_large_register(twentyfive):
     with pytest.raises(BurstTooLarge):
         ml_coset_decoder(twentyfive, 0.03)
+
+
+# Recorded before the oracles shared one pattern enumerator: the window-3
+# oracle failures of [[9,4;1]] in report order, and a digest of its p_d 0.03
+# ML table (keys, representatives and key order).
+_NINE_WINDOW3_FAILURES = (
+    ((1,), (2,)), ((2,), (1,)), ((0,), (2,)), ((0, 1), (2,)),
+    ((0, 1), (1, 2)), ((0,), (1,)), ((0, 2), (1,)), ((0, 2), (1, 2)),
+)
+_NINE_ML_DIGEST = "4b149e901c8448513f76c0d024a5feb8c546c9459665daaf9bb2eed900c8c8c7"
+
+
+def test_ml_table_is_pinned(nine):
+    digest = hashlib.sha256()
+    for key, (x, z) in ml_coset_decoder(nine, 0.03).items():
+        digest.update(key + x.tobytes() + z.tobytes())
+    assert digest.hexdigest() == _NINE_ML_DIGEST
+
+
+def test_burst_oracle_failures_are_pinned(nine):
+    assert burst_oracle(nine, 3).oracle_failures == _NINE_WINDOW3_FAILURES
 
 
 # ── burst audits ──────────────────────────────────────────────────────
