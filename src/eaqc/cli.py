@@ -147,19 +147,15 @@ def _cmd_transversal(args) -> int:
     return 0 if all(preserved.values()) else 1
 
 
-def _sim_config(args, with_axes: bool) -> SimConfig:
+def _sim_config(args, p_d: float, eta: float) -> SimConfig:
     code = _build_code(args)
-    decoder = DecoderConfig(
-        _DECODER_NAMES[args.decoder], p_d=args.pd_scalar, l_max=args.lmax
-    )
+    decoder = DecoderConfig(_DECODER_NAMES[args.decoder], p_d=p_d, l_max=args.lmax)
     return SimConfig(
         code=code,
-        channel=ChannelParams(args.pd_scalar, args.eta_scalar),
+        channel=ChannelParams(p_d, eta),
         decoder=decoder,
         trials=args.trials,
         master_seed=args.seed,
-        pd_axis=args.pd_list if with_axes else (),
-        eta_axis=args.eta_list if with_axes else (),
     )
 
 
@@ -175,8 +171,7 @@ def _cmd_simulate(args) -> int:
     etas = _parse_floats(args.eta)
     if len(values) != 1 or len(etas) != 1:
         raise _usage_error("simulate takes a single --pd and --eta")
-    args.pd_scalar, args.eta_scalar = values[0], etas[0]
-    cfg = _sim_config(args, with_axes=False)
+    cfg = _sim_config(args, values[0], etas[0])
     res = run_trials(cfg)
     doc = {
         "family": cfg.code.family,
@@ -199,20 +194,21 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    args.pd_list = _parse_floats(args.pd)
-    args.eta_list = _parse_floats(args.eta)
-    args.pd_scalar = args.pd_list[0] if args.pd_list else 0.0
-    args.eta_scalar = args.eta_list[0] if args.eta_list else 0.0
-    cfg = _sim_config(args, with_axes=True)
-    rows = sweep(cfg)
+    pd_values = _parse_floats(args.pd)
+    eta_values = _parse_floats(args.eta)
+    # every point decodes with the first --pd as its prior
+    prior = pd_values[0] if pd_values else 0.0
+    rows = sweep(_sim_config(args, prior, 0.0), pd_values, eta_values)
     _emit(write_csv(rows, None), args.out)
     return 0
 
 
 def _cmd_burst_check(args) -> int:
+    values = _parse_floats(args.pd)
+    if len(values) != 1:
+        raise _usage_error("burst-check takes a single --pd")
     code = _build_code(args)
-    decoder = DecoderConfig(_DECODER_NAMES[args.decoder],
-                            p_d=_parse_floats(args.pd)[0], l_max=args.lmax)
+    decoder = DecoderConfig(_DECODER_NAMES[args.decoder], p_d=values[0], l_max=args.lmax)
     rep = burst_oracle(code, args.length, spa_cfg=decoder)
     doc = {
         "family": code.family,
@@ -245,13 +241,17 @@ def _add_code_flags(sp) -> None:
                     help="waive the minimum-exponent floor for thm9/thm10")
 
 
-def _add_sim_flags(sp) -> None:
+def _add_decoder_flags(sp) -> None:
     sp.add_argument("--pd", type=str, default="0.03")
+    sp.add_argument("--decoder", choices=sorted(_DECODER_NAMES), default="quat")
+    sp.add_argument("--lmax", type=int, default=100)
+
+
+def _add_sim_flags(sp) -> None:
+    _add_decoder_flags(sp)
     sp.add_argument("--eta", type=str, default="0.0")
     sp.add_argument("--trials", type=int, default=5000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--decoder", choices=sorted(_DECODER_NAMES), default="quat")
-    sp.add_argument("--lmax", type=int, default=100)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("burst-check")
     _add_code_flags(sp)
-    _add_sim_flags(sp)
+    _add_decoder_flags(sp)
     sp.add_argument("--length", type=int, required=True)
     sp.add_argument("--out", type=str)
     sp.set_defaults(fn=_cmd_burst_check)

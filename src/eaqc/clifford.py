@@ -38,7 +38,6 @@ __all__ = [
     "GateSequence",
     "stabilizer_matrix",
     "conjugate",
-    "conjugate_pauli",
     "hadamard_swap",
     "s_cz",
     "h_s_cz",
@@ -101,12 +100,6 @@ class PauliVector:
             self.z ^ other.z,
             (self.phase + other.phase + 2 * cross) % 4,
         )
-
-    def commutes(self, other: "PauliVector") -> bool:
-        if self.qubits != other.qubits:
-            raise ValueError("qubit counts differ")
-        pair = symplectic_product(self.symplectic()[None], other.symplectic()[None])
-        return not pair[0, 0]
 
     def symplectic(self) -> np.ndarray:
         return np.concatenate([self.x, self.z])
@@ -179,14 +172,6 @@ class GateSequence:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def inverse(self) -> "GateSequence":
-        swap = {"S": "SDG", "SDG": "S"}
-        out = []
-        for g in reversed(self.gates):
-            name, *qs = g
-            out.append((swap.get(name, name), *qs))
-        return GateSequence(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -266,14 +251,6 @@ def _apply_gates(xs: np.ndarray, zs: np.ndarray, phases: np.ndarray,
             xs[:, [a, b]] = xs[:, [b, a]]
             zs[:, [a, b]] = zs[:, [b, a]]
     phases %= 4
-
-
-def conjugate_pauli(v: PauliVector, g: GateSequence) -> PauliVector:
-    xs = v.x.copy()[None, :]
-    zs = v.z.copy()[None, :]
-    ph = np.array([v.phase], dtype=np.int64)
-    _apply_gates(xs, zs, ph, g, v.qubits)
-    return PauliVector(xs[0], zs[0], int(ph[0]))
 
 
 def conjugate(t: Tableau, g: GateSequence) -> Tableau:

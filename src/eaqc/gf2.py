@@ -197,10 +197,6 @@ class ModelMatrix:
     def to_json_dict(self) -> dict:
         return {"order": int(self.order), "exponents": self.exponents.tolist()}
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "ModelMatrix":
-        return ModelMatrix(int(d["order"]), np.asarray(d["exponents"], dtype=np.int64))
-
 
 # ── operations ────────────────────────────────────────────────────────
 
@@ -327,12 +323,6 @@ class RowBasis:
             raise DimensionMismatch(f"vector length {vectors.cols} != {self.cols}")
         res, _ = self._reduce(vectors.words)
         return ~res.any(axis=1)
-
-    def contains(self, v) -> bool:
-        vm = v if isinstance(v, BinaryMatrix) else BinaryMatrix.from_dense(
-            np.atleast_2d(np.asarray(v, dtype=np.uint8))
-        )
-        return bool(self.contains_batch(vm)[0])
 
     def coefficients(self, v) -> np.ndarray:
         """Express v as a combination of the original rows; raises if outside."""

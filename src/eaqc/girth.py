@@ -2,15 +2,16 @@
 
 At the exponent level, a length-2k cycle in the expanded Tanner graph
 exists iff the alternating sum of exponents around a closed block path
-vanishes mod the circulant order.  The BFS oracle works directly on the
-expanded bipartite graph and is the independent ground truth.
+vanishes mod the circulant order.  `has_four_cycle` and `has_six_cycle`
+evaluate that sum over every closed path through 2 and 3 block-rows.  The BFS
+oracle works directly on the expanded bipartite graph and is the
+independent ground truth they are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
@@ -18,50 +19,10 @@ import numpy as np
 from eaqc.gf2 import BinaryMatrix, ModelMatrix
 
 __all__ = [
-    "ClosedPath",
-    "cycle_condition",
     "has_four_cycle",
     "has_six_cycle",
     "girth_bfs",
 ]
-
-
-@dataclass(frozen=True)
-class ClosedPath:
-    """Block-level closed path: rows (i_0..i_{k-1}), cols (j_0..j_{k-1}).
-
-    The walk visits (i_t, j_t) -> (i_t, j_{t+1}) -> (i_{t+1}, j_{t+1}),
-    wrapping at the end, so consecutive entries (cyclically) must differ
-    in both tuples.
-    """
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-
-def _validate_path(m: ModelMatrix, path: ClosedPath) -> None:
-    k = len(path.rows)
-    if k < 2 or len(path.cols) != k:
-        raise ValueError("closed path needs equal row/col tuples of length >= 2")
-    for t in range(k):
-        nt = (t + 1) % k
-        if path.rows[t] == path.rows[nt] or path.cols[t] == path.cols[nt]:
-            raise ValueError(f"consecutive indices repeat at position {t}")
-    if max(path.rows) >= m.block_rows or max(path.cols) >= m.block_cols:
-        raise ValueError("path index out of range for this model")
-    if min(path.rows) < 0 or min(path.cols) < 0:
-        raise ValueError("negative path index")
-
-
-def cycle_condition(m: ModelMatrix, path: ClosedPath) -> bool:
-    """True iff sum_t (e[i_t, j_t] - e[i_t, j_{t+1}]) vanishes mod order."""
-    _validate_path(m, path)
-    k = len(path.rows)
-    total = 0
-    for t in range(k):
-        i = path.rows[t]
-        total += m.exponents[i, path.cols[t]] - m.exponents[i, path.cols[(t + 1) % k]]
-    return total % m.order == 0
 
 
 def has_four_cycle(m: ModelMatrix) -> bool:

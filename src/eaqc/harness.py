@@ -1,10 +1,15 @@
-"""Monte-Carlo logical-error-rate estimation and exhaustive burst audits.
+"""Monte-Carlo logical-error-rate estimation and exhaustive oracles.
 
 A trial fails when the residual (actual XOR estimated error, padded with
 zeros on the noise-free ebit coordinates) falls outside the GF(2) row
 space of the extended stabilizer in symplectic form, or when the decoder
 did not converge.  Per-trial randomness comes from (master_seed, trial)
 counter seeds, so results are independent of how trials are scheduled.
+
+The exhaustive oracles (ML coset decoding over all 4^n errors, min-weight
+decoding by weight layer, and the burst-window audit) build their Pauli
+patterns with one enumerator, `_patterns`; its order fixes which error
+represents a coset and so every table and report they return.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from itertools import combinations, product
+from dataclasses import dataclass, replace
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -45,6 +50,9 @@ __all__ = [
 # times that, whatever the trial count.
 _DECODE_BYTES = 8 * 2**20
 
+# The min-weight oracle enumerates at most this many Pauli patterns at once.
+_PATTERN_BLOCK = 2**14
+
 CSV_COLUMNS = (
     "family", "n", "k", "c", "p_d", "eta", "decoder",
     "trials", "failures", "LER", "ci_low", "ci_high", "seed",
@@ -58,8 +66,6 @@ class SimConfig:
     decoder: DecoderConfig
     trials: int
     master_seed: int
-    pd_axis: tuple[float, ...] = ()
-    eta_axis: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -160,12 +166,31 @@ def run_trials(cfg: SimConfig) -> SimResult:
 
 # ── brute-force oracles ───────────────────────────────────────────────
 
+def _patterns(n: int, supports, letters) -> np.ndarray:
+    """int8 categories of every assignment of letters to each support.
+
+    The supports share one width.  They come in the order given; within
+    one support the assignments come in itertools.product order, the last
+    position fastest.
+    """
+    supports = np.array([list(s) for s in supports], np.intp)
+    letters = np.asarray(letters, np.int8)
+    count, width = supports.shape
+    per = len(letters) ** width
+    assignments = letters[np.indices((len(letters),) * width).reshape(width, per).T]
+    cats = np.zeros((count, per, n), np.int8)
+    cats[np.arange(count)[:, None, None], np.arange(per)[:, None],
+         supports[:, None, :]] = assignments
+    return cats.reshape(count * per, n)
+
+
 def min_weight_decoder(code: EaCode, syndromes):
     """Map each (sx, sz) byte pair to a minimum-weight error matching it.
 
     Sweeps Pauli patterns in weight order, lexicographic within a weight
     layer, and keeps the first hit per syndrome; deterministic, so the
-    chosen coset representative is reproducible.
+    chosen coset representative is reproducible.  Patterns are built in
+    blocks of at most _PATTERN_BLOCK, so memory stays flat.
     """
     n = code.n
     needed = set(syndromes)
@@ -176,23 +201,19 @@ def min_weight_decoder(code: EaCode, syndromes):
         table[zero] = (np.zeros(n, np.uint8), np.zeros(n, np.uint8))
         needed.discard(zero)
     for weight in range(1, n + 1):
-        if not needed:
-            break
-        assignments = np.array(list(product((1, 2, 3), repeat=weight)), np.int8)
-        for support in combinations(range(n), weight):
-            cats = np.zeros((assignments.shape[0], n), np.int8)
-            cats[:, support] = assignments
-            x, z = category_bits(cats)
+        supports = combinations(range(n), weight)
+        per_block = max(1, _PATTERN_BLOCK // 3 ** weight)
+        while needed and (block := list(islice(supports, per_block))):
+            x, z = category_bits(_patterns(n, block, (1, 2, 3)))
             sx, sz = syndrome_batch(code, x, z)
-            for t in range(x.shape[0]):
+            # the first pattern of each distinct syndrome, in block order
+            packed = np.packbits(np.hstack([sx, sz]), axis=1)
+            _, first = np.unique(packed.view(f"V{packed.shape[1]}"), return_index=True)
+            for t in np.sort(first):
                 key = (sx[t].tobytes(), sz[t].tobytes())
                 if key in needed:
                     table[key] = (x[t].copy(), z[t].copy())
                     needed.discard(key)
-                    if not needed:
-                        break
-            if not needed:
-                break
     if needed:
         raise RuntimeError("some syndromes are not reachable by any Pauli error")
     return table
@@ -230,8 +251,9 @@ def ml_coset_decoder(code: EaCode, p_d: float, limit: int = 2_000_000):
     total = 4 ** n
     if total > limit:
         raise BurstTooLarge(total, limit)
-    digits = np.arange(total, dtype=np.int64)
-    cats = ((digits[:, None] >> (2 * np.arange(n))) & 3).astype(np.int8)
+    # the last support position varies fastest, so qubit 0 is the least
+    # significant digit; that fixes each coset's first error and key order
+    cats = _patterns(n, [range(n - 1, -1, -1)], range(4))
     x, z = category_bits(cats)
     weights = np.count_nonzero(cats, axis=1)
     syn_bytes = np.concatenate(syndrome_batch(code, x, z), axis=1)
@@ -292,17 +314,12 @@ def burst_oracle(
         raise BurstTooLarge(raw, limit)
     if spa_cfg is None:
         spa_cfg = DecoderConfig("quaternary-spa", 0.03)
-    patterns: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-    for start in range(windows):
-        for assignment in product((0, 1, 2, 3), repeat=burst_len):
-            if not any(assignment):
-                continue
-            cats = np.zeros(n, np.int8)
-            cats[start : start + burst_len] = assignment
-            x, z = category_bits(cats[None, :])
-            patterns.setdefault(cats.tobytes(), (x[0], z[0]))
-    xs = np.stack([v[0] for v in patterns.values()])
-    zs = np.stack([v[1] for v in patterns.values()])
+    cats = _patterns(n, [range(s, s + burst_len) for s in range(windows)], range(4))
+    # windows overlap; keep each pattern's first occurrence, in order, since
+    # that order is the order of oracle_failures
+    _, first = np.unique(cats, axis=0, return_index=True)
+    cats = cats[np.sort(first)]
+    xs, zs = category_bits(cats[cats.any(axis=1)])
     count = xs.shape[0]
     sx, sz = syndrome_batch(code, xs, zs)
     keys = [(sx[t].tobytes(), sz[t].tobytes()) for t in range(count)]
@@ -331,28 +348,19 @@ def burst_oracle(
 
 # ── sweeps ────────────────────────────────────────────────────────────
 
-def sweep(cfg: SimConfig) -> list[dict]:
+def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
     """One CSV row per (p_d, eta) grid point, p_d outer, same seed for each.
 
-    Every point decodes with cfg.decoder as given, so its prior stays at
-    cfg.decoder.p_d whatever the point's p_d; `eaqc sweep` sets it to the
-    first --pd value.
+    Each point runs cfg with its channel replaced.  It decodes with
+    cfg.decoder as given, so its prior stays at cfg.decoder.p_d whatever
+    the point's p_d; `eaqc sweep` sets it to the first --pd value.
     """
-    if not cfg.pd_axis and not cfg.eta_axis:
-        raise ValueError("a sweep needs at least one axis")
-    pd_values = cfg.pd_axis or (cfg.channel.p_d,)
-    eta_values = cfg.eta_axis or (cfg.channel.eta,)
+    if not pd_values or not eta_values:
+        raise ValueError("a sweep needs at least one p_d and one eta")
     rows = []
     for p_d in pd_values:
         for eta in eta_values:
-            point = SimConfig(
-                code=cfg.code,
-                channel=ChannelParams(p_d, eta),
-                decoder=cfg.decoder,
-                trials=cfg.trials,
-                master_seed=cfg.master_seed,
-            )
-            res = run_trials(point)
+            res = run_trials(replace(cfg, channel=ChannelParams(p_d, eta)))
             rows.append({
                 "family": cfg.code.family,
                 "n": cfg.code.n,

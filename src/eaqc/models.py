@@ -15,7 +15,6 @@ in a documented order, so outputs are reproducible across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -291,12 +290,3 @@ def theorem10_model(s, w: int, *, enforce_scale: bool = True) -> ModelMatrix:
     if enforce_scale and s[-1] < 14:
         raise ValueError(f"largest exponent must be >= 14, got {s[-1]}")
     return _geometric_four_row(s, w)
-
-
-def entries_unit_mod_order(m: ModelMatrix) -> bool:
-    """True when every nonzero entry is coprime to the circulant order."""
-    return all(
-        gcd(int(e), m.order) == 1
-        for e in m.exponents.ravel()
-        if e != 0
-    )

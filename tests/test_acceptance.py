@@ -608,10 +608,8 @@ def test_criterion_11_sweep_reproducibility():
             decoder=DecoderConfig("quaternary-spa", p_d=0.02, l_max=100),
             trials=150,
             master_seed=9,
-            pd_axis=(0.02, 0.03),
-            eta_axis=(0.0, 0.5),
         )
-        return write_csv(sweep(cfg), None)
+        return write_csv(sweep(cfg, (0.02, 0.03), (0.0, 0.5)), None)
 
     first, second = run_inline(), run_inline()
     outputs = []
@@ -632,9 +630,8 @@ def test_criterion_11_sweep_reproducibility():
              "cfg = SimConfig(code=build_theorem5(3, 1, 1),\n"
              "                channel=ChannelParams(0.02, 0.0),\n"
              "                decoder=DecoderConfig('quaternary-spa', p_d=0.02, l_max=100),\n"
-             "                trials=150, master_seed=9,\n"
-             "                pd_axis=(0.02, 0.03), eta_axis=(0.0, 0.5))\n"
-             "sys.stdout.write(write_csv(sweep(cfg), None))\n"],
+             "                trials=150, master_seed=9)\n"
+             "sys.stdout.write(write_csv(sweep(cfg, (0.02, 0.03), (0.0, 0.5)), None))\n"],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr

@@ -55,7 +55,7 @@ def test_construct_round_trips_the_code(capsys):
     hez_bits = np.array([[int(ch) for ch in row] for row in doc["hez"]], np.uint8)
     assert np.array_equal(hex_bits, code.hex.to_dense())
     assert np.array_equal(hez_bits, code.hez.to_dense())
-    mx = ModelMatrix.from_json_dict(doc["mx"])
+    mx = ModelMatrix(doc["mx"]["order"], np.array(doc["mx"]["exponents"]))
     assert np.array_equal(expand(mx).to_dense(), code.hx.to_dense())
 
 
@@ -142,6 +142,29 @@ def test_sweep_writes_file(tmp_path, capsys):
     assert code == 0
     text = target.read_text()
     assert text.startswith(",".join(CSV_COLUMNS))
+
+
+def test_sweep_with_an_empty_axis_exits_two(capsys):
+    for pd, eta in (("", "0.0"), ("0.03", ""), (",", "0.5")):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "thm5", "--p", "3", "--l1", "1",
+            "--l2", "1", "--pd", pd, "--eta", eta, "--trials", "20")
+        assert code == 2 and out == ""
+        assert "p_d" in err
+
+
+def test_burst_check_rejects_the_flags_it_does_not_read(capsys):
+    base = ["burst-check", "--family", "thm5", "--p", "3", "--l1", "1",
+            "--l2", "1", "--length", "1"]
+    for extra in (["--trials", "7"], ["--seed", "1"], ["--eta", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+    for pd in ("", "0.02,0.03"):
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--pd", pd])
+        assert exc.value.code == 2
+        assert "single --pd" in capsys.readouterr().err
 
 
 def test_burst_check_reports_fractions(capsys):

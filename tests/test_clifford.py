@@ -10,10 +10,10 @@ from eaqc.clifford import (
     GateSequence,
     PauliVector,
     Tableau,
+    _apply_gates,
     _product_phases,
     code_tableau,
     conjugate,
-    conjugate_pauli,
     group_preserved,
     h_s_cz,
     hadamard_swap,
@@ -85,6 +85,24 @@ def all_paulis(qubits: int, phases=(0,)):
             yield PauliVector(x, z, ph)
 
 
+def conjugate_pauli(v: PauliVector, seq: GateSequence) -> PauliVector:
+    """One Pauli conjugated by the package's gate rules."""
+    xs, zs = v.x.copy()[None], v.z.copy()[None]
+    phases = np.array([v.phase], dtype=np.int64)
+    _apply_gates(xs, zs, phases, seq, v.qubits)
+    return PauliVector(xs[0], zs[0], int(phases[0]))
+
+
+def commutes(a: PauliVector, b: PauliVector) -> bool:
+    return not symplectic_product(a.symplectic()[None], b.symplectic()[None])[0, 0]
+
+
+def inverse(seq: GateSequence) -> GateSequence:
+    """The gates undone in reverse order: S and S-dagger swap, the rest are involutions."""
+    swap = {"S": "SDG", "SDG": "S"}
+    return GateSequence(tuple((swap.get(name, name), *qs) for name, *qs in reversed(seq.gates)))
+
+
 @pytest.mark.parametrize("gate", [("H", 0), ("S", 0), ("SDG", 0)])
 def test_single_qubit_rules_match_unitary_conjugation(gate):
     u = gate_unitary(gate, 1)
@@ -120,7 +138,7 @@ def test_commutation_matches_matrix_commutator():
     for a in all_paulis(2):
         for b in all_paulis(2):
             ma, mb = pauli_unitary(a), pauli_unitary(b)
-            assert a.commutes(b) == np.allclose(ma @ mb, mb @ ma)
+            assert commutes(a, b) == np.allclose(ma @ mb, mb @ ma)
 
 
 _two_qubit_gates = st.sampled_from(
@@ -164,8 +182,6 @@ def test_mismatched_registers_rejected():
     b = PauliVector.identity(4)
     with pytest.raises(ValueError):
         a * b
-    with pytest.raises(ValueError):
-        a.commutes(b)
 
 
 def test_malformed_gates_rejected():
@@ -198,7 +214,7 @@ def test_inverse_round_trips_any_pauli(gates, bits, phase):
     x = np.array([(bits >> j) & 1 for j in range(4)], np.uint8)
     z = np.array([(bits >> (4 + j)) & 1 for j in range(4)], np.uint8)
     v = PauliVector(x, z, phase)
-    assert conjugate_pauli(conjugate_pauli(v, seq), seq.inverse()) == v
+    assert conjugate_pauli(conjugate_pauli(v, seq), inverse(seq)) == v
 
 
 @settings(max_examples=80, deadline=None)
@@ -215,7 +231,7 @@ def test_conjugation_is_a_homomorphism(gates, bits_a, bits_b):
         return PauliVector(x, z)
     a, b = mk(bits_a), mk(bits_b)
     assert conjugate_pauli(a * b, seq) == conjugate_pauli(a, seq) * conjugate_pauli(b, seq)
-    assert a.commutes(b) == conjugate_pauli(a, seq).commutes(conjugate_pauli(b, seq))
+    assert commutes(a, b) == commutes(conjugate_pauli(a, seq), conjugate_pauli(b, seq))
 
 
 # ── the block stabilizer ──────────────────────────────────────────────
@@ -272,7 +288,7 @@ def test_symplectic_product_matches_per_qubit_loop_and_commutes(r, s, q, seed):
         u = PauliVector(a[i, :q], a[i, q:])
         for j in range(s):
             assert got[i, j] == _form_loop(a[i], b[j], q)
-            assert u.commutes(PauliVector(b[j, :q], b[j, q:])) == (got[i, j] == 0)
+            assert commutes(u, PauliVector(b[j, :q], b[j, q:])) == (got[i, j] == 0)
 
 
 def test_uint8_sums_keep_parity_past_255():
@@ -428,12 +444,12 @@ def test_logical_pair_counts(p, pairs):
     logs = logical_operators(t)
     assert len(logs) == pairs
     for i, (xi, zi) in enumerate(logs):
-        assert not xi.commutes(zi)
+        assert not commutes(xi, zi)
         for g in t.generators:
-            assert xi.commutes(g) and zi.commutes(g)
+            assert commutes(xi, g) and commutes(zi, g)
         for j, (xj, zj) in enumerate(logs):
             if i != j:
-                assert xi.commutes(xj) and xi.commutes(zj) and zi.commutes(zj)
+                assert commutes(xi, xj) and commutes(xi, zj) and commutes(zi, zj)
 
 
 # supports of the basis logical_operators returns on the p=5 block

@@ -48,7 +48,7 @@ def _coset_ok(basis, code, rx, rz):
     v = np.zeros(2 * q, np.uint8)
     v[: code.n] = rx
     v[q : q + code.n] = rz
-    return basis.contains(v)
+    return bool(basis.contains_batch(BinaryMatrix.from_dense(v[None]))[0])
 
 
 def _singles(n):

@@ -7,76 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eaqc.gf2 import BinaryMatrix, ModelMatrix, expand
-from eaqc.girth import (
-    ClosedPath,
-    cycle_condition,
-    girth_bfs,
-    has_four_cycle,
-    has_six_cycle,
-)
+from eaqc.girth import girth_bfs, has_four_cycle, has_six_cycle
 from eaqc.models import special_prime_model, theorem8_model
-
-
-def test_cycle_condition_frozen_pair():
-    m = ModelMatrix(5, np.array([[0, 1, 2], [0, 1, 3]]))
-    assert cycle_condition(m, ClosedPath(rows=(0, 1), cols=(0, 1)))
-    assert not cycle_condition(m, ClosedPath(rows=(0, 1), cols=(0, 2)))
-
-
-def test_cycle_condition_six_cycle_witness():
-    # the p=3 product grid closes a 6-cycle on the diagonal column order
-    m = special_prime_model(3)
-    assert cycle_condition(m, ClosedPath(rows=(0, 1, 2), cols=(0, 1, 2)))
-
-
-def test_cycle_condition_rejects_malformed_paths():
-    m = ModelMatrix(5, np.array([[0, 1, 2], [0, 1, 3]]))
-    with pytest.raises(ValueError):
-        cycle_condition(m, ClosedPath(rows=(0,), cols=(0,)))
-    with pytest.raises(ValueError):
-        cycle_condition(m, ClosedPath(rows=(0, 1), cols=(0, 1, 2)))
-    with pytest.raises(ValueError):
-        cycle_condition(m, ClosedPath(rows=(0, 0), cols=(0, 1)))
-    with pytest.raises(ValueError):
-        cycle_condition(m, ClosedPath(rows=(0, 1), cols=(1, 1)))
-    with pytest.raises(ValueError):
-        cycle_condition(m, ClosedPath(rows=(0, 2), cols=(0, 1)))
-    with pytest.raises(ValueError):
-        cycle_condition(m, ClosedPath(rows=(0, -1), cols=(0, 1)))
-
-
-@st.composite
-def model_and_path(draw):
-    br = draw(st.integers(2, 4))
-    bc = draw(st.integers(2, 5))
-    order = draw(st.integers(2, 30))
-    e = draw(
-        st.lists(
-            st.lists(st.integers(0, order - 1), min_size=bc, max_size=bc),
-            min_size=br,
-            max_size=br,
-        )
-    )
-    k = draw(st.integers(2, min(br, bc)))
-    rows = tuple(draw(st.permutations(range(br)))[:k])
-    cols = tuple(draw(st.permutations(range(bc)))[:k])
-    return ModelMatrix(order, np.array(e)), ClosedPath(rows=rows, cols=cols)
-
-
-@given(mp=model_and_path(), shift=st.integers(0, 5))
-@settings(max_examples=80, deadline=None)
-def test_cycle_condition_rotation_and_reversal_invariant(mp, shift):
-    m, path = mp
-    k = len(path.rows)
-    r = shift % k
-    rotated = ClosedPath(rows=path.rows[r:] + path.rows[:r], cols=path.cols[r:] + path.cols[:r])
-    reversed_ = ClosedPath(
-        rows=(path.rows[0],) + tuple(reversed(path.rows[1:])),
-        cols=tuple(path.cols[(1 - t) % k] for t in range(k)),
-    )
-    want = cycle_condition(m, path)
-    assert cycle_condition(m, rotated) == want
-    assert cycle_condition(m, reversed_) == want
 
 
 def test_four_cycle_detector_frozen_cases():

@@ -1,6 +1,7 @@
 """Trial runner, burst audits, and sweep output."""
 
 import hashlib
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from eaqc import harness
 from eaqc.channel import ChannelParams
+from eaqc.clifford import category_bits
 from eaqc.decoder import DecoderConfig, build_graphs, decode_quaternary_batch, syndrome_batch
 from eaqc.eacode import build_theorem5
 from eaqc.harness import (
@@ -167,6 +169,95 @@ def test_trials_validated(nine):
                   DecoderConfig("binary-spa", 0.1), 0, 1)
 
 
+# ── the Pauli-pattern enumerator ──────────────────────────────────────
+
+def _loop_patterns(n, supports, letters):
+    """Categories of each support's assignments, as plain itertools loops."""
+    rows = []
+    for support in supports:
+        for assignment in product(letters, repeat=len(support)):
+            row = [0] * n
+            for q, letter in zip(support, assignment):
+                row[q] = letter
+            rows.append(row)
+    return np.array(rows, np.int8).reshape(-1, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_patterns_list_every_pauli_in_digit_order(n):
+    cats = harness._patterns(n, [range(n - 1, -1, -1)], range(4))
+    assert cats.dtype == np.int8
+    assert np.array_equal(cats, _loop_patterns(n, [range(n - 1, -1, -1)], range(4)))
+    # row t is t in base 4 with qubit 0 the least significant digit
+    digits = (np.arange(4 ** n)[:, None] >> (2 * np.arange(n))) & 3
+    assert np.array_equal(cats, digits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_patterns_match_itertools_by_weight_and_window(n, data):
+    w = data.draw(st.integers(1, min(n, 3)))
+    supports = data.draw(st.permutations(list(combinations(range(n), w))))
+    assert np.array_equal(harness._patterns(n, supports, (1, 2, 3)),
+                          _loop_patterns(n, supports, (1, 2, 3)))
+    windows = [range(s, s + w) for s in range(n - w + 1)]
+    cats = harness._patterns(n, windows, range(4))
+    assert np.array_equal(cats, _loop_patterns(n, windows, range(4)))
+    # repeats removed in first-occurrence order, as burst_oracle does
+    _, first = np.unique(cats, axis=0, return_index=True)
+    seen = dict.fromkeys(map(tuple, _loop_patterns(n, windows, range(4)).tolist()))
+    assert cats[np.sort(first)].tolist() == [list(row) for row in seen]
+
+
+def _min_weight_reference(code, syndromes):
+    """The per-support loop min_weight_decoder used before the enumerator."""
+    n = code.n
+    needed = set(syndromes)
+    table = {}
+    zero = (np.zeros(code.hx.rows, np.uint8).tobytes(),
+            np.zeros(code.hz.rows, np.uint8).tobytes())
+    if zero in needed:
+        table[zero] = (np.zeros(n, np.uint8), np.zeros(n, np.uint8))
+        needed.discard(zero)
+    for weight in range(1, n + 1):
+        assignments = np.array(list(product((1, 2, 3), repeat=weight)), np.int8)
+        for support in combinations(range(n), weight):
+            cats = np.zeros((assignments.shape[0], n), np.int8)
+            cats[:, support] = assignments
+            x, z = category_bits(cats)
+            sx, sz = syndrome_batch(code, x, z)
+            for t in range(x.shape[0]):
+                key = (sx[t].tobytes(), sz[t].tobytes())
+                if key in needed:
+                    table[key] = (x[t].copy(), z[t].copy())
+                    needed.discard(key)
+            if not needed:
+                return table
+    raise AssertionError("some syndromes are not reachable")
+
+
+def _assert_same_table(got, want):
+    assert list(got) == list(want)  # same keys in the same insertion order
+    for key, (x, z) in want.items():
+        assert np.array_equal(got[key][0], x) and np.array_equal(got[key][1], z)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_min_weight_matches_the_reference_on_every_syndrome(nine, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(harness, "_PATTERN_BLOCK", block)
+    keys = [(bytes(bits[:3]), bytes(bits[3:])) for bits in product((0, 1), repeat=6)]
+    _assert_same_table(min_weight_decoder(nine, keys), _min_weight_reference(nine, keys))
+
+
+def test_min_weight_matches_the_reference_on_window_two(twentyfive):
+    x, z = category_bits(_loop_patterns(25, [range(s, s + 2) for s in range(24)], range(4)))
+    sx, sz = syndrome_batch(twentyfive, x, z)
+    keys = [(sx[t].tobytes(), sz[t].tobytes()) for t in range(len(x))]
+    _assert_same_table(min_weight_decoder(twentyfive, keys),
+                       _min_weight_reference(twentyfive, keys))
+
+
 # ── oracles ───────────────────────────────────────────────────────────
 
 def test_min_weight_table_returns_exact_singles(nine):
@@ -278,9 +369,8 @@ def test_zero_syndrome_logical_defeats_the_window_oracle(nine):
 
 def test_sweep_grid_and_csv(twentyfive):
     cfg = SimConfig(twentyfive, ChannelParams(0.02, 0.0),
-                    DecoderConfig("quaternary-spa", 0.02), 60, 9,
-                    pd_axis=(0.02, 0.04), eta_axis=(0.0, 0.5))
-    rows = sweep(cfg)
+                    DecoderConfig("quaternary-spa", 0.02), 60, 9)
+    rows = sweep(cfg, (0.02, 0.04), (0.0, 0.5))
     assert len(rows) == 4
     assert [(r["p_d"], r["eta"]) for r in rows] == [
         (0.02, 0.0), (0.02, 0.5), (0.04, 0.0), (0.04, 0.5)
@@ -299,22 +389,22 @@ def test_sweep_grid_and_csv(twentyfive):
 def test_sweep_without_axes_is_an_error(nine):
     cfg = SimConfig(nine, ChannelParams(0.02, 0.0),
                     DecoderConfig("quaternary-spa", 0.02), 10, 1)
-    with pytest.raises(ValueError):
-        sweep(cfg)
+    for pd_values, eta_values in (((), ()), ((), (0.0,)), ((0.02,), ())):
+        with pytest.raises(ValueError):
+            sweep(cfg, pd_values, eta_values)
 
 
 def test_sweep_is_byte_reproducible(nine):
     cfg = SimConfig(nine, ChannelParams(0.03, 0.0),
-                    DecoderConfig("quaternary-minsum", 0.03), 150, 21,
-                    pd_axis=(0.02, 0.03))
-    assert write_csv(sweep(cfg), None) == write_csv(sweep(cfg), None)
+                    DecoderConfig("quaternary-minsum", 0.03), 150, 21)
+    text = write_csv(sweep(cfg, (0.02, 0.03), (0.0,)), None)
+    assert text == write_csv(sweep(cfg, (0.02, 0.03), (0.0,)), None)
 
 
 def test_write_csv_to_file(tmp_path, nine):
     cfg = SimConfig(nine, ChannelParams(0.03, 0.0),
-                    DecoderConfig("quaternary-spa", 0.03), 30, 2,
-                    eta_axis=(0.0,))
-    rows = sweep(cfg)
+                    DecoderConfig("quaternary-spa", 0.03), 30, 2)
+    rows = sweep(cfg, (0.03,), (0.0,))
     out = tmp_path / "rows.csv"
     text = write_csv(rows, out)
     assert out.read_text() == text

@@ -1,5 +1,7 @@
 """Construction tests for the randomized and deterministic model families."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +15,17 @@ from eaqc.models import (
     PrimeModelParams,
     construct_composite_model,
     construct_prime_model,
-    entries_unit_mod_order,
     special_prime_model,
     theorem6_models,
     theorem8_model,
     theorem9_model,
     theorem10_model,
 )
+
+
+def entries_unit_mod_order(m: ModelMatrix) -> bool:
+    """True when every nonzero entry is coprime to the circulant order."""
+    return all(math.gcd(int(e), m.order) == 1 for e in m.exponents.ravel() if e)
 
 
 def assert_prime_class_member(m: ModelMatrix) -> None:
