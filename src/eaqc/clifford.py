@@ -13,7 +13,9 @@ the pairing of logicals, their checks and images, and the harness's
 coset classes all call it on stacks of (x | z) rows.  `_product_phases` is
 the only place that works out the sign of an in-order product of
 generators, Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4); the tableau's dependency
-check and `group_preserved` call it.
+check and `group_preserved` call it.  Every mod-2 product in both, and in
+the logical action, is a packed `gf2.matmul`; only the mod-4 sums of
+phases and pair counts are integer arithmetic.
 
 The three operators built here act across a full code block: a Hadamard
 layer with a block-reversal qubit permutation, a phase-gate/CZ layer, and
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eaqc.eacode import EaCode
-from eaqc.gf2 import BinaryMatrix, RowBasis, gfrank, independent_rows, nullspace
+from eaqc.gf2 import BinaryMatrix, RowBasis, gfrank, independent_rows, matmul, nullspace
 from eaqc.models import _require_odd_prime, special_prime_model
 
 __all__ = [
@@ -121,12 +123,13 @@ def symplectic_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Forms x·z' + z·x' (mod 2) of every row of a with every row of b.
 
     a and b are 2-D stacks of (x | z) rows of one even width, as 0/1
-    integers; entry [i, j] of the result is 1 exactly when row i of a
-    anticommutes with row j of b.  uint8 sums wrap mod 256, which keeps
-    their parity.
+    integers; entry [i, j] of the result, a uint8 bit, is 1 exactly when
+    row i of a anticommutes with row j of b.  It is the GF(2) product of a
+    with the (z | x)-swapped rows of b, formed by `gf2.matmul`.
     """
     q = a.shape[1] // 2
-    return (a[:, :q] @ b[:, q:].T + a[:, q:] @ b[:, :q].T) & 1
+    swapped = BinaryMatrix.from_dense(np.hstack([b[:, q:], b[:, :q]]).T)
+    return matmul(BinaryMatrix.from_dense(a), swapped).to_dense()
 
 
 def _product_phases(sel: np.ndarray, rows: np.ndarray,
@@ -139,8 +142,10 @@ def _product_phases(sel: np.ndarray, rows: np.ndarray,
     Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4).
     """
     q = rows.shape[1] // 2
-    cross = np.triu(rows[:, q:] @ rows[:, :q].T, 1) & 1
-    pairs = ((sel @ cross) & 1) & sel
+    zx = matmul(BinaryMatrix.from_dense(rows[:, q:]),
+                BinaryMatrix.from_dense(rows[:, :q].T))
+    cross = BinaryMatrix.from_dense(np.triu(zx.to_dense(), 1))
+    pairs = matmul(BinaryMatrix.from_dense(sel), cross).to_dense() & sel
     return (sel @ phases + 2 * pairs.sum(axis=1)) % 4
 
 
@@ -445,9 +450,9 @@ def logical_action(
     # the form with Z_j is the X_j coefficient and the form with X_j the
     # Z_j coefficient, so pair each basis row with its partner
     coeff = symplectic_product(images, basis[np.arange(len(basis)) ^ 1])
-    residual = images ^ ((coeff @ basis) & 1)
+    spanned = matmul(BinaryMatrix.from_dense(coeff), BinaryMatrix.from_dense(basis))
     stab = RowBasis.build(t.symplectic())
-    if not stab.contains_batch(BinaryMatrix.from_dense(residual)).all():
+    if not stab.contains_batch(BinaryMatrix.from_dense(images) + spanned).all():
         raise RuntimeError(
             "image does not reduce to the logical basis modulo the group"
         )

@@ -47,7 +47,7 @@ import numpy as np
 
 from eaqc.clifford import category_bits
 from eaqc.eacode import EaCode
-from eaqc.gf2 import DimensionMismatch
+from eaqc.gf2 import BinaryMatrix, DimensionMismatch, matmul
 
 __all__ = [
     "TannerGraph",
@@ -112,14 +112,18 @@ def syndrome_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """GF(2) syndromes of a batch of errors on the n transmitted qubits.
 
-    x and z are (T, n) bit arrays; returns sx = z·Hxᵀ and sz = x·Hzᵀ with
-    one row per error.  Ebits are noise-free.
+    x and z are (T, n) bit arrays; returns the uint8 bits sx = z·Hxᵀ and
+    sz = x·Hzᵀ with one row per error, both packed products of
+    `gf2.matmul`.  Ebits are noise-free.  Raises DimensionMismatch unless
+    x and z are both (T, n) with one T.
     """
-    hx = code.hx.to_dense().astype(np.int64)
-    hz = code.hz.to_dense().astype(np.int64)
-    sx = (z.astype(np.int64) @ hx.T) % 2
-    sz = (x.astype(np.int64) @ hz.T) % 2
-    return sx.astype(np.uint8), sz.astype(np.uint8)
+    if x.ndim != 2 or x.shape != z.shape or x.shape[1] != code.n:
+        raise DimensionMismatch(
+            f"error bits of shapes {x.shape} and {z.shape}; expected (T, {code.n}) each"
+        )
+    sx = matmul(BinaryMatrix.from_dense(z), code.hx.transpose())
+    sz = matmul(BinaryMatrix.from_dense(x), code.hz.transpose())
+    return sx.to_dense(), sz.to_dense()
 
 
 @dataclass(frozen=True)

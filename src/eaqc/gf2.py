@@ -2,7 +2,10 @@
 
 Matrices over GF(2) are stored as dense bit-packed rows (uint64 words,
 little-endian bit order within each word).  All arithmetic is mod 2:
-addition is XOR, products reduce each dot product to its parity.
+addition is XOR, and `matmul` is the package's one GF(2) product.  The
+ebit count, the tableau's commutation gram, the signs and logical action
+of generator products, row-basis coefficients and decoder syndromes all
+go through it; no caller forms a mod-2 product from integer sums.
 
 A :class:`ModelMatrix` is the compressed form of a quasi-cyclic
 parity-check matrix: a grid of shift exponents over Z_n.  ``expand``
@@ -28,6 +31,8 @@ __all__ = [
 ]
 
 _WORD = 64
+# scratch bytes of one chunk of the AND in `matmul`
+_MATMUL_BYTES = 4 * 2**20
 
 
 class DimensionMismatch(ValueError):
@@ -237,17 +242,21 @@ def gfrank(a: BinaryMatrix) -> int:
 
 
 def matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
-    """Product over GF(2): popcount-parity of ANDed packed rows."""
+    """Product over GF(2): parity of the popcount of ANDed packed rows.
+
+    Each row of a is ANDed with each packed column of b; the words of one
+    entry are XOR-folded first, so a single popcount gives its parity.
+    Rows of a go through in chunks whose (chunk, b.cols, words) AND holds
+    at most _MATMUL_BYTES, so the scratch space does not grow with a.rows.
+    """
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.shape} @ {b.shape}")
     bt = b.transpose()
     out = np.zeros((a.rows, b.cols), dtype=np.uint8)
-    # chunk rows of `a` so the (chunk × b.cols × words) intermediate stays small
-    chunk = max(1, (1 << 22) // max(1, b.cols * bt.words.shape[1]))
+    chunk = max(1, _MATMUL_BYTES // max(1, bt.words.nbytes))
     for lo in range(0, a.rows, chunk):
-        hi = min(a.rows, lo + chunk)
-        anded = a.words[lo:hi, None, :] & bt.words[None, :, :]
-        out[lo:hi] = np.bitwise_count(anded).sum(axis=2, dtype=np.uint64) & 1
+        anded = a.words[lo : lo + chunk, None, :] & bt.words[None, :, :]
+        out[lo : lo + chunk] = np.bitwise_count(np.bitwise_xor.reduce(anded, axis=2)) & 1
     return BinaryMatrix.from_dense(out)
 
 
@@ -333,14 +342,8 @@ class RowBasis:
         if res.any():
             raise ValueError("vector is not in the row space")
         # coeff selects rref rows; map through the recorded transform
-        out = np.zeros((vm.rows, self.source_rows), dtype=np.uint8)
-        for k in range(self.rank):
-            hit = np.nonzero(coeff[:, k])[0]
-            if hit.size:
-                trow = np.unpackbits(
-                    self.transform[k].view(np.uint8), bitorder="little"
-                )[: self.source_rows]
-                out[hit] ^= trow
+        transform = BinaryMatrix(self.rank, self.source_rows, self.transform)
+        out = matmul(BinaryMatrix.from_dense(coeff), transform).to_dense()
         return out[0] if vm.rows == 1 else out
 
 

@@ -292,6 +292,8 @@ def test_symplectic_product_matches_per_qubit_loop_and_commutes(r, s, q, seed):
 
 
 def test_uint8_sums_keep_parity_past_255():
+    # 257-qubit rows are 514 bits, a product over 9 packed words; the 258
+    # generators make the sign's pair count a product over 5 words
     q = 257
     x_all = np.concatenate([np.ones(q), np.zeros(q)]).astype(np.uint8)[None]
     z_all = np.concatenate([np.zeros(q), np.ones(q)]).astype(np.uint8)[None]

@@ -3,6 +3,7 @@ single-error behavior, internal message identities, recorded outputs and a
 scalar reference decoder."""
 
 import hashlib
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -27,7 +28,7 @@ from eaqc.decoder import (
     decode_quaternary_batch,
     syndrome_batch,
 )
-from eaqc.eacode import build_theorem5, build_theorem6
+from eaqc.eacode import build_theorem5, build_theorem6, build_theorem8
 from eaqc.gf2 import BinaryMatrix, DimensionMismatch, RowBasis
 
 _ALGS = ("binary-spa", "quaternary-spa", "quaternary-minsum")
@@ -117,6 +118,29 @@ def test_single_x_hits_first_z_column(nine):
     sx, sz = syndrome_batch(code, x, np.zeros_like(x))
     assert not sx.any()
     assert np.array_equal(sz[0], code.hz.to_dense()[:, 0])
+
+
+def test_syndrome_batch_rejects_mis_shaped_errors(nine):
+    code, _, _ = nine
+    n = code.n
+    for xs, zs in [((5, n), (7, n)), ((5, n + 1), (5, n + 1)),
+                   ((5, n), (5, n - 1)), ((n,), (n,))]:
+        with pytest.raises(DimensionMismatch) as err:
+            syndrome_batch(code, np.zeros(xs, np.uint8), np.zeros(zs, np.uint8))
+        assert all(str(part) in str(err.value) for part in (xs, zs, f"(T, {n})"))
+
+
+def test_syndrome_batch_memory_stays_flat():
+    code = build_theorem8(6, 2)
+    rng = np.random.default_rng(0)
+    x, z = rng.integers(0, 2, (2, 5000, code.n), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        syndrome_batch(code, x, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_config_validation():

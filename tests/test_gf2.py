@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eaqc import gf2
 from eaqc.gf2 import (
     BinaryMatrix,
     DimensionMismatch,
@@ -230,12 +231,25 @@ def test_matmul_circulant_row_pair_gives_all_ones():
     assert np.array_equal(prod.to_dense(), oracle)
 
 
-@given(dense_matrices, st.integers(0, 2**32 - 1))
-@settings(max_examples=50, deadline=None)
-def test_matmul_matches_integer_oracle(a, seed):
+@given(
+    st.integers(0, 12),
+    st.integers(0, 200),
+    st.integers(0, 12),
+    st.sampled_from([None, 1, 300, 2000]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_matmul_matches_integer_oracle(rows, inner, cols, budget, seed):
+    # inner widths up to four words, empty dimensions, and byte budgets
+    # small enough that the rows of a go through in several chunks
     rng = np.random.default_rng(seed)
-    b = rng.integers(0, 2, size=(a.shape[1], rng.integers(1, 9)), dtype=np.uint8)
-    got = matmul(BinaryMatrix.from_dense(a), BinaryMatrix.from_dense(b))
+    a = rng.integers(0, 2, size=(rows, inner), dtype=np.uint8)
+    b = rng.integers(0, 2, size=(inner, cols), dtype=np.uint8)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(gf2, "_MATMUL_BYTES", budget)
+        got = matmul(BinaryMatrix.from_dense(a), BinaryMatrix.from_dense(b))
+    assert got.shape == (rows, cols)
     assert np.array_equal(got.to_dense(), int_matmul_oracle(a, b))
 
 
