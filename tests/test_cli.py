@@ -1,5 +1,6 @@
 """End-to-end checks of the eaqc command line."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -99,6 +100,22 @@ def test_transversal_reports_preserved(capsys):
     for key, labels in act.items():
         want = "Z" if key.startswith("X") else "X"
         assert labels and all(lab.startswith(want) for lab in labels)
+
+
+# sha256 of the full stdout, recorded before group_preserved and the
+# tableau's dependency check shared one sign rule
+_TRANSVERSAL_SHA256 = {
+    3: "2dcbd9f1d23efadecb19d1540cb77d3acbec5b1aabbc358fd100432fcb0a7827",
+    5: "9db98dff3b3bda126bf67cba527b303e70d2a3d7872a7d496b8f03de57832c36",
+    7: "f348c9937b095992dd16e46877fe891b3b18e1fb634ed8f57a5a0ce3411ce048",
+}
+
+
+@pytest.mark.parametrize("p", sorted(_TRANSVERSAL_SHA256))
+def test_transversal_output_is_pinned(capsys, p):
+    code, out, _ = run_cli(capsys, "transversal", "--p", str(p))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TRANSVERSAL_SHA256[p]
 
 
 def test_simulate_emits_result_fields(capsys):

@@ -3,7 +3,7 @@ operators and their action on stabilizer groups and logicals."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eaqc.clifford import (
@@ -346,6 +346,66 @@ def test_dependency_with_negative_sign_rejected():
     with pytest.raises(ValueError, match="multiplies to -I"):
         Tableau((z0x1, x0z1, PauliVector.from_support(2, [0, 1], [0, 1])))
     Tableau((z0x1, x0z1, PauliVector.from_support(2, [0, 1], [0, 1], phase=2)))
+
+
+def _gate_sequences(q: int):
+    one = st.tuples(st.sampled_from(["H", "S", "SDG"]), st.integers(0, q - 1))
+    gate = one
+    if q > 1:
+        two = st.tuples(st.sampled_from(["CZ", "SWAP"]), st.permutations(range(q)))
+        two = two.map(lambda g: (g[0], *g[1][:2]))
+        gate = one | two
+    return st.lists(gate, max_size=8).map(lambda gs: GateSequence(tuple(gs)))
+
+
+@st.composite
+def _tableau_pairs(draw):
+    """A stabilizer group and the generators of a second one on its register.
+
+    The first is k single-qubit Z generators plus some of their products,
+    shuffled and conjugated by a random Clifford circuit.  The second is the
+    first conjugated by another circuit, with some signs flipped and
+    perhaps its last generator dropped.
+    """
+    q = draw(st.integers(1, 5))
+    k = draw(st.integers(1, q))
+    masks = draw(st.lists(st.integers(1, 2**k - 1), max_size=3))
+    gens = [PauliVector.from_support(q, z_on=[i]) for i in range(k)]
+    gens += [PauliVector.from_support(q, z_on=[i for i in range(k) if m >> i & 1])
+             for m in masks]
+    order = draw(st.permutations(range(len(gens))))
+    before = conjugate(Tableau(tuple(gens[i] for i in order)), draw(_gate_sequences(q)))
+    after = list(conjugate(before, draw(_gate_sequences(q))).generators)
+    flips = draw(st.lists(st.booleans(), min_size=len(after), max_size=len(after)))
+    after = [PauliVector(g.x, g.z, g.phase + 2 * f) for g, f in zip(after, flips)]
+    if len(after) > 1 and draw(st.booleans()):
+        after.pop()
+    return before, after
+
+
+def _group_elements(gens) -> set:
+    """Every product of a subset of the generators, signs included."""
+    out = set()
+    for mask in range(2 ** len(gens)):
+        prod = PauliVector.identity(gens[0].qubits)
+        for i, g in enumerate(gens):
+            if mask >> i & 1:
+                prod = prod * g
+        out.add(prod)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tableau_pairs())
+def test_group_preserved_matches_subset_search(pair):
+    before, after_gens = pair
+    try:
+        after = Tableau(tuple(after_gens))
+    except ValueError:
+        assume(False)  # a flipped sign made a dependency multiply to -I
+    want = _group_elements(before.generators) == _group_elements(after.generators)
+    assert group_preserved(before, after) == want
+    assert group_preserved(after, before) == want
 
 
 # ── the transversal operators ─────────────────────────────────────────
