@@ -36,6 +36,9 @@ from eaqc.harness import (
 )
 from eaqc.models import OrderExhausted
 
+# the flags that carry a family's builder arguments (see eacode.FAMILIES)
+_CODE_FLAGS = ("p", "l1", "l2", "l", "w", "set")
+
 _DECODER_NAMES = {
     "binary": "binary-spa",
     "quat": "quaternary-spa",
@@ -60,6 +63,12 @@ def _build_code(args):
     missing = [f"--{n}" for n in flags if getattr(args, n) is None]
     if missing:
         raise _usage_error(f"--family {args.family} needs {', '.join(missing)}")
+    stray = [f"--{n}" for n in _CODE_FLAGS
+             if n not in flags and getattr(args, n) is not None]
+    if args.reduced and "set" not in flags:
+        stray.append("--reduced")
+    if stray:
+        raise _usage_error(f"--family {args.family} does not read {', '.join(stray)}")
     values = [_parse_set(args.set) if n == "set" else getattr(args, n)
               for n in flags]
     if "set" in flags:
@@ -231,12 +240,8 @@ def _cmd_burst_check(args) -> int:
 
 def _add_code_flags(sp) -> None:
     sp.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--l1", type=int)
-    sp.add_argument("--l2", type=int)
-    sp.add_argument("--l", type=int)
-    sp.add_argument("--w", type=int)
-    sp.add_argument("--set", type=str)
+    for name in _CODE_FLAGS:
+        sp.add_argument(f"--{name}", type=str if name == "set" else int)
     sp.add_argument("--reduced", action="store_true",
                     help="waive the minimum-exponent floor for thm9/thm10")
 

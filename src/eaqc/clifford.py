@@ -12,10 +12,13 @@ place that forms x·z' + z·x' (mod 2): commutation, the tableau gram check,
 the pairing of logicals, their checks and images, and the harness's
 coset classes all call it on stacks of (x | z) rows.  `_product_phases` is
 the only place that works out the sign of an in-order product of
-generators, Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4); the tableau's dependency
-check and `group_preserved` call it.  Every mod-2 product in both, and in
-the logical action, is a packed `gf2.matmul`; only the mod-4 sums of
-phases and pair counts are integer arithmetic.
+generators, Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4).  Its one caller is the
+sign rule, `_negative_dependency`: no product of commuting Hermitian
+generators that multiplies out to a multiple of I may be −I.  A tableau
+applies it to its own generators, and `group_preserved` to the generators
+of two tableaux stacked together.  Every mod-2 product in both, and in the
+logical action, is a packed `gf2.matmul`; only the mod-4 sums of phases
+and pair counts are integer arithmetic.
 
 The three operators built here act across a full code block: a Hadamard
 layer with a block-reversal qubit permutation, a phase-gate/CZ layer, and
@@ -149,6 +152,18 @@ def _product_phases(sel: np.ndarray, rows: np.ndarray,
     return (sel @ phases + 2 * pairs.sum(axis=1)) % 4
 
 
+def _negative_dependency(rows: np.ndarray, phases: np.ndarray) -> bool:
+    """Whether some product of the rows is a multiple of I other than +I.
+
+    rows are commuting Hermitian generators, as (x | z) bits with their
+    phase exponents.  The signs of their dependencies then multiply like
+    the dependencies add, so checking a basis of the kernel of rowsᵀ
+    checks them all.
+    """
+    deps = nullspace(BinaryMatrix.from_dense(rows.T)).to_dense()
+    return bool(len(deps) and _product_phases(deps, rows, phases).any())
+
+
 def category_bits(cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, z) bit arrays of Pauli categories (I, X, Y, Z) = (0, 1, 2, 3)."""
     x = ((cats == 1) | (cats == 2)).astype(np.uint8)
@@ -181,11 +196,13 @@ class GateSequence:
 
 @dataclass(frozen=True)
 class Tableau:
-    """Commuting Pauli generators of a stabilizer group.
+    """Commuting Hermitian Pauli generators of a stabilizer group.
 
-    Generators may be dependent; what is enforced is that no dependency
-    multiplies out to −I or ±iI, so the sign of any group element is
-    well defined by any expression in the generators.
+    Each generator squares to +I.  Generators may be dependent; what is
+    enforced is that no dependency multiplies out to −I, so the sign of
+    any group element is well defined by any expression in the
+    generators.  `group_preserved` applies the same rule to two tableaux
+    stacked together.
     """
 
     generators: tuple[PauliVector, ...]
@@ -199,11 +216,14 @@ class Tableau:
         if any(g.qubits != q for g in gens):
             raise ValueError("generators disagree on qubit count")
         rows = np.stack([g.symplectic() for g in gens])
+        phases = np.array([g.phase for g in gens])
+        # i^p·X^x·Z^z squares to (-1)^(p + x·z) I, and a Pauli is Hermitian
+        # exactly when it squares to +I
+        if ((phases + (rows[:, :q] & rows[:, q:]).sum(axis=1)) % 2).any():
+            raise ValueError("a generator is not Hermitian")
         if symplectic_product(rows, rows).any():
             raise ValueError("generators do not pairwise commute")
-        deps = nullspace(BinaryMatrix.from_dense(rows.T)).to_dense()
-        phases = np.array([g.phase for g in gens])
-        if len(deps) and _product_phases(deps, rows, phases).any():
+        if _negative_dependency(rows, phases):
             raise ValueError("a generator dependency multiplies to -I")
 
     @property
@@ -335,20 +355,19 @@ def h_s_cz(p: int) -> GateSequence:
 
 
 def group_preserved(before: Tableau, after: Tableau) -> bool:
-    """Row spaces match and every after-generator re-expresses with sign +1."""
+    """Whether after generates before's stabilizer group, signs included.
+
+    The row spaces are equal when before, after and their stack share one
+    rank; the signs agree when no dependency of the stack multiplies to −I.
+    """
     if before.qubits != after.qubits:
         raise ValueError("tableaux act on different registers")
-    sym_before = before.symplectic()
-    basis = RowBasis.build(sym_before)
-    sym_after = after.symplectic()
-    if not bool(np.all(basis.contains_batch(sym_after))):
+    sym_before, sym_after = before.symplectic(), after.symplectic()
+    stacked = sym_before.vstack(sym_after)
+    if not gfrank(sym_before) == gfrank(sym_after) == gfrank(stacked):
         return False
-    if gfrank(sym_after) != basis.rank:
-        return False
-    coeff = np.atleast_2d(basis.coefficients(sym_after))
-    phases = _product_phases(coeff, sym_before.to_dense(),
-                             np.array([g.phase for g in before.generators]))
-    return bool(np.array_equal(phases, [g.phase for g in after.generators]))
+    phases = [g.phase for g in before.generators + after.generators]
+    return not _negative_dependency(stacked.to_dense(), np.array(phases))
 
 
 def code_tableau(code: EaCode) -> Tableau:

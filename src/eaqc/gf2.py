@@ -4,8 +4,10 @@ Matrices over GF(2) are stored as dense bit-packed rows (uint64 words,
 little-endian bit order within each word).  All arithmetic is mod 2:
 addition is XOR, and `matmul` is the package's one GF(2) product.  The
 ebit count, the tableau's commutation gram, the signs and logical action
-of generator products, row-basis coefficients and decoder syndromes all
-go through it; no caller forms a mod-2 product from integer sums.
+of generator products and decoder syndromes all go through it; no caller
+forms a mod-2 product from integer sums.  `RowBasis.build` is its one
+Gaussian elimination: `gfrank`, `independent_rows`, `nullspace` and
+row-space membership all read the reduced echelon form it returns.
 
 A :class:`ModelMatrix` is the compressed form of a quasi-cyclic
 parity-check matrix: a grid of shift exponents over Z_n.  ``expand``
@@ -219,26 +221,8 @@ def expand(m: ModelMatrix) -> BinaryMatrix:
 
 
 def gfrank(a: BinaryMatrix) -> int:
-    """Row-space dimension over GF(2) by packed Gaussian elimination."""
-    if a.rows == 0 or a.cols == 0:
-        return 0
-    w = a.words.copy()
-    r = 0
-    for c in range(a.cols):
-        col = (w[r:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + nz[0]
-        if piv != r:
-            w[[r, piv]] = w[[piv, r]]
-        below = r + nz[1:]
-        if below.size:
-            w[below] ^= w[r]
-        r += 1
-        if r == a.rows:
-            break
-    return r
+    """Row-space dimension over GF(2): the rank of the reduced echelon form."""
+    return RowBasis.build(a).rank
 
 
 def matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
@@ -264,23 +248,22 @@ def matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
 class RowBasis:
     """Reduced row-echelon form of a matrix, prepared for repeated queries.
 
-    Supports batched membership tests and expressing a member as an exact
-    GF(2) combination of the *original* rows (via the recorded transform).
+    `build` is the package's one Gaussian elimination; rank, independent
+    rows, kernels, the ebit factorisation and membership all read it.
     """
 
-    source_rows: int
     cols: int
     rref_words: np.ndarray
     pivot_cols: np.ndarray
-    transform: np.ndarray  # combination of source rows giving each rref row
 
     @staticmethod
     def build(a: BinaryMatrix) -> "RowBasis":
         w = a.words.copy()
-        t = BinaryMatrix.identity(max(a.rows, 1)).words[: a.rows].copy()
         pivots = []
         r = 0
         for c in range(a.cols):
+            if r == a.rows:
+                break
             col = (w[r:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
             nz = np.nonzero(col)[0]
             if nz.size == 0:
@@ -288,63 +271,30 @@ class RowBasis:
             piv = r + nz[0]
             if piv != r:
                 w[[r, piv]] = w[[piv, r]]
-                t[[r, piv]] = t[[piv, r]]
             col_all = (w[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
             col_all[r] = 0
             others = np.nonzero(col_all)[0]
             if others.size:
                 w[others] ^= w[r]
-                t[others] ^= t[r]
             pivots.append(c)
             r += 1
-            if r == a.rows:
-                break
-        return RowBasis(
-            source_rows=a.rows,
-            cols=a.cols,
-            rref_words=w[:r].copy(),
-            pivot_cols=np.asarray(pivots, dtype=np.int64),
-            transform=t[:r].copy(),
-        )
+        return RowBasis(a.cols, w[:r].copy(), np.asarray(pivots, dtype=np.int64))
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def _reduce(self, vec_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Eliminate pivots from a batch of packed vectors.
-
-        Returns (residual words, rref-coefficient bits) with shapes
-        (batch, n_words) and (batch, rank).
-        """
-        res = vec_words.copy()
-        coeff = np.zeros((res.shape[0], self.rank), dtype=np.uint8)
+    def contains_batch(self, vectors: BinaryMatrix) -> np.ndarray:
+        """Whether each row of vectors lies in the row space."""
+        if vectors.cols != self.cols:
+            raise DimensionMismatch(f"vector length {vectors.cols} != {self.cols}")
+        res = vectors.words.copy()
         for k, c in enumerate(self.pivot_cols):
             bit = (res[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
             hit = np.nonzero(bit)[0]
             if hit.size:
                 res[hit] ^= self.rref_words[k]
-                coeff[hit, k] = 1
-        return res, coeff
-
-    def contains_batch(self, vectors: BinaryMatrix) -> np.ndarray:
-        if vectors.cols != self.cols:
-            raise DimensionMismatch(f"vector length {vectors.cols} != {self.cols}")
-        res, _ = self._reduce(vectors.words)
         return ~res.any(axis=1)
-
-    def coefficients(self, v) -> np.ndarray:
-        """Express v as a combination of the original rows; raises if outside."""
-        vm = v if isinstance(v, BinaryMatrix) else BinaryMatrix.from_dense(
-            np.atleast_2d(np.asarray(v, dtype=np.uint8))
-        )
-        res, coeff = self._reduce(vm.words)
-        if res.any():
-            raise ValueError("vector is not in the row space")
-        # coeff selects rref rows; map through the recorded transform
-        transform = BinaryMatrix(self.rank, self.source_rows, self.transform)
-        out = matmul(BinaryMatrix.from_dense(coeff), transform).to_dense()
-        return out[0] if vm.rows == 1 else out
 
 
 def independent_rows(a: BinaryMatrix) -> np.ndarray:

@@ -304,6 +304,8 @@ def burst_oracle(
     shows that the best decoder for this window corrects 65.
     """
     n = code.n
+    if burst_len < 0:
+        raise ValueError(f"burst length {burst_len} is negative")
     if burst_len > n:
         raise ValueError("burst length exceeds the register")
     if burst_len == 0:

@@ -184,6 +184,13 @@ def test_burst_check_rejects_the_flags_it_does_not_read(capsys):
         assert "single --pd" in capsys.readouterr().err
 
 
+def test_burst_check_rejects_a_negative_length(capsys):
+    code, out, err = run_cli(capsys, "burst-check", "--family", "thm5", "--p", "3",
+                             "--l1", "1", "--l2", "1", "--length", "-1")
+    assert code == 2 and out == ""
+    assert "burst length -1" in err
+
+
 def test_burst_check_reports_fractions(capsys):
     doc = run_json(capsys, "burst-check", "--family", "thm5",
                    "--p", "3", "--l1", "1", "--l2", "1", "--length", "3")
@@ -208,6 +215,18 @@ def test_missing_family_flags_exit_two(capsys):
         main(["params", "--family", "thm7", "--p", "11"])
     assert exc.value.code == 2
     assert "--l" in capsys.readouterr().err
+
+
+def test_flags_the_family_does_not_read_exit_two(capsys):
+    thm5 = ["params", "--family", "thm5", "--p", "3", "--l1", "1", "--l2", "1"]
+    thm7 = ["girth", "--family", "thm7", "--p", "11", "--l", "5"]
+    for argv, stray in ((thm5 + ["--w", "2"], "--w"),
+                        (thm5 + ["--reduced"], "--reduced"),
+                        (thm7 + ["--set", "2,4", "--l1", "1"], "--l1, --set")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"does not read {stray}" in capsys.readouterr().err
 
 
 def test_invalid_prime_exits_two(capsys):

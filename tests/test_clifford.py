@@ -348,6 +348,15 @@ def test_dependency_with_negative_sign_rejected():
     Tableau((z0x1, x0z1, PauliVector.from_support(2, [0, 1], [0, 1], phase=2)))
 
 
+def test_non_hermitian_generator_rejected():
+    # iX and the phase-0 XZ (= -iY) each square to -I
+    for phase, z in ((1, 0), (0, 1)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Tableau((PauliVector([1], [z], phase),))
+    Tableau((PauliVector([1], [1], 1),))  # Y = i·XZ
+    Tableau((PauliVector([1], [0], 2),))  # -X
+
+
 def _gate_sequences(q: int):
     one = st.tuples(st.sampled_from(["H", "S", "SDG"]), st.integers(0, q - 1))
     gate = one

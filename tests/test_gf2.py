@@ -299,27 +299,6 @@ def test_member_length_mismatch():
         _contains(RowBasis.build(BinaryMatrix.identity(3)), np.zeros(4, dtype=np.uint8))
 
 
-# ── RowBasis coefficients ─────────────────────────────────────────────
-
-
-@given(dense_matrices, st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_coefficients_reconstruct(a, seed):
-    rng = np.random.default_rng(seed)
-    picks = rng.integers(0, 2, size=a.shape[0], dtype=np.uint8)
-    v = (picks @ a) % 2
-    rb = RowBasis.build(BinaryMatrix.from_dense(a))
-    coeff = rb.coefficients(v.astype(np.uint8))
-    assert np.array_equal((coeff @ a) % 2, v)
-
-
-def test_coefficients_raise_outside_span():
-    rows = np.asarray([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=np.uint8)
-    rb = RowBasis.build(BinaryMatrix.from_dense(rows))
-    with pytest.raises(ValueError):
-        rb.coefficients(np.asarray([1, 0, 0, 0], dtype=np.uint8))
-
-
 # ── kernels ───────────────────────────────────────────────────────────
 
 
