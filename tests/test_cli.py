@@ -150,6 +150,28 @@ def test_sweep_csv_shape(capsys):
     assert first[6] == "binary-spa"
 
 
+# sha256 of the sweep CSV of the criterion-08 grid at 100 trials, seed 0,
+# recorded before the flooding pass was rewritten for speed
+_SWEEP_SHA256 = {
+    (5, "binary"): "8e9886eba6898105c766f1b53ee4ac18734485e4f4ae7189554c38d28a830f5b",
+    (5, "quat"): "b5cb432c1d8c2e005218decf8949f4f0605ea403f6586e345e5bd6c197adad84",
+    (7, "binary"): "42157a9d7f849ad514734985bf5dd7687f55b54bc52578ea8b5c3eedb936a30e",
+    (7, "quat"): "f11742fc054d6ad98e89a8756bdd343b07659d95002493a22bd5869f2a675983",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_SHA256), ids=lambda c: f"n{c[0] ** 2}-{c[1]}")
+def test_sweep_csv_is_pinned(capsys, case):
+    p, decoder = case
+    l = (p - 1) // 2
+    code, out, _ = run_cli(
+        capsys, "sweep", "--family", "thm5", "--p", str(p), "--l1", str(l),
+        "--l2", str(l), "--pd", "0.02,0.03", "--eta", "0.0,0.5",
+        "--decoder", decoder, "--trials", "100", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SWEEP_SHA256[case]
+
+
 def test_sweep_writes_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     code, _, _ = run_cli(

@@ -4,6 +4,7 @@ scalar reference decoder."""
 
 import hashlib
 import tracemalloc
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -363,6 +364,27 @@ def test_results_do_not_depend_on_batching(twentyfive):
                 assert np.array_equal(got[row], want[0])
 
 
+@cache
+def _shuffled():
+    """40 seeded trials of [[25,8;1]] and each algorithm's outputs on them."""
+    code = build_theorem5(5, 2, 2)
+    g = build_graphs(code)
+    sx, sz = syndrome_batch(code, *sample_error_batch(code.n, ChannelParams(0.05, 0.4), 77, 40))
+    return g, sx, sz, {alg: decode_batch(g, sx, sz, DecoderConfig(alg, 0.05)) for alg in _ALGS}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(40)), st.integers(1, 40), st.sampled_from(_ALGS))
+def test_permuted_batch_decodes_to_permuted_outputs(order, keep, alg):
+    # trials leave the batch at different passes, so any reordering moves
+    # the rows that the compaction drops and writes back
+    g, sx, sz, whole = _shuffled()
+    pick = np.array(order[:keep])
+    got = decode_batch(g, sx[pick], sz[pick], DecoderConfig(alg, 0.05))
+    for part, want in zip(got, whole[alg]):
+        assert np.array_equal(part, want[pick])
+
+
 # ── outputs pinned before the decoders were merged into one loop ──────
 
 def _weight_two_patterns(n):
@@ -586,3 +608,35 @@ def test_flood_matches_the_reference_at_the_guards(twentyfive, alg):
                                                    replace=False))
     conv, _ = _compare(code, g, xs[pick], zs[pick], DecoderConfig(alg, 1e-11))
     assert (~conv).any()
+
+
+# an irregular [hx; hz]: rows of weight 1 to 4 and qubit 7 in no check, so
+# the graph has padded slots and no edge into columns 7 and 15
+_IRREGULAR_HX = np.array([[1, 1, 0, 0, 0, 0, 0, 0],
+                          [0, 1, 1, 1, 0, 0, 0, 0],
+                          [0, 0, 0, 1, 1, 1, 1, 0],
+                          [1, 0, 0, 0, 0, 0, 0, 0]], np.uint8)
+_IRREGULAR_HZ = np.array([[1, 0, 1, 0, 1, 0, 0, 0],
+                          [0, 1, 0, 0, 0, 1, 0, 0],
+                          [0, 0, 1, 1, 0, 0, 1, 0]], np.uint8)
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+def test_flood_matches_the_reference_on_an_irregular_graph(alg):
+    hx, hz = _IRREGULAR_HX, _IRREGULAR_HZ
+    g = _graph(hx, hz)
+    assert not g.mask.all() and 7 not in g.var_ids and 15 not in g.var_ids
+    xs, zs = _weight_two_patterns(hx.shape[1])
+    sx = (zs.astype(np.int64) @ hx.T % 2).astype(np.uint8)
+    sz = (xs.astype(np.int64) @ hz.T % 2).astype(np.uint8)
+    cfg = DecoderConfig(alg, 0.1, l_max=30)
+    est_x, est_z, conv, iters = decode_batch(g, sx, sz, cfg)
+    seen = {}
+    for t in range(len(sx)):
+        key = (sx[t].tobytes(), sz[t].tobytes())
+        if key not in seen:
+            seen[key] = reference_decode(hx, hz, list(sx[t]), list(sz[t]), cfg)
+        got = (est_x[t].tolist(), est_z[t].tolist(), bool(conv[t]), int(iters[t]))
+        assert got == seen[key], (alg, t)
+    assert (~conv).any() and (conv & (iters > 0)).any()
+    assert not est_x[:, 7].any() and not est_z[:, 7].any()
