@@ -1,22 +1,21 @@
 """Syndrome-based sum-product decoders on one Tanner graph.
 
 `build_graphs` returns a single graph over the rows of [hx; hz].  Its
-variables are the 2n columns of an [x | z] layout of the n transmitted
-qubits: X-check rows read the z half (columns n + j) and Z-check rows
-read the x half (columns j); ebit columns are not part of decoding.
-Summing check messages per column thus gives [s_one | s_omega], where
-s_one collects the Z-check (label 1) messages into each qubit and s_omega
-the X-check (label omega) ones.
+variables are the 2n bits of the n transmitted qubits, interleaved:
+column 2j is the x bit of qubit j and column 2j + 1 its z bit.  X-check
+rows read z bits and Z-check rows x bits; ebit columns are not part of
+decoding.  Summing the check messages into each column thus gives, per
+qubit, the pair (s_one, s_omega): the Z-check (label 1) and the X-check
+(label omega) messages into it.
 
 One flooding loop, `_flood`, serves all three algorithms:
 
-* binary-spa takes prior + [s_one | s_omega] as the log ratios of the x
-  and z bits, and runs each check block as a graph of its own: the X-check
-  rows explain the z half from sx, the Z-check rows the x half from sz.
-  A block freezes its half of a trial's estimate when it meets its own
-  syndrome, so the outputs equal two separate graph runs; a trial
-  converges when both blocks have and reports the later of the two
-  iteration counts.
+* binary-spa takes prior + s as the log ratio of each bit, and runs each
+  check block as a graph of its own: the X-check rows explain the z bits
+  from sx, the Z-check rows the x bits from sz.  A block freezes its bits
+  of a trial's estimate when it meets its own syndrome, so the outputs
+  equal two separate graph runs; a trial converges when both blocks have
+  and reports the later of the two iteration counts.
 * quaternary-spa and quaternary-minsum (Poulin & Chung, QIC 8, 987, 2008)
   take l_x = m0 - s_one, l_z = m0 - s_omega and l_y = l_x - s_omega as
   the log ratios of X, Y and Z against I.  Each edge sends the single log
@@ -26,17 +25,39 @@ One flooding loop, `_flood`, serves all three algorithms:
   and l_x on a Z-check row).  fmax is the Jacobian logarithm, or max under
   min-sum.  Both blocks freeze together.
 
-Messages pass through the tanh check rule (or its min-sum form) with the
-syndrome sign.  Everything is vectorized over a batch of trials, and each
-row depends only on its own syndrome; there are no single-shot wrappers.
-A trial leaves the batch once all its blocks have converged: each pass
-runs only the trials still decoding, so a batch costs the sum of its
-trials' iterations rather than its slowest trial times the batch size.
+Each pass runs these steps on the trials still decoding, a few numpy
+calls each:
+
+1. Sum: one gather of the messages by column and one `np.add.reduceat`.
+2. Decide: binary-spa compares prior + s with 0.  Quaternary writes l_x,
+   l_y and l_z next to a 0 for I in a (trials, n, 4) buffer, takes the
+   argmax (ties go to the lowest index in the order I, X, Y, Z) and looks
+   the (x, z) bits of each category up in one table.
+3. Check: each row's bits and its own syndrome bit are gathered and
+   XOR-reduced, and one boolean product tells which blocks still have an
+   unmet row.  Only on a pass where some block meets its syndrome are
+   estimates written back, and only then do finished trials leave the
+   batch, so a batch costs the sum of its trials' iterations rather than
+   its slowest trial times the batch size.
+4. Variable-to-check messages: binary-spa sends prior + s - mu.
+   Quaternary's fmax(0, a) depends on the column alone, so it is
+   evaluated once per column (2n values rather than one per edge) and
+   gathered; one fmax call computes it together with each edge's
+   fmax(l_y + mu, b + mu).
+5. Check rule: tanh of half each message, the product over the other
+   slots from two running products (`np.multiply.accumulate` forwards and
+   backwards), the clip, 2·atanh times the syndrome sign (doubled once
+   per call, not per pass) and the clamp; or min-sum's signed minimum over
+   the other slots.
+
+Padding slots of rows shorter than the longest point at a column 2n
+whose bit is 0 and whose log ratio is +inf, so they send +inf, which the
+tanh rule multiplies in as 1 and min-sum never takes as its minimum; no
+mask is applied.  Every float operation has the operands and the order of
+the plain formulas above, so the outputs do not depend on batching.
 Numerical guards: tanh-domain clip at 1 - 1e-12 and a message clamp at
-|mu| <= 30.  Hard decisions break ties toward the lowest Pauli index in
-the order (I, X, Y, Z).  Convergence, the parity of the hard decision
-gathered over each row's edges against the syndrome, is checked before
-the first message exchange and after every iteration.
+|mu| <= 30.  Convergence is checked before the first message exchange and
+after every iteration.
 """
 
 from __future__ import annotations
@@ -62,25 +83,29 @@ __all__ = [
 _ALGORITHMS = ("binary-spa", "quaternary-spa", "quaternary-minsum")
 _CLIP = 1.0 - 1e-12
 _CLAMP = 30.0
+# (x, z) bits of the categories (I, X, Y, Z)
+_BITS = np.stack(category_bits(np.arange(4)), axis=1)
 
 
 @dataclass(frozen=True)
 class TannerGraph:
-    """The rows of [hx; hz] over the [x | z] columns.
+    """The rows of [hx; hz] over the interleaved columns of n qubits.
 
-    Rows below x_checks are X checks.  Row b has edges to the columns
-    idx[b][mask[b]]; padding slots point at column 0 and are masked.
-    edges lists the flat positions of the edges in idx, sorted by column,
-    and starts[i] is the first edge into column var_ids[i].
+    Column 2j is the x bit of qubit j and column 2j + 1 its z bit; rows
+    below x_checks are X checks, which read z bits only.  Row b has edges
+    to the columns idx[b] below 2n, in increasing order, and its padding
+    slots hold 2n.  The check messages of the rows lie in a (checks + 1,
+    dmax) block whose last row stays zero; edges lists the flat positions
+    that each column sums, sorted by column, a column no check reads
+    summing one zero of the last row, and starts[c] is the first edge of
+    column c.
     """
 
     n: int
     x_checks: int
     idx: np.ndarray
-    mask: np.ndarray
     edges: np.ndarray
     starts: np.ndarray
-    var_ids: np.ndarray
 
     @property
     def checks(self) -> int:
@@ -88,18 +113,21 @@ class TannerGraph:
 
 
 def _graph(hx: np.ndarray, hz: np.ndarray) -> TannerGraph:
-    h = np.block([[np.zeros_like(hx), hx], [hz, np.zeros_like(hz)]])
-    rows, cols = np.nonzero(h)
-    degree = np.bincount(rows, minlength=h.shape[0])
+    n, x_checks = hx.shape[1], hx.shape[0]
+    h = np.zeros((x_checks + hz.shape[0], n, 2), np.uint8)
+    h[:x_checks, :, 1] = hx
+    h[x_checks:, :, 0] = hz
+    rows, cols = np.nonzero(h.reshape(len(h), 2 * n))
+    degree = np.bincount(rows, minlength=len(h))
     slot = np.arange(rows.size) - np.repeat(np.cumsum(degree) - degree, degree)
-    idx = np.zeros((h.shape[0], max(1, int(degree.max(initial=0)))), np.int64)
-    mask = np.zeros(idx.shape, dtype=bool)
+    idx = np.full((len(h), max(1, int(degree.max(initial=0)))), 2 * n)
     idx[rows, slot] = cols
-    mask[rows, slot] = True
-    order = np.argsort(cols, kind="stable")
-    var_ids, starts = np.unique(cols[order], return_index=True)
-    edges = (rows * idx.shape[1] + slot)[order]
-    return TannerGraph(hx.shape[1], hx.shape[0], idx, mask, edges, starts, var_ids)
+    unread = np.setdiff1d(np.arange(2 * n), cols)
+    col = np.concatenate([cols, unread])
+    order = np.argsort(col, kind="stable")
+    edges = np.concatenate([rows * idx.shape[1] + slot, np.full(unread.size, idx.size)])
+    starts = np.searchsorted(col[order], np.arange(2 * n))
+    return TannerGraph(n, x_checks, idx, edges[order], starts)
 
 
 def build_graphs(code: EaCode) -> TannerGraph:
@@ -145,55 +173,71 @@ def _safe_p(p_d: float) -> float:
     return min(max(p_d, 1e-12), 1.0 - 1e-12)
 
 
-def _exclusive_prod(a: np.ndarray) -> np.ndarray:
-    pre = np.ones_like(a)
-    pre[..., 1:] = np.cumprod(a, axis=-1)[..., :-1]
-    rev = np.cumprod(a[..., ::-1], axis=-1)[..., ::-1]
-    suf = np.ones_like(a)
-    suf[..., :-1] = rev[..., 1:]
-    return pre * suf
+def _exclusive(op, a: np.ndarray, pre: np.ndarray, suf: np.ndarray) -> np.ndarray:
+    """op over all entries of a's last axis but one, in slot order, into a.
+
+    pre and suf have one more slot than a on that axis, and hold op's
+    identity in their first and their last slot; the rest is scratch.
+    """
+    op.accumulate(a, axis=-1, out=pre[..., 1:])
+    op.accumulate(a[..., ::-1], axis=-1, out=suf[..., -2::-1])
+    return op(pre[..., :-1], suf[..., 1:], out=a)
 
 
-def _exclusive_min(a: np.ndarray) -> np.ndarray:
-    pre = np.full_like(a, np.inf)
-    pre[..., 1:] = np.minimum.accumulate(a, axis=-1)[..., :-1]
-    rev = np.minimum.accumulate(a[..., ::-1], axis=-1)[..., ::-1]
-    suf = np.full_like(a, np.inf)
-    suf[..., :-1] = rev[..., 1:]
-    return np.minimum(pre, suf)
+def _clip(a: np.ndarray, bound: float, out: np.ndarray) -> np.ndarray:
+    """np.clip(a, -bound, bound, out=out), in two cheaper calls."""
+    return np.minimum(np.maximum(a, -bound, out=out), bound, out=out)
 
 
-def _check_messages_exact(m: np.ndarray, mask: np.ndarray,
-                          sign_row: np.ndarray) -> np.ndarray:
-    tt = np.where(mask, np.tanh(m / 2.0), 1.0)
-    pe = _exclusive_prod(tt)
-    mu = 2.0 * sign_row[:, :, None] * np.arctanh(np.clip(pe, -_CLIP, _CLIP))
-    return np.where(mask, np.clip(mu, -_CLAMP, _CLAMP), 0.0)
+def _check_messages_exact(m, sign, pre, suf, out):
+    """The tanh rule, 2·atanh of the product of tanh(m/2) over the other slots.
+
+    m (trials, checks, dmax) is overwritten, the result lands in out; sign (trials,
+    checks, 1) holds each row's syndrome sign times 2; pre and suf are
+    `_exclusive` buffers with 1 at their ends.  A padding slot's m is +inf,
+    so it multiplies in as 1.
+    """
+    np.tanh(np.divide(m, 2.0, out=m), out=m)
+    pe = _exclusive(np.multiply, m, pre, suf)
+    np.arctanh(_clip(pe, _CLIP, out=pe), out=pe)
+    return _clip(np.multiply(sign, pe, out=pe), _CLAMP, out=out)
 
 
-def _check_messages_minsum(m: np.ndarray, mask: np.ndarray,
-                           sign_row: np.ndarray) -> np.ndarray:
-    sgn = np.where(mask & (m < 0), -1.0, 1.0)
-    mag = np.where(mask, np.abs(m), np.inf)
+def _check_messages_minsum(m, sign, pre, suf, out):
+    """The min-sum rule: sign times the signed minimum over the other slots.
+
+    As `_check_messages_exact`, but sign is the syndrome sign itself and
+    pre and suf hold +inf at their ends.
+    """
+    sgn = np.where(m < 0, -1.0, 1.0)
+    ex_min = _exclusive(np.minimum, np.abs(m, out=m), pre, suf)
     ex_sign = np.prod(sgn, axis=-1, keepdims=True) * sgn
-    ex_min = np.minimum(_exclusive_min(mag), _CLAMP)
-    mu = sign_row[:, :, None] * ex_sign * ex_min
-    return np.where(mask, mu, 0.0)
+    return np.multiply(sign * ex_sign, np.minimum(ex_min, _CLAMP, out=ex_min), out=out)
 
 
 def _jacobian_log(a, b):
-    """log(e^a + e^b); symmetric in a and b bit for bit."""
-    return np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
+    """log(e^a + e^b); symmetric in a and b bit for bit.
+
+    min(a, b) - max(a, b) is -|a - b| exactly, so this equals
+    max(a, b) + log1p(exp(-|a - b|)) in every bit.
+    """
+    hi = np.maximum(a, b)
+    d = np.minimum(a, b)
+    d -= hi
+    np.log1p(np.exp(d, out=d), out=d)
+    d += hi
+    return d
 
 
-def _scatter(mu: np.ndarray, g: TannerGraph) -> np.ndarray:
-    """[s_one | s_omega]: the check messages summed into each column."""
-    trials = mu.shape[0]
-    out = np.zeros((trials, 2 * g.n))
-    if g.edges.size:
-        contrib = mu.reshape(trials, -1)[:, g.edges]
-        out[:, g.var_ids] = np.add.reduceat(contrib, g.starts, axis=1)
-    return out
+def _quaternary_messages(llr, mu, pair, cross, fmax):
+    """fmax(0, a) - fmax(l_y + mu, b + mu) of each edge; see `_flood`."""
+    ops = llr.take(pair, axis=1)
+    heads = llr.shape[1] // 2  # operands per column before those per edge
+    ops[:, :, heads:] += mu.reshape(len(mu), 1, -1)
+    f = fmax(ops[:, 0], ops[:, 1])
+    m = f.take(cross, axis=1)
+    m -= f[:, heads:].reshape(m.shape)
+    return m
 
 
 def _flood(
@@ -211,67 +255,101 @@ def _flood(
             f"sx holds {sx.shape[0]} trials but sz holds {sz.shape[0]}"
         )
     n, l_max = g.n, cfg.l_max
+    checks, width = g.idx.shape
     s = np.concatenate([sx, sz], axis=1)
-    sign_row = 1.0 - 2.0 * s.astype(np.float64)
+    trials = s.shape[0]
     p = _safe_p(cfg.p_d)
     binary = cfg.algorithm == "binary-spa"
+    minsum = cfg.algorithm == "quaternary-minsum"
     if binary:
         prior = float(np.log((1.0 - p) / p))
-        # (rows, columns) of each block that freezes on its own
-        blocks = ((slice(None, g.x_checks), slice(n, None)),
-                  (slice(g.x_checks, None), slice(None, n)))
+        # the columns of each block that freezes on its own: X checks
+        # explain the z bits, Z checks the x bits
+        blocks = (slice(1, 2 * n, 2), slice(0, 2 * n, 2))
+        in_block = np.arange(checks)[:, None] < g.x_checks
+        in_block = np.hstack([in_block, ~in_block])
+        # log ratio per column; the padding column's +inf sends +inf
+        llr = np.full((trials, 2 * n + 1), np.inf)
     else:
         m0 = float(np.log(p / (3.0 * (1.0 - p))))
-        blocks = ((slice(None), slice(None)),)
-        cross = (g.idx + n) % (2 * n)  # the edge's column in the other half
-        qubit = g.idx % n
-    minsum = cfg.algorithm == "quaternary-minsum"
+        blocks = (slice(0, 2 * n),)
+        in_block = np.ones((checks, 1), bool)
+        # per qubit the ratios of (I, X, Y, Z) against I; padding slots
+        # read the ratios (0, -inf, 0, +inf) of a qubit n and send +inf
+        llr = np.zeros((trials, n + 1, 4))
+        llr[:, n] = (0.0, -np.inf, 0.0, np.inf)
+        llr = llr.reshape(trials, 4 * n + 4)
+        # An edge sends fmax(0, a) - fmax(l_y + mu, b + mu), where b is its
+        # own label's ratio (l_z on an X-check row) and a the other's.  One
+        # fmax call takes its two operands from the two rows gathered at
+        # `pair`: first (0, .) for the l_x and l_z of each column (2n + 2
+        # of them, odd slots of llr), then (l_y, b) for each edge.
+        heads = 2 * n + 2
+        pair = np.stack([
+            np.concatenate([np.zeros(heads, int), (2 * (g.idx & ~1) + 2).ravel()]),
+            np.concatenate([np.arange(1, 2 * heads, 2), (2 * g.idx + 1).ravel()])])
+        cross = g.idx ^ 1  # the column of a, among the first 2n + 2
     kernel = _check_messages_minsum if minsum else _check_messages_exact
     fmax = np.maximum if minsum else _jacobian_log
+    # the syndrome sign of each row, times 2 under the tanh rule
+    sign = (1.0 if minsum else 2.0) * (1.0 - 2.0 * s.astype(np.float64))[:, :, None]
+    pre = np.full((trials, checks, width + 1), np.inf if minsum else 1.0)
+    suf = pre.copy()
+    # each row's parity reads its bits and its own syndrome bit from cur:
+    # the 2n bits of the hard decision, a padding bit 0, then the syndrome
+    parity = np.vstack([g.idx.T, 2 * n + 1 + np.arange(checks)])
+    cur = np.zeros((trials, 2 * n + 1 + checks), np.uint8)
+    cur[:, 2 * n + 1:] = s
 
-    trials = s.shape[0]
-    mu = np.zeros((trials,) + g.mask.shape)
+    mu = np.zeros((trials, checks + 1, width))
     est = np.zeros((trials, 2 * n), dtype=np.uint8)
     conv = np.zeros((len(blocks), trials), dtype=bool)
     iters = np.full((len(blocks), trials), l_max, dtype=np.int64)
-    # the trials still decoding; mu, s, sign_row, tot and l_y hold their rows
+    # the trials still decoding, and which of their blocks have not met
+    # their syndromes; mu, cur, llr and sign hold their rows
     act = np.arange(trials)
-    for it in range(l_max + 1):
-        summed = _scatter(mu, g)
+    pending = np.ones((trials, len(blocks)), bool)
+    for it in range(l_max + 1 if trials else 0):
+        t = act.size
+        summed = np.add.reduceat(mu.reshape(t, -1).take(g.edges, axis=1), g.starts, axis=1)
         if binary:
-            tot = prior + summed
-            cur = (tot < 0.0).astype(np.uint8)
+            np.add(prior, summed, out=llr[:, :2 * n])
+            np.less(llr[:, :2 * n], 0.0, out=cur[:, :2 * n])
         else:
-            tot = m0 - summed  # [l_x | l_z]
-            l_y = tot[:, :n] - summed[:, n:]
-            stacked = np.stack(
-                [np.zeros_like(l_y), tot[:, :n], l_y, tot[:, n:]], axis=-1)
-            cur = np.concatenate(category_bits(np.argmax(stacked, axis=-1)), axis=1)
-        met = np.bitwise_xor.reduce(cur[:, g.idx] & g.mask, axis=2) == s
-        for k, (rows, cols) in enumerate(blocks):
-            hit = met[:, rows].all(axis=1) & ~conv[k, act]
-            est[act[hit], cols] = cur[hit, cols]
-            iters[k, act[hit]] = it
-            conv[k, act[hit]] = True
+            q, summed = llr[:, :4 * n].reshape(t, n, 4), summed.reshape(t, n, 2)
+            np.subtract(m0, summed, out=q[:, :, 1::2])  # l_x, l_z
+            np.subtract(q[:, :, 1], summed[:, :, 1], out=q[:, :, 2])  # l_y
+            _BITS.take(q.argmax(axis=2), axis=0, out=cur[:, :2 * n].reshape(t, n, 2))
+        bad = np.bitwise_xor.reduce(cur.take(parity, axis=1), axis=1)
+        # the pending blocks without an unmet row
+        hit = np.greater(pending, bad.view(bool) @ in_block)
+        if hit.any():
+            for k, cols in enumerate(blocks):
+                done = act[hit[:, k]]
+                est[done, cols] = cur[hit[:, k], cols]
+                iters[k, done] = it
+                conv[k, done] = True
+            pending &= ~hit
+            keep = pending.any(axis=1)
+            if it < l_max and not keep.all():
+                act, pending, mu, cur, llr, sign = (
+                    a[keep] for a in (act, pending, mu, cur, llr, sign))
+                t = act.size
+                pre, suf = pre[:t], suf[:t]
+                if not t:
+                    break
         if it == l_max:
             break
-        keep = ~conv[:, act].all(axis=0)
-        if not keep.any():
-            break
-        if not keep.all():
-            act, mu, s, sign_row = act[keep], mu[keep], s[keep], sign_row[keep]
-            tot = tot[keep]
-            if not binary:
-                l_y = l_y[keep]
+        mu_rows = mu[:, :checks]
         if binary:
-            m = tot[:, g.idx] - mu
+            m = llr.take(g.idx, axis=1)
+            m -= mu_rows
         else:
-            m = fmax(0.0, tot[:, cross]) - fmax(l_y[:, qubit] + mu, tot[:, g.idx] + mu)
-        mu = kernel(m, g.mask, sign_row)
-    for k, (_, cols) in enumerate(blocks):
-        stalled = ~conv[k, act]
-        est[act[stalled], cols] = cur[stalled, cols]
-    return est[:, :n], est[:, n:], conv.all(axis=0), iters.max(axis=0)
+            m = _quaternary_messages(llr, mu_rows, pair, cross, fmax)
+        kernel(m, sign, pre, suf, out=mu_rows)
+    for k, cols in enumerate(blocks):
+        est[act[pending[:, k]], cols] = cur[pending[:, k], cols]
+    return est[:, 0::2].copy(), est[:, 1::2].copy(), conv.all(axis=0), iters.max(axis=0)
 
 
 def decode_binary_batch(

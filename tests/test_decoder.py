@@ -19,10 +19,8 @@ from eaqc.decoder import (
     TannerGraph,
     _check_messages_exact,
     _check_messages_minsum,
-    _exclusive_min,
-    _exclusive_prod,
+    _exclusive,
     _graph,
-    _scatter,
     build_graphs,
     decode_batch,
     decode_binary_batch,
@@ -81,26 +79,31 @@ def test_graph_counts_and_adjacency(twentyfive):
     assert g.n == code.n
     assert g.x_checks == code.hx.rows
     assert g.checks == code.hx.rows + code.hz.rows
-    # the padded index arrays must reproduce [0 | hx] over [hz | 0]
-    dense = np.zeros((g.checks, 2 * g.n), np.uint8)
+    # the padded index arrays must reproduce [0 | hx] over [hz | 0], with
+    # the x and z bits of each qubit interleaved
+    dense = np.zeros((g.checks, 2 * g.n + 1), np.uint8)
     for b in range(g.checks):
-        dense[b, g.idx[b][g.mask[b]]] = 1
+        dense[b, g.idx[b]] = 1
+    assert not dense[:, -1].any()  # the graphs of the families are regular
     hx, hz = code.hx.to_dense(), code.hz.to_dense()
-    assert np.array_equal(dense[: g.x_checks], np.hstack([np.zeros_like(hx), hx]))
-    assert np.array_equal(dense[g.x_checks :], np.hstack([hz, np.zeros_like(hz)]))
+    assert np.array_equal(dense[: g.x_checks, 1:-1:2], hx)
+    assert np.array_equal(dense[g.x_checks :, 0:-1:2], hz)
+    assert not dense[: g.x_checks, 0:-1:2].any() and not dense[g.x_checks :, 1:-1:2].any()
 
 
 def test_joint_graph_labels(twentyfive):
-    # X-check rows (label omega) read the z half and Z-check rows (label 1)
-    # the x half, so one unit message per edge sums to the column weights
-    # of [hz | hx]: the scatter is [s_one | s_omega]
+    # X-check rows (label omega) read z bits and Z-check rows (label 1) x
+    # bits, so one unit message per edge sums to the column weights of hz
+    # on the x bits and of hx on the z bits: the scatter is (s_one, s_omega)
+    # per qubit
     code, _, g = twentyfive
     bx = g.x_checks
-    assert np.all(g.idx[:bx][g.mask[:bx]] >= g.n)
-    assert np.all(g.idx[bx:][g.mask[bx:]] < g.n)
-    summed = _scatter(g.mask[None].astype(np.float64), g)[0]
-    weights = np.concatenate([code.hz.to_dense().sum(axis=0), code.hx.to_dense().sum(axis=0)])
-    assert np.array_equal(summed, weights)
+    assert np.all(g.idx[:bx] % 2 == 1) and np.all(g.idx[bx:] % 2 == 0)
+    mu = np.zeros((g.checks + 1, g.idx.shape[1]))
+    mu[:-1] = 1.0
+    summed = np.add.reduceat(mu.ravel()[g.edges], g.starts)
+    assert np.array_equal(summed[0::2], code.hz.to_dense().sum(axis=0))
+    assert np.array_equal(summed[1::2], code.hx.to_dense().sum(axis=0))
 
 
 # ── syndromes ─────────────────────────────────────────────────────────
@@ -260,10 +263,23 @@ def test_twentyfive_single_syndromes_all_distinct(twentyfive):
 
 # ── message kernels ───────────────────────────────────────────────────
 
+def _rule(kernel, m, sign, identity):
+    """A check rule on (trials, checks, dmax) messages, with fresh buffers."""
+    m = np.array(m, dtype=np.float64)
+    pre = np.full(m.shape[:-1] + (m.shape[-1] + 1,), identity)
+    return kernel(m, np.asarray(sign, np.float64)[..., None], pre, pre.copy(),
+                  out=np.empty_like(m))
+
+
+def _exclusive_of(op, vals, identity):
+    a = np.array([vals])
+    pre = np.full((1, len(vals) + 1), identity)
+    return _exclusive(op, a, pre, pre.copy())[0]
+
+
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=7))
 def test_exclusive_product_matches_brute_force(vals):
-    a = np.array([vals])
-    got = _exclusive_prod(a)[0]
+    got = _exclusive_of(np.multiply, vals, 1.0)
     for t in range(len(vals)):
         want = np.prod([v for j, v in enumerate(vals) if j != t]) if len(vals) > 1 else 1.0
         assert np.isclose(got[t], want, atol=1e-9)
@@ -271,8 +287,7 @@ def test_exclusive_product_matches_brute_force(vals):
 
 @given(st.lists(st.floats(0, 50), min_size=1, max_size=7))
 def test_exclusive_min_matches_brute_force(vals):
-    a = np.array([vals])
-    got = _exclusive_min(a)[0]
+    got = _exclusive_of(np.minimum, vals, np.inf)
     for t in range(len(vals)):
         rest = [v for j, v in enumerate(vals) if j != t]
         want = min(rest) if rest else np.inf
@@ -280,21 +295,31 @@ def test_exclusive_min_matches_brute_force(vals):
 
 
 def test_syndrome_sign_negates_check_messages():
-    m = np.array([[[0.8, -1.2, 2.0]]])
-    mask = np.ones((1, 3), bool)
-    plus = _check_messages_exact(m, mask, np.array([[1.0]]))
-    minus = _check_messages_exact(m, mask, np.array([[-1.0]]))
+    # the tanh rule takes the syndrome sign times 2, min-sum the sign itself
+    m = [[[0.8, -1.2, 2.0]]]
+    plus = _rule(_check_messages_exact, m, [[2.0]], 1.0)
+    minus = _rule(_check_messages_exact, m, [[-2.0]], 1.0)
     assert np.allclose(plus, -minus)
-    plus_ms = _check_messages_minsum(m, mask, np.array([[1.0]]))
-    minus_ms = _check_messages_minsum(m, mask, np.array([[-1.0]]))
+    plus_ms = _rule(_check_messages_minsum, m, [[1.0]], np.inf)
+    minus_ms = _rule(_check_messages_minsum, m, [[-1.0]], np.inf)
     assert np.allclose(plus_ms, -minus_ms)
 
 
 def test_minsum_kernel_is_signed_minimum():
-    m = np.array([[[0.8, -1.2, 2.0]]])
-    mask = np.ones((1, 3), bool)
-    mu = _check_messages_minsum(m, mask, np.array([[1.0]]))[0, 0]
+    mu = _rule(_check_messages_minsum, [[[0.8, -1.2, 2.0]]], [[1.0]], np.inf)[0, 0]
     assert np.allclose(mu, [-1.2, 0.8, -0.8])
+
+
+def test_padding_slots_are_neutral():
+    # the flood feeds +inf into padding slots: a factor 1 under the tanh
+    # rule and never the minimum under min-sum
+    m = [[[0.8, -1.2, 2.0]]]
+    padded = [[[0.8, -1.2, 2.0, np.inf]]]
+    for kernel, gain, identity in ((_check_messages_exact, 2.0, 1.0),
+                                   (_check_messages_minsum, 1.0, np.inf)):
+        want = _rule(kernel, m, [[gain]], identity)[0, 0]
+        got = _rule(kernel, padded, [[gain]], identity)[0, 0]
+        assert np.array_equal(got[:3], want)
 
 
 def test_degree_one_check_clamps_instead_of_overflowing():
@@ -313,10 +338,10 @@ def test_uniform_prior_first_messages_all_equal(nine):
     # check messages must be identical across the joint graph
     _, _, g = nine
     m0 = 0.0
-    m_edges = np.where(g.mask, m0, 0.0)[None]
-    sign = np.ones((1, g.checks))
-    mu = _check_messages_exact(m_edges, g.mask, sign)
-    vals = mu[0][g.mask]
+    real = g.idx < 2 * g.n
+    m_edges = np.where(real, m0, np.inf)[None]
+    mu = _rule(_check_messages_exact, m_edges, 2.0 * np.ones((1, g.checks)), 1.0)
+    vals = mu[0][real]
     assert np.allclose(vals, vals[0])
 
 
@@ -611,7 +636,7 @@ def test_flood_matches_the_reference_at_the_guards(twentyfive, alg):
 
 
 # an irregular [hx; hz]: rows of weight 1 to 4 and qubit 7 in no check, so
-# the graph has padded slots and no edge into columns 7 and 15
+# the graph has padded slots and no edge into either bit of qubit 7
 _IRREGULAR_HX = np.array([[1, 1, 0, 0, 0, 0, 0, 0],
                           [0, 1, 1, 1, 0, 0, 0, 0],
                           [0, 0, 0, 1, 1, 1, 1, 0],
@@ -625,7 +650,9 @@ _IRREGULAR_HZ = np.array([[1, 0, 1, 0, 1, 0, 0, 0],
 def test_flood_matches_the_reference_on_an_irregular_graph(alg):
     hx, hz = _IRREGULAR_HX, _IRREGULAR_HZ
     g = _graph(hx, hz)
-    assert not g.mask.all() and 7 not in g.var_ids and 15 not in g.var_ids
+    # padded slots, and columns 14 and 15 sum only the zero after the messages
+    assert (g.idx == 16).any()
+    assert np.flatnonzero(g.edges[g.starts] == g.idx.size).tolist() == [14, 15]
     xs, zs = _weight_two_patterns(hx.shape[1])
     sx = (zs.astype(np.int64) @ hx.T % 2).astype(np.uint8)
     sz = (xs.astype(np.int64) @ hz.T % 2).astype(np.uint8)
