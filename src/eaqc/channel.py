@@ -65,17 +65,17 @@ def _chain(u: np.ndarray, v: np.ndarray, params: ChannelParams) -> np.ndarray:
 
 
 def sample_error_batch(
-    n: int, params: ChannelParams, master_seed: int, trials: int
+    n: int, params: ChannelParams, master_seed: int, trials: int, first: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """x and z bit arrays of shape (trials, n), one row per trial seed.
+    """x and z bit arrays of shape (trials, n): trials first, first + 1, ...
 
-    Row t is drawn from default_rng(trial_seed(master_seed, t)) alone, so
-    any way of splitting the trial range across workers reproduces the
-    same rows.
+    Trial t is drawn from default_rng(trial_seed(master_seed, t)) alone, so
+    any way of splitting the trial range into batches reproduces the same
+    rows.
     """
     if n < 1:
         raise ValueError("qubit count must be at least 1")
     uv = np.empty((trials, 2 * n))
-    for t in range(trials):
-        np.random.default_rng(trial_seed(master_seed, t)).random(out=uv[t])
+    for row, t in enumerate(range(first, first + trials)):
+        np.random.default_rng(trial_seed(master_seed, t)).random(out=uv[row])
     return category_bits(_chain(uv[:, :n], uv[:, n:], params))

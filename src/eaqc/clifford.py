@@ -16,7 +16,8 @@ generators, Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4).  Its one caller is the
 sign rule, `_negative_dependency`: no product of commuting Hermitian
 generators that multiplies out to a multiple of I may be −I.  A tableau
 applies it to its own generators, and `group_preserved` to the generators
-of two tableaux stacked together.  Every mod-2 product in both, and in the
+of two tableaux stacked together, whose rank it reads off the same
+dependencies.  Every mod-2 product in both, and in the
 logical action, is a packed `gf2.matmul`; only the mod-4 sums of phases
 and pair counts are integer arithmetic.
 
@@ -152,15 +153,22 @@ def _product_phases(sel: np.ndarray, rows: np.ndarray,
     return (sel @ phases + 2 * pairs.sum(axis=1)) % 4
 
 
-def _negative_dependency(rows: np.ndarray, phases: np.ndarray) -> bool:
+def _dependencies(rows: np.ndarray) -> np.ndarray:
+    """A basis of the kernel of rowsᵀ: the products of rows equal to ±I.
+
+    There are as many as the row count exceeds the rank of rows.
+    """
+    return nullspace(BinaryMatrix.from_dense(rows.T)).to_dense()
+
+
+def _negative_dependency(deps: np.ndarray, rows: np.ndarray, phases: np.ndarray) -> bool:
     """Whether some product of the rows is a multiple of I other than +I.
 
     rows are commuting Hermitian generators, as (x | z) bits with their
-    phase exponents.  The signs of their dependencies then multiply like
-    the dependencies add, so checking a basis of the kernel of rowsᵀ
+    phase exponents, and deps their `_dependencies`.  The signs of the
+    dependencies multiply like the dependencies add, so checking a basis
     checks them all.
     """
-    deps = nullspace(BinaryMatrix.from_dense(rows.T)).to_dense()
     return bool(len(deps) and _product_phases(deps, rows, phases).any())
 
 
@@ -223,7 +231,7 @@ class Tableau:
             raise ValueError("a generator is not Hermitian")
         if symplectic_product(rows, rows).any():
             raise ValueError("generators do not pairwise commute")
-        if _negative_dependency(rows, phases):
+        if _negative_dependency(_dependencies(rows), rows, phases):
             raise ValueError("a generator dependency multiplies to -I")
 
     @property
@@ -358,16 +366,18 @@ def group_preserved(before: Tableau, after: Tableau) -> bool:
     """Whether after generates before's stabilizer group, signs included.
 
     The row spaces are equal when before, after and their stack share one
-    rank; the signs agree when no dependency of the stack multiplies to −I.
+    rank, the stack's being its row count less its dependencies; the signs
+    agree when no dependency of the stack multiplies to −I.
     """
     if before.qubits != after.qubits:
         raise ValueError("tableaux act on different registers")
     sym_before, sym_after = before.symplectic(), after.symplectic()
-    stacked = sym_before.vstack(sym_after)
-    if not gfrank(sym_before) == gfrank(sym_after) == gfrank(stacked):
+    stacked = sym_before.vstack(sym_after).to_dense()
+    deps = _dependencies(stacked)
+    if not gfrank(sym_before) == gfrank(sym_after) == len(stacked) - len(deps):
         return False
     phases = [g.phase for g in before.generators + after.generators]
-    return not _negative_dependency(stacked.to_dense(), np.array(phases))
+    return not _negative_dependency(deps, stacked, np.array(phases))
 
 
 def code_tableau(code: EaCode) -> Tableau:

@@ -45,9 +45,10 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-# Trials decode in chunks whose (trials, checks, dmax) float64 check
-# messages fit in this many bytes.  The flooding loop peaks at about four
-# times that, whatever the trial count.
+# A point runs its trials in chunks whose (trials, checks, dmax) float64
+# check messages fit in this many bytes: each chunk is sampled, decoded
+# and tested for membership before the next.  The flooding loop peaks at
+# about six times that, whatever the trial count.
 _DECODE_BYTES = 8 * 2**20
 
 # The min-weight oracle enumerates at most this many Pauli patterns at once.
@@ -144,20 +145,21 @@ def run_trials(cfg: SimConfig) -> SimResult:
     code = cfg.code
     graph = build_graphs(code)
     basis = stabilizer_symplectic(code)
-    xs, zs = sample_error_batch(code.n, cfg.channel, cfg.master_seed, cfg.trials)
-    sx, sz = syndrome_batch(code, xs, zs)
     step = max(1, _DECODE_BYTES // (8 * graph.idx.size))
-    chunks = [decode_batch(graph, sx[lo : lo + step], sz[lo : lo + step], cfg.decoder)
-              for lo in range(0, cfg.trials, step)]
-    est_x, est_z, conv, _ = (np.concatenate(part) for part in zip(*chunks))
-    member = residual_in_group(basis, code, xs ^ est_x, zs ^ est_z)
-    failed = ~(member & conv)
-    failures = int(np.sum(failed))
+    failures = non_converged = 0
+    for lo in range(0, cfg.trials, step):
+        xs, zs = sample_error_batch(code.n, cfg.channel, cfg.master_seed,
+                                    min(step, cfg.trials - lo), first=lo)
+        sx, sz = syndrome_batch(code, xs, zs)
+        est_x, est_z, conv, _ = decode_batch(graph, sx, sz, cfg.decoder)
+        member = residual_in_group(basis, code, xs ^ est_x, zs ^ est_z)
+        failures += int(np.count_nonzero(~(member & conv)))
+        non_converged += int(np.count_nonzero(~conv))
     low, high = wilson_interval(failures, cfg.trials)
     return SimResult(
         trials=cfg.trials,
         failures=failures,
-        non_converged=int(np.sum(~conv)),
+        non_converged=non_converged,
         ler=failures / cfg.trials,
         ci_low=low,
         ci_high=high,

@@ -93,6 +93,13 @@ def test_batch_rows_match_per_trial_seeds():
         assert np.array_equal(xs[t], e.x) and np.array_equal(zs[t], e.z)
 
 
+def test_batch_from_an_offset_holds_those_trials():
+    params = ChannelParams(0.2, 0.5)
+    whole = sample_error_batch(25, params, master_seed=99, trials=40)
+    part = sample_error_batch(25, params, master_seed=99, trials=15, first=20)
+    assert all(np.array_equal(p, w[20:35]) for p, w in zip(part, whole))
+
+
 def test_uncorrelated_frequencies_match_marginal():
     n = 100_000
     e = _row(n, ChannelParams(0.3, 0.0), 5)

@@ -1,6 +1,7 @@
 """Trial runner, burst audits, and sweep output."""
 
 import hashlib
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -12,7 +13,7 @@ from eaqc import harness
 from eaqc.channel import ChannelParams
 from eaqc.clifford import category_bits
 from eaqc.decoder import DecoderConfig, build_graphs, decode_quaternary_batch, syndrome_batch
-from eaqc.eacode import build_theorem5
+from eaqc.eacode import build_theorem5, build_theorem8
 from eaqc.harness import (
     CSV_COLUMNS,
     BurstReport,
@@ -153,6 +154,23 @@ def test_decode_chunks_do_not_change_the_result(twentyfive, seed, alg):
             results.append(run_trials(cfg))
         assert len(calls) == -(-trials // size)
     assert results[0] == results[1] == results[2]
+
+
+def test_point_memory_does_not_grow_with_trials():
+    # sampling, syndromes, decoding and membership all run one chunk at a
+    # time, so a point's peak is one chunk's (448 trials here)
+    code = build_theorem8(6, 2)
+    peaks = []
+    for trials in (1000, 5000):
+        cfg = SimConfig(code, ChannelParams(0.001, 0.0),
+                        DecoderConfig("quaternary-spa", 0.001), trials, 0)
+        tracemalloc.start()
+        try:
+            run_trials(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_ler_strictly_inside_unit_interval_at_moderate_noise(nine):
