@@ -192,10 +192,10 @@ def _clip(a: np.ndarray, bound: float, out: np.ndarray) -> np.ndarray:
 def _check_messages_exact(m, sign, pre, suf, out):
     """The tanh rule, 2·atanh of the product of tanh(m/2) over the other slots.
 
-    m (trials, checks, dmax) is overwritten, the result lands in out; sign (trials,
-    checks, 1) holds each row's syndrome sign times 2; pre and suf are
-    `_exclusive` buffers with 1 at their ends.  A padding slot's m is +inf,
-    so it multiplies in as 1.
+    The result lands in out, and m (trials, checks, dmax) is overwritten;
+    sign (trials, checks, 1) holds each row's syndrome sign times 2; pre
+    and suf are `_exclusive` buffers with 1 at their ends.  A padding
+    slot's m is +inf, so it multiplies in as 1.
     """
     np.tanh(np.divide(m, 2.0, out=m), out=m)
     pe = _exclusive(np.multiply, m, pre, suf)

@@ -188,6 +188,14 @@ def test_zero_syndrome_converges_immediately(nine):
         assert not ex.any() and not ez.any()
 
 
+def test_empty_batch_decodes_to_empty_outputs(nine):
+    code, _, g = nine
+    sx, sz = np.zeros((0, code.hx.rows), np.uint8), np.zeros((0, code.hz.rows), np.uint8)
+    for alg in _ALGS:
+        ex, ez, conv, iters = decode_batch(g, sx, sz, DecoderConfig(alg, 0.03))
+        assert ex.shape == ez.shape == (0, code.n) and conv.shape == iters.shape == (0,)
+
+
 @pytest.mark.parametrize("alg", _ALGS)
 def test_convergence_flag_soundness(twentyfive, alg):
     code, _, g = twentyfive
