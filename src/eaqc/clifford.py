@@ -17,9 +17,9 @@ sign rule, `_negative_dependency`: no product of commuting Hermitian
 generators that multiplies out to a multiple of I may be −I.  A tableau
 applies it to its own generators, and `group_preserved` to the generators
 of two tableaux stacked together, whose rank it reads off the same
-dependencies.  Every mod-2 product in both, and in the
-logical action, is a packed `gf2.matmul`; only the mod-4 sums of phases
-and pair counts are integer arithmetic.
+dependencies.  Every mod-2 product in both, and in the logical action,
+is a packed `gf2.matmul`; only the mod-4 sums of phases and pair counts
+are integer arithmetic.
 
 The three operators built here act across a full code block: a Hadamard
 layer with a block-reversal qubit permutation, a phase-gate/CZ layer, and

@@ -174,10 +174,12 @@ def _safe_p(p_d: float) -> float:
 
 
 def _exclusive(op, a: np.ndarray, pre: np.ndarray, suf: np.ndarray) -> np.ndarray:
-    """op over all entries of a's last axis but one, in slot order, into a.
+    """For each slot of a's last axis, op over the other slots; overwrites a.
 
-    pre and suf have one more slot than a on that axis, and hold op's
-    identity in their first and their last slot; the rest is scratch.
+    The slots before it are combined in order, the slots after it in
+    reverse order, then the two.  pre and suf have one more slot than a on
+    that axis, and hold op's identity in their first and their last slot;
+    the rest is scratch.
     """
     op.accumulate(a, axis=-1, out=pre[..., 1:])
     op.accumulate(a[..., ::-1], axis=-1, out=suf[..., -2::-1])
