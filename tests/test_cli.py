@@ -135,6 +135,24 @@ def test_simulate_deterministic(capsys):
     assert run_json(capsys, *argv) == run_json(capsys, *argv)
 
 
+# sha256 of the full stdout of one [[25,8;1]] point at 200 trials, seed 0,
+# recorded before `simulate` emitted the row that `sweep` builds
+_SIMULATE_SHA256 = {
+    "binary": "8e0a8b6687abd05b6cbcd4e1d80399f6e22ccc89bedcef97257065bcb078ecf0",
+    "quat": "0dcc38d9bfe17778f1639de06f4ad1e4d2c5b2fd811b573412c44fbd3010c0ea",
+}
+
+
+@pytest.mark.parametrize("decoder", sorted(_SIMULATE_SHA256))
+def test_simulate_output_is_pinned(capsys, decoder):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--family", "thm5", "--p", "5", "--l1", "2", "--l2", "2",
+        "--pd", "0.03", "--eta", "0.5", "--trials", "200", "--seed", "0",
+        "--decoder", decoder)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SIMULATE_SHA256[decoder]
+
+
 def test_sweep_csv_shape(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--family", "thm5", "--p", "3", "--l1", "1",
