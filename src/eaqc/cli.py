@@ -30,11 +30,9 @@ from eaqc.harness import (
     BurstTooLarge,
     SimConfig,
     burst_oracle,
-    run_trials,
     sweep,
     write_csv,
 )
-from eaqc.models import OrderExhausted
 
 # the flags that carry a family's builder arguments (see eacode.FAMILIES)
 _CODE_FLAGS = ("p", "l1", "l2", "l", "w", "set")
@@ -42,7 +40,6 @@ _CODE_FLAGS = ("p", "l1", "l2", "l", "w", "set")
 _DECODER_NAMES = {
     "binary": "binary-spa",
     "quat": "quaternary-spa",
-    "quat-minsum": "quaternary-minsum",
 }
 
 
@@ -181,24 +178,7 @@ def _cmd_simulate(args) -> int:
     if len(values) != 1 or len(etas) != 1:
         raise _usage_error("simulate takes a single --pd and --eta")
     cfg = _sim_config(args, values[0], etas[0])
-    res = run_trials(cfg)
-    doc = {
-        "family": cfg.code.family,
-        "n": cfg.code.n,
-        "k": cfg.code.k,
-        "c": cfg.code.c,
-        "p_d": values[0],
-        "eta": etas[0],
-        "decoder": cfg.decoder.algorithm,
-        "trials": res.trials,
-        "failures": res.failures,
-        "non_converged": res.non_converged,
-        "LER": res.ler,
-        "ci_low": res.ci_low,
-        "ci_high": res.ci_high,
-        "seed": cfg.master_seed,
-    }
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(json.dumps(sweep(cfg, values, etas)[0], indent=2), args.out)
     return 0
 
 
@@ -302,7 +282,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (StructureCheckFailed, OrderExhausted, BurstTooLarge) as err:
+    except (StructureCheckFailed, BurstTooLarge) as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return 1
     except ValueError as err:

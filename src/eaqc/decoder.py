@@ -8,7 +8,7 @@ decoding.  Summing the check messages into each column thus gives, per
 qubit, the pair (s_one, s_omega): the Z-check (label 1) and the X-check
 (label omega) messages into it.
 
-One flooding loop, `_flood`, serves all three algorithms:
+One flooding loop, `_flood`, serves both algorithms:
 
 * binary-spa takes prior + s as the log ratio of each bit, and runs each
   check block as a graph of its own: the X-check rows explain the z bits
@@ -16,14 +16,14 @@ One flooding loop, `_flood`, serves all three algorithms:
   of a trial's estimate when it meets its own syndrome, so the outputs
   equal two separate graph runs; a trial converges when both blocks have
   and reports the later of the two iteration counts.
-* quaternary-spa and quaternary-minsum (Poulin & Chung, QIC 8, 987, 2008)
-  take l_x = m0 - s_one, l_z = m0 - s_omega and l_y = l_x - s_omega as
-  the log ratios of X, Y and Z against I.  Each edge sends the single log
-  ratio fmax(0, a) - fmax(l_y + mu, b + mu) of the pair commuting with its
-  row against the anticommuting pair, where a and b are the commuting and
+* quaternary-spa (Poulin & Chung, QIC 8, 987, 2008) takes
+  l_x = m0 - s_one, l_z = m0 - s_omega and l_y = l_x - s_omega as the log
+  ratios of X, Y and Z against I.  Each edge sends the single log ratio
+  fmax(0, a) - fmax(l_y + mu, b + mu) of the pair commuting with its row
+  against the anticommuting pair, where a and b are the commuting and
   anticommuting single-Pauli ratios (l_x and l_z on an X-check row, l_z
-  and l_x on a Z-check row).  fmax is the Jacobian logarithm, or max under
-  min-sum.  Both blocks freeze together.
+  and l_x on a Z-check row), and fmax is the Jacobian logarithm.  Both
+  blocks freeze together.
 
 Each pass runs these steps on the trials still decoding, a few numpy
 calls each:
@@ -47,14 +47,13 @@ calls each:
 5. Check rule: tanh of half each message, the product over the other
    slots from two running products (`np.multiply.accumulate` forwards and
    backwards), the clip, 2·atanh times the syndrome sign (doubled once
-   per call, not per pass) and the clamp; or min-sum's signed minimum over
-   the other slots.
+   per call, not per pass) and the clamp.
 
 Padding slots of rows shorter than the longest point at a column 2n
 whose bit is 0 and whose log ratio is +inf, so they send +inf, which the
-tanh rule multiplies in as 1 and min-sum never takes as its minimum; no
-mask is applied.  Every float operation has the operands and the order of
-the plain formulas above, so the outputs do not depend on batching.
+tanh rule multiplies in as 1; no mask is applied.  Every float operation
+has the operands and the order of the plain formulas above, so the
+outputs do not depend on batching.
 Numerical guards: tanh-domain clip at 1 - 1e-12 and a message clamp at
 |mu| <= 30.  Convergence is checked before the first message exchange and
 after every iteration.
@@ -80,7 +79,7 @@ __all__ = [
     "decode_quaternary_batch",
 ]
 
-_ALGORITHMS = ("binary-spa", "quaternary-spa", "quaternary-minsum")
+_ALGORITHMS = ("binary-spa", "quaternary-spa")
 _CLIP = 1.0 - 1e-12
 _CLAMP = 30.0
 # (x, z) bits of the categories (I, X, Y, Z)
@@ -173,17 +172,17 @@ def _safe_p(p_d: float) -> float:
     return min(max(p_d, 1e-12), 1.0 - 1e-12)
 
 
-def _exclusive(op, a: np.ndarray, pre: np.ndarray, suf: np.ndarray) -> np.ndarray:
-    """For each slot of a's last axis, op over the other slots; overwrites a.
+def _exclusive(a: np.ndarray, pre: np.ndarray, suf: np.ndarray) -> np.ndarray:
+    """For each slot of a's last axis, the product of the other slots; overwrites a.
 
-    The slots before it are combined in order, the slots after it in
+    The slots before it are multiplied in order, the slots after it in
     reverse order, then the two.  pre and suf have one more slot than a on
-    that axis, and hold op's identity in their first and their last slot;
-    the rest is scratch.
+    that axis, and hold 1 in their first and their last slot; the rest is
+    scratch.
     """
-    op.accumulate(a, axis=-1, out=pre[..., 1:])
-    op.accumulate(a[..., ::-1], axis=-1, out=suf[..., -2::-1])
-    return op(pre[..., :-1], suf[..., 1:], out=a)
+    np.multiply.accumulate(a, axis=-1, out=pre[..., 1:])
+    np.multiply.accumulate(a[..., ::-1], axis=-1, out=suf[..., -2::-1])
+    return np.multiply(pre[..., :-1], suf[..., 1:], out=a)
 
 
 def _clip(a: np.ndarray, bound: float, out: np.ndarray) -> np.ndarray:
@@ -200,21 +199,9 @@ def _check_messages_exact(m, sign, pre, suf, out):
     slot's m is +inf, so it multiplies in as 1.
     """
     np.tanh(np.divide(m, 2.0, out=m), out=m)
-    pe = _exclusive(np.multiply, m, pre, suf)
+    pe = _exclusive(m, pre, suf)
     np.arctanh(_clip(pe, _CLIP, out=pe), out=pe)
     return _clip(np.multiply(sign, pe, out=pe), _CLAMP, out=out)
-
-
-def _check_messages_minsum(m, sign, pre, suf, out):
-    """The min-sum rule: sign times the signed minimum over the other slots.
-
-    As `_check_messages_exact`, but sign is the syndrome sign itself and
-    pre and suf hold +inf at their ends.
-    """
-    sgn = np.where(m < 0, -1.0, 1.0)
-    ex_min = _exclusive(np.minimum, np.abs(m, out=m), pre, suf)
-    ex_sign = np.prod(sgn, axis=-1, keepdims=True) * sgn
-    return np.multiply(sign * ex_sign, np.minimum(ex_min, _CLAMP, out=ex_min), out=out)
 
 
 def _jacobian_log(a, b):
@@ -231,12 +218,12 @@ def _jacobian_log(a, b):
     return d
 
 
-def _quaternary_messages(llr, mu, pair, cross, fmax):
+def _quaternary_messages(llr, mu, pair, cross):
     """fmax(0, a) - fmax(l_y + mu, b + mu) of each edge; see `_flood`."""
     ops = llr.take(pair, axis=1)
     heads = llr.shape[1] // 2  # operands per column before those per edge
     ops[:, :, heads:] += mu.reshape(len(mu), 1, -1)
-    f = fmax(ops[:, 0], ops[:, 1])
+    f = _jacobian_log(ops[:, 0], ops[:, 1])
     m = f.take(cross, axis=1)
     m -= f[:, heads:].reshape(m.shape)
     return m
@@ -262,7 +249,6 @@ def _flood(
     trials = s.shape[0]
     p = _safe_p(cfg.p_d)
     binary = cfg.algorithm == "binary-spa"
-    minsum = cfg.algorithm == "quaternary-minsum"
     if binary:
         prior = float(np.log((1.0 - p) / p))
         # the columns of each block that freezes on its own: X checks
@@ -291,11 +277,9 @@ def _flood(
             np.concatenate([np.zeros(heads, int), (2 * (g.idx & ~1) + 2).ravel()]),
             np.concatenate([np.arange(1, 2 * heads, 2), (2 * g.idx + 1).ravel()])])
         cross = g.idx ^ 1  # the column of a, among the first 2n + 2
-    kernel = _check_messages_minsum if minsum else _check_messages_exact
-    fmax = np.maximum if minsum else _jacobian_log
-    # the syndrome sign of each row, times 2 under the tanh rule
-    sign = (1.0 if minsum else 2.0) * (1.0 - 2.0 * s.astype(np.float64))[:, :, None]
-    pre = np.full((trials, checks, width + 1), np.inf if minsum else 1.0)
+    # the syndrome sign of each row, times 2
+    sign = 2.0 * (1.0 - 2.0 * s.astype(np.float64))[:, :, None]
+    pre = np.ones((trials, checks, width + 1))
     suf = pre.copy()
     # each row's parity reads its bits and its own syndrome bit from cur:
     # the 2n bits of the hard decision, a padding bit 0, then the syndrome
@@ -347,8 +331,8 @@ def _flood(
             m = llr.take(g.idx, axis=1)
             m -= mu_rows
         else:
-            m = _quaternary_messages(llr, mu_rows, pair, cross, fmax)
-        kernel(m, sign, pre, suf, out=mu_rows)
+            m = _quaternary_messages(llr, mu_rows, pair, cross)
+        _check_messages_exact(m, sign, pre, suf, out=mu_rows)
     for k, cols in enumerate(blocks):
         est[act[pending[:, k]], cols] = cur[pending[:, k], cols]
     return est[:, 0::2].copy(), est[:, 1::2].copy(), conv.all(axis=0), iters.max(axis=0)
@@ -366,9 +350,9 @@ def decode_binary_batch(
 def decode_quaternary_batch(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(est_x, est_z, conv, iters) of each trial under a quaternary algorithm."""
-    if cfg.algorithm not in ("quaternary-spa", "quaternary-minsum"):
-        raise ValueError("joint decoding requires a quaternary algorithm")
+    """(est_x, est_z, conv, iters) of each trial under quaternary-spa."""
+    if cfg.algorithm != "quaternary-spa":
+        raise ValueError("joint decoding requires the quaternary-spa algorithm")
     return _flood(graph, sx, sz, cfg)
 
 

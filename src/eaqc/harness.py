@@ -353,11 +353,13 @@ def burst_oracle(
 # ── sweeps ────────────────────────────────────────────────────────────
 
 def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
-    """One CSV row per (p_d, eta) grid point, p_d outer, same seed for each.
+    """One row per (p_d, eta) grid point, p_d outer, same seed for each.
 
-    Each point runs cfg with its channel replaced.  It decodes with
-    cfg.decoder as given, so its prior stays at cfg.decoder.p_d whatever
-    the point's p_d; `eaqc sweep` sets it to the first --pd value.
+    A row holds the CSV_COLUMNS and, after failures, non_converged, which
+    `write_csv` leaves out.  Each point runs cfg with its channel
+    replaced.  It decodes with cfg.decoder as given, so its prior stays at
+    cfg.decoder.p_d whatever the point's p_d; `eaqc sweep` sets it to the
+    first --pd value.
     """
     if not pd_values or not eta_values:
         raise ValueError("a sweep needs at least one p_d and one eta")
@@ -375,6 +377,7 @@ def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
                 "decoder": cfg.decoder.algorithm,
                 "trials": res.trials,
                 "failures": res.failures,
+                "non_converged": res.non_converged,
                 "LER": res.ler,
                 "ci_low": res.ci_low,
                 "ci_high": res.ci_high,

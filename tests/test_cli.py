@@ -4,12 +4,12 @@ import hashlib
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eaqc.cli import main
+from eaqc.decoder import DecoderConfig
 from eaqc.eacode import build_theorem5
 from eaqc.gf2 import ModelMatrix, expand, gfrank, matmul
 from eaqc.harness import CSV_COLUMNS
@@ -269,6 +269,16 @@ def test_flags_the_family_does_not_read_exit_two(capsys):
         assert f"does not read {stray}" in capsys.readouterr().err
 
 
+def test_min_sum_decoder_is_gone(capsys):
+    with pytest.raises(ValueError):
+        DecoderConfig("quaternary-minsum", 0.03)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--family", "thm5", "--p", "3", "--l1", "1", "--l2", "1",
+              "--trials", "10", "--decoder", "quat-minsum"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'quat-minsum'" in capsys.readouterr().err
+
+
 def test_invalid_prime_exits_two(capsys):
     code, _, err = run_cli(capsys, "params", "--family", "thm5",
                            "--p", "9", "--l1", "1", "--l2", "1")
@@ -284,16 +294,3 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 9
 
-
-def test_verify_codes_script_prints_one_line_per_small_family():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "verify_codes.py"
-    proc = subprocess.run([sys.executable, str(script), "--skip-large"],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    *lines, last = proc.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["thm5"] * 3 + ["thm6", "thm7"]
-    assert [line[line.index("[["):line.index("]]") + 2] for line in lines] == [
-        "[[9, 4; 1]]", "[[25, 8; 1]]", "[[49, 12; 1]]", "[[42, 10; 6]]",
-        "[[121, 70; 51]]",
-    ]
-    assert last.startswith("all constructions verified")

@@ -1,4 +1,4 @@
-"""The Tanner graph and the three syndrome decoders, pinned against exact
+"""The Tanner graph and the two syndrome decoders, pinned against exact
 single-error behavior, internal message identities, recorded outputs and a
 scalar reference decoder."""
 
@@ -18,7 +18,6 @@ from eaqc.decoder import (
     DecoderConfig,
     TannerGraph,
     _check_messages_exact,
-    _check_messages_minsum,
     _exclusive,
     _graph,
     build_graphs,
@@ -30,7 +29,7 @@ from eaqc.decoder import (
 from eaqc.eacode import build_theorem5, build_theorem6, build_theorem8
 from eaqc.gf2 import BinaryMatrix, DimensionMismatch, RowBasis
 
-_ALGS = ("binary-spa", "quaternary-spa", "quaternary-minsum")
+_ALGS = ("binary-spa", "quaternary-spa")
 
 
 def _stab_basis(code):
@@ -271,63 +270,34 @@ def test_twentyfive_single_syndromes_all_distinct(twentyfive):
 
 # ── message kernels ───────────────────────────────────────────────────
 
-def _rule(kernel, m, sign, identity):
-    """A check rule on (trials, checks, dmax) messages, with fresh buffers."""
+def _rule(m, sign):
+    """The tanh rule on (trials, checks, dmax) messages, with fresh buffers."""
     m = np.array(m, dtype=np.float64)
-    pre = np.full(m.shape[:-1] + (m.shape[-1] + 1,), identity)
-    return kernel(m, np.asarray(sign, np.float64)[..., None], pre, pre.copy(),
-                  out=np.empty_like(m))
-
-
-def _exclusive_of(op, vals, identity):
-    a = np.array([vals])
-    pre = np.full((1, len(vals) + 1), identity)
-    return _exclusive(op, a, pre, pre.copy())[0]
+    pre = np.ones(m.shape[:-1] + (m.shape[-1] + 1,))
+    return _check_messages_exact(m, np.asarray(sign, np.float64)[..., None], pre,
+                                 pre.copy(), out=np.empty_like(m))
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=7))
 def test_exclusive_product_matches_brute_force(vals):
-    got = _exclusive_of(np.multiply, vals, 1.0)
+    pre = np.ones((1, len(vals) + 1))
+    got = _exclusive(np.array([vals]), pre, pre.copy())[0]
     for t in range(len(vals)):
         want = np.prod([v for j, v in enumerate(vals) if j != t]) if len(vals) > 1 else 1.0
         assert np.isclose(got[t], want, atol=1e-9)
 
 
-@given(st.lists(st.floats(0, 50), min_size=1, max_size=7))
-def test_exclusive_min_matches_brute_force(vals):
-    got = _exclusive_of(np.minimum, vals, np.inf)
-    for t in range(len(vals)):
-        rest = [v for j, v in enumerate(vals) if j != t]
-        want = min(rest) if rest else np.inf
-        assert got[t] == want
-
-
 def test_syndrome_sign_negates_check_messages():
-    # the tanh rule takes the syndrome sign times 2, min-sum the sign itself
+    # the tanh rule takes the syndrome sign times 2
     m = [[[0.8, -1.2, 2.0]]]
-    plus = _rule(_check_messages_exact, m, [[2.0]], 1.0)
-    minus = _rule(_check_messages_exact, m, [[-2.0]], 1.0)
-    assert np.allclose(plus, -minus)
-    plus_ms = _rule(_check_messages_minsum, m, [[1.0]], np.inf)
-    minus_ms = _rule(_check_messages_minsum, m, [[-1.0]], np.inf)
-    assert np.allclose(plus_ms, -minus_ms)
-
-
-def test_minsum_kernel_is_signed_minimum():
-    mu = _rule(_check_messages_minsum, [[[0.8, -1.2, 2.0]]], [[1.0]], np.inf)[0, 0]
-    assert np.allclose(mu, [-1.2, 0.8, -0.8])
+    assert np.allclose(_rule(m, [[2.0]]), -_rule(m, [[-2.0]]))
 
 
 def test_padding_slots_are_neutral():
-    # the flood feeds +inf into padding slots: a factor 1 under the tanh
-    # rule and never the minimum under min-sum
-    m = [[[0.8, -1.2, 2.0]]]
-    padded = [[[0.8, -1.2, 2.0, np.inf]]]
-    for kernel, gain, identity in ((_check_messages_exact, 2.0, 1.0),
-                                   (_check_messages_minsum, 1.0, np.inf)):
-        want = _rule(kernel, m, [[gain]], identity)[0, 0]
-        got = _rule(kernel, padded, [[gain]], identity)[0, 0]
-        assert np.array_equal(got[:3], want)
+    # the flood feeds +inf into padding slots: a factor 1 under the tanh rule
+    want = _rule([[[0.8, -1.2, 2.0]]], [[2.0]])[0, 0]
+    got = _rule([[[0.8, -1.2, 2.0, np.inf]]], [[2.0]])[0, 0]
+    assert np.array_equal(got[:3], want)
 
 
 def test_degree_one_check_clamps_instead_of_overflowing():
@@ -348,20 +318,9 @@ def test_uniform_prior_first_messages_all_equal(nine):
     m0 = 0.0
     real = g.idx < 2 * g.n
     m_edges = np.where(real, m0, np.inf)[None]
-    mu = _rule(_check_messages_exact, m_edges, 2.0 * np.ones((1, g.checks)), 1.0)
+    mu = _rule(m_edges, 2.0 * np.ones((1, g.checks)))
     vals = mu[0][real]
     assert np.allclose(vals, vals[0])
-
-
-def test_minsum_matches_exact_spa_on_most_trials(twentyfive):
-    # regression: measured 98.9% agreement at p_d = 0.02; threshold 90%
-    code, _, g = twentyfive
-    xs, zs = sample_error_batch(code.n, ChannelParams(0.02, 0.0), 1234, 600)
-    sx, sz = syndrome_batch(code, xs, zs)
-    ex1, ez1, _, _ = decode_quaternary_batch(g, sx, sz, DecoderConfig("quaternary-spa", 0.02))
-    ex2, ez2, _, _ = decode_quaternary_batch(g, sx, sz, DecoderConfig("quaternary-minsum", 0.02))
-    agree = np.all((ex1 == ex2) & (ez1 == ez2), axis=1).mean()
-    assert agree >= 0.9
 
 
 def test_results_do_not_depend_on_batching(twentyfive):
@@ -442,11 +401,11 @@ def _digest(out):
 # conv, iters); eta None means every weight <= 2 pattern instead of 400
 # trials sampled with master seed 0
 _PINNED = {
-    ((3, 1, 1), 0.03, None): ("6ae73dd23a7ac18b", "0fdd93a5f4c3ce1e", "1cd5cd45ba7d4dbe"),
-    ((5, 2, 2), 0.02, 0.0): ("8995e9372b060080", "ccd46e4bed1bcd1c", "ab9c4b4d3fd20264"),
-    ((5, 2, 2), 0.03, 0.5): ("e4307ed753763d67", "7d18e7097f9a979c", "14f5a7f395418b30"),
-    ((7, 3, 3), 0.02, 0.0): ("9157842192369b59", "7069ceea8d525d76", "ef1cb62f95c89494"),
-    ((7, 3, 3), 0.03, 0.5): ("ebb0ef4c303de4d8", "2e59918bd3d4b1e8", "6564c613b2630702"),
+    ((3, 1, 1), 0.03, None): ("6ae73dd23a7ac18b", "0fdd93a5f4c3ce1e"),
+    ((5, 2, 2), 0.02, 0.0): ("8995e9372b060080", "ccd46e4bed1bcd1c"),
+    ((5, 2, 2), 0.03, 0.5): ("e4307ed753763d67", "7d18e7097f9a979c"),
+    ((7, 3, 3), 0.02, 0.0): ("9157842192369b59", "7069ceea8d525d76"),
+    ((7, 3, 3), 0.03, 0.5): ("ebb0ef4c303de4d8", "2e59918bd3d4b1e8"),
 }
 
 
@@ -468,11 +427,11 @@ def test_decoder_outputs_are_pinned(case):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from(["quaternary-spa", "quaternary-minsum"]))
-def test_estimates_are_deterministic(nine, seed, alg):
+@given(st.integers(0, 10_000))
+def test_estimates_are_deterministic(nine, seed):
     code, _, g = nine
     sx, sz = syndrome_batch(code, *sample_error_batch(code.n, ChannelParams(0.1, 0.2), seed, 1))
-    cfg = DecoderConfig(alg, 0.1)
+    cfg = DecoderConfig("quaternary-spa", 0.1)
     a = decode_quaternary_batch(g, sx, sz, cfg)
     b = decode_quaternary_batch(g, sx, sz, cfg)
     assert all(np.array_equal(u, v) for u, v in zip(a, b))
@@ -492,27 +451,19 @@ CLIP = 1.0 - 1e-12  # tanh-domain clip
 CLAMP = 30.0  # message clamp
 
 
-def _check_rule(m, syndrome_bit, minsum):
+def _check_rule(m, syndrome_bit):
     """Outgoing messages of one check from its incoming messages m."""
     sign = -1.0 if syndrome_bit else 1.0
     d = len(m)
-    t = None if minsum else [np.tanh(v / 2.0) for v in m]
+    t = [np.tanh(v / 2.0) for v in m]
     out = []
     for e in range(d):
-        if minsum:
-            others = [m[f] for f in range(d) if f != e]
-            s = 1.0
-            for v in others:
-                s *= -1.0 if v < 0 else 1.0
-            mag = min([abs(v) for v in others] + [CLAMP])
-            out.append(sign * s * mag)
-        else:
-            pe = 1.0
-            for f in range(d):
-                if f != e:
-                    pe *= t[f]
-            pe = min(max(pe, -CLIP), CLIP)
-            out.append(min(max(2.0 * sign * np.arctanh(pe), -CLAMP), CLAMP))
+        pe = 1.0
+        for f in range(d):
+            if f != e:
+                pe *= t[f]
+        pe = min(max(pe, -CLIP), CLIP)
+        out.append(min(max(2.0 * sign * np.arctanh(pe), -CLAMP), CLAMP))
     return out
 
 
@@ -532,13 +483,16 @@ def _binary_block(rows, syndrome, n, prior, l_max):
         if it == l_max:
             return bits, False, l_max
         mu = [_check_rule([total[j] - mu[c][e] for e, j in enumerate(cols)],
-                          syndrome[c], minsum=False)
+                          syndrome[c])
               for c, cols in enumerate(rows)]
 
 
-def _quaternary(x_rows, z_rows, sx, sz, n, m0, l_max, minsum):
-    fmax = max if minsum else (
-        lambda a, b: max(a, b) + np.log1p(np.exp(-abs(a - b))))
+def _fmax(a, b):
+    """The Jacobian logarithm log(e^a + e^b)."""
+    return max(a, b) + np.log1p(np.exp(-abs(a - b)))
+
+
+def _quaternary(x_rows, z_rows, sx, sz, n, m0, l_max):
     # checks in [hx; hz] order: (is an X check, columns, syndrome bit)
     checks = ([(True, cols, s) for cols, s in zip(x_rows, sx)]
               + [(False, cols, s) for cols, s in zip(z_rows, sz)])
@@ -574,8 +528,8 @@ def _quaternary(x_rows, z_rows, sx, sz, n, m0, l_max, minsum):
                 # the pair commuting with the check against the other pair,
                 # without this check's own message
                 a, b = (lx[j], lz[j]) if is_x else (lz[j], lx[j])
-                m.append(fmax(0.0, a) - fmax(ly[j] + mu[c][e], b + mu[c][e]))
-            new.append(_check_rule(m, s, minsum))
+                m.append(_fmax(0.0, a) - _fmax(ly[j] + mu[c][e], b + mu[c][e]))
+            new.append(_check_rule(m, s))
         mu = new
 
 
@@ -593,8 +547,7 @@ def reference_decode(hx, hz, sx, sz, cfg):
         xb, x_ok, x_it = _binary_block(z_rows, sz, n, prior, cfg.l_max)
         return xb, zb, x_ok and z_ok, max(x_it, z_it)
     m0 = float(np.log(p / (3.0 * (1.0 - p))))
-    return _quaternary(x_rows, z_rows, sx, sz, n, m0, cfg.l_max,
-                       cfg.algorithm == "quaternary-minsum")
+    return _quaternary(x_rows, z_rows, sx, sz, n, m0, cfg.l_max)
 
 
 def _compare(code, g, xs, zs, cfg):

@@ -130,8 +130,7 @@ def test_run_trials_is_deterministic(nine):
 
 
 @settings(max_examples=6, deadline=None)
-@given(st.integers(0, 2**16), st.sampled_from(["binary-spa", "quaternary-spa",
-                                                "quaternary-minsum"]))
+@given(st.integers(0, 2**16), st.sampled_from(["binary-spa", "quaternary-spa"]))
 def test_decode_chunks_do_not_change_the_result(twentyfive, seed, alg):
     # the byte budget sets the chunk size; 1, 7 and all trials per chunk
     # must give the same SimResult, stalled trials included
@@ -414,7 +413,7 @@ def test_sweep_without_axes_is_an_error(nine):
 
 def test_sweep_is_byte_reproducible(nine):
     cfg = SimConfig(nine, ChannelParams(0.03, 0.0),
-                    DecoderConfig("quaternary-minsum", 0.03), 150, 21)
+                    DecoderConfig("quaternary-spa", 0.03), 150, 21)
     text = write_csv(sweep(cfg, (0.02, 0.03), (0.0,)), None)
     assert text == write_csv(sweep(cfg, (0.02, 0.03), (0.0,)), None)
 
