@@ -25,14 +25,20 @@ One flooding loop, `_flood`, serves both algorithms:
   and l_x on a Z-check row), and fmax is the Jacobian logarithm.  Both
   blocks freeze together.
 
-Each pass runs these steps on the trials still decoding, a few numpy
-calls each:
+Every per-trial array keeps the trials on its last, contiguous axis: the
+messages are (dmax·checks + 1, trials), the log ratios (columns, trials)
+and the bits (2n + 1 + checks, trials), the x bits of all qubits before
+their z bits.  A numpy call then runs over whole rows of trials, never
+once per trial and row.  Each pass runs these steps on the trials still
+decoding, a few numpy calls each:
 
-1. Sum: one gather of the messages by column and one `np.add.reduceat`.
+1. Sum: one gather of each column's message rows from the slot table,
+   added as np.add.reduceat adds a column's messages (the first plus the
+   rest left to right, or numpy's pairwise order from 9 on).
 2. Decide: binary-spa compares prior + s with 0.  Quaternary writes l_x,
-   l_y and l_z next to a 0 for I in a (trials, n, 4) buffer, takes the
-   argmax (ties go to the lowest index in the order I, X, Y, Z) and looks
-   the (x, z) bits of each category up in one table.
+   l_z and l_y as rows of one buffer and finds the largest of 0 (for I),
+   l_x, l_y and l_z by seven comparisons; ties go to the first in the
+   order I, X, Y, Z, as with argmax.
 3. Check: each row's bits and its own syndrome bit are gathered and
    XOR-reduced, and one boolean product tells which blocks still have an
    unmet row.  Only on a pass where some block meets its syndrome are
@@ -45,13 +51,14 @@ calls each:
    gathered; one fmax call computes it together with each edge's
    fmax(l_y + mu, b + mu).
 5. Check rule: tanh of half each message, the product over the other
-   slots from two running products (`np.multiply.accumulate` forwards and
-   backwards), the clip, 2·atanh times the syndrome sign (doubled once
-   per call, not per pass) and the clamp.
+   slots from running products forwards and backwards (one multiply per
+   slot each way, as np.multiply.accumulate orders them), the clip,
+   2·atanh times the syndrome sign (doubled once per call, not per pass)
+   and the clamp.
 
 Padding slots of rows shorter than the longest point at a column 2n
-whose bit is 0 and whose log ratio is +inf, so they send +inf, which the
-tanh rule multiplies in as 1; no mask is applied.  Every float operation
+whose bit is 0 and whose log ratios make them send +inf, which the tanh
+rule multiplies in as 1; no mask is applied.  Every float operation
 has the operands and the order of the plain formulas above, so the
 outputs do not depend on batching.
 Numerical guards: tanh-domain clip at 1 - 1e-12 and a message clamp at
@@ -65,7 +72,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eaqc.clifford import category_bits
 from eaqc.eacode import EaCode
 from eaqc.gf2 import BinaryMatrix, DimensionMismatch, matmul
 
@@ -82,8 +88,6 @@ __all__ = [
 _ALGORITHMS = ("binary-spa", "quaternary-spa")
 _CLIP = 1.0 - 1e-12
 _CLAMP = 30.0
-# (x, z) bits of the categories (I, X, Y, Z)
-_BITS = np.stack(category_bits(np.arange(4)), axis=1)
 
 
 @dataclass(frozen=True)
@@ -93,40 +97,45 @@ class TannerGraph:
     Column 2j is the x bit of qubit j and column 2j + 1 its z bit; rows
     below x_checks are X checks, which read z bits only.  Row b has edges
     to the columns idx[b] below 2n, in increasing order, and its padding
-    slots hold 2n.  The check messages of the rows lie in a (checks + 1,
-    dmax) block whose last row stays zero; edges lists the flat positions
-    that each column sums, sorted by column, a column no check reads
-    summing one zero of the last row, and starts[c] is the first edge of
-    column c.
+    slots hold 2n.  The check messages of slot s of row b lie in row
+    s·checks + b of a (dmax·checks + 1, trials) block whose last row stays
+    zero.  slots[d, c] is the row of the d-th edge of column c, its edges
+    taken by increasing check row; a column of fewer edges than the most
+    any column has, or of none, is padded with the zero row.
     """
 
     n: int
     x_checks: int
     idx: np.ndarray
-    edges: np.ndarray
-    starts: np.ndarray
+    slots: np.ndarray
 
     @property
     def checks(self) -> int:
         return self.idx.shape[0]
 
 
+def _ranks(keys: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each item's position among the items of its key; keys sorted."""
+    return np.arange(keys.size) - np.repeat(np.cumsum(count) - count, count)
+
+
 def _graph(hx: np.ndarray, hz: np.ndarray) -> TannerGraph:
     n, x_checks = hx.shape[1], hx.shape[0]
-    h = np.zeros((x_checks + hz.shape[0], n, 2), np.uint8)
+    checks = x_checks + hz.shape[0]
+    h = np.zeros((checks, n, 2), np.uint8)
     h[:x_checks, :, 1] = hx
     h[x_checks:, :, 0] = hz
-    rows, cols = np.nonzero(h.reshape(len(h), 2 * n))
-    degree = np.bincount(rows, minlength=len(h))
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(degree) - degree, degree)
-    idx = np.full((len(h), max(1, int(degree.max(initial=0)))), 2 * n)
+    rows, cols = np.nonzero(h.reshape(checks, 2 * n))
+    degree = np.bincount(rows, minlength=checks)
+    slot = _ranks(rows, degree)
+    idx = np.full((checks, max(1, int(degree.max(initial=0)))), 2 * n)
     idx[rows, slot] = cols
-    unread = np.setdiff1d(np.arange(2 * n), cols)
-    col = np.concatenate([cols, unread])
-    order = np.argsort(col, kind="stable")
-    edges = np.concatenate([rows * idx.shape[1] + slot, np.full(unread.size, idx.size)])
-    starts = np.searchsorted(col[order], np.arange(2 * n))
-    return TannerGraph(n, x_checks, idx, edges[order], starts)
+    order = np.argsort(cols, kind="stable")
+    col_degree = np.bincount(cols, minlength=2 * n)
+    slots = np.full((max(1, int(col_degree.max(initial=0))), 2 * n), idx.size)
+    slots[_ranks(cols[order], col_degree), cols[order]] = (
+        slot[order] * checks + rows[order])
+    return TannerGraph(n, x_checks, idx, slots)
 
 
 def build_graphs(code: EaCode) -> TannerGraph:
@@ -172,17 +181,111 @@ def _safe_p(p_d: float) -> float:
     return min(max(p_d, 1e-12), 1.0 - 1e-12)
 
 
-def _exclusive(a: np.ndarray, pre: np.ndarray, suf: np.ndarray) -> np.ndarray:
-    """For each slot of a's last axis, the product of the other slots; overwrites a.
+def _column_groups(
+    slots: np.ndarray, zero: int
+) -> list[tuple[np.ndarray | slice, np.ndarray]]:
+    """The columns of a slot table, split by the order numpy sums them in.
+
+    np.add.reduceat sums a column as its first message plus numpy's
+    pairwise sum of the rest, which adds fewer than 8 items left to right,
+    so zero rows (row `zero`) padded after the messages of a column of at
+    most 8 edges change no value.  Columns of 9 or more edges are summed in
+    one group per degree, as the pairwise order depends on the count.
+    Returns (columns, their slot table) pairs.
+    """
+    if len(slots) <= 8:
+        return [(slice(None), slots)]
+    degree = np.count_nonzero(slots != zero, axis=0)
+    key = np.where(degree > 8, degree, 0)
+    groups = []
+    for d in np.unique(key):
+        cols = np.flatnonzero(key == d)
+        groups.append((cols, slots[:max(1, degree[cols].max()), cols]))
+    return groups
+
+
+def _pairwise(terms: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of terms along the first axis, in place.
+
+    It mirrors pairwise_sum of numpy's umath loops: fewer than 8 terms are
+    added left to right; up to 128 go to 8 running sums, taking every 8th
+    term, which are added pairwise before the leftover terms; more are split
+    in two at a multiple of 8.  Returns a view of terms that holds the sum.
+    """
+    count = len(terms)
+    if count < 8:
+        for x in terms[1:]:
+            terms[0] += x
+        return terms[0]
+    if count <= 128:
+        r, whole = terms[:8], count - count % 8
+        for i in range(8, whole, 8):
+            r += terms[i:i + 8]
+        r[0::2] += r[1::2]
+        r[0::4] += r[2::4]
+        r[0] += r[4]
+        for x in terms[whole:]:
+            r[0] += x
+        return r[0]
+    half = count // 2 - count // 2 % 8
+    left = _pairwise(terms[:half])
+    left += _pairwise(terms[half:])
+    return left
+
+
+def _column_sums(mu: np.ndarray, groups) -> np.ndarray:
+    """The (columns, trials) sums of each column's messages, in slot order.
+
+    mu is the (dmax·checks + 1, trials) message block and groups come from
+    `_column_groups`.  Each sum is the first message plus the pairwise sum
+    of the rest, bit for bit what np.add.reduceat gives.
+    """
+    sums = []
+    for cols, table in groups:
+        terms = mu.take(table, axis=0)
+        if len(terms) > 1:
+            terms[0] += _pairwise(terms[1:])
+        sums.append((cols, terms[0]))
+    if len(sums) == 1:
+        return sums[0][1]
+    out = np.empty((sum(len(c) for c, _ in sums), mu.shape[1]))
+    for cols, part in sums:
+        out[cols] = part
+    return out
+
+
+class _RuleScratch:
+    """The arrays of the tanh rule on (dmax, checks, trials) messages.
+
+    m takes the variable-to-check messages, and sign (checks, trials) holds
+    each row's syndrome sign times 2.  pre and suf hold the running
+    products of `_exclusive`, with 1 in pre's first and suf's last slot.
+    The views each product step reads and writes are made once, here: on a
+    few trials, making them costs more than the multiplies.
+    """
+
+    def __init__(self, sign: np.ndarray, width: int):
+        checks, trials = sign.shape
+        self.m = np.empty((width, checks, trials))
+        self.sign = sign
+        pre, suf = np.empty((2, width + 1, checks, trials))
+        pre[0] = suf[width] = 1.0
+        rows, p, s = list(self.m), list(pre), list(suf)
+        self.steps = ([(p[k], rows[k], p[k + 1]) for k in range(width - 1)]
+                      + [(s[k + 1], rows[k], s[k]) for k in range(width - 1, 0, -1)])
+        self.halves = (pre[:width], suf[1:])
+
+
+def _exclusive(r: _RuleScratch) -> np.ndarray:
+    """For each slot of r.m's first axis, the product of the other slots.
 
     The slots before it are multiplied in order, the slots after it in
-    reverse order, then the two.  pre and suf have one more slot than a on
-    that axis, and hold 1 in their first and their last slot; the rest is
-    scratch.
+    reverse order, then the two, as two np.multiply.accumulate calls
+    would; the result overwrites r.m.
     """
-    np.multiply.accumulate(a, axis=-1, out=pre[..., 1:])
-    np.multiply.accumulate(a[..., ::-1], axis=-1, out=suf[..., -2::-1])
-    return np.multiply(pre[..., :-1], suf[..., 1:], out=a)
+    for x, y, out in r.steps:
+        np.multiply(x, y, out=out)
+    return np.multiply(*r.halves, out=r.m)
 
 
 def _clip(a: np.ndarray, bound: float, out: np.ndarray) -> np.ndarray:
@@ -190,18 +293,17 @@ def _clip(a: np.ndarray, bound: float, out: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(a, -bound, out=out), bound, out=out)
 
 
-def _check_messages_exact(m, sign, pre, suf, out):
+def _check_messages_exact(r: _RuleScratch, out: np.ndarray) -> np.ndarray:
     """The tanh rule, 2·atanh of the product of tanh(m/2) over the other slots.
 
-    The result lands in out, and m (trials, checks, dmax) is overwritten;
-    sign (trials, checks, 1) holds each row's syndrome sign times 2; pre
-    and suf are `_exclusive` buffers with 1 at their ends.  A padding
-    slot's m is +inf, so it multiplies in as 1.
+    It reads the messages r.m and overwrites them, and the result lands in
+    out.  A padding slot's m is +inf, so it multiplies in as 1.
     """
+    m = r.m
     np.tanh(np.divide(m, 2.0, out=m), out=m)
-    pe = _exclusive(m, pre, suf)
-    np.arctanh(_clip(pe, _CLIP, out=pe), out=pe)
-    return _clip(np.multiply(sign, pe, out=pe), _CLAMP, out=out)
+    _exclusive(r)
+    np.arctanh(_clip(m, _CLIP, out=m), out=m)
+    return _clip(np.multiply(r.sign, m, out=m), _CLAMP, out=out)
 
 
 def _jacobian_log(a, b):
@@ -218,15 +320,31 @@ def _jacobian_log(a, b):
     return d
 
 
-def _quaternary_messages(llr, mu, pair, cross):
-    """fmax(0, a) - fmax(l_y + mu, b + mu) of each edge; see `_flood`."""
-    ops = llr.take(pair, axis=1)
-    heads = llr.shape[1] // 2  # operands per column before those per edge
-    ops[:, :, heads:] += mu.reshape(len(mu), 1, -1)
-    f = _jacobian_log(ops[:, 0], ops[:, 1])
-    m = f.take(cross, axis=1)
-    m -= f[:, heads:].reshape(m.shape)
-    return m
+def _quaternary_messages(llr, mu, pair, cross, out):
+    """fmax(0, a) - fmax(l_y + mu, b + mu) of each edge, into out; see `_flood`."""
+    ops = llr.take(pair, axis=0)
+    heads = pair.shape[1] - cross.size  # operands per column before those per edge
+    ops[:, heads:] += mu.reshape(-1, mu.shape[-1])
+    f = _jacobian_log(ops[0], ops[1])
+    # every index is in range; under mode "raise" numpy fills a copy of out
+    f.take(cross, axis=0, out=out, mode="clip")
+    return np.subtract(out, f[heads:].reshape(out.shape), out=out)
+
+
+def _categories(l_x, l_y, l_z, x, z):
+    """The (x, z) bits of each qubit's most likely category, into x and z.
+
+    l_x, l_y and l_z are the (n, trials) ratios of X, Y and Z against I;
+    x and z are boolean.  Of equal maxima the first in the order I, X, Y,
+    Z wins, as with argmax.
+    """
+    top = np.maximum(l_x, 0.0)
+    y = np.greater(l_y, top)  # Y beats I and X
+    np.maximum(top, l_y, out=top)
+    np.greater(l_z, top, out=z)  # Z beats I, X and Y
+    np.greater(top, 0.0, out=x)  # X or Y beats I ...
+    np.greater(x, z, out=x)  # ... and Z does not win
+    np.bitwise_or(z, y, out=z)  # Y or Z wins
 
 
 def _flood(
@@ -245,97 +363,108 @@ def _flood(
         )
     n, l_max = g.n, cfg.l_max
     checks, width = g.idx.shape
-    s = np.concatenate([sx, sz], axis=1)
-    trials = s.shape[0]
+    # Here the x bits come first: column 2j + b of the graph is row
+    # b·n + j of the bits and log ratios, so that each half is one
+    # contiguous block; padding slots read row 2n.
+    col = np.where(g.idx.T < 2 * n, g.idx.T % 2 * n + g.idx.T // 2, 2 * n)
+    x_first = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
+    groups = _column_groups(g.slots[:, x_first], g.idx.size)
+    s = np.concatenate([sx, sz], axis=1).T
+    trials = s.shape[1]
     p = _safe_p(cfg.p_d)
     binary = cfg.algorithm == "binary-spa"
     if binary:
         prior = float(np.log((1.0 - p) / p))
-        # the columns of each block that freezes on its own: X checks
+        # the bits of each block that freezes on its own: X checks
         # explain the z bits, Z checks the x bits
-        blocks = (slice(1, 2 * n, 2), slice(0, 2 * n, 2))
-        in_block = np.arange(checks)[:, None] < g.x_checks
-        in_block = np.hstack([in_block, ~in_block])
+        blocks = (slice(n, 2 * n), slice(0, n))
+        in_block = np.arange(checks) < g.x_checks
+        in_block = np.vstack([in_block, ~in_block])
         # log ratio per column; the padding column's +inf sends +inf
-        llr = np.full((trials, 2 * n + 1), np.inf)
+        llr = np.full((2 * n + 1, trials), np.inf)
     else:
         m0 = float(np.log(p / (3.0 * (1.0 - p))))
         blocks = (slice(0, 2 * n),)
-        in_block = np.ones((checks, 1), bool)
-        # per qubit the ratios of (I, X, Y, Z) against I; padding slots
-        # read the ratios (0, -inf, 0, +inf) of a qubit n and send +inf
-        llr = np.zeros((trials, n + 1, 4))
-        llr[:, n] = (0.0, -np.inf, 0.0, np.inf)
-        llr = llr.reshape(trials, 4 * n + 4)
+        in_block = np.ones((1, checks), bool)
+        # the ratios against I, by row: l_x of each qubit, l_z of each
+        # qubit, -inf and +inf, l_y of each qubit, and a 0.  A padding
+        # slot reads -inf as its own ratio, +inf as the other and 0 as l_y,
+        # so it sends +inf.
+        llr = np.zeros((3 * n + 3, trials))
+        llr[2 * n:2 * n + 2] = np.array([-np.inf, np.inf])[:, None]
+        ys, zero = slice(2 * n + 2, 3 * n + 2), 3 * n + 2
         # An edge sends fmax(0, a) - fmax(l_y + mu, b + mu), where b is its
         # own label's ratio (l_z on an X-check row) and a the other's.  One
         # fmax call takes its two operands from the two rows gathered at
-        # `pair`: first (0, .) for the l_x and l_z of each column (2n + 2
-        # of them, odd slots of llr), then (l_y, b) for each edge.
+        # `pair`: first (0, .) for the ratio of each column (2n + 2 of
+        # them, the padding's two included), then (l_y, b) for each edge.
         heads = 2 * n + 2
         pair = np.stack([
-            np.concatenate([np.zeros(heads, int), (2 * (g.idx & ~1) + 2).ravel()]),
-            np.concatenate([np.arange(1, 2 * heads, 2), (2 * g.idx + 1).ravel()])])
-        cross = g.idx ^ 1  # the column of a, among the first 2n + 2
+            np.concatenate([np.full(heads, zero), np.where(
+                col < 2 * n, 2 * n + 2 + col % n, zero).ravel()]),
+            np.concatenate([np.arange(heads), col.ravel()])])
+        # the column of a, among the first 2n + 2
+        cross = np.where(col < 2 * n, (col + n) % (2 * n), 2 * n + 1)
     # the syndrome sign of each row, times 2
-    sign = 2.0 * (1.0 - 2.0 * s.astype(np.float64))[:, :, None]
-    pre = np.ones((trials, checks, width + 1))
-    suf = pre.copy()
+    sign = 2.0 * (1.0 - 2.0 * s.astype(np.float64))
+    rule = _RuleScratch(sign, width)
     # each row's parity reads its bits and its own syndrome bit from cur:
     # the 2n bits of the hard decision, a padding bit 0, then the syndrome
-    parity = np.vstack([g.idx.T, 2 * n + 1 + np.arange(checks)])
-    cur = np.zeros((trials, 2 * n + 1 + checks), np.uint8)
-    cur[:, 2 * n + 1:] = s
+    parity = np.vstack([col, 2 * n + 1 + np.arange(checks)])
+    cur = np.zeros((2 * n + 1 + checks, trials), bool)
+    cur[2 * n + 1:] = s
 
-    mu = np.zeros((trials, checks + 1, width))
-    est = np.zeros((trials, 2 * n), dtype=np.uint8)
+    mu = np.zeros((width * checks + 1, trials))
+    est = np.zeros((2 * n, trials), dtype=np.uint8)
     conv = np.zeros((len(blocks), trials), dtype=bool)
     iters = np.full((len(blocks), trials), l_max, dtype=np.int64)
     # the trials still decoding, and which of their blocks have not met
-    # their syndromes; mu, cur, llr and sign hold their rows
+    # their syndromes; mu, cur, llr and sign hold their columns
     act = np.arange(trials)
-    pending = np.ones((trials, len(blocks)), bool)
+    pending = np.ones((len(blocks), trials), bool)
     for it in range(l_max + 1 if trials else 0):
         t = act.size
-        summed = np.add.reduceat(mu.reshape(t, -1).take(g.edges, axis=1), g.starts, axis=1)
+        summed = _column_sums(mu, groups)
         if binary:
-            np.add(prior, summed, out=llr[:, :2 * n])
-            np.less(llr[:, :2 * n], 0.0, out=cur[:, :2 * n])
+            np.add(prior, summed, out=llr[:2 * n])
+            np.less(llr[:2 * n], 0.0, out=cur[:2 * n])
         else:
-            q, summed = llr[:, :4 * n].reshape(t, n, 4), summed.reshape(t, n, 2)
-            np.subtract(m0, summed, out=q[:, :, 1::2])  # l_x, l_z
-            np.subtract(q[:, :, 1], summed[:, :, 1], out=q[:, :, 2])  # l_y
-            _BITS.take(q.argmax(axis=2), axis=0, out=cur[:, :2 * n].reshape(t, n, 2))
-        bad = np.bitwise_xor.reduce(cur.take(parity, axis=1), axis=1)
+            np.subtract(m0, summed, out=llr[:2 * n])  # l_x, l_z
+            np.subtract(llr[:n], summed[n:], out=llr[ys])
+            _categories(llr[:n], llr[ys], llr[n:2 * n], cur[:n], cur[n:2 * n])
+        del summed  # a view of the gathered messages, which it would keep
+        bad = np.bitwise_xor.reduce(cur.take(parity, axis=0), axis=0)
         # the pending blocks without an unmet row
-        hit = np.greater(pending, bad.view(bool) @ in_block)
-        if hit.any():
-            for k, cols in enumerate(blocks):
-                done = act[hit[:, k]]
-                est[done, cols] = cur[hit[:, k], cols]
+        hit = np.greater(pending, in_block @ bad)
+        if np.count_nonzero(hit):
+            for k, rows in enumerate(blocks):
+                done = act[hit[k]]
+                est[rows, done] = cur[rows, hit[k]]
                 iters[k, done] = it
                 conv[k, done] = True
             pending &= ~hit
-            keep = pending.any(axis=1)
+            keep = pending.any(axis=0)
             if it < l_max and not keep.all():
-                act, pending, mu, cur, llr, sign = (
-                    a[keep] for a in (act, pending, mu, cur, llr, sign))
+                act = act[keep]
+                pending, mu, cur, llr, sign = (
+                    a[:, keep] for a in (pending, mu, cur, llr, sign))
                 t = act.size
-                pre, suf = pre[:t], suf[:t]
                 if not t:
                     break
+                del rule  # free the old arrays before making the new
+                rule = _RuleScratch(sign, width)
         if it == l_max:
             break
-        mu_rows = mu[:, :checks]
+        mu_rows = mu[:-1].reshape(width, checks, t)
         if binary:
-            m = llr.take(g.idx, axis=1)
-            m -= mu_rows
+            llr.take(col, axis=0, out=rule.m, mode="clip")  # see _quaternary_messages
+            np.subtract(rule.m, mu_rows, out=rule.m)
         else:
-            m = _quaternary_messages(llr, mu_rows, pair, cross)
-        _check_messages_exact(m, sign, pre, suf, out=mu_rows)
-    for k, cols in enumerate(blocks):
-        est[act[pending[:, k]], cols] = cur[pending[:, k], cols]
-    return est[:, 0::2].copy(), est[:, 1::2].copy(), conv.all(axis=0), iters.max(axis=0)
+            _quaternary_messages(llr, mu_rows, pair, cross, out=rule.m)
+        _check_messages_exact(rule, out=mu_rows)
+    for k, rows in enumerate(blocks):
+        est[rows, act[pending[k]]] = cur[rows, pending[k]]
+    return est[:n].T.copy(), est[n:].T.copy(), conv.all(axis=0), iters.max(axis=0)
 
 
 def decode_binary_batch(

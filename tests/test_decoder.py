@@ -17,7 +17,11 @@ from eaqc.clifford import category_bits
 from eaqc.decoder import (
     DecoderConfig,
     TannerGraph,
+    _RuleScratch,
+    _categories,
     _check_messages_exact,
+    _column_groups,
+    _column_sums,
     _exclusive,
     _graph,
     build_graphs,
@@ -98,11 +102,74 @@ def test_joint_graph_labels(twentyfive):
     code, _, g = twentyfive
     bx = g.x_checks
     assert np.all(g.idx[:bx] % 2 == 1) and np.all(g.idx[bx:] % 2 == 0)
-    mu = np.zeros((g.checks + 1, g.idx.shape[1]))
+    mu = np.zeros((g.idx.size + 1, 1))
     mu[:-1] = 1.0
-    summed = np.add.reduceat(mu.ravel()[g.edges], g.starts)
+    summed = _column_sums(mu, _column_groups(g.slots, g.idx.size))[:, 0]
     assert np.array_equal(summed[0::2], code.hz.to_dense().sum(axis=0))
     assert np.array_equal(summed[1::2], code.hx.to_dense().sum(axis=0))
+
+
+def _reduceat_sums(hx, hz, g, mu):
+    """Column sums as np.add.reduceat forms them over each column's edges.
+
+    The edges of a column are listed by increasing row from the dense
+    matrices, with slot positions read off idx; a column no row reads sums
+    the zero row once.
+    """
+    checks, width = g.idx.shape
+    h = np.zeros((checks, hx.shape[1], 2), np.uint8)
+    h[: len(hx), :, 1] = hx
+    h[len(hx):, :, 0] = hz
+    h = h.reshape(checks, -1)
+    edges, starts = [], []
+    for c in range(h.shape[1]):
+        starts.append(len(edges))
+        rows = np.flatnonzero(h[:, c])
+        edges += [np.flatnonzero(g.idx[b] == c)[0] * checks + b for b in rows]
+        edges += [] if rows.size else [width * checks]
+    return np.add.reduceat(mu.T.take(edges, axis=1), starts, axis=1).T
+
+
+def _messages(rng, rows, trials):
+    """Random messages with signed zeros, and the zero row last."""
+    mu = rng.normal(size=(rows + 1, trials))
+    mu[rng.random(mu.shape) < 0.1] = 0.0
+    mu[rng.random(mu.shape) < 0.1] = -0.0
+    mu[-1] = 0.0
+    return mu
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_sums_match_reduceat_on_random_degrees(seed):
+    # column degrees 0-20: numpy sums the rest of 9 or more messages in its
+    # pairwise order, fewer left to right, and padding adds zeros only
+    rng = np.random.default_rng(seed)
+    n, rows = 11, 20
+    # column 2j (x bit) reads hz, column 2j + 1 (z bit) hx
+    degree = rng.permutation(np.append(np.arange(rows + 1), rng.integers(rows + 1)))
+    hx, hz = (np.zeros((rows, n), np.uint8) for _ in range(2))
+    for c, d in enumerate(degree):
+        (hx if c % 2 else hz)[rng.choice(rows, d, replace=False), c // 2] = 1
+    g = _graph(hx, hz)
+    assert np.array_equal((g.slots != g.idx.size).sum(axis=0), degree)
+    for trials in (1, 7):
+        mu = _messages(rng, g.idx.size, trials)
+        got = _column_sums(mu, _column_groups(g.slots, g.idx.size))
+        assert np.array_equal(got, _reduceat_sums(hx, hz, g, mu))
+
+
+@pytest.mark.parametrize("degree", [*range(1, 21), 129, 200])
+def test_column_sums_match_reduceat_bit_for_bit(degree):
+    # every column has the same degree, so none is padded; 129 and more
+    # split the pairwise sum in two
+    rng = np.random.default_rng(degree)
+    hx, hz = np.ones((degree, 3), np.uint8), np.ones((degree, 3), np.uint8)
+    g = _graph(hx, hz)
+    assert (g.slots != g.idx.size).all()
+    mu = _messages(rng, g.idx.size, 7)
+    got = _column_sums(mu, _column_groups(g.slots, g.idx.size))
+    want = _reduceat_sums(hx, hz, g, mu)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ── syndromes ─────────────────────────────────────────────────────────
@@ -271,20 +338,59 @@ def test_twentyfive_single_syndromes_all_distinct(twentyfive):
 # ── message kernels ───────────────────────────────────────────────────
 
 def _rule(m, sign):
-    """The tanh rule on (trials, checks, dmax) messages, with fresh buffers."""
-    m = np.array(m, dtype=np.float64)
-    pre = np.ones(m.shape[:-1] + (m.shape[-1] + 1,))
-    return _check_messages_exact(m, np.asarray(sign, np.float64)[..., None], pre,
-                                 pre.copy(), out=np.empty_like(m))
+    """The tanh rule on (trials, checks, dmax) messages, with fresh buffers.
+
+    The kernel runs in the decoder's (dmax, checks, trials) layout.
+    """
+    m = np.array(m, dtype=np.float64).T
+    r = _RuleScratch(np.asarray(sign, np.float64).T, len(m))
+    r.m[...] = m
+    return _check_messages_exact(r, out=np.empty_like(m)).T
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=7))
 def test_exclusive_product_matches_brute_force(vals):
-    pre = np.ones((1, len(vals) + 1))
-    got = _exclusive(np.array([vals]), pre, pre.copy())[0]
+    r = _RuleScratch(np.ones((1, 1)), len(vals))
+    r.m[:, 0, 0] = vals
+    got = _exclusive(r)[:, 0, 0]
     for t in range(len(vals)):
         want = np.prod([v for j, v in enumerate(vals) if j != t]) if len(vals) > 1 else 1.0
         assert np.isclose(got[t], want, atol=1e-9)
+
+
+def _accumulate_exclusive(a):
+    """The exclusive product by two np.multiply.accumulate calls on the last axis."""
+    pre = np.ones(a.shape[:-1] + (a.shape[-1] + 1,))
+    suf = pre.copy()
+    np.multiply.accumulate(a, axis=-1, out=pre[..., 1:])
+    np.multiply.accumulate(a[..., ::-1], axis=-1, out=suf[..., -2::-1])
+    return pre[..., :-1] * suf[..., 1:]
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+@pytest.mark.parametrize("trials", [0, 1, 7])
+def test_exclusive_product_matches_accumulate_bit_for_bit(width, trials):
+    rng = np.random.default_rng(100 * width + trials)
+    a = np.tanh(rng.normal(size=(width, 5, trials)))
+    a[rng.random(a.shape) < 0.1] = -0.0
+    a[rng.random(a.shape) < 0.1] = 1.0
+    want = np.moveaxis(_accumulate_exclusive(np.moveaxis(a, 0, -1)), -1, 0)
+    r = _RuleScratch(np.ones((5, trials)), width)
+    r.m[...] = a
+    got = _exclusive(r)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(st.lists(st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])] * 3),
+                min_size=1, max_size=12))
+def test_categories_match_argmax(ratios):
+    # ties go to the first of I, X, Y, Z
+    q = np.zeros((4, len(ratios), 1))
+    q[1:, :, 0] = np.transpose(ratios)
+    x, z = np.ones((2, len(ratios), 1), bool)
+    _categories(q[1], q[2], q[3], x, z)
+    want_x, want_z = category_bits(q[:, :, 0].argmax(axis=0))
+    assert x[:, 0].tolist() == want_x.tolist() and z[:, 0].tolist() == want_z.tolist()
 
 
 def test_syndrome_sign_negates_check_messages():
@@ -613,7 +719,7 @@ def test_flood_matches_the_reference_on_an_irregular_graph(alg):
     g = _graph(hx, hz)
     # padded slots, and columns 14 and 15 sum only the zero after the messages
     assert (g.idx == 16).any()
-    assert np.flatnonzero(g.edges[g.starts] == g.idx.size).tolist() == [14, 15]
+    assert np.flatnonzero(g.slots[0] == g.idx.size).tolist() == [14, 15]
     xs, zs = _weight_two_patterns(hx.shape[1])
     sx = (zs.astype(np.int64) @ hx.T % 2).astype(np.uint8)
     sz = (xs.astype(np.int64) @ hz.T % 2).astype(np.uint8)

@@ -10,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqc import harness
-from eaqc.channel import ChannelParams
+from eaqc.channel import ChannelParams, sample_error_batch
 from eaqc.clifford import category_bits
-from eaqc.decoder import DecoderConfig, build_graphs, decode_quaternary_batch, syndrome_batch
+from eaqc.decoder import (
+    DecoderConfig,
+    build_graphs,
+    decode_batch,
+    decode_quaternary_batch,
+    syndrome_batch,
+)
 from eaqc.eacode import build_theorem5, build_theorem8
 from eaqc.harness import (
     CSV_COLUMNS,
@@ -170,6 +176,53 @@ def test_point_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("alg", ["binary-spa", "quaternary-spa"])
+@pytest.mark.parametrize("p, l", [(5, 2), (7, 3)])
+def test_members_of_the_group_converged(p, l, alg):
+    # run_trials counts a trial as failed when its residual is not a
+    # member; that takes in every non-converged trial, whose residual has a
+    # nonzero syndrome
+    code = build_theorem5(p, l, l)
+    xs, zs = sample_error_batch(code.n, ChannelParams(0.05, 0.5), 3, 400)
+    sx, sz = syndrome_batch(code, xs, zs)
+    est_x, est_z, conv, _ = decode_batch(build_graphs(code), sx, sz,
+                                         DecoderConfig(alg, 0.05, l_max=20))
+    member = residual_in_group(stabilizer_symplectic(code), code,
+                               xs ^ est_x, zs ^ est_z)
+    assert (~conv).any() and member.any()
+    assert np.all(member <= conv)
+
+
+def test_sweep_builds_each_code_setup_once(twentyfive, nine, monkeypatch):
+    def grid(code):
+        cfg = SimConfig(code, ChannelParams(0.02, 0.0),
+                        DecoderConfig("quaternary-spa", 0.02), 40, 5)
+        return sweep(cfg, (0.02, 0.04), (0.0, 0.5))
+
+    grid(nine)  # whatever code an earlier test left cached, it is nine now
+    calls = {"build_graphs": 0, "stabilizer_symplectic": 0}
+    for name in calls:
+        def counted(code, _fn=getattr(harness, name), _name=name):
+            calls[_name] += 1
+            return _fn(code)
+        monkeypatch.setattr(harness, name, counted)
+
+    def built():
+        return calls["build_graphs"], calls["stabilizer_symplectic"]
+
+    first = grid(twentyfive)
+    assert built() == (1, 1)
+    assert grid(twentyfive) == first  # the cached setup: no rebuild
+    assert built() == (1, 1)
+    grid(nine)  # a second code in between rebuilds
+    assert grid(twentyfive) == first
+    assert built() == (3, 3)
+    monkeypatch.setattr(harness, "_decoding_setup",
+                        harness._decoding_setup.__wrapped__)
+    assert grid(twentyfive) == first  # every point built from scratch
+    assert built() == (7, 7)
 
 
 def test_ler_strictly_inside_unit_interval_at_moderate_noise(nine):
