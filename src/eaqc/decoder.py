@@ -51,19 +51,20 @@ decoding, a few numpy calls each:
    gathered; one fmax call computes it together with each edge's
    fmax(l_y + mu, b + mu).
 5. Check rule: tanh of half each message, the product over the other
-   slots from running products forwards and backwards (one multiply per
-   slot each way, as np.multiply.accumulate orders them), the clip,
-   2·atanh times the syndrome sign (doubled once per call, not per pass)
-   and the clamp.
+   slots from running products forwards and backwards (as
+   np.multiply.accumulate orders them; the two run side by side in one
+   stacked array, so one multiply per slot extends both), the clip, and
+   2·atanh times the syndrome sign (doubled once per call, not per pass).
 
 Padding slots of rows shorter than the longest point at a column 2n
 whose bit is 0 and whose log ratios make them send +inf, which the tanh
 rule multiplies in as 1; no mask is applied.  Every float operation
 has the operands and the order of the plain formulas above, so the
 outputs do not depend on batching.
-Numerical guards: tanh-domain clip at 1 - 1e-12 and a message clamp at
-|mu| <= 30.  Convergence is checked before the first message exchange and
-after every iteration.
+Numerical guard: the tanh-domain clip at 1 - 1e-12, which bounds every
+check message by 2·atanh(1 - 1e-12) ≈ 28.33; no further clamp is needed.
+Convergence is checked before the first message exchange and after every
+iteration.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ __all__ = [
 
 _ALGORITHMS = ("binary-spa", "quaternary-spa")
 _CLIP = 1.0 - 1e-12
-_CLAMP = 30.0
 
 
 @dataclass(frozen=True)
@@ -258,22 +258,25 @@ class _RuleScratch:
     """The arrays of the tanh rule on (dmax, checks, trials) messages.
 
     m takes the variable-to-check messages, and sign (checks, trials) holds
-    each row's syndrome sign times 2.  pre and suf hold the running
-    products of `_exclusive`, with 1 in pre's first and suf's last slot.
-    The views each product step reads and writes are made once, here: on a
-    few trials, making them costs more than the multiplies.
+    each row's syndrome sign times 2.  runs (width, 2, checks, trials)
+    holds the running products of `_exclusive`: runs[k, 0] of the first k
+    slots, runs[k, 1] of the last k, with 1 in runs[0].  ends[k - 1] is
+    the pair of slots (k - 1, width - k) that step k multiplies in.  The
+    views each step reads and writes are made once, here: on a few trials,
+    making them costs more than the multiplies.
     """
 
     def __init__(self, sign: np.ndarray, width: int):
         checks, trials = sign.shape
         self.m = np.empty((width, checks, trials))
         self.sign = sign
-        pre, suf = np.empty((2, width + 1, checks, trials))
-        pre[0] = suf[width] = 1.0
-        rows, p, s = list(self.m), list(pre), list(suf)
-        self.steps = ([(p[k], rows[k], p[k + 1]) for k in range(width - 1)]
-                      + [(s[k + 1], rows[k], s[k]) for k in range(width - 1, 0, -1)])
-        self.halves = (pre[:width], suf[1:])
+        self.runs = np.empty((width, 2, checks, trials))
+        self.runs[0] = 1.0
+        k = np.arange(1, width)
+        self.ends = np.stack([k - 1, width - k], axis=1)
+        runs = list(self.runs)
+        self.steps = list(zip(runs[:-1], runs[1:]))
+        self.halves = (self.runs[:, 0], self.runs[::-1, 1])
 
 
 def _exclusive(r: _RuleScratch) -> np.ndarray:
@@ -281,10 +284,13 @@ def _exclusive(r: _RuleScratch) -> np.ndarray:
 
     The slots before it are multiplied in order, the slots after it in
     reverse order, then the two, as two np.multiply.accumulate calls
-    would; the result overwrites r.m.
+    would; the result overwrites r.m.  One take puts each step's two new
+    slots in place and one multiply per step extends both running
+    products.
     """
-    for x, y, out in r.steps:
-        np.multiply(x, y, out=out)
+    r.m.take(r.ends, axis=0, out=r.runs[1:], mode="clip")  # see _quaternary_messages
+    for run, nxt in r.steps:
+        np.multiply(run, nxt, out=nxt)
     return np.multiply(*r.halves, out=r.m)
 
 
@@ -303,7 +309,7 @@ def _check_messages_exact(r: _RuleScratch, out: np.ndarray) -> np.ndarray:
     np.tanh(np.divide(m, 2.0, out=m), out=m)
     _exclusive(r)
     np.arctanh(_clip(m, _CLIP, out=m), out=m)
-    return _clip(np.multiply(r.sign, m, out=m), _CLAMP, out=out)
+    return np.multiply(r.sign, m, out=out)
 
 
 def _jacobian_log(a, b):

@@ -3,14 +3,17 @@ and burst bookkeeping.
 
 `sample_error` is the per-row oracle: one trial's error drawn with two
 separate calls (u, then v) and chained by a plain loop over the qubits.
-Every row of `sample_error_batch` must equal it."""
+Every row of `sample_error_batch` must equal it.  The sampler reproduces
+the uniforms of default_rng((seed, t)) from one reused PCG64; the guard
+tests compare them with numpy's own generator bit for bit, so a numpy
+release that changes SeedSequence, PCG64 or default_rng fails here."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqc.channel import ChannelParams, sample_error_batch, trial_seed
+from eaqc.channel import ChannelParams, _uniforms, sample_error_batch
 from eaqc.clifford import PauliVector
 
 
@@ -89,7 +92,7 @@ def test_batch_rows_match_per_trial_seeds():
     xs, zs = sample_error_batch(25, params, master_seed=99, trials=40)
     assert xs.shape == zs.shape == (40, 25)
     for t in range(40):
-        e = sample_error(25, params, trial_seed(99, t))
+        e = sample_error(25, params, (99, t))
         assert np.array_equal(xs[t], e.x) and np.array_equal(zs[t], e.z)
 
 
@@ -147,6 +150,81 @@ def test_burst_length_hand_cases():
 def test_rejects_empty_register():
     with pytest.raises(ValueError):
         sample_error_batch(0, ChannelParams(0.1, 0.0), 1, 3)
+
+
+def test_negative_seed_fails_loudly():
+    # default_rng((-1, t)) raises; the sampler must not wrap -1 to 2^32 - 1
+    with pytest.raises(ValueError, match="-5"):
+        sample_error_batch(9, ChannelParams(0.1, 0.0), -5, 3)
+
+
+def test_trial_range_is_checked():
+    with pytest.raises(ValueError):
+        sample_error_batch(9, ChannelParams(0.1, 0.0), 1, 3, first=-1)
+    # the last trial index that fits in two entropy words is 2^64 - 1
+    sample_error_batch(9, ChannelParams(0.1, 0.0), 1, 2, first=2**64 - 2)
+    with pytest.raises(ValueError):
+        sample_error_batch(9, ChannelParams(0.1, 0.0), 1, 3, first=2**64 - 2)
+
+
+# ── the frozen draws against numpy's default_rng ──────────────────────
+
+# Every family of the README: [[9,4;1]], [[25,8;1]], [[42,10;6]],
+# [[49,12;1]], [[121,70;51]], [[381,2;379]] and [[390,132;128]].
+FAMILY_NS = (9, 25, 42, 49, 121, 381, 390)
+
+# Seeds of 1, 1, 1, 2, 3 and 4 32-bit words; with the trial's word,
+# 2**96 + 5 gives SeedSequence more entropy than its pool of 4 words.
+GUARD_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64, 2**96 + 5)
+
+
+def _assert_draws_match_default_rng(n, seed, trials, first=0):
+    """Every row equals default_rng((seed, t)).random(2n), bit for bit."""
+    got = _uniforms(2 * n, seed, trials, first)
+    want = np.array([np.random.default_rng((seed, t)).random(2 * n)
+                     for t in range(first, first + trials)]).reshape(trials, 2 * n)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, first)
+
+
+@pytest.mark.parametrize("seed", GUARD_SEEDS)
+def test_draws_match_default_rng_for_every_seed_length(seed):
+    _assert_draws_match_default_rng(25, seed, 20)
+    _assert_draws_match_default_rng(25, seed, 5, first=1000)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**96 + 5])
+def test_draws_match_default_rng_across_two_to_the_32(seed):
+    # the trial index takes a second entropy word from 2^32 on
+    _assert_draws_match_default_rng(9, seed, 6, first=2**32 - 3)
+    _assert_draws_match_default_rng(9, seed, 3, first=2**40)
+
+
+@pytest.mark.parametrize("n", FAMILY_NS)
+def test_draws_match_default_rng_for_every_family(n):
+    _assert_draws_match_default_rng(n, 7, 12, first=3)
+    # and the errors chained from them match the per-row oracle
+    params = ChannelParams(0.3, 0.5)
+    xs, zs = sample_error_batch(n, params, 7, 4, first=3)
+    for row in range(4):
+        e = sample_error(n, params, (7, 3 + row))
+        assert np.array_equal(xs[row], e.x) and np.array_equal(zs[row], e.z)
+
+
+def test_no_trials_draw_nothing():
+    assert _uniforms(18, 3, 0, 5).shape == (0, 18)
+    assert all(a.shape == (0, 9) for a in sample_error_batch(9, ChannelParams(0.1, 0.2), 3, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**130)),
+    st.one_of(st.integers(0, 10**6), st.integers(2**32 - 8, 2**32 + 8),
+              st.integers(0, 2**64 - 9)),
+    st.integers(0, 8),
+    st.integers(1, 400),
+)
+def test_draws_match_default_rng(seed, first, trials, n):
+    _assert_draws_match_default_rng(n, seed, trials, first)
 
 
 @settings(max_examples=40, deadline=None)

@@ -129,6 +129,14 @@ def test_simulate_emits_result_fields(capsys):
     assert doc["seed"] == 11
 
 
+def test_simulate_rejects_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--family", "thm5", "--p", "3",
+                             "--l1", "1", "--l2", "1", "--pd", "0.03",
+                             "--trials", "5", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "-1" in err
+
+
 def test_simulate_deterministic(capsys):
     argv = ("simulate", "--family", "thm5", "--p", "3", "--l1", "1",
             "--l2", "1", "--pd", "0.04", "--trials", "40", "--seed", "3")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from eaqc.channel import ChannelParams, sample_error_batch
 from eaqc.clifford import category_bits
 from eaqc.decoder import (
+    _CLIP,
     DecoderConfig,
     TannerGraph,
     _RuleScratch,
@@ -406,7 +407,27 @@ def test_padding_slots_are_neutral():
     assert np.array_equal(got[:3], want)
 
 
+@pytest.mark.parametrize("m", [
+    [np.inf], [-np.inf], [0.3],  # a degree-one check: no other slot
+    [np.inf, -np.inf], [np.inf, np.inf, -np.inf, np.inf],
+    [60.0, -80.0, 1e300, 0.0], [np.inf, 0.5, -np.inf],
+])
+def test_tanh_rule_is_bounded_by_the_clip(m):
+    # the clip alone bounds every check message, below the scalar
+    # reference decoder's clamp of 30, so the decoder needs no clamp
+    bound = 2.0 * np.arctanh(_CLIP)
+    assert 28.3 < bound < 28.4 < CLAMP
+    for sign in (2.0, -2.0):
+        with np.errstate(all="raise"):
+            out = _rule([[m]], [[sign]])[0, 0]
+        assert np.all(np.abs(out) <= bound)
+        if len(m) == 1:
+            assert out[0] == np.copysign(bound, sign)
+
+
 def test_degree_one_check_clamps_instead_of_overflowing():
+    # the clip bounds the message of a check with one edge, which the
+    # product over no other slot would send to 2·atanh(1) = inf
     h = np.array([[1, 0], [1, 1]], np.uint8)
     g = _graph(h, h)
     cfg = DecoderConfig("binary-spa", 0.2, l_max=5)
@@ -692,8 +713,9 @@ def test_flood_matches_the_reference_on_twentyfive(twentyfive, alg):
 @pytest.mark.parametrize("alg", _ALGS)
 def test_flood_matches_the_reference_at_the_guards(twentyfive, alg):
     # at p_d 1e-11 the priors sit near the clip's bound of 28.3, so messages
-    # saturate and the clip and the clamp decide estimates: 60 seeded
-    # weight-2 errors of [[25,8;1]]
+    # saturate and the clip decides estimates (the reference's clamp of 30
+    # must then agree with the decoder having none): 60 seeded weight-2
+    # errors of [[25,8;1]]
     code, _, g = twentyfive
     xs, zs = _weight_two_patterns(code.n)
     pick = np.sort(np.random.default_rng(0).choice(np.arange(3 * code.n, len(xs)), 60,
