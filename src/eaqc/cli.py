@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from eaqc.channel import ChannelParams
 from eaqc.clifford import (
@@ -239,7 +240,13 @@ def _add_sim_flags(sp) -> None:
     sp.add_argument("--seed", type=int, default=0)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The eaqc argument parser, built on the first call and then reused.
+
+    parse_args keeps nothing between calls, so one parser serves every
+    `main` call of a process.
+    """
     parser = argparse.ArgumentParser(
         prog="eaqc",
         description="Construct, verify, and simulate quasi-cyclic "
@@ -278,8 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (StructureCheckFailed, BurstTooLarge) as err:

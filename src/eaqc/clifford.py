@@ -85,10 +85,6 @@ class PauliVector:
         return len(self.x)
 
     @staticmethod
-    def identity(qubits: int) -> "PauliVector":
-        return PauliVector(np.zeros(qubits, np.uint8), np.zeros(qubits, np.uint8))
-
-    @staticmethod
     def from_support(qubits: int, x_on=(), z_on=(), phase: int = 0) -> "PauliVector":
         x = np.zeros(qubits, dtype=np.uint8)
         z = np.zeros(qubits, dtype=np.uint8)

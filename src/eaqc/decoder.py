@@ -1,8 +1,8 @@
 """Syndrome-based sum-product decoders on one Tanner graph.
 
 `build_graphs` returns a single graph over the rows of [hx; hz].  Its
-variables are the 2n bits of the n transmitted qubits, interleaved:
-column 2j is the x bit of qubit j and column 2j + 1 its z bit.  X-check
+variables are the 2n bits of the n transmitted qubits, x bits first:
+column j is the x bit of qubit j and column n + j its z bit.  X-check
 rows read z bits and Z-check rows x bits; ebit columns are not part of
 decoding.  Summing the check messages into each column thus gives, per
 qubit, the pair (s_one, s_omega): the Z-check (label 1) and the X-check
@@ -27,14 +27,14 @@ One flooding loop, `_flood`, serves both algorithms:
 
 Every per-trial array keeps the trials on its last, contiguous axis: the
 messages are (dmax·checks + 1, trials), the log ratios (columns, trials)
-and the bits (2n + 1 + checks, trials), the x bits of all qubits before
-their z bits.  A numpy call then runs over whole rows of trials, never
-once per trial and row.  Each pass runs these steps on the trials still
-decoding, a few numpy calls each:
+and the bits (2n + 1 + checks, trials), in the graph's column order.  A
+numpy call then runs over whole rows of trials, never once per trial and
+row.  Each pass runs these steps on the trials still decoding, a few
+numpy calls each:
 
-1. Sum: one gather of each column's message rows from the slot table,
-   added as np.add.reduceat adds a column's messages (the first plus the
-   rest left to right, or numpy's pairwise order from 9 on).
+1. Sum: one gather of each column's message rows from the slot table;
+   each column's sum is its first message plus the sum of the rest, added
+   left to right, whatever its degree.
 2. Decide: binary-spa compares prior + s with 0.  Quaternary writes l_x,
    l_z and l_y as rows of one buffer and finds the largest of 0 (for I),
    l_x, l_y and l_z by seven comparisons; ties go to the first in the
@@ -92,9 +92,9 @@ _CLIP = 1.0 - 1e-12
 
 @dataclass(frozen=True)
 class TannerGraph:
-    """The rows of [hx; hz] over the interleaved columns of n qubits.
+    """The rows of [hx; hz] over the x bits, then the z bits, of n qubits.
 
-    Column 2j is the x bit of qubit j and column 2j + 1 its z bit; rows
+    Column j is the x bit of qubit j and column n + j its z bit; rows
     below x_checks are X checks, which read z bits only.  Row b has edges
     to the columns idx[b] below 2n, in increasing order, and its padding
     slots hold 2n.  The check messages of slot s of row b lie in row
@@ -122,10 +122,10 @@ def _ranks(keys: np.ndarray, count: np.ndarray) -> np.ndarray:
 def _graph(hx: np.ndarray, hz: np.ndarray) -> TannerGraph:
     n, x_checks = hx.shape[1], hx.shape[0]
     checks = x_checks + hz.shape[0]
-    h = np.zeros((checks, n, 2), np.uint8)
-    h[:x_checks, :, 1] = hx
-    h[x_checks:, :, 0] = hz
-    rows, cols = np.nonzero(h.reshape(checks, 2 * n))
+    h = np.zeros((checks, 2 * n), np.uint8)
+    h[:x_checks, n:] = hx
+    h[x_checks:, :n] = hz
+    rows, cols = np.nonzero(h)
     degree = np.bincount(rows, minlength=checks)
     slot = _ranks(rows, degree)
     idx = np.full((checks, max(1, int(degree.max(initial=0)))), 2 * n)
@@ -181,77 +181,20 @@ def _safe_p(p_d: float) -> float:
     return min(max(p_d, 1e-12), 1.0 - 1e-12)
 
 
-def _column_groups(
-    slots: np.ndarray, zero: int
-) -> list[tuple[np.ndarray | slice, np.ndarray]]:
-    """The columns of a slot table, split by the order numpy sums them in.
-
-    np.add.reduceat sums a column as its first message plus numpy's
-    pairwise sum of the rest, which adds fewer than 8 items left to right,
-    so zero rows (row `zero`) padded after the messages of a column of at
-    most 8 edges change no value.  Columns of 9 or more edges are summed in
-    one group per degree, as the pairwise order depends on the count.
-    Returns (columns, their slot table) pairs.
-    """
-    if len(slots) <= 8:
-        return [(slice(None), slots)]
-    degree = np.count_nonzero(slots != zero, axis=0)
-    key = np.where(degree > 8, degree, 0)
-    groups = []
-    for d in np.unique(key):
-        cols = np.flatnonzero(key == d)
-        groups.append((cols, slots[:max(1, degree[cols].max()), cols]))
-    return groups
-
-
-def _pairwise(terms: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of terms along the first axis, in place.
-
-    It mirrors pairwise_sum of numpy's umath loops: fewer than 8 terms are
-    added left to right; up to 128 go to 8 running sums, taking every 8th
-    term, which are added pairwise before the leftover terms; more are split
-    in two at a multiple of 8.  Returns a view of terms that holds the sum.
-    """
-    count = len(terms)
-    if count < 8:
-        for x in terms[1:]:
-            terms[0] += x
-        return terms[0]
-    if count <= 128:
-        r, whole = terms[:8], count - count % 8
-        for i in range(8, whole, 8):
-            r += terms[i:i + 8]
-        r[0::2] += r[1::2]
-        r[0::4] += r[2::4]
-        r[0] += r[4]
-        for x in terms[whole:]:
-            r[0] += x
-        return r[0]
-    half = count // 2 - count // 2 % 8
-    left = _pairwise(terms[:half])
-    left += _pairwise(terms[half:])
-    return left
-
-
-def _column_sums(mu: np.ndarray, groups) -> np.ndarray:
+def _column_sums(mu: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """The (columns, trials) sums of each column's messages, in slot order.
 
-    mu is the (dmax·checks + 1, trials) message block and groups come from
-    `_column_groups`.  Each sum is the first message plus the pairwise sum
-    of the rest, bit for bit what np.add.reduceat gives.
+    mu is the (dmax·checks + 1, trials) message block and slots the
+    graph's slot table.  Each sum is the first message plus the sum of the
+    rest added left to right, as np.add.reduceat forms it for up to 8
+    messages; a column's padding adds zeros after its messages.
     """
-    sums = []
-    for cols, table in groups:
-        terms = mu.take(table, axis=0)
-        if len(terms) > 1:
-            terms[0] += _pairwise(terms[1:])
-        sums.append((cols, terms[0]))
-    if len(sums) == 1:
-        return sums[0][1]
-    out = np.empty((sum(len(c) for c, _ in sums), mu.shape[1]))
-    for cols, part in sums:
-        out[cols] = part
-    return out
+    terms = mu.take(slots, axis=0)
+    for x in terms[2:]:
+        terms[1] += x
+    if len(terms) > 1:
+        terms[0] += terms[1]
+    return terms[0]
 
 
 class _RuleScratch:
@@ -369,12 +312,7 @@ def _flood(
         )
     n, l_max = g.n, cfg.l_max
     checks, width = g.idx.shape
-    # Here the x bits come first: column 2j + b of the graph is row
-    # b·n + j of the bits and log ratios, so that each half is one
-    # contiguous block; padding slots read row 2n.
-    col = np.where(g.idx.T < 2 * n, g.idx.T % 2 * n + g.idx.T // 2, 2 * n)
-    x_first = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
-    groups = _column_groups(g.slots[:, x_first], g.idx.size)
+    col = g.idx.T.copy()  # the column of each (slot, row); padding reads 2n
     s = np.concatenate([sx, sz], axis=1).T
     trials = s.shape[1]
     p = _safe_p(cfg.p_d)
@@ -430,7 +368,7 @@ def _flood(
     pending = np.ones((len(blocks), trials), bool)
     for it in range(l_max + 1 if trials else 0):
         t = act.size
-        summed = _column_sums(mu, groups)
+        summed = _column_sums(mu, g.slots)
         if binary:
             np.add(prior, summed, out=llr[:2 * n])
             np.less(llr[:2 * n], 0.0, out=cur[:2 * n])

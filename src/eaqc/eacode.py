@@ -38,7 +38,6 @@ __all__ = [
     "ebit_count",
     "extend",
     "girth_floor_of",
-    "circulant_block_product",
     "theorem5_selection",
     "theorem7_model",
     "build_theorem5",
@@ -131,29 +130,6 @@ def girth_floor_of(mx: ModelMatrix, mz: ModelMatrix | None = None) -> int:
     if has_six_cycle(m):
         return 6
     return 8
-
-
-def circulant_block_product(ma: ModelMatrix, mb: ModelMatrix) -> BinaryMatrix:
-    """expand(ma)·expand(mb)ᵀ assembled directly from exponent differences.
-
-    Block (u, v) is the mod-2 sum of circulant powers P^(a[u,j] - b[v,j]).
-    This route never calls expand or matmul, so it serves as an
-    independent oracle for the product's block structure.
-    """
-    if ma.order != mb.order or ma.block_cols != mb.block_cols:
-        raise DimensionMismatch("models disagree on order or block width")
-    n = ma.order
-    ea, eb = ma.exponents, mb.exponents
-    out = np.zeros((ma.block_rows * n, mb.block_rows * n), dtype=np.uint8)
-    rng_idx = np.arange(n)
-    for u in range(ma.block_rows):
-        for v in range(mb.block_rows):
-            block = np.zeros((n, n), dtype=np.uint8)
-            for j in range(ma.block_cols):
-                d = int(ea[u, j] - eb[v, j]) % n
-                block[rng_idx, (rng_idx + d) % n] ^= 1
-            out[u * n : (u + 1) * n, v * n : (v + 1) * n] = block
-    return BinaryMatrix.from_dense(out)
 
 
 # ── shared assembly ───────────────────────────────────────────────────

@@ -88,14 +88,6 @@ class BinaryMatrix:
     def zeros(rows: int, cols: int) -> "BinaryMatrix":
         return BinaryMatrix(rows, cols, np.zeros((rows, _n_words(cols)), dtype=np.uint64))
 
-    @staticmethod
-    def identity(n: int) -> "BinaryMatrix":
-        return BinaryMatrix.from_dense(np.eye(n, dtype=np.uint8))
-
-    @staticmethod
-    def ones(rows: int, cols: int) -> "BinaryMatrix":
-        return BinaryMatrix.from_dense(np.ones((rows, cols), dtype=np.uint8))
-
     # ── views ─────────────────────────────────────────────────────────
 
     def to_dense(self) -> np.ndarray:

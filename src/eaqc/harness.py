@@ -153,7 +153,8 @@ def residual_in_group(
 def _decoding_setup(code: EaCode) -> tuple[TannerGraph, RowBasis]:
     """The Tanner graph and stabilizer basis of a code, kept for the last code.
 
-    The points of a sweep share one code, so they build both once.
+    The points of a sweep share one code, so they build both once;
+    `burst_oracle` takes its pair from here too.
     """
     return build_graphs(code), stabilizer_symplectic(code)
 
@@ -345,11 +346,11 @@ def burst_oracle(
     sx, sz = syndrome_batch(code, xs, zs)
     keys = [(sx[t].tobytes(), sz[t].tobytes()) for t in range(count)]
     table = min_weight_decoder(code, keys)
-    basis = stabilizer_symplectic(code)
+    graph, basis = _decoding_setup(code)
     est_x = np.stack([table[k][0] for k in keys])
     est_z = np.stack([table[k][1] for k in keys])
     oracle_ok = residual_in_group(basis, code, xs ^ est_x, zs ^ est_z)
-    dx, dz, conv, _ = decode_batch(build_graphs(code), sx, sz, spa_cfg)
+    dx, dz, conv, _ = decode_batch(graph, sx, sz, spa_cfg)
     spa_ok = residual_in_group(basis, code, xs ^ dx, zs ^ dz) & conv
     failures = []
     for t in np.nonzero(~oracle_ok)[0][:8]:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from eaqc.cli import main
+from eaqc.cli import build_parser, main
 from eaqc.decoder import DecoderConfig
 from eaqc.eacode import build_theorem5
 from eaqc.gf2 import ModelMatrix, expand, gfrank, matmul
@@ -275,6 +275,18 @@ def test_flags_the_family_does_not_read_exit_two(capsys):
             main(argv)
         assert exc.value.code == 2
         assert f"does not read {stray}" in capsys.readouterr().err
+
+
+def test_calls_in_a_row_share_the_parser_but_not_their_flags(capsys):
+    # a usage error that sets --w, then a call without it: the one parser
+    # must not carry the first call's flags into the second
+    thm5 = ["params", "--family", "thm5", "--p", "3", "--l1", "1", "--l2", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(thm5 + ["--w", "2"])
+    assert exc.value.code == 2
+    assert "does not read --w" in capsys.readouterr().err
+    assert run_json(capsys, *thm5)["n"] == 9
+    assert build_parser() is build_parser()
 
 
 def test_min_sum_decoder_is_gone(capsys):

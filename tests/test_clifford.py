@@ -178,8 +178,8 @@ def test_from_support_and_equality():
 
 
 def test_mismatched_registers_rejected():
-    a = PauliVector.identity(3)
-    b = PauliVector.identity(4)
+    a = PauliVector.from_support(3)
+    b = PauliVector.from_support(4)
     with pytest.raises(ValueError):
         a * b
 
@@ -192,7 +192,7 @@ def test_malformed_gates_rejected():
 
 
 def test_out_of_range_gate_rejected_at_application():
-    v = PauliVector.identity(2)
+    v = PauliVector.from_support(2)
     with pytest.raises(ValueError):
         conjugate_pauli(v, GateSequence((("H", 5),)))
 
@@ -269,7 +269,7 @@ def _form_loop(u: np.ndarray, v: np.ndarray, q: int) -> int:
 
 def _folded_phase(gens: list, lam: np.ndarray) -> int:
     """Phase of the in-order product of the selected generators."""
-    prod = PauliVector.identity(gens[0].qubits)
+    prod = PauliVector.from_support(gens[0].qubits)
     for idx in np.nonzero(lam)[0]:
         prod = prod * gens[idx]
     return prod.phase
@@ -396,7 +396,7 @@ def _group_elements(gens) -> set:
     """Every product of a subset of the generators, signs included."""
     out = set()
     for mask in range(2 ** len(gens)):
-        prod = PauliVector.identity(gens[0].qubits)
+        prod = PauliVector.from_support(gens[0].qubits)
         for i, g in enumerate(gens):
             if mask >> i & 1:
                 prod = prod * g

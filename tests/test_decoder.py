@@ -21,7 +21,6 @@ from eaqc.decoder import (
     _RuleScratch,
     _categories,
     _check_messages_exact,
-    _column_groups,
     _column_sums,
     _exclusive,
     _graph,
@@ -83,51 +82,78 @@ def test_graph_counts_and_adjacency(twentyfive):
     assert g.n == code.n
     assert g.x_checks == code.hx.rows
     assert g.checks == code.hx.rows + code.hz.rows
-    # the padded index arrays must reproduce [0 | hx] over [hz | 0], with
-    # the x and z bits of each qubit interleaved
-    dense = np.zeros((g.checks, 2 * g.n + 1), np.uint8)
+    # the padded index arrays must reproduce [0 | hx] over [hz | 0]: the x
+    # bits of all qubits, then their z bits
+    n = g.n
+    dense = np.zeros((g.checks, 2 * n + 1), np.uint8)
     for b in range(g.checks):
         dense[b, g.idx[b]] = 1
     assert not dense[:, -1].any()  # the graphs of the families are regular
     hx, hz = code.hx.to_dense(), code.hz.to_dense()
-    assert np.array_equal(dense[: g.x_checks, 1:-1:2], hx)
-    assert np.array_equal(dense[g.x_checks :, 0:-1:2], hz)
-    assert not dense[: g.x_checks, 0:-1:2].any() and not dense[g.x_checks :, 1:-1:2].any()
+    assert np.array_equal(dense[: g.x_checks, n:2 * n], hx)
+    assert np.array_equal(dense[g.x_checks :, :n], hz)
+    assert not dense[: g.x_checks, :n].any() and not dense[g.x_checks :, n:2 * n].any()
 
 
 def test_joint_graph_labels(twentyfive):
     # X-check rows (label omega) read z bits and Z-check rows (label 1) x
     # bits, so one unit message per edge sums to the column weights of hz
-    # on the x bits and of hx on the z bits: the scatter is (s_one, s_omega)
+    # on the x bits and of hx on the z bits: the sums are (s_one, s_omega)
     # per qubit
     code, _, g = twentyfive
-    bx = g.x_checks
-    assert np.all(g.idx[:bx] % 2 == 1) and np.all(g.idx[bx:] % 2 == 0)
+    n, bx = g.n, g.x_checks
+    assert np.all((g.idx[:bx] >= n) & (g.idx[:bx] < 2 * n)) and np.all(g.idx[bx:] < n)
     mu = np.zeros((g.idx.size + 1, 1))
     mu[:-1] = 1.0
-    summed = _column_sums(mu, _column_groups(g.slots, g.idx.size))[:, 0]
-    assert np.array_equal(summed[0::2], code.hz.to_dense().sum(axis=0))
-    assert np.array_equal(summed[1::2], code.hx.to_dense().sum(axis=0))
+    summed = _column_sums(mu, g.slots)[:, 0]
+    assert np.array_equal(summed[:n], code.hz.to_dense().sum(axis=0))
+    assert np.array_equal(summed[n:], code.hx.to_dense().sum(axis=0))
+
+
+def _column_edges(hx, hz, g):
+    """The message rows of each column's edges, by increasing check row.
+
+    The edges are listed from the dense matrices, x bits (read by hz)
+    first, with slot positions read off idx.
+    """
+    checks, n = g.idx.shape[0], hx.shape[1]
+    h = np.zeros((checks, 2 * n), np.uint8)
+    h[: len(hx), n:] = hx
+    h[len(hx):, :n] = hz
+    return [[np.flatnonzero(g.idx[b] == c)[0] * checks + b for b in np.flatnonzero(h[:, c])]
+            for c in range(2 * n)]
+
+
+def _loop_sums(hx, hz, g, mu):
+    """Column sums by plain loops: the first message plus the rest, left to right.
+
+    Each column's messages are followed by zeros up to the largest column
+    degree, as the slot table pads them.
+    """
+    columns = _column_edges(hx, hz, g)
+    width = max(1, max(map(len, columns)))
+    out = np.empty((len(columns), mu.shape[1]))
+    for c, rows in enumerate(columns):
+        for t in range(mu.shape[1]):
+            first, *rest = [float(mu[r, t]) for r in rows] + [0.0] * (width - len(rows))
+            if rest:
+                total = rest[0]
+                for v in rest[1:]:
+                    total += v
+                first += total
+            out[c, t] = first
+    return out
 
 
 def _reduceat_sums(hx, hz, g, mu):
     """Column sums as np.add.reduceat forms them over each column's edges.
 
-    The edges of a column are listed by increasing row from the dense
-    matrices, with slot positions read off idx; a column no row reads sums
-    the zero row once.
+    A column no row reads sums the zero row once.
     """
-    checks, width = g.idx.shape
-    h = np.zeros((checks, hx.shape[1], 2), np.uint8)
-    h[: len(hx), :, 1] = hx
-    h[len(hx):, :, 0] = hz
-    h = h.reshape(checks, -1)
     edges, starts = [], []
-    for c in range(h.shape[1]):
+    for rows in _column_edges(hx, hz, g):
         starts.append(len(edges))
-        rows = np.flatnonzero(h[:, c])
-        edges += [np.flatnonzero(g.idx[b] == c)[0] * checks + b for b in rows]
-        edges += [] if rows.size else [width * checks]
+        edges += rows or [g.idx.size]
     return np.add.reduceat(mu.T.take(edges, axis=1), starts, axis=1).T
 
 
@@ -140,37 +166,45 @@ def _messages(rng, rows, trials):
     return mu
 
 
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_column_sums_match_reduceat_on_random_degrees(seed):
-    # column degrees 0-20: numpy sums the rest of 9 or more messages in its
-    # pairwise order, fewer left to right, and padding adds zeros only
+    # column degrees 0-20, padded with zeros up to the largest: bit for bit
+    # the plain loop's sums, and in value np.add.reduceat's on the columns
+    # of at most 8 edges (from 9 numpy sums in its pairwise order)
     rng = np.random.default_rng(seed)
     n, rows = 11, 20
-    # column 2j (x bit) reads hz, column 2j + 1 (z bit) hx
+    # column j (x bit) reads hz, column n + j (z bit) hx
     degree = rng.permutation(np.append(np.arange(rows + 1), rng.integers(rows + 1)))
     hx, hz = (np.zeros((rows, n), np.uint8) for _ in range(2))
     for c, d in enumerate(degree):
-        (hx if c % 2 else hz)[rng.choice(rows, d, replace=False), c // 2] = 1
+        (hz if c < n else hx)[rng.choice(rows, d, replace=False), c % n] = 1
     g = _graph(hx, hz)
     assert np.array_equal((g.slots != g.idx.size).sum(axis=0), degree)
+    low = degree <= 8
     for trials in (1, 7):
         mu = _messages(rng, g.idx.size, trials)
-        got = _column_sums(mu, _column_groups(g.slots, g.idx.size))
-        assert np.array_equal(got, _reduceat_sums(hx, hz, g, mu))
+        got = _column_sums(mu, g.slots)
+        assert _same_bits(got, _loop_sums(hx, hz, g, mu))
+        assert np.array_equal(got[low], _reduceat_sums(hx, hz, g, mu)[low])
 
 
 @pytest.mark.parametrize("degree", [*range(1, 21), 129, 200])
 def test_column_sums_match_reduceat_bit_for_bit(degree):
-    # every column has the same degree, so none is padded; 129 and more
-    # split the pairwise sum in two
+    # every column has the same degree, so none is padded: bit for bit the
+    # plain loop's sums, and up to 8 edges np.add.reduceat's too
     rng = np.random.default_rng(degree)
     hx, hz = np.ones((degree, 3), np.uint8), np.ones((degree, 3), np.uint8)
     g = _graph(hx, hz)
     assert (g.slots != g.idx.size).all()
     mu = _messages(rng, g.idx.size, 7)
-    got = _column_sums(mu, _column_groups(g.slots, g.idx.size))
-    want = _reduceat_sums(hx, hz, g, mu)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    got = _column_sums(mu, g.slots)
+    assert _same_bits(got, _loop_sums(hx, hz, g, mu))
+    if degree <= 8:
+        assert _same_bits(got, _reduceat_sums(hx, hz, g, mu))
 
 
 # ── syndromes ─────────────────────────────────────────────────────────
@@ -677,20 +711,26 @@ def reference_decode(hx, hz, sx, sz, cfg):
     return _quaternary(x_rows, z_rows, sx, sz, n, m0, cfg.l_max)
 
 
-def _compare(code, g, xs, zs, cfg):
-    """Assert that decode_batch equals the reference on every row."""
-    sx, sz = syndrome_batch(code, xs, zs)
+def _compare_dense(hx, hz, g, sx, sz, cfg):
+    """Assert that decode_batch equals the reference on every row.
+
+    Returns decode_batch's (est_x, est_z, conv, iters).
+    """
     est_x, est_z, conv, iters = decode_batch(g, sx, sz, cfg)
-    hx, hz = code.hx.to_dense(), code.hz.to_dense()
     seen = {}
     for t in range(len(sx)):
         key = (sx[t].tobytes(), sz[t].tobytes())
         if key not in seen:
             seen[key] = reference_decode(hx, hz, list(sx[t]), list(sz[t]), cfg)
-        want_x, want_z, want_conv, want_iters = seen[key]
         got = (est_x[t].tolist(), est_z[t].tolist(), bool(conv[t]), int(iters[t]))
-        assert got == (want_x, want_z, want_conv, want_iters), (cfg.algorithm, t)
-    return conv, iters
+        assert got == seen[key], (cfg.algorithm, t)
+    return est_x, est_z, conv, iters
+
+
+def _compare(code, g, xs, zs, cfg):
+    """_compare_dense on the syndromes of the errors xs, zs; returns conv, iters."""
+    sx, sz = syndrome_batch(code, xs, zs)
+    return _compare_dense(code.hx.to_dense(), code.hz.to_dense(), g, sx, sz, cfg)[2:]
 
 
 @pytest.mark.parametrize("alg", _ALGS)
@@ -735,24 +775,51 @@ _IRREGULAR_HZ = np.array([[1, 0, 1, 0, 1, 0, 0, 0],
                           [0, 0, 1, 1, 0, 0, 1, 0]], np.uint8)
 
 
+def _compare_on_weight_two(hx, hz, cfg):
+    """_compare_dense on _graph(hx, hz) and every weight <= 2 error.
+
+    Some trials must stall and some converge after the first pass.
+    Returns the estimates.
+    """
+    xs, zs = _weight_two_patterns(hx.shape[1])
+    sx = (zs.astype(np.int64) @ hx.T % 2).astype(np.uint8)
+    sz = (xs.astype(np.int64) @ hz.T % 2).astype(np.uint8)
+    est_x, est_z, conv, iters = _compare_dense(hx, hz, _graph(hx, hz), sx, sz, cfg)
+    assert (~conv).any() and (conv & (iters > 0)).any()
+    return est_x, est_z
+
+
 @pytest.mark.parametrize("alg", _ALGS)
 def test_flood_matches_the_reference_on_an_irregular_graph(alg):
     hx, hz = _IRREGULAR_HX, _IRREGULAR_HZ
     g = _graph(hx, hz)
-    # padded slots, and columns 14 and 15 sum only the zero after the messages
+    # padded slots, and columns 7 and 15 (the x and z bits of qubit 7) sum
+    # only the zero after the messages
     assert (g.idx == 16).any()
-    assert np.flatnonzero(g.slots[0] == g.idx.size).tolist() == [14, 15]
-    xs, zs = _weight_two_patterns(hx.shape[1])
-    sx = (zs.astype(np.int64) @ hx.T % 2).astype(np.uint8)
-    sz = (xs.astype(np.int64) @ hz.T % 2).astype(np.uint8)
-    cfg = DecoderConfig(alg, 0.1, l_max=30)
-    est_x, est_z, conv, iters = decode_batch(g, sx, sz, cfg)
-    seen = {}
-    for t in range(len(sx)):
-        key = (sx[t].tobytes(), sz[t].tobytes())
-        if key not in seen:
-            seen[key] = reference_decode(hx, hz, list(sx[t]), list(sz[t]), cfg)
-        got = (est_x[t].tolist(), est_z[t].tolist(), bool(conv[t]), int(iters[t]))
-        assert got == seen[key], (alg, t)
-    assert (~conv).any() and (conv & (iters > 0)).any()
+    assert np.flatnonzero(g.slots[0] == g.idx.size).tolist() == [7, 15]
+    est_x, est_z = _compare_on_weight_two(hx, hz, DecoderConfig(alg, 0.1, l_max=30))
     assert not est_x[:, 7].any() and not est_z[:, 7].any()
+
+
+def _heavy_columns():
+    """[hx; hz] of weight-3 rows on 12 qubits: 10 X checks share qubit 0
+    and 9 Z checks qubit 5."""
+    n = 12
+    hx, hz = np.zeros((10, n), np.uint8), np.zeros((9, n), np.uint8)
+    for r in range(10):
+        hx[r, [0, 1 + r, 1 + (r + 4) % 11]] = 1
+    others = [q for q in range(n) if q != 5]
+    for r in range(9):
+        hz[r, [5, others[r], others[(r + 3) % 11]]] = 1
+    return hx, hz
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+def test_flood_matches_the_reference_on_columns_of_degree_nine_and_more(alg):
+    # the z bit of qubit 0 sums 10 messages and the x bit of qubit 5 sums
+    # 9, where numpy's reduceat would switch to its pairwise order
+    hx, hz = _heavy_columns()
+    g = _graph(hx, hz)
+    degree = (g.slots != g.idx.size).sum(axis=0)
+    assert degree[12] == 10 and degree[5] == 9 and np.sort(degree)[-3] < 9
+    _compare_on_weight_two(hx, hz, DecoderConfig(alg, 0.1, l_max=30))

@@ -14,7 +14,6 @@ from eaqc.eacode import (
     build_theorem8,
     build_theorem9,
     build_theorem10,
-    circulant_block_product,
     ebit_count,
     extend,
     girth_floor_of,
@@ -172,6 +171,28 @@ def model_pairs(draw):
         ModelMatrix(order, grid(draw(st.integers(1, 3)))),
         ModelMatrix(order, grid(draw(st.integers(1, 3)))),
     )
+
+
+def circulant_block_product(ma: ModelMatrix, mb: ModelMatrix) -> BinaryMatrix:
+    """expand(ma)·expand(mb)ᵀ assembled directly from exponent differences.
+
+    Block (u, v) is the mod-2 sum of circulant powers P^(a[u,j] - b[v,j]).
+    This route never calls expand or matmul, so it serves as an
+    independent oracle for the product's block structure.
+    """
+    assert ma.order == mb.order and ma.block_cols == mb.block_cols
+    n = ma.order
+    ea, eb = ma.exponents, mb.exponents
+    out = np.zeros((ma.block_rows * n, mb.block_rows * n), dtype=np.uint8)
+    rng_idx = np.arange(n)
+    for u in range(ma.block_rows):
+        for v in range(mb.block_rows):
+            block = np.zeros((n, n), dtype=np.uint8)
+            for j in range(ma.block_cols):
+                d = int(ea[u, j] - eb[v, j]) % n
+                block[rng_idx, (rng_idx + d) % n] ^= 1
+            out[u * n : (u + 1) * n, v * n : (v + 1) * n] = block
+    return dense(out)
 
 
 @given(pair=model_pairs())

@@ -21,9 +21,6 @@ def test_every_public_name_resolves():
     assert not missing
 
 
-# Exported only so that tests can compare a fast path against them.
-_TEST_ORACLES = ("circulant_block_product",)
-
 _ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -75,6 +72,5 @@ def test_every_public_name_has_a_caller_outside_tests():
                 callers.setdefault(name, set()).add((path, owners[:1]))
     # a caller is any mention outside the name's own top-level definition
     unused = [f"{path.name}:{name}" for path, name in exports
-              if name not in _TEST_ORACLES
-              and not any(p != path or o != (name,) for p, o in callers.get(name, ()))]
+              if not any(p != path or o != (name,) for p, o in callers.get(name, ()))]
     assert not unused, f"exported but only tests call: {unused}"

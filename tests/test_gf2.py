@@ -175,11 +175,11 @@ def test_model_matrix_rejects_out_of_range():
 
 
 def test_rank_identity():
-    assert gfrank(BinaryMatrix.identity(7)) == 7
+    assert gfrank(BinaryMatrix.from_dense(np.eye(7, dtype=np.uint8))) == 7
 
 
 def test_rank_all_ones():
-    assert gfrank(BinaryMatrix.ones(5, 5)) == 1
+    assert gfrank(BinaryMatrix.from_dense(np.ones((5, 5), np.uint8))) == 1
 
 
 def test_rank_circulant_plus_identity():
@@ -218,7 +218,7 @@ def test_matmul_identity():
     rng = np.random.default_rng(1)
     a = rng.integers(0, 2, size=(6, 9), dtype=np.uint8)
     m = BinaryMatrix.from_dense(a)
-    assert matmul(BinaryMatrix.identity(6), m) == m
+    assert matmul(BinaryMatrix.from_dense(np.eye(6, dtype=np.uint8)), m) == m
 
 
 def test_matmul_circulant_row_pair_gives_all_ones():
@@ -255,7 +255,8 @@ def test_matmul_matches_integer_oracle(rows, inner, cols, budget, seed):
 
 def test_matmul_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        matmul(BinaryMatrix.identity(3), BinaryMatrix.identity(4))
+        matmul(BinaryMatrix.from_dense(np.eye(3, dtype=np.uint8)),
+               BinaryMatrix.from_dense(np.eye(4, dtype=np.uint8)))
 
 
 # ── row-space membership ──────────────────────────────────────────────
@@ -296,7 +297,8 @@ def test_member_matches_span_oracle(a, seed):
 
 def test_member_length_mismatch():
     with pytest.raises(DimensionMismatch):
-        _contains(RowBasis.build(BinaryMatrix.identity(3)), np.zeros(4, dtype=np.uint8))
+        _contains(RowBasis.build(BinaryMatrix.from_dense(np.eye(3, dtype=np.uint8))),
+                  np.zeros(4, dtype=np.uint8))
 
 
 # ── kernels ───────────────────────────────────────────────────────────
@@ -316,7 +318,7 @@ def test_nullspace_known_cases():
     assert ns.shape == (2, 4)
     assert matmul(a, ns.transpose()).is_zero()
     assert gfrank(ns) == 2
-    assert nullspace(BinaryMatrix.identity(4)).rows == 0
+    assert nullspace(BinaryMatrix.from_dense(np.eye(4, dtype=np.uint8))).rows == 0
     z = nullspace(BinaryMatrix.zeros(2, 3))
     assert z.rows == 3 and gfrank(z) == 3
 
