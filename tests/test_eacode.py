@@ -1,5 +1,7 @@
 """Assembly tests: ebit counts, extensions, parameter and product structure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,6 +287,42 @@ def test_reduced_geometric_regression_values():
     ten = build_theorem10((2, 4, 6), 2, enforce_scale=False)
     assert (nine.n, nine.k, nine.c) == (381, 2, 379)
     assert (ten.n, ten.k, ten.c) == (381, 2, 379)
+
+
+# README family -> (n, k, c, rank_hx, rank_hz, girth_floor) and the first 16
+# hex digits of the sha256 of the words of hx, hz, hex and hez, recorded
+# before `_assemble` ran the elimination of hx·hzᵀ once instead of twice.
+# The appended columns of hex/hez depend on the pivots, so these pin them.
+README_FAMILY_PINS = [
+    (build_theorem5, (3, 1, 1), {}, (9, 4, 1, 3, 3, 8),
+     ("74fa3195e19ee33a", "f7cda57568983bd5", "ad9e332fe4ef3b36", "f46b9aeeab6445b5")),
+    (build_theorem5, (5, 2, 2), {}, (25, 8, 1, 9, 9, 6),
+     ("2be57c0563e3d1b9", "6300c93acf08def5", "26d41aa80780753e", "fee78c2cd61029ac")),
+    (build_theorem5, (7, 3, 3), {}, (49, 12, 1, 19, 19, 6),
+     ("9987561d0e59f060", "7982c706b5c0ee07", "9d26f4a9d62137ca", "8a96ad71a5dfdd32")),
+    (build_theorem6, (7, 3, 3), {}, (42, 10, 6, 19, 19, 6),
+     ("3d705b1d21abdf6c", "053a05b13a896a77", "39ba01296ef1ce84", "f05a00c2e39f0843")),
+    (build_theorem7, (11, 5), {}, (121, 70, 51, 51, 51, 6),
+     ("3301acb200a3e7f1", "3301acb200a3e7f1", "5596e07a61466e77", "921c48870570e251")),
+    (build_theorem8, (6, 2), {}, (390, 132, 128, 193, 193, 8),
+     ("ecccd9fde6d82689", "ecccd9fde6d82689", "3d1278ec9f6da4a7", "37defd7570d45cc3")),
+    (build_theorem9, ((2, 4, 6), 2), {"enforce_scale": False}, (381, 2, 379, 379, 379, 8),
+     ("4b6c794422a489f8", "4b6c794422a489f8", "d12bf2f08463c092", "0ef1076ef7082d03")),
+    (build_theorem10, ((2, 4, 6), 2), {"enforce_scale": False}, (381, 2, 379, 379, 379, 8),
+     ("4b6c794422a489f8", "4b6c794422a489f8", "d12bf2f08463c092", "0ef1076ef7082d03")),
+]
+
+
+@pytest.mark.parametrize(
+    "builder,args,kwargs,params,digests", README_FAMILY_PINS,
+    ids=[f"{b.__name__}{a}" for b, a, *_ in README_FAMILY_PINS],
+)
+def test_readme_family_matrices_are_pinned(builder, args, kwargs, params, digests):
+    code = builder(*args, **kwargs)
+    got = (code.n, code.k, code.c, code.rank_hx, code.rank_hz, code.girth_floor)
+    assert got == params
+    words = [m.words.astype("<u8").tobytes() for m in (code.hx, code.hz, code.hex, code.hez)]
+    assert tuple(hashlib.sha256(w).hexdigest()[:16] for w in words) == digests
 
 
 def test_theorem5_accepts_custom_class_banks():

@@ -61,6 +61,24 @@ def greedy_rows_oracle(dense: np.ndarray) -> list[int]:
     return keep
 
 
+def rref_oracle(dense: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form by a plain loop over 0/1 entries: (rows, pivots)."""
+    a = dense.copy()
+    rows, cols = a.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        hits = [i for i in range(r, rows) if a[i, c]]
+        if not hits:
+            continue
+        a[[r, hits[0]]] = a[[hits[0], r]]
+        for i in range(rows):
+            if i != r and a[i, c]:
+                a[i] ^= a[r]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
 def int_matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.int64) @ b.astype(np.int64)) % 2
 
@@ -83,6 +101,18 @@ def _low_rank(shape_and_seed) -> np.ndarray:
 low_rank_matrices = st.tuples(
     st.integers(1, 24), st.integers(1, 8), st.integers(1, 150), st.integers(0, 2**32 - 1)
 ).map(_low_rank)
+
+def _random_dense(shape_density_and_seed) -> np.ndarray:
+    rows, cols, density, seed = shape_density_and_seed
+    rng = np.random.default_rng(seed)
+    return (rng.random((rows, cols)) < density).astype(np.uint8)
+
+
+# up to four words wide, empty, zero and nearly full matrices
+wide_matrices = st.tuples(
+    st.integers(0, 20), st.integers(1, 200), st.sampled_from([0.0, 0.05, 0.5, 0.95]),
+    st.integers(0, 2**32 - 1),
+).map(_random_dense)
 
 dense_matrices = st.integers(1, 8).flatmap(
     lambda r: st.integers(1, 10).flatmap(
@@ -199,6 +229,24 @@ def test_rank_matches_span_oracle(a):
 def test_rank_transpose_invariant(a):
     m = BinaryMatrix.from_dense(a)
     assert gfrank(m) == gfrank(m.transpose())
+
+
+@given(st.one_of(wide_matrices, low_rank_matrices, dense_matrices))
+@settings(max_examples=120, deadline=None)
+def test_row_basis_is_the_reduced_echelon_form(a):
+    # the reduced echelon form is unique, so any correct elimination matches
+    # the plain loop word for word, pivots included
+    basis = RowBasis.build(BinaryMatrix.from_dense(a))
+    rref, pivots = rref_oracle(a)
+    assert basis.pivot_cols.tolist() == pivots
+    assert basis.rref_words.dtype == np.uint64
+    assert np.array_equal(basis.rref_words, BinaryMatrix.from_dense(rref).words)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (4, 1), (3, 64), (5, 65), (2, 130)])
+def test_row_basis_of_a_zero_matrix_is_empty(shape):
+    basis = RowBasis.build(BinaryMatrix.zeros(*shape))
+    assert basis.rank == 0 and basis.rref_words.shape == (0, gf2._n_words(shape[1]))
 
 
 def test_rank_wide_packed_boundary():
