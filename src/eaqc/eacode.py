@@ -35,7 +35,6 @@ __all__ = [
     "EaCode",
     "FAMILIES",
     "StructureCheckFailed",
-    "ebit_count",
     "extend",
     "girth_floor_of",
     "theorem5_selection",
@@ -88,20 +87,14 @@ class EaCode:
         )
 
 
-def ebit_count(hx: BinaryMatrix, hz: BinaryMatrix) -> int:
-    """Entanglement cost of a CSS pair: gfrank of hx·hzᵀ."""
-    if hx.cols != hz.cols:
-        raise DimensionMismatch(f"hx has {hx.cols} columns, hz has {hz.cols}")
-    return gfrank(matmul(hx, hz.transpose()))
-
-
 def extend(hx: BinaryMatrix, hz: BinaryMatrix) -> tuple[BinaryMatrix, BinaryMatrix]:
     """Append c columns to each side so the extended matrices commute.
 
     Rank-factors m = hx·hzᵀ as ex·ezᵀ with c = gfrank(m) columns: ez takes
-    the reduced-echelon rows of m, ex the pivot columns (which hold the
-    combination coefficients because echelon pivot columns are unit
-    vectors).  Appending makes hex·hezᵀ = m + ex·ezᵀ = 0 over GF(2).
+    the reduced-echelon rows of m, ex the pivot columns of m itself (which
+    hold the combination coefficients because echelon pivot columns are
+    unit vectors).  Appending makes hex·hezᵀ = m + ex·ezᵀ = 0 over GF(2).
+    c, the pair's entanglement cost, is read back as hex.cols − hx.cols.
     """
     if hx.cols != hz.cols:
         raise DimensionMismatch(f"hx has {hx.cols} columns, hz has {hz.cols}")
@@ -110,10 +103,7 @@ def extend(hx: BinaryMatrix, hz: BinaryMatrix) -> tuple[BinaryMatrix, BinaryMatr
     if basis.rank == 0:
         return hx, hz
     ez = BinaryMatrix(basis.rank, m.cols, basis.rref_words).transpose()
-    ex_dense = np.stack(
-        [m.column_bit(int(pc)) for pc in basis.pivot_cols], axis=1
-    ).astype(np.uint8)
-    ex = BinaryMatrix.from_dense(ex_dense)
+    ex = BinaryMatrix.from_dense(m.to_dense()[:, basis.pivot_cols])
     return hx.hstack(ex), hz.hstack(ez)
 
 
@@ -153,14 +143,12 @@ def _assemble(
     hz = hx if mz is mx else expand(mz)
     gx = gfrank(hx)
     gz = gx if mz is mx else gfrank(hz)
-    c = ebit_count(hx, hz)
-    n = hx.cols
-    k = (n - gx) + (n - gz) - n + c
     hex_, hez = extend(hx, hz)
+    n = hx.cols
+    c = hex_.cols - n
+    k = (n - gx) + (n - gz) - n + c
     if not matmul(hex_, hez.transpose()).is_zero():
         raise StructureCheckFailed(f"{family}: extended matrices do not commute")
-    if hex_.cols != n + c or hez.cols != n + c:
-        raise StructureCheckFailed(f"{family}: extension width is not c={c}")
     return EaCode(
         n=n, k=k, c=c, hx=hx, hz=hz, hex=hex_, hez=hez,
         family=family, p_or_order=p_or_order,

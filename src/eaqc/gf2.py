@@ -2,12 +2,15 @@
 
 Matrices over GF(2) are stored as dense bit-packed rows (uint64 words,
 little-endian bit order within each word).  All arithmetic is mod 2:
-addition is XOR, and `matmul` is the package's one GF(2) product.  The
-ebit count, the tableau's commutation gram, the signs and logical action
-of generator products and decoder syndromes all go through it; no caller
-forms a mod-2 product from integer sums.  `RowBasis.build` is its one
-Gaussian elimination: `gfrank`, `independent_rows`, `nullspace` and
-row-space membership all read the reduced echelon form it returns.
+addition is XOR, and `matmul` is the package's one GF(2) product.  It
+folds the inner words word-major (one AND and one XOR per word over a
+block of rows of a) and keeps its scratch within one byte bound,
+`_MATMUL_BYTES`.  The ebit count, the tableau's commutation gram, the
+signs and logical action of generator products and decoder syndromes all
+go through it; no caller forms a mod-2 product from integer sums.
+`RowBasis.build` is its one Gaussian elimination: `gfrank`,
+`independent_rows`, `nullspace` and row-space membership all read the
+reduced echelon form it returns, which is unique.
 
 A :class:`ModelMatrix` is the compressed form of a quasi-cyclic
 parity-check matrix: a grid of shift exponents over Z_n.  ``expand``
@@ -33,7 +36,7 @@ __all__ = [
 ]
 
 _WORD = 64
-# scratch bytes of one chunk of the AND in `matmul`
+# scratch bytes of one chunk of rows in `matmul`: its accumulator and AND
 _MATMUL_BYTES = 4 * 2**20
 
 
@@ -96,12 +99,6 @@ class BinaryMatrix:
         bytes_view = self.words.view(np.uint8).reshape(self.rows, -1)
         bits = np.unpackbits(bytes_view, axis=1, bitorder="little")
         return bits[:, : self.cols].copy()
-
-    def column_bit(self, c: int) -> np.ndarray:
-        """The c-th column as a uint64 0/1 vector (cheap, no unpacking)."""
-        if not 0 <= c < self.cols:
-            raise IndexError(c)
-        return (self.words[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
 
     # ── algebra ───────────────────────────────────────────────────────
 
@@ -220,19 +217,30 @@ def gfrank(a: BinaryMatrix) -> int:
 def matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     """Product over GF(2): parity of the popcount of ANDed packed rows.
 
-    Each row of a is ANDed with each packed column of b; the words of one
-    entry are XOR-folded first, so a single popcount gives its parity.
-    Rows of a go through in chunks whose (chunk, b.cols, words) AND holds
-    at most _MATMUL_BYTES, so the scratch space does not grow with a.rows.
+    The fold is word-major: entry (i, j) XORs together a[i, w] & bᵀ[j, w]
+    over the inner words w, one AND and one XOR per word on a whole
+    (chunk, b.cols) array, so a single popcount then gives its parity.
+    Rows of a go through in chunks whose scratch (the accumulator, plus one
+    array for the AND when the inner width is two words or more) holds at
+    most _MATMUL_BYTES, so the scratch space does not grow with a.rows.
     """
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.shape} @ {b.shape}")
-    bt = b.transpose()
+    bt = b.transpose().words.T.copy()  # (inner words, b.cols)
+    aw = a.words.T  # (inner words, a.rows)
+    arrays = 1 if len(bt) == 1 else 2
+    chunk = max(1, _MATMUL_BYTES // max(1, arrays * bt[0].nbytes))
     out = np.zeros((a.rows, b.cols), dtype=np.uint8)
-    chunk = max(1, _MATMUL_BYTES // max(1, bt.words.nbytes))
     for lo in range(0, a.rows, chunk):
-        anded = a.words[lo : lo + chunk, None, :] & bt.words[None, :, :]
-        out[lo : lo + chunk] = np.bitwise_count(np.bitwise_xor.reduce(anded, axis=2)) & 1
+        acc = aw[0, lo : lo + chunk, None] & bt[0]
+        if arrays == 2:
+            anded = np.empty_like(acc)
+            for w in range(1, len(bt)):
+                np.bitwise_and(aw[w, lo : lo + chunk, None], bt[w], out=anded)
+                acc ^= anded
+            del anded
+        out[lo : lo + chunk] = np.bitwise_count(acc) & 1
+        del acc
     return BinaryMatrix.from_dense(out)
 
 
@@ -250,24 +258,27 @@ class RowBasis:
 
     @staticmethod
     def build(a: BinaryMatrix) -> "RowBasis":
+        """Gauss-Jordan elimination, one column at a time."""
         w = a.words.copy()
         pivots = []
         r = 0
         for c in range(a.cols):
             if r == a.rows:
                 break
-            col = (w[r:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
+            word = c >> 6
+            col = w[:, word] & np.uint64(1 << (c & 63))
+            below = col[r:].nonzero()[0]
+            if below.size == 0:
                 continue
-            piv = r + nz[0]
+            piv = r + below[0]
             if piv != r:
                 w[[r, piv]] = w[[piv, r]]
-            col_all = (w[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
-            col_all[r] = 0
-            others = np.nonzero(col_all)[0]
+                col[piv] = col[r]
+            col[r] = 0
+            others = col.nonzero()[0]
             if others.size:
-                w[others] ^= w[r]
+                # row r is zero left of its pivot, so its earlier words add nothing
+                w[others, word:] ^= w[r, word:]
             pivots.append(c)
             r += 1
         return RowBasis(a.cols, w[:r].copy(), np.asarray(pivots, dtype=np.int64))

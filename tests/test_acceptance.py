@@ -49,7 +49,6 @@ from eaqc.eacode import (
     build_theorem8,
     build_theorem9,
     build_theorem10,
-    ebit_count,
     theorem5_selection,
     theorem7_model,
 )
@@ -193,7 +192,7 @@ def test_criterion_03_small_code_parameters():
     bad = []
     for code, want in cases:
         got = (code.n, code.k, code.c)
-        c_direct = ebit_count(code.hx, code.hz)
+        c_direct = gfrank(matmul(code.hx, code.hz.transpose()))
         commuting = gfrank(matmul(code.hex, code.hez.transpose())) == 0
         prod_zero = not matmul(code.hex, code.hez.transpose()).to_dense().any()
         if got != want or c_direct != code.c or not commuting or not prod_zero:

@@ -16,7 +16,6 @@ from eaqc.eacode import (
     build_theorem8,
     build_theorem9,
     build_theorem10,
-    ebit_count,
     extend,
     girth_floor_of,
     theorem5_selection,
@@ -41,19 +40,18 @@ def dense(a) -> BinaryMatrix:
 
 def test_ebit_count_orthogonal_pair_is_zero():
     hx = dense(np.hstack([np.eye(3), np.eye(3)]))
-    assert ebit_count(hx, hx) == 0  # h·hᵀ = I + I = 0
+    assert gfrank(matmul(hx, hx.transpose())) == 0  # h·hᵀ = I + I = 0
 
 
 def test_ebit_count_known_pairs():
-    a = build_theorem5(3, 1, 1)
-    assert ebit_count(a.hx, a.hz) == 1
-    b = build_theorem6(7, 3, 3)
-    assert ebit_count(b.hx, b.hz) == 6
+    # c = gfrank(hx·hzᵀ), formed apart from `extend`, which the builders read
+    for code, want in ((build_theorem5(3, 1, 1), 1), (build_theorem6(7, 3, 3), 6)):
+        assert gfrank(matmul(code.hx, code.hz.transpose())) == code.c == want
 
 
-def test_ebit_count_rejects_column_mismatch():
+def test_extend_rejects_column_mismatch():
     with pytest.raises(DimensionMismatch):
-        ebit_count(dense(np.eye(3)), dense(np.eye(4)))
+        extend(dense(np.eye(3)), dense(np.eye(4)))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
@@ -101,7 +99,7 @@ def _bit_grid(rows, cols):
 def test_extend_always_commutes(rows_a, rows_b, cols, data):
     hx = dense(data.draw(_bit_grid(rows_a, cols)))
     hz = dense(data.draw(_bit_grid(rows_b, cols)))
-    c = ebit_count(hx, hz)
+    c = gfrank(matmul(hx, hz.transpose()))
     hex_, hez = extend(hx, hz)
     assert hex_.cols == cols + c and hez.cols == cols + c
     assert matmul(hex_, hez.transpose()).is_zero()

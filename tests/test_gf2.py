@@ -144,13 +144,6 @@ def test_pack_roundtrip_property(a):
     assert np.array_equal(BinaryMatrix.from_dense(a).to_dense(), a)
 
 
-def test_column_bit():
-    a = np.asarray([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-    m = BinaryMatrix.from_dense(a)
-    for c in range(3):
-        assert np.array_equal(m.column_bit(c), a[:, c])
-
-
 # ── expand ────────────────────────────────────────────────────────────
 
 
