@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eaqc import gf2
@@ -101,6 +101,7 @@ def _low_rank(shape_and_seed) -> np.ndarray:
 low_rank_matrices = st.tuples(
     st.integers(1, 24), st.integers(1, 8), st.integers(1, 150), st.integers(0, 2**32 - 1)
 ).map(_low_rank)
+
 
 def _random_dense(shape_density_and_seed) -> np.ndarray:
     rows, cols, density, seed = shape_density_and_seed
@@ -225,6 +226,8 @@ def test_rank_transpose_invariant(a):
 
 
 @given(st.one_of(wide_matrices, low_rank_matrices, dense_matrices))
+@example(np.zeros((0, 5), dtype=np.uint8))
+@example(np.zeros((3, 65), dtype=np.uint8))
 @settings(max_examples=120, deadline=None)
 def test_row_basis_is_the_reduced_echelon_form(a):
     # the reduced echelon form is unique, so any correct elimination matches
@@ -234,12 +237,6 @@ def test_row_basis_is_the_reduced_echelon_form(a):
     assert basis.pivot_cols.tolist() == pivots
     assert basis.rref_words.dtype == np.uint64
     assert np.array_equal(basis.rref_words, BinaryMatrix.from_dense(rref).words)
-
-
-@pytest.mark.parametrize("shape", [(0, 5), (4, 1), (3, 64), (5, 65), (2, 130)])
-def test_row_basis_of_a_zero_matrix_is_empty(shape):
-    basis = RowBasis.build(BinaryMatrix.zeros(*shape))
-    assert basis.rank == 0 and basis.rref_words.shape == (0, gf2._n_words(shape[1]))
 
 
 def test_rank_wide_packed_boundary():
