@@ -8,8 +8,10 @@ syndrome.  Per-trial randomness comes from (master_seed, trial)
 counter seeds, so results are independent of how trials are scheduled.
 
 The exhaustive oracles (ML coset decoding over all 4^n errors, min-weight
-decoding by weight layer, and the burst-window audit) build their Pauli
-patterns with one enumerator, `_patterns`; its order fixes which error
+decoding by weight layer, and the burst-window audit) read every column
+of an error, its x and z bits, syndromes and logical class, as the XOR of
+one table of per-qubit letter rows, `_letter_rows`, folded over each
+support by one enumerator, `_enumerate`; its order fixes which error
 represents a coset and so every table and report they return.
 """
 
@@ -25,7 +27,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from eaqc.channel import ChannelParams, sample_error_batch
-from eaqc.clifford import category_bits, logical_operators, symplectic_product
+from eaqc.clifford import logical_operators
 from eaqc.decoder import (
     DecoderConfig,
     TannerGraph,
@@ -34,7 +36,7 @@ from eaqc.decoder import (
     syndrome_batch,
 )
 from eaqc.eacode import EaCode
-from eaqc.gf2 import BinaryMatrix, RowBasis
+from eaqc.gf2 import BinaryMatrix, DimensionMismatch, RowBasis
 
 __all__ = [
     "SimConfig",
@@ -186,22 +188,42 @@ def run_trials(cfg: SimConfig) -> SimResult:
 
 # ── brute-force oracles ───────────────────────────────────────────────
 
-def _patterns(n: int, supports, letters) -> np.ndarray:
-    """int8 categories of every assignment of letters to each support.
+def _letter_rows(code: EaCode, logicals=()) -> np.ndarray:
+    """(n, 4, w) bits of each letter I, X, Y, Z on each qubit.
+
+    A row is [x | z | sx | sz | form with each logical]; the logicals are
+    (x | z) rows on the n transmitted qubits, and the form with one is
+    x·z' + z·x'.  Every column of an error is the XOR of its letters' rows.
+    """
+    n = code.n
+    hx, hz = code.hx.to_dense().T, code.hz.to_dense().T
+    swapped = np.asarray(logicals, np.uint8).reshape(-1, 2, n)[:, ::-1].reshape(-1, 2 * n)
+    # the columns an X (first n rows) or a Z (last n rows) on each qubit sets
+    unit = np.hstack([np.eye(2 * n, dtype=np.uint8),
+                      np.block([[0 * hx, hz], [hx, 0 * hz]]), swapped.T])
+    letters = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], np.uint8)  # (x, z) of I, X, Y, Z
+    return letters @ unit.reshape(2, n, -1).transpose(1, 0, 2) & 1
+
+
+def _enumerate(rows: np.ndarray, supports, letters) -> np.ndarray:
+    """XOR of the letter rows of every assignment of letters to each support.
 
     The supports share one width.  They come in the order given; within
     one support the assignments come in itertools.product order, the last
     position fastest.
     """
     supports = np.array([list(s) for s in supports], np.intp)
-    letters = np.asarray(letters, np.int8)
-    count, width = supports.shape
-    per = len(letters) ** width
-    assignments = letters[np.indices((len(letters),) * width).reshape(width, per).T]
-    cats = np.zeros((count, per, n), np.int8)
-    cats[np.arange(count)[:, None, None], np.arange(per)[:, None],
-         supports[:, None, :]] = assignments
-    return cats.reshape(count * per, n)
+    picked = rows[:, list(letters)][supports]  # (support, position, letter, column)
+    out = np.zeros((len(supports), 1, rows.shape[2]), np.uint8)
+    for at in picked.swapaxes(0, 1):  # each position of every support
+        out = (out[:, :, None] ^ at[:, None]).reshape(len(out), -1, out.shape[2])
+    return out.reshape(-1, out.shape[2])
+
+
+def _first_rows(bits: np.ndarray) -> np.ndarray:
+    """Index of each distinct row's first occurrence, in row order."""
+    packed = np.packbits(bits, axis=1)
+    return np.sort(np.unique(packed.view(f"V{packed.shape[1]}"), return_index=True)[1])
 
 
 def min_weight_decoder(code: EaCode, syndromes):
@@ -210,26 +232,26 @@ def min_weight_decoder(code: EaCode, syndromes):
     Sweeps Pauli patterns in weight order, lexicographic within a weight
     layer, and keeps the first hit per syndrome; deterministic, so the
     chosen coset representative is reproducible.  Patterns are built in
-    blocks of at most _PATTERN_BLOCK, so memory stays flat.
+    blocks of at most _PATTERN_BLOCK, so memory stays flat.  A key whose
+    widths are not the check counts, or whose bytes are not 0/1, raises
+    DimensionMismatch before any pattern is built.
     """
-    n = code.n
+    n, mx, mz = code.n, code.hx.rows, code.hz.rows
     needed = set(syndromes)
+    for sx, sz in needed:
+        if (len(sx), len(sz)) != (mx, mz) or not set(sx + sz) <= {0, 1}:
+            raise DimensionMismatch(f"syndrome of {len(sx)} + {len(sz)} bytes; "
+                                    f"expected {mx} + {mz} bytes of 0 or 1")
+    rows = _letter_rows(code)
     table: dict = {}
-    zero = (np.zeros(code.hx.rows, np.uint8).tobytes(),
-            np.zeros(code.hz.rows, np.uint8).tobytes())
-    if zero in needed:
-        table[zero] = (np.zeros(n, np.uint8), np.zeros(n, np.uint8))
-        needed.discard(zero)
-    for weight in range(1, n + 1):
+    for weight in range(n + 1):
         supports = combinations(range(n), weight)
         per_block = max(1, _PATTERN_BLOCK // 3 ** weight)
         while needed and (block := list(islice(supports, per_block))):
-            x, z = category_bits(_patterns(n, block, (1, 2, 3)))
-            sx, sz = syndrome_batch(code, x, z)
+            x, z, sx, sz = np.split(_enumerate(rows, block, (1, 2, 3)),
+                                    [n, 2 * n, 2 * n + mx], axis=1)
             # the first pattern of each distinct syndrome, in block order
-            packed = np.packbits(np.hstack([sx, sz]), axis=1)
-            _, first = np.unique(packed.view(f"V{packed.shape[1]}"), return_index=True)
-            for t in np.sort(first):
+            for t in _first_rows(np.hstack([sx, sz])):
                 key = (sx[t].tobytes(), sz[t].tobytes())
                 if key in needed:
                     table[key] = (x[t].copy(), z[t].copy())
@@ -237,18 +259,6 @@ def min_weight_decoder(code: EaCode, syndromes):
     if needed:
         raise RuntimeError("some syndromes are not reachable by any Pauli error")
     return table
-
-
-def _class_bits(code: EaCode, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Logical class bits of each (x, z) row: its forms with Z1, X1, Z2, X2, ...
-
-    The rows act on the n transmitted qubits, so only those columns of the
-    logicals count; the form with Z_j is the X_j coefficient.
-    """
-    n = code.n
-    ops = [op for xbar, zbar in logical_operators(code) for op in (zbar, xbar)]
-    logicals = np.array([np.concatenate([op.x[:n], op.z[:n]]) for op in ops])
-    return symplectic_product(np.hstack([x, z]), logicals)
 
 
 def ml_coset_decoder(code: EaCode, p_d: float, limit: int = 2_000_000):
@@ -271,13 +281,15 @@ def ml_coset_decoder(code: EaCode, p_d: float, limit: int = 2_000_000):
     total = 4 ** n
     if total > limit:
         raise BurstTooLarge(total, limit)
+    # the class bits are the forms with Z1, X1, Z2, X2, ... on the n
+    # transmitted qubits; the form with Z_j is the X_j coefficient
+    ops = [op for xbar, zbar in logical_operators(code) for op in (zbar, xbar)]
+    logicals = [np.concatenate([op.x[:n], op.z[:n]]) for op in ops]
     # the last support position varies fastest, so qubit 0 is the least
     # significant digit; that fixes each coset's first error and key order
-    cats = _patterns(n, [range(n - 1, -1, -1)], range(4))
-    x, z = category_bits(cats)
-    weights = np.count_nonzero(cats, axis=1)
-    syn_bytes = np.concatenate(syndrome_batch(code, x, z), axis=1)
-    cls = _class_bits(code, x, z)
+    rows = _enumerate(_letter_rows(code, logicals), [range(n - 1, -1, -1)], range(4))
+    x, z, syn_bytes, cls = np.split(rows, [n, 2 * n, rows.shape[1] - len(ops)], axis=1)
+    weights = np.count_nonzero(x | z, axis=1)
     # one integer per (syndrome, class); the first class bit is the most
     # significant, so integer order is class-bytes order
     bits = cls.shape[1]
@@ -298,10 +310,8 @@ def ml_coset_decoder(code: EaCode, p_d: float, limit: int = 2_000_000):
     order = np.lexsort((cosets, prob, syn_of))
     best = order[np.append(np.flatnonzero(np.diff(syn_of[order])), len(order) - 1)]
     syn_first = np.minimum.reduceat(first, np.flatnonzero(np.diff(syn_of, prepend=-1)))
-    table = {}
-    for t in first[best[np.argsort(syn_first)]]:
-        table[syn_bytes[t].tobytes()] = (x[t].copy(), z[t].copy())
-    return table
+    return {syn_bytes[t].tobytes(): (x[t].copy(), z[t].copy())
+            for t in first[best[np.argsort(syn_first)]]}
 
 
 def burst_oracle(
@@ -336,36 +346,24 @@ def burst_oracle(
         raise BurstTooLarge(raw, limit)
     if spa_cfg is None:
         spa_cfg = DecoderConfig("quaternary-spa", 0.03)
-    cats = _patterns(n, [range(s, s + burst_len) for s in range(windows)], range(4))
+    found = _enumerate(_letter_rows(code),
+                       [range(s, s + burst_len) for s in range(windows)], range(4))
     # windows overlap; keep each pattern's first occurrence, in order, since
-    # that order is the order of oracle_failures
-    _, first = np.unique(cats, axis=0, return_index=True)
-    cats = cats[np.sort(first)]
-    xs, zs = category_bits(cats[cats.any(axis=1)])
-    count = xs.shape[0]
-    sx, sz = syndrome_batch(code, xs, zs)
-    keys = [(sx[t].tobytes(), sz[t].tobytes()) for t in range(count)]
+    # that order is the order of oracle_failures; the first is the identity
+    found = found[_first_rows(found[:, :2 * n])[1:]]
+    xs, zs, sx, sz = np.split(found, [n, 2 * n, 2 * n + code.hx.rows], axis=1)
+    keys = [(a.tobytes(), b.tobytes()) for a, b in zip(sx, sz)]
     table = min_weight_decoder(code, keys)
     graph, basis = _decoding_setup(code)
-    est_x = np.stack([table[k][0] for k in keys])
-    est_z = np.stack([table[k][1] for k in keys])
+    est_x, est_z = map(np.stack, zip(*(table[k] for k in keys)))
     oracle_ok = residual_in_group(basis, code, xs ^ est_x, zs ^ est_z)
     dx, dz, conv, _ = decode_batch(graph, sx, sz, spa_cfg)
     spa_ok = residual_in_group(basis, code, xs ^ dx, zs ^ dz) & conv
-    failures = []
-    for t in np.nonzero(~oracle_ok)[0][:8]:
-        failures.append((
-            tuple(int(v) for v in np.nonzero(xs[t])[0]),
-            tuple(int(v) for v in np.nonzero(zs[t])[0]),
-        ))
-    return BurstReport(
-        burst_len=burst_len,
-        windows=windows,
-        patterns=count,
-        oracle_corrected=int(np.sum(oracle_ok)),
-        spa_corrected=int(np.sum(spa_ok)),
-        oracle_failures=tuple(failures),
-    )
+    failures = tuple((tuple(np.flatnonzero(xs[t]).tolist()),
+                      tuple(np.flatnonzero(zs[t]).tolist()))
+                     for t in np.flatnonzero(~oracle_ok)[:8])
+    return BurstReport(burst_len, windows, len(keys), int(oracle_ok.sum()),
+                       int(spa_ok.sum()), failures)
 
 
 # ── sweeps ────────────────────────────────────────────────────────────

@@ -38,8 +38,10 @@ from eaqc.clifford import (
     h_s_cz,
     hadamard_swap,
     logical_action,
+    logical_operators,
     s_cz,
     stabilizer_matrix,
+    symplectic_product,
 )
 from eaqc.decoder import DecoderConfig, build_graphs, decode_batch
 from eaqc.eacode import (
@@ -56,7 +58,6 @@ from eaqc.gf2 import BinaryMatrix, ModelMatrix, expand, gfrank, matmul
 from eaqc.girth import girth_bfs, has_four_cycle, has_six_cycle
 from eaqc.harness import (
     SimConfig,
-    _class_bits,
     burst_oracle,
     min_weight_decoder,
     ml_coset_decoder,
@@ -97,7 +98,11 @@ def _coset_keys(code, x, z):
     """
     sx, sz = _syndromes(code, x, z)
     syn = np.concatenate([sx, sz], axis=1).astype(np.int64)
-    cls = _class_bits(code, x, z)
+    # the logical class: forms with Z1, X1, Z2, X2, ... on the n qubits
+    n = code.n
+    ops = [op for xbar, zbar in logical_operators(code) for op in (zbar, xbar)]
+    logicals = np.array([np.concatenate([op.x[:n], op.z[:n]]) for op in ops])
+    cls = symplectic_product(np.hstack([x, z]), logicals)
     return syn @ (1 << np.arange(syn.shape[1])), cls @ (1 << np.arange(cls.shape[1]))
 
 

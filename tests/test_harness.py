@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from eaqc import harness
 from eaqc.channel import ChannelParams, sample_error_batch
-from eaqc.clifford import category_bits
+from eaqc.clifford import category_bits, logical_operators, symplectic_product
 from eaqc.decoder import (
     DecoderConfig,
     build_graphs,
@@ -20,6 +21,7 @@ from eaqc.decoder import (
     syndrome_batch,
 )
 from eaqc.eacode import build_theorem5, build_theorem8
+from eaqc.gf2 import DimensionMismatch
 from eaqc.harness import (
     CSV_COLUMNS,
     BurstReport,
@@ -45,6 +47,11 @@ def nine():
 @pytest.fixture(scope="module")
 def twentyfive():
     return build_theorem5(5, 2, 2)
+
+
+@pytest.fixture(scope="module")
+def fortynine():
+    return build_theorem5(7, 3, 3)
 
 
 # ── wilson intervals ──────────────────────────────────────────────────
@@ -253,30 +260,57 @@ def _loop_patterns(n, supports, letters):
     return np.array(rows, np.int8).reshape(-1, n)
 
 
+@lru_cache
+def _logicals(code):
+    """(x | z) rows of Z1, X1, Z2, X2, ... on the n transmitted qubits."""
+    n = code.n
+    ops = [op for xbar, zbar in logical_operators(code) for op in (zbar, xbar)]
+    return np.array([np.concatenate([op.x[:n], op.z[:n]]) for op in ops])
+
+
+def _enumerate_against_loop(code, supports, letters):
+    """_enumerate's rows, each column group checked against the loop's
+    patterns pushed through category_bits, syndrome_batch and
+    symplectic_product; compared bit by bit, since on [[49,12;1]] the
+    syndrome and class columns are 66 bits, wider than one int64."""
+    n = code.n
+    rows = harness._letter_rows(code, _logicals(code))
+    got = harness._enumerate(rows, supports, letters)
+    cats = _loop_patterns(n, supports, letters)
+    x, z = category_bits(cats)
+    syn = np.hstack(syndrome_batch(code, x, z))
+    assert got.dtype == np.uint8
+    assert np.array_equal(got[:, :2 * n], np.hstack([x, z]))
+    assert np.array_equal(got[:, 2 * n:2 * n + syn.shape[1]], syn)
+    assert np.array_equal(got[:, 2 * n + syn.shape[1]:],
+                          symplectic_product(np.hstack([x, z]), _logicals(code)))
+    return got, cats
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_patterns_list_every_pauli_in_digit_order(n):
-    cats = harness._patterns(n, [range(n - 1, -1, -1)], range(4))
-    assert cats.dtype == np.int8
-    assert np.array_equal(cats, _loop_patterns(n, [range(n - 1, -1, -1)], range(4)))
-    # row t is t in base 4 with qubit 0 the least significant digit
-    digits = (np.arange(4 ** n)[:, None] >> (2 * np.arange(n))) & 3
-    assert np.array_equal(cats, digits)
+def test_patterns_list_every_pauli_in_digit_order(nine, fortynine, n):
+    for code in (nine, fortynine):
+        _, cats = _enumerate_against_loop(code, [range(n - 1, -1, -1)], range(4))
+        # row t is t in base 4 with qubit 0 the least significant digit
+        digits = (np.arange(4 ** n)[:, None] >> (2 * np.arange(n))) & 3
+        assert np.array_equal(cats[:, :n], digits) and not cats[:, n:].any()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.data())
-def test_patterns_match_itertools_by_weight_and_window(n, data):
+def test_patterns_match_itertools_by_weight_and_window(nine, fortynine, n, data):
     w = data.draw(st.integers(1, min(n, 3)))
-    supports = data.draw(st.permutations(list(combinations(range(n), w))))
-    assert np.array_equal(harness._patterns(n, supports, (1, 2, 3)),
-                          _loop_patterns(n, supports, (1, 2, 3)))
-    windows = [range(s, s + w) for s in range(n - w + 1)]
-    cats = harness._patterns(n, windows, range(4))
-    assert np.array_equal(cats, _loop_patterns(n, windows, range(4)))
-    # repeats removed in first-occurrence order, as burst_oracle does
-    _, first = np.unique(cats, axis=0, return_index=True)
-    seen = dict.fromkeys(map(tuple, _loop_patterns(n, windows, range(4)).tolist()))
-    assert cats[np.sort(first)].tolist() == [list(row) for row in seen]
+    for code in (nine, fortynine):
+        qubits = data.draw(st.lists(st.integers(0, code.n - 1), min_size=n,
+                                    max_size=n, unique=True))
+        supports = data.draw(st.permutations(list(combinations(qubits, w))))
+        _enumerate_against_loop(code, supports, (1, 2, 3))
+        windows = [range(s, s + w) for s in range(code.n - w + 1)]
+        got, cats = _enumerate_against_loop(code, windows, range(4))
+        # repeats removed in first-occurrence order, as burst_oracle does
+        seen = np.array(list(dict.fromkeys(map(tuple, cats.tolist()))), np.int8)
+        kept = got[harness._first_rows(got[:, :2 * code.n])]
+        assert np.array_equal(kept[:, :2 * code.n], np.hstack(category_bits(seen)))
 
 
 def _min_weight_reference(code, syndromes):
@@ -345,6 +379,13 @@ def test_min_weight_table_returns_exact_singles(nine):
     for key, (x, z) in zip(keys, errors):
         tx, tz = table[key]
         assert np.array_equal(tx, x) and np.array_equal(tz, z)
+
+
+def test_min_weight_rejects_malformed_syndromes(nine):
+    # such keys match no pattern; they must fail before any enumeration
+    for key in [(bytes(4), bytes(3)), (bytes(3), bytes(2)), (b"\x02\x00\x00", bytes(3))]:
+        with pytest.raises(DimensionMismatch, match="expected 3 \\+ 3 bytes"):
+            min_weight_decoder(nine, [key])
 
 
 def test_min_weight_table_zero_syndrome_is_identity(nine):
