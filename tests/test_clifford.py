@@ -1,6 +1,9 @@
 """Conjugation rules validated against explicit unitaries, then the block
 operators and their action on stabilizer groups and logicals."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +26,13 @@ from eaqc.clifford import (
     stabilizer_matrix,
     symplectic_product,
 )
-from eaqc.eacode import build_theorem5
+from eaqc.eacode import (
+    build_theorem5,
+    build_theorem6,
+    build_theorem7,
+    build_theorem8,
+    build_theorem9,
+)
 from eaqc.gf2 import gfrank
 
 # ── unitary oracle ────────────────────────────────────────────────────
@@ -320,6 +329,33 @@ def test_product_phases_match_folded_products(g, q, seed):
     assert list(got) == [_folded_phase(gens, lam) for lam in sel]
 
 
+def _digest(*arrays) -> str:
+    """First 16 hex digits of the sha256 of the arrays' bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+# p -> digest of the uint8 (x | z) rows and int64 phases of
+# stabilizer_matrix(p), recorded from its own grid-and-support loops
+_BLOCK_STABILIZER_SHA256 = {
+    3: "4112cab4b2578708",
+    5: "e70ec858a0b6ca47",
+    7: "edec4a1bd83d2ff8",
+    11: "c0c6096229c57b7d",
+}
+
+
+@pytest.mark.parametrize("p", sorted(_BLOCK_STABILIZER_SHA256))
+def test_block_stabilizer_is_pinned(p):
+    t = stabilizer_matrix(p)
+    rows = t.symplectic().to_dense()
+    phases = np.array([g.phase for g in t.generators], dtype=np.int64)
+    assert rows.dtype == np.uint8 and rows.shape == (p * (p - 1), 2 * (p * p + 1))
+    assert _digest(rows, phases) == _BLOCK_STABILIZER_SHA256[p]
+
+
 def test_block_stabilizer_rejects_composite():
     with pytest.raises(ValueError):
         stabilizer_matrix(9)
@@ -546,6 +582,46 @@ def test_logical_basis_is_pinned(source):
     ]
 
 
+# every README code -> digest of the uint8 (x | z) rows of its logical
+# basis in X1, Z1, X2, Z2, ... order; the transversal tables and the ML
+# coset classes are written in this basis
+_README_LOGICALS_SHA256 = [
+    (build_theorem5, (3, 1, 1), {}, "dff8ab6e801fcbdb"),
+    (build_theorem5, (5, 2, 2), {}, "eccd3f1def3d4cc8"),
+    (build_theorem5, (7, 3, 3), {}, "fef53cc13502805b"),
+    (build_theorem6, (7, 3, 3), {}, "66ec44fc1a4a4b81"),
+    (build_theorem7, (11, 5), {}, "04b2e961d655e06b"),
+    (build_theorem8, (6, 2), {}, "39b88ea5f423f755"),
+    (build_theorem9, ((2, 4, 6), 2), {"enforce_scale": False}, "bf9d0ca3f007dd19"),
+]
+
+
+@pytest.mark.parametrize(
+    "builder,args,kwargs,digest", _README_LOGICALS_SHA256,
+    ids=[f"{b.__name__}{a}" for b, a, *_ in _README_LOGICALS_SHA256],
+)
+def test_readme_logical_bases_are_pinned(builder, args, kwargs, digest):
+    code = builder(*args, **kwargs)
+    logs = logical_operators(code)
+    assert len(logs) == code.k
+    rows = np.array([op.symplectic() for pair in logs for op in pair], np.uint8)
+    assert rows.shape == (2 * code.k, 2 * (code.n + code.c))
+    assert _digest(rows) == digest
+
+
+def test_logical_operators_memory_is_bounded():
+    # every pair is copied out of the working array, so no earlier
+    # quotient stays alive; about 5.4 MiB on [[390,132;128]]
+    code = build_theorem8(6, 2)
+    tracemalloc.start()
+    try:
+        logical_operators(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_code_tableau_generates_the_same_group():
     code = build_theorem5(3, 1, 1)
     t_code = code_tableau(code)
@@ -615,6 +691,14 @@ def test_action_refuses_non_preserving_sequence():
     t = stabilizer_matrix(3)
     with pytest.raises(ValueError):
         logical_action(t, _frozen_logicals(), GateSequence((("H", 0),)))
+
+
+def test_action_refuses_a_basis_on_another_register():
+    t = stabilizer_matrix(3)
+    mk = PauliVector.from_support
+    wide = [(mk(11, x_on=[0]), mk(11, z_on=[0]))]
+    with pytest.raises(ValueError, match="register size mismatch"):
+        logical_action(t, wide, hadamard_swap(3))
 
 
 def test_action_refuses_broken_basis():
