@@ -1,29 +1,32 @@
 """Phase-tracking stabilizer tableaux and the transversal Clifford operators.
 
-A Pauli operator is stored as i^phase · prod_j X^x_j Z^z_j with the global
-phase exponent kept mod 4.  Gate conjugation rules follow from this
-convention; the test suite validates every primitive against brute-force
-unitary conjugation on 2x2 / 4x4 matrices before anything else relies on
-them.
+A Pauli operator is one (x | z) row of bits with a phase exponent kept
+mod 4: i^phase · prod_j X^x_j Z^z_j.  A tableau is a stack of such rows
+with a column of phases (Aaronson & Gottesman, PRA 70, 052328, 2004), and
+a logical basis is a (k, 2, 2q) stack of rows, X_j then Z_j.  Gate
+conjugation rules follow from this convention; the test suite validates
+every primitive against brute-force unitary conjugation on 2x2 / 4x4
+matrices before anything else relies on them.
 
-Two rules of the stabilizer formalism (Aaronson & Gottesman, PRA 70,
-052328, 2004) each have one home here.  `symplectic_product` is the only
-place that forms x·z' + z·x' (mod 2): commutation, the tableau gram check,
-the pairing of logicals, their checks and images, and the harness's
-coset classes all call it on stacks of (x | z) rows.  `_product_phases` is
-the only place that works out the sign of an in-order product of
-generators, Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4).  Its one caller is the
-sign rule, `_negative_dependency`: no product of commuting Hermitian
-generators that multiplies out to a multiple of I may be −I.  A tableau
-applies it to its own generators, and `group_preserved` to the generators
-of two tableaux stacked together, whose rank it reads off the same
-dependencies.  Every mod-2 product in both, and in the logical action,
-is a packed `gf2.matmul`; only the mod-4 sums of phases and pair counts
-are integer arithmetic.
+Two rules of the stabilizer formalism each have one home here.
+`symplectic_product` is the only place that forms x·z' + z·x' (mod 2):
+commutation, the tableau gram check, the pairing of logicals, their
+checks and images all call it on stacks of (x | z) rows.
+`_product_phases` is the only place that works out the sign of an
+in-order product of generators, Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4).  Its
+one caller is the sign rule, `_negative_dependency`: no product of
+commuting Hermitian generators that multiplies out to a multiple of I may
+be −I.  A tableau applies it to its own generators, and `group_preserved`
+to the generators of two tableaux stacked together, whose rank it reads
+off the same dependencies.  Every mod-2 product in both, and in the
+logical action, is a packed `gf2.matmul`; only the mod-4 sums of phases
+and pair counts are integer arithmetic.
 
-The three operators built here act across a full code block: a Hadamard
-layer with a block-reversal qubit permutation, a phase-gate/CZ layer, and
-the Hadamard conjugate of the latter.
+The block stabilizer of the transversal operators is the tableau of the
+Theorem-5 code with l1 = l2 = (p−1)/2.  The three operators built here act
+across that block: a Hadamard layer with a block-reversal qubit
+permutation, a phase-gate/CZ layer, and the Hadamard conjugate of the
+latter.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eaqc.eacode import EaCode
+from eaqc.eacode import EaCode, build_theorem5
 from eaqc.gf2 import BinaryMatrix, RowBasis, gfrank, independent_rows, matmul, nullspace
-from eaqc.models import _require_odd_prime, special_prime_model
+from eaqc.models import _require_odd_prime
 
 __all__ = [
-    "PauliVector",
     "symplectic_product",
     "category_bits",
     "Tableau",
@@ -54,69 +56,6 @@ __all__ = [
 ]
 
 _GATE_ARITY = {"H": 1, "S": 1, "SDG": 1, "CZ": 2, "SWAP": 2}
-
-
-@dataclass(frozen=True)
-class PauliVector:
-    """i^phase · prod_j X^x_j Z^z_j on a register of qubits.
-
-    The (x, z) pair encodes I/X/Y/Z as (0,0)/(1,0)/(1,1)/(0,1); the Y
-    convention is Y = i·XZ, so a bare Y on one qubit is (x=1, z=1,
-    phase=1).
-    """
-
-    x: np.ndarray
-    z: np.ndarray
-    phase: int = 0
-
-    def __post_init__(self) -> None:
-        x = np.ascontiguousarray(np.asarray(self.x, dtype=np.uint8) & 1)
-        z = np.ascontiguousarray(np.asarray(self.z, dtype=np.uint8) & 1)
-        if x.ndim != 1 or z.shape != x.shape:
-            raise ValueError("x and z must be equal-length bit vectors")
-        x.flags.writeable = False
-        z.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "phase", int(self.phase) % 4)
-
-    @property
-    def qubits(self) -> int:
-        return len(self.x)
-
-    @staticmethod
-    def from_support(qubits: int, x_on=(), z_on=(), phase: int = 0) -> "PauliVector":
-        x = np.zeros(qubits, dtype=np.uint8)
-        z = np.zeros(qubits, dtype=np.uint8)
-        x[list(x_on)] = 1
-        z[list(z_on)] = 1
-        return PauliVector(x, z, phase)
-
-    def __mul__(self, other: "PauliVector") -> "PauliVector":
-        if self.qubits != other.qubits:
-            raise ValueError("qubit counts differ")
-        # moving other's X block through self's Z block costs (-1) each hit
-        cross = int(np.sum(self.z & other.x))
-        return PauliVector(
-            self.x ^ other.x,
-            self.z ^ other.z,
-            (self.phase + other.phase + 2 * cross) % 4,
-        )
-
-    def symplectic(self) -> np.ndarray:
-        return np.concatenate([self.x, self.z])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PauliVector):
-            return NotImplemented
-        return (
-            self.phase == other.phase
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.z, other.z)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.x.tobytes(), self.z.tobytes(), self.phase))
 
 
 def symplectic_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,29 +137,33 @@ class GateSequence:
         return len(self.gates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tableau:
     """Commuting Hermitian Pauli generators of a stabilizer group.
 
-    Each generator squares to +I.  Generators may be dependent; what is
-    enforced is that no dependency multiplies out to −I, so the sign of
-    any group element is well defined by any expression in the
-    generators.  `group_preserved` applies the same rule to two tableaux
-    stacked together.
+    rows is an (m, 2q) uint8 stack of (x | z) generators and phases their
+    (m,) int64 exponents mod 4; both are read-only copies.  Each generator
+    squares to +I.  Generators may be dependent; what is enforced is that
+    no dependency multiplies out to −I, so the sign of any group element is
+    well defined by any expression in the generators.  `group_preserved`
+    applies the same rule to two tableaux stacked together.
     """
 
-    generators: tuple[PauliVector, ...]
+    rows: np.ndarray
+    phases: np.ndarray
 
     def __post_init__(self) -> None:
-        gens = tuple(self.generators)
-        object.__setattr__(self, "generators", gens)
-        if not gens:
+        rows = np.asarray(self.rows, dtype=np.uint8) & 1
+        phases = np.asarray(self.phases, dtype=np.int64) % 4
+        if rows.ndim != 2 or rows.shape[1] % 2 or phases.shape != rows.shape[:1]:
+            raise ValueError("a tableau needs (m, 2q) rows and one phase per row")
+        if not len(rows):
             raise ValueError("a tableau needs at least one generator")
-        q = gens[0].qubits
-        if any(g.qubits != q for g in gens):
-            raise ValueError("generators disagree on qubit count")
-        rows = np.stack([g.symplectic() for g in gens])
-        phases = np.array([g.phase for g in gens])
+        rows.flags.writeable = False
+        phases.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "phases", phases)
+        q = self.qubits
         # i^p·X^x·Z^z squares to (-1)^(p + x·z) I, and a Pauli is Hermitian
         # exactly when it squares to +I
         if ((phases + (rows[:, :q] & rows[:, q:]).sum(axis=1)) % 2).any():
@@ -232,19 +175,14 @@ class Tableau:
 
     @property
     def qubits(self) -> int:
-        return self.generators[0].qubits
-
-    def symplectic(self) -> BinaryMatrix:
-        rows = np.stack([g.symplectic() for g in self.generators])
-        return BinaryMatrix.from_dense(rows)
+        return self.rows.shape[1] // 2
 
 
 # ── gate application ──────────────────────────────────────────────────
 
 
-def _apply_gates(xs: np.ndarray, zs: np.ndarray, phases: np.ndarray,
-                 gates: GateSequence, qubits: int) -> None:
-    """Conjugate rows (in place) by each gate in order.
+def _apply_gates(rows: np.ndarray, phases: np.ndarray, gates: GateSequence) -> None:
+    """Conjugate (x | z) rows and their phases (in place) by each gate in order.
 
     Rules per the i^phase·X^x·Z^z convention:
       H:    swap x,z; phase += 2xz
@@ -253,6 +191,8 @@ def _apply_gates(xs: np.ndarray, zs: np.ndarray, phases: np.ndarray,
       CZ:   z_a ^= x_b, z_b ^= x_a; phase += 2 x_a x_b
       SWAP: exchange both columns
     """
+    qubits = rows.shape[1] // 2
+    xs, zs = rows[:, :qubits], rows[:, qubits:]
     for g in gates:
         name, *qs = g
         if any(q >= qubits for q in qs):
@@ -283,40 +223,23 @@ def _apply_gates(xs: np.ndarray, zs: np.ndarray, phases: np.ndarray,
 
 
 def conjugate(t: Tableau, g: GateSequence) -> Tableau:
-    xs = np.stack([gen.x for gen in t.generators]).copy()
-    zs = np.stack([gen.z for gen in t.generators]).copy()
-    ph = np.array([gen.phase for gen in t.generators], dtype=np.int64)
-    _apply_gates(xs, zs, ph, g, t.qubits)
-    return Tableau(tuple(
-        PauliVector(xs[i], zs[i], int(ph[i])) for i in range(len(t.generators))
-    ))
+    rows, phases = t.rows.copy(), t.phases.copy()
+    _apply_gates(rows, phases, g)
+    return Tableau(rows, phases)
 
 
 # ── the block stabilizer and its transversal operators ────────────────
 
 
 def stabilizer_matrix(p: int) -> Tableau:
-    """p(p−1) generators on p²+1 qubits from the scalar-multiple grid.
+    """The block stabilizer: p(p−1) generators on p²+1 qubits.
 
-    Block-row i of the deterministic grid contributes p X-type generators
-    for i = 1..(p−1)/2 and p Z-type generators for i = (p−1)/2+1..p−1;
+    It is `code_tableau` of the Theorem-5 code with l1 = l2 = (p−1)/2:
+    block-row i of the deterministic grid gives p X-type generators for
+    i = 1..(p−1)/2 and p Z-type generators for i = (p−1)/2+1..p−1, and
     every generator also touches the final shared-pair qubit.
     """
-    _require_odd_prime(p)
-    rho = (p - 1) // 2
-    q = p * p + 1
-    grid = special_prime_model(p).exponents
-    gens = []
-    for kind_is_x, lo in ((True, 1), (False, rho + 1)):
-        for i in range(lo, lo + rho):
-            for u in range(p):
-                support = [j * p + (u + int(grid[i, j])) % p for j in range(p)]
-                support.append(p * p)
-                if kind_is_x:
-                    gens.append(PauliVector.from_support(q, x_on=support))
-                else:
-                    gens.append(PauliVector.from_support(q, z_on=support))
-    return Tableau(tuple(gens))
+    return code_tableau(build_theorem5(p, (p - 1) // 2, (p - 1) // 2))
 
 
 def hadamard_swap(p: int) -> GateSequence:
@@ -367,43 +290,41 @@ def group_preserved(before: Tableau, after: Tableau) -> bool:
     """
     if before.qubits != after.qubits:
         raise ValueError("tableaux act on different registers")
-    sym_before, sym_after = before.symplectic(), after.symplectic()
-    stacked = sym_before.vstack(sym_after).to_dense()
+    stacked = np.vstack([before.rows, after.rows])
     deps = _dependencies(stacked)
-    if not gfrank(sym_before) == gfrank(sym_after) == len(stacked) - len(deps):
+    ranks = [gfrank(BinaryMatrix.from_dense(t.rows)) for t in (before, after)]
+    if not ranks[0] == ranks[1] == len(stacked) - len(deps):
         return False
-    phases = [g.phase for g in before.generators + after.generators]
-    return not _negative_dependency(deps, stacked, np.array(phases))
+    return not _negative_dependency(deps, stacked, np.append(before.phases, after.phases))
 
 
 def code_tableau(code: EaCode) -> Tableau:
-    """Independent generators from the extended check matrices.
+    """Every extended check of a code as a generator of phase 0.
 
     X-type rows carry hex in the x half, Z-type rows carry hez in the z
-    half; a row that depends on the rows before it is dropped.
+    half.  Dependent rows stay: a tableau admits them.
     """
-    q = code.n + code.c
-    rows = code.stabilizer_rows()
-    kept = rows.to_dense()[independent_rows(rows)]
-    return Tableau(tuple(PauliVector(v[:q], v[q:]) for v in kept))
+    rows = code.stabilizer_rows().to_dense()
+    return Tableau(rows, np.zeros(len(rows), dtype=np.int64))
 
 
-def logical_operators(obj) -> list[tuple[PauliVector, PauliVector]]:
+def logical_operators(obj) -> np.ndarray:
     """Canonical anticommuting logical pairs modulo the stabilizer.
 
     Builds the normalizer as the kernel of the symplectically swapped
     generator matrix, quotients out the stabilizer rows, and pairs the
     representatives so each X-side anticommutes only with its own Z-side.
+    Returns a (k, 2, 2q) uint8 stack: pair j is the (x | z) rows of X_j
+    then Z_j.
     """
     t = code_tableau(obj) if isinstance(obj, EaCode) else obj
     q = t.qubits
-    sym = t.symplectic().to_dense()
-    swapped = np.hstack([sym[:, q:], sym[:, :q]])
+    swapped = np.hstack([t.rows[:, q:], t.rows[:, :q]])
     kernel = nullspace(BinaryMatrix.from_dense(swapped)).to_dense()
     # extend the stabilizer rows to a basis of the normalizer
-    stacked = np.vstack([sym, kernel])
+    stacked = np.vstack([t.rows, kernel])
     kept = independent_rows(BinaryMatrix.from_dense(stacked))
-    remaining = stacked[kept[kept >= len(sym)]]
+    remaining = stacked[kept[kept >= len(t.rows)]]
     pairs = []
     while len(remaining):
         a, rest = remaining[0], remaining[1:]
@@ -418,29 +339,24 @@ def logical_operators(obj) -> list[tuple[PauliVector, PauliVector]]:
         # clear each row's form with b by adding a, then its form with a by
         # adding b; (c ^ a)·a = c·a, so both read the rows as they were
         remaining = rest ^ np.outer(with_b, a) ^ np.outer(with_a, b)
-        pairs.append(
-            (PauliVector(a[:q], a[q:]), PauliVector(b[:q], b[q:]))
-        )
-    return pairs
+        # a copy, so no view keeps an earlier working array alive
+        pairs.append(np.stack([a, b]))
+    return np.array(pairs, dtype=np.uint8).reshape(-1, 2, 2 * q)
 
 
-def _check_logical_basis(
-    t: Tableau, logicals: list[tuple[PauliVector, PauliVector]]
-) -> np.ndarray:
+def _check_logical_basis(t: Tableau, logicals: np.ndarray) -> np.ndarray:
     """The logicals' (x | z) rows X1, Z1, X2, Z2, ... once they pass.
 
-    The first failing operator, in that order, names the error: one on the
-    wrong register, or one that anticommutes with a generator; then the
-    first pair that does not anticommute or meets another pair.
+    A stack that is not (k, 2, 2q) on t's register fails first; then the
+    first operator, in that order, that anticommutes with a generator; then
+    the first pair that does not anticommute or meets another pair.
     """
-    flat = [op for pair in logicals for op in pair]
-    fits = next((i for i, op in enumerate(flat) if op.qubits != t.qubits), len(flat))
-    rows = np.array([op.symplectic() for op in flat[:fits]], dtype=np.uint8)
-    rows = rows.reshape(fits, 2 * t.qubits)
-    if symplectic_product(rows, t.symplectic().to_dense()).any():
-        raise ValueError("a supplied logical fails to commute with the group")
-    if fits < len(flat):
+    logicals = np.asarray(logicals, dtype=np.uint8)
+    if logicals.ndim != 3 or logicals.shape[1:] != (2, t.rows.shape[1]):
         raise ValueError("logical operator register size mismatch")
+    rows = logicals.reshape(-1, t.rows.shape[1])
+    if symplectic_product(rows, t.rows).any():
+        raise ValueError("a supplied logical fails to commute with the group")
     k = len(logicals)
     gram = symplectic_product(rows, rows)
     pattern = np.kron(np.eye(k, dtype=np.uint8), [[0, 1], [1, 0]])
@@ -454,34 +370,31 @@ def _check_logical_basis(
 
 
 def logical_action(
-    t: Tableau,
-    logicals: list[tuple[PauliVector, PauliVector]],
-    g: GateSequence,
+    t: Tableau, logicals: np.ndarray, g: GateSequence
 ) -> dict[str, tuple[str, ...]]:
     """Image of each logical under g, written in the supplied logical basis.
 
-    Keys and factors are 1-based labels "X1", "Z1", ...  Signs of the
-    images are not reported: a representative shifts by stabilizer
-    elements, which flips signs freely, so only the class is meaningful.
+    logicals is a (k, 2, 2q) stack as `logical_operators` returns.  Keys
+    and factors are 1-based labels "X1", "Z1", ...  Signs of the images are
+    not reported: a representative shifts by stabilizer elements, which
+    flips signs freely, so only the class is meaningful.
     """
     after = conjugate(t, g)
     if not group_preserved(t, after):
         raise ValueError("the gate sequence does not preserve the stabilizer group")
     basis = _check_logical_basis(t, logicals)
-    q = t.qubits
-    xs, zs = basis[:, :q].copy(), basis[:, q:].copy()
-    _apply_gates(xs, zs, np.zeros(len(basis), dtype=np.int64), g, q)
-    images = np.hstack([xs, zs])
+    images = basis.copy()
+    _apply_gates(images, np.zeros(len(images), dtype=np.int64), g)
     # the form with Z_j is the X_j coefficient and the form with X_j the
     # Z_j coefficient, so pair each basis row with its partner
     coeff = symplectic_product(images, basis[np.arange(len(basis)) ^ 1])
     spanned = matmul(BinaryMatrix.from_dense(coeff), BinaryMatrix.from_dense(basis))
-    stab = RowBasis.build(t.symplectic())
+    stab = RowBasis.build(BinaryMatrix.from_dense(t.rows))
     if not stab.contains_batch(BinaryMatrix.from_dense(images) + spanned).all():
         raise RuntimeError(
             "image does not reduce to the logical basis modulo the group"
         )
-    labels = [f"{kind}{j}" for j in range(1, len(logicals) + 1) for kind in "XZ"]
+    labels = [f"{kind}{j}" for j in range(1, len(basis) // 2 + 1) for kind in "XZ"]
     return {
         label: tuple(labels[c] for c in np.flatnonzero(row))
         for label, row in zip(labels, coeff)

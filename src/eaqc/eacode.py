@@ -72,7 +72,6 @@ class EaCode:
     hex: BinaryMatrix
     hez: BinaryMatrix
     family: str
-    p_or_order: int
     mx: ModelMatrix
     mz: ModelMatrix
     girth_floor: int
@@ -127,7 +126,6 @@ def girth_floor_of(mx: ModelMatrix, mz: ModelMatrix | None = None) -> int:
 
 def _assemble(
     family: str,
-    p_or_order: int,
     mx: ModelMatrix,
     mz: ModelMatrix,
     *,
@@ -151,8 +149,7 @@ def _assemble(
         raise StructureCheckFailed(f"{family}: extended matrices do not commute")
     return EaCode(
         n=n, k=k, c=c, hx=hx, hz=hz, hex=hex_, hez=hez,
-        family=family, p_or_order=p_or_order,
-        mx=mx, mz=mz, girth_floor=floor, rank_hx=gx, rank_hz=gz,
+        family=family, mx=mx, mz=mz, girth_floor=floor, rank_hx=gx, rank_hz=gz,
     )
 
 
@@ -224,7 +221,7 @@ def build_theorem5(
         if l1 + l2 > p:
             raise ValueError(f"need l1 + l2 <= p, got {l1 + l2} > {p}")
         _check_scalar_class_rows(p, mx, mz)
-    code = _assemble("theorem5", p, mx, mz, min_floor=6)
+    code = _assemble("theorem5", mx, mz, min_floor=6)
     _expect("theorem5", "n", code.n, p * p)
     _expect("theorem5", "c", code.c, 1)
     _expect("theorem5", "k", code.k, p * p - 2 * p - (p - 1) * (l1 + l2 - 2) + 1)
@@ -237,7 +234,7 @@ def build_theorem5(
 def build_theorem6(p: int, l1: int, l2: int) -> EaCode:
     """[[p² − p, p² − 3p − (p−1)(l1+l2−2) + (p−1); p − 1]]."""
     mx, mz = theorem6_models(p, l1, l2)
-    code = _assemble("theorem6", p, mx, mz, min_floor=6)
+    code = _assemble("theorem6", mx, mz, min_floor=6)
     _expect("theorem6", "n", code.n, p * p - p)
     _expect("theorem6", "c", code.c, p - 1)
     _expect("theorem6", "gfrank(hx)", code.rank_hx, p + (p - 1) * (l1 - 1))
@@ -262,7 +259,7 @@ def theorem7_model(p: int, l: int) -> ModelMatrix:
 def build_theorem7(p: int, l: int) -> EaCode:
     """[[p², (p−1)(p−l+1); p + (l−1)(p−1)]] with hx = hz = H."""
     m = theorem7_model(p, l)
-    code = _assemble("theorem7", p, m, m, min_floor=6)
+    code = _assemble("theorem7", m, m, min_floor=6)
     want_c = p + (l - 1) * (p - 1)
     _expect("theorem7", "n", code.n, p * p)
     _expect("theorem7", "gfrank(H)", code.rank_hx, want_c)
@@ -292,7 +289,7 @@ def _geometric_bounds(
 def build_theorem8(l: int, w: int) -> EaCode:
     """Single-H geometric family over order w^l + 1, girth above 6."""
     m = theorem8_model(l, w)
-    code = _assemble("theorem8", m.order, m, m, min_floor=8)
+    code = _assemble("theorem8", m, m, min_floor=8)
     _expect("theorem8", "n", code.n, m.order * l)
     _geometric_bounds("theorem8", code, m.order, 3)
     return code
@@ -301,7 +298,7 @@ def build_theorem8(l: int, w: int) -> EaCode:
 def build_theorem9(s, w: int, *, enforce_scale: bool = True) -> EaCode:
     """Four-row geometric family, even w, girth above 6."""
     m = theorem9_model(s, w, enforce_scale=enforce_scale)
-    code = _assemble("theorem9", m.order, m, m, min_floor=8)
+    code = _assemble("theorem9", m, m, min_floor=8)
     _expect("theorem9", "n", code.n, m.order * m.block_cols)
     _geometric_bounds("theorem9", code, m.order, 4)
     return code
@@ -310,7 +307,7 @@ def build_theorem9(s, w: int, *, enforce_scale: bool = True) -> EaCode:
 def build_theorem10(s, w: int, *, enforce_scale: bool = True) -> EaCode:
     """Four-row geometric family, pairwise gaps of 2, girth above 6."""
     m = theorem10_model(s, w, enforce_scale=enforce_scale)
-    code = _assemble("theorem10", m.order, m, m, min_floor=8)
+    code = _assemble("theorem10", m, m, min_floor=8)
     _expect("theorem10", "n", code.n, m.order * m.block_cols)
     _geometric_bounds("theorem10", code, m.order, 4)
     return code

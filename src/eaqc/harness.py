@@ -64,6 +64,14 @@ _DECODE_BYTES = 8 * 2**20
 # The min-weight oracle enumerates at most this many Pauli patterns at once.
 _PATTERN_BLOCK = 2**14
 
+# The ML oracle refuses a code of more than this many Pauli errors, and the
+# burst audit a window of more than this many patterns, with BurstTooLarge.
+_ML_LIMIT = 2_000_000
+_BURST_LIMIT = 1_000_000
+
+# Wilson score intervals are at 95% confidence.
+_WILSON_Z = 1.96
+
 CSV_COLUMNS = (
     "family", "n", "k", "c", "p_d", "eta", "decoder",
     "trials", "failures", "LER", "ci_low", "ci_high", "seed",
@@ -120,7 +128,8 @@ class BurstReport:
         return 1.0 if self.patterns == 0 else self.spa_corrected / self.patterns
 
 
-def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    z = _WILSON_Z
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= failures <= trials:
@@ -234,7 +243,9 @@ def min_weight_decoder(code: EaCode, syndromes):
     chosen coset representative is reproducible.  Patterns are built in
     blocks of at most _PATTERN_BLOCK, so memory stays flat.  A key whose
     widths are not the check counts, or whose bytes are not 0/1, raises
-    DimensionMismatch before any pattern is built.
+    DimensionMismatch before any pattern is built; a key no error has (sx
+    outside the column space of hx, or sz outside that of hz) raises
+    RuntimeError, also before.
     """
     n, mx, mz = code.n, code.hx.rows, code.hz.rows
     needed = set(syndromes)
@@ -242,6 +253,13 @@ def min_weight_decoder(code: EaCode, syndromes):
         if (len(sx), len(sz)) != (mx, mz) or not set(sx + sz) <= {0, 1}:
             raise DimensionMismatch(f"syndrome of {len(sx)} + {len(sz)} bytes; "
                                     f"expected {mx} + {mz} bytes of 0 or 1")
+    # sx = hx·z and sz = hz·x: a key is reachable when each part lies in
+    # the column space of its check matrix
+    for part, h in enumerate((code.hx, code.hz)):
+        bits = np.array([list(key[part]) for key in needed], np.uint8)
+        space = RowBasis.build(h.transpose())
+        if not space.contains_batch(BinaryMatrix.from_dense(bits.reshape(-1, h.rows))).all():
+            raise RuntimeError("some syndromes are not reachable by any Pauli error")
     rows = _letter_rows(code)
     table: dict = {}
     for weight in range(n + 1):
@@ -256,18 +274,16 @@ def min_weight_decoder(code: EaCode, syndromes):
                 if key in needed:
                     table[key] = (x[t].copy(), z[t].copy())
                     needed.discard(key)
-    if needed:
-        raise RuntimeError("some syndromes are not reachable by any Pauli error")
     return table
 
 
-def ml_coset_decoder(code: EaCode, p_d: float, limit: int = 2_000_000):
+def ml_coset_decoder(code: EaCode, p_d: float):
     """Exhaustive maximum-likelihood coset decoding table for tiny codes.
 
     Enumerates every Pauli error, counts the errors of each weight in each
     (syndrome, logical class) coset, and returns {sx‖sz bytes: the first
     error, in enumeration order, of the syndrome's most likely coset}.
-    Refuses when 4^n exceeds the limit.
+    Refuses when 4^n exceeds _ML_LIMIT.
 
     A coset's probability is one Horner evaluation of its integer weight
     counts, so cosets with equal weight enumerators compare bit-equal.
@@ -279,12 +295,12 @@ def ml_coset_decoder(code: EaCode, p_d: float, limit: int = 2_000_000):
     """
     n = code.n
     total = 4 ** n
-    if total > limit:
-        raise BurstTooLarge(total, limit)
+    if total > _ML_LIMIT:
+        raise BurstTooLarge(total, _ML_LIMIT)
     # the class bits are the forms with Z1, X1, Z2, X2, ... on the n
     # transmitted qubits; the form with Z_j is the X_j coefficient
-    ops = [op for xbar, zbar in logical_operators(code) for op in (zbar, xbar)]
-    logicals = [np.concatenate([op.x[:n], op.z[:n]]) for op in ops]
+    ops = logical_operators(code)[:, ::-1].reshape(-1, 2, n + code.c)
+    logicals = ops[:, :, :n].reshape(len(ops), 2 * n)
     # the last support position varies fastest, so qubit 0 is the least
     # significant digit; that fixes each coset's first error and key order
     rows = _enumerate(_letter_rows(code, logicals), [range(n - 1, -1, -1)], range(4))
@@ -318,7 +334,6 @@ def burst_oracle(
     code: EaCode,
     burst_len: int,
     spa_cfg: DecoderConfig | None = None,
-    limit: int = 1_000_000,
 ) -> BurstReport:
     """Audit every Pauli pattern confined to a window of consecutive qubits.
 
@@ -342,8 +357,8 @@ def burst_oracle(
         return BurstReport(0, n + 1, 0, 0, 0, ())
     windows = n - burst_len + 1
     raw = windows * (4 ** burst_len - 1)
-    if raw > limit:
-        raise BurstTooLarge(raw, limit)
+    if raw > _BURST_LIMIT:
+        raise BurstTooLarge(raw, _BURST_LIMIT)
     if spa_cfg is None:
         spa_cfg = DecoderConfig("quaternary-spa", 0.03)
     found = _enumerate(_letter_rows(code),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqc.channel import ChannelParams, _uniforms, sample_error_batch
-from eaqc.clifford import PauliVector
+from paulis import PauliVector
 
 
 def sample_error(n, params, seed):

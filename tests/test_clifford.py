@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from eaqc.clifford import (
     GateSequence,
-    PauliVector,
     Tableau,
     _apply_gates,
     _product_phases,
@@ -33,7 +32,8 @@ from eaqc.eacode import (
     build_theorem8,
     build_theorem9,
 )
-from eaqc.gf2 import gfrank
+from eaqc.gf2 import BinaryMatrix, gfrank
+from paulis import PauliVector, generators, logical_pairs, logical_stack, tableau
 
 # ── unitary oracle ────────────────────────────────────────────────────
 
@@ -96,10 +96,10 @@ def all_paulis(qubits: int, phases=(0,)):
 
 def conjugate_pauli(v: PauliVector, seq: GateSequence) -> PauliVector:
     """One Pauli conjugated by the package's gate rules."""
-    xs, zs = v.x.copy()[None], v.z.copy()[None]
+    rows = v.symplectic()[None]
     phases = np.array([v.phase], dtype=np.int64)
-    _apply_gates(xs, zs, phases, seq, v.qubits)
-    return PauliVector(xs[0], zs[0], int(phases[0]))
+    _apply_gates(rows, phases, seq)
+    return PauliVector.from_row(rows[0], int(phases[0]))
 
 
 def commutes(a: PauliVector, b: PauliVector) -> bool:
@@ -247,22 +247,49 @@ def test_conjugation_is_a_homomorphism(gates, bits_a, bits_b):
 
 def test_block_stabilizer_frozen_supports():
     t = stabilizer_matrix(3)
-    assert len(t.generators) == 6
-    x_supports = [set(np.nonzero(g.x)[0]) for g in t.generators[:3]]
-    z_supports = [set(np.nonzero(g.z)[0]) for g in t.generators[3:]]
+    assert len(t.rows) == 6
+    x_supports = [set(np.nonzero(r[:10])[0]) for r in t.rows[:3]]
+    z_supports = [set(np.nonzero(r[10:])[0]) for r in t.rows[3:]]
     assert x_supports == [{0, 4, 8, 9}, {1, 5, 6, 9}, {2, 3, 7, 9}]
     assert z_supports == [{0, 5, 7, 9}, {1, 3, 8, 9}, {2, 4, 6, 9}]
-    assert all(g.phase == 0 for g in t.generators)
-    assert all(not g.z.any() for g in t.generators[:3])
-    assert all(not g.x.any() for g in t.generators[3:])
+    assert not t.phases.any()
+    assert not t.rows[:3, 10:].any()
+    assert not t.rows[3:, :10].any()
 
 
 @pytest.mark.parametrize("p,rank", [(3, 6), (5, 18), (7, 38)])
 def test_block_stabilizer_counts_and_rank(p, rank):
     t = stabilizer_matrix(p)
     assert t.qubits == p * p + 1
-    assert len(t.generators) == p * (p - 1)
-    assert gfrank(t.symplectic()) == rank
+    assert len(t.rows) == p * (p - 1)
+    assert gfrank(BinaryMatrix.from_dense(t.rows)) == rank
+
+
+def test_tableau_holds_read_only_copies():
+    rows = np.array([[1, 0, 0, 0], [0, 0, 0, 1]], np.uint8)  # -X0 and Z1
+    phases = np.array([2, 0])
+    t = Tableau(rows, phases)
+    assert t.rows.dtype == np.uint8 and t.phases.dtype == np.int64
+    assert not t.rows.flags.writeable and not t.phases.flags.writeable
+    rows[0, 0] = 0
+    assert t.rows[0, 0] == 1 and list(t.phases) == [2, 0]
+    assert rows.flags.writeable
+
+
+@pytest.mark.parametrize("rows,phases", [
+    (np.zeros((2, 3), np.uint8), [0, 0]),  # odd width
+    (np.zeros(4, np.uint8), [0]),  # one row, not a stack
+    (np.zeros((2, 4), np.uint8), [0]),  # one phase short
+    (np.zeros((1, 4), np.uint8), [[0]]),  # phases not a column
+])
+def test_tableau_rejects_misshapen_rows_and_phases(rows, phases):
+    with pytest.raises(ValueError, match="one phase per row"):
+        Tableau(rows, phases)
+
+
+def test_tableau_needs_a_generator():
+    with pytest.raises(ValueError, match="at least one generator"):
+        Tableau(np.zeros((0, 4), np.uint8), np.zeros(0, np.int64))
 
 
 # ── the shared symplectic form and product phase ──────────────────────
@@ -350,10 +377,8 @@ _BLOCK_STABILIZER_SHA256 = {
 @pytest.mark.parametrize("p", sorted(_BLOCK_STABILIZER_SHA256))
 def test_block_stabilizer_is_pinned(p):
     t = stabilizer_matrix(p)
-    rows = t.symplectic().to_dense()
-    phases = np.array([g.phase for g in t.generators], dtype=np.int64)
-    assert rows.dtype == np.uint8 and rows.shape == (p * (p - 1), 2 * (p * p + 1))
-    assert _digest(rows, phases) == _BLOCK_STABILIZER_SHA256[p]
+    assert t.rows.shape == (p * (p - 1), 2 * (p * p + 1))
+    assert _digest(t.rows, t.phases) == _BLOCK_STABILIZER_SHA256[p]
 
 
 def test_block_stabilizer_rejects_composite():
@@ -365,32 +390,32 @@ def test_noncommuting_generators_rejected():
     x0 = PauliVector.from_support(2, x_on=[0])
     z0 = PauliVector.from_support(2, z_on=[0])
     with pytest.raises(ValueError):
-        Tableau((x0, z0))
+        tableau((x0, z0))
 
 
 def test_dependency_with_negative_sign_rejected():
     a = PauliVector.from_support(1, x_on=[0])
     b = PauliVector.from_support(1, x_on=[0], phase=2)
     with pytest.raises(ValueError):
-        Tableau((a, b))
+        tableau((a, b))
     # same dependency with matching signs is a legal generating set
-    Tableau((a, PauliVector.from_support(1, x_on=[0])))
+    tableau((a, PauliVector.from_support(1, x_on=[0])))
     # Z0X1 · X0Z1 = i^2 X0Z0·X1Z1: the phases sum to 0, so only the
     # cross term z_i·x_j of the product rule gives the sign
     z0x1 = PauliVector.from_support(2, x_on=[1], z_on=[0])
     x0z1 = PauliVector.from_support(2, x_on=[0], z_on=[1])
     with pytest.raises(ValueError, match="multiplies to -I"):
-        Tableau((z0x1, x0z1, PauliVector.from_support(2, [0, 1], [0, 1])))
-    Tableau((z0x1, x0z1, PauliVector.from_support(2, [0, 1], [0, 1], phase=2)))
+        tableau((z0x1, x0z1, PauliVector.from_support(2, [0, 1], [0, 1])))
+    tableau((z0x1, x0z1, PauliVector.from_support(2, [0, 1], [0, 1], phase=2)))
 
 
 def test_non_hermitian_generator_rejected():
     # iX and the phase-0 XZ (= -iY) each square to -I
     for phase, z in ((1, 0), (0, 1)):
         with pytest.raises(ValueError, match="not Hermitian"):
-            Tableau((PauliVector([1], [z], phase),))
-    Tableau((PauliVector([1], [1], 1),))  # Y = i·XZ
-    Tableau((PauliVector([1], [0], 2),))  # -X
+            Tableau([[1, z]], [phase])
+    Tableau([[1, 1]], [1])  # Y = i·XZ
+    Tableau([[1, 0]], [2])  # -X
 
 
 def _gate_sequences(q: int):
@@ -419,8 +444,8 @@ def _tableau_pairs(draw):
     gens += [PauliVector.from_support(q, z_on=[i for i in range(k) if m >> i & 1])
              for m in masks]
     order = draw(st.permutations(range(len(gens))))
-    before = conjugate(Tableau(tuple(gens[i] for i in order)), draw(_gate_sequences(q)))
-    after = list(conjugate(before, draw(_gate_sequences(q))).generators)
+    before = conjugate(tableau([gens[i] for i in order]), draw(_gate_sequences(q)))
+    after = generators(conjugate(before, draw(_gate_sequences(q))))
     flips = draw(st.lists(st.booleans(), min_size=len(after), max_size=len(after)))
     after = [PauliVector(g.x, g.z, g.phase + 2 * f) for g, f in zip(after, flips)]
     if len(after) > 1 and draw(st.booleans()):
@@ -445,10 +470,10 @@ def _group_elements(gens) -> set:
 def test_group_preserved_matches_subset_search(pair):
     before, after_gens = pair
     try:
-        after = Tableau(tuple(after_gens))
+        after = tableau(after_gens)
     except ValueError:
         assume(False)  # a flipped sign made a dependency multiply to -I
-    want = _group_elements(before.generators) == _group_elements(after.generators)
+    want = _group_elements(generators(before)) == _group_elements(generators(after))
     assert group_preserved(before, after) == want
     assert group_preserved(after, before) == want
 
@@ -495,20 +520,20 @@ def test_hadamard_swap_imagewise_row_block_exchange():
     after = conjugate(t, hadamard_swap(3))
     perm = [3, 4, 5, 0, 1, 2]
     for i, j in enumerate(perm):
-        assert after.generators[i].phase == 0
-        assert np.array_equal(after.generators[i].x, t.generators[j].x)
-        assert np.array_equal(after.generators[i].z, t.generators[j].z)
+        assert after.phases[i] == 0
+        assert np.array_equal(after.rows[i, :10], t.rows[j, :10])
+        assert np.array_equal(after.rows[i, 10:], t.rows[j, 10:])
 
 
 def test_phase_layer_grafts_dual_support_onto_x_rows():
     t = stabilizer_matrix(3)
     after = conjugate(t, s_cz(3))
     for i in range(3):
-        assert np.array_equal(after.generators[i].x, t.generators[i].x)
-        assert np.array_equal(after.generators[i].z, t.generators[3 + i].z)
-        assert after.generators[i].phase == 0
+        assert np.array_equal(after.rows[i, :10], t.rows[i, :10])
+        assert np.array_equal(after.rows[i, 10:], t.rows[3 + i, 10:])
+        assert after.phases[i] == 0
     for i in range(3, 6):
-        assert after.generators[i] == t.generators[i]
+        assert generators(after)[i] == generators(t)[i]
 
 
 def test_single_hadamard_breaks_the_group():
@@ -518,41 +543,40 @@ def test_single_hadamard_breaks_the_group():
 
 def test_sign_flip_breaks_preservation_even_with_equal_span():
     t = stabilizer_matrix(3)
-    gens = list(t.generators)
-    g0 = gens[0]
-    gens[0] = PauliVector(g0.x, g0.z, 2)
-    flipped = Tableau(tuple(gens))
+    phases = t.phases.copy()
+    phases[0] = 2
+    flipped = Tableau(t.rows, phases)
     assert not group_preserved(t, flipped)
     assert group_preserved(t, t)
     # the re-expressed generator's sign comes from the cross term alone
     z0x1 = PauliVector.from_support(2, x_on=[1], z_on=[0])
     x0z1 = PauliVector.from_support(2, x_on=[0], z_on=[1])
-    before = Tableau((z0x1, x0z1))
+    before = tableau((z0x1, x0z1))
     for phase, kept in ((0, False), (2, True)):
         xzxz = PauliVector.from_support(2, [0, 1], [0, 1], phase)
-        assert group_preserved(before, Tableau((z0x1, xzxz))) == kept
+        assert group_preserved(before, tableau((z0x1, xzxz))) == kept
 
 
 # ── logical structure ─────────────────────────────────────────────────
 
 def _frozen_logicals():
     mk = PauliVector.from_support
-    return [
+    return logical_stack([
         (mk(10, x_on=[2, 3, 4, 5, 7, 8]), mk(10, z_on=[0, 8])),
         (mk(10, x_on=[2, 4, 5, 7]), mk(10, z_on=[0, 1, 2, 5, 7, 8])),
         (mk(10, x_on=[4, 6]), mk(10, z_on=[1, 6])),
         (mk(10, x_on=[5, 7]), mk(10, z_on=[2, 7])),
-    ]
+    ])
 
 
 @pytest.mark.parametrize("p,pairs", [(3, 4), (5, 8), (7, 12)])
 def test_logical_pair_counts(p, pairs):
     t = stabilizer_matrix(p)
-    logs = logical_operators(t)
+    logs = logical_pairs(logical_operators(t))
     assert len(logs) == pairs
     for i, (xi, zi) in enumerate(logs):
         assert not commutes(xi, zi)
-        for g in t.generators:
+        for g in generators(t):
             assert commutes(xi, g) and commutes(zi, g)
         for j, (xj, zj) in enumerate(logs):
             if i != j:
@@ -577,9 +601,11 @@ _CANONICAL_P5 = [
 def test_logical_basis_is_pinned(source):
     obj = stabilizer_matrix(5) if source == "block" else build_theorem5(5, 2, 2)
     mk = PauliVector.from_support
-    assert logical_operators(obj) == [
+    got = logical_operators(obj)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, logical_stack(
         (mk(26, x_on=xs), mk(26, z_on=zs)) for xs, zs in _CANONICAL_P5
-    ]
+    ))
 
 
 # every README code -> digest of the uint8 (x | z) rows of its logical
@@ -604,9 +630,8 @@ def test_readme_logical_bases_are_pinned(builder, args, kwargs, digest):
     code = builder(*args, **kwargs)
     logs = logical_operators(code)
     assert len(logs) == code.k
-    rows = np.array([op.symplectic() for pair in logs for op in pair], np.uint8)
-    assert rows.shape == (2 * code.k, 2 * (code.n + code.c))
-    assert _digest(rows) == digest
+    assert logs.shape == (code.k, 2, 2 * (code.n + code.c))
+    assert _digest(logs) == digest
 
 
 def test_logical_operators_memory_is_bounded():
@@ -696,14 +721,18 @@ def test_action_refuses_non_preserving_sequence():
 def test_action_refuses_a_basis_on_another_register():
     t = stabilizer_matrix(3)
     mk = PauliVector.from_support
-    wide = [(mk(11, x_on=[0]), mk(11, z_on=[0]))]
-    with pytest.raises(ValueError, match="register size mismatch"):
-        logical_action(t, wide, hadamard_swap(3))
+    wide = logical_stack([(mk(11, x_on=[0]), mk(11, z_on=[0]))])
+    logs = _frozen_logicals()
+    # a wider register, then stacks of the right width but the wrong shape
+    for bad in (wide, logs.reshape(8, 20), logs.reshape(2, 4, 20), logs[:, :1]):
+        with pytest.raises(ValueError, match="register size mismatch"):
+            logical_action(t, bad, hadamard_swap(3))
 
 
 def test_action_refuses_broken_basis():
     t = stabilizer_matrix(3)
     logs = _frozen_logicals()
-    bad = logs[:3] + [(logs[3][0], logs[2][1])]
+    bad = logs.copy()
+    bad[3, 1] = logs[2, 1]
     with pytest.raises(ValueError):
         logical_action(t, bad, hadamard_swap(3))

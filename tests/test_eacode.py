@@ -238,7 +238,7 @@ def test_geometric_family_product_structure(l, w):
 @pytest.mark.parametrize("builder", [build_theorem9, build_theorem10])
 def test_four_row_family_product_structure(builder):
     code = builder((2, 4, 6), 2, enforce_scale=False)
-    n = code.p_or_order
+    n = code.mx.order
     got = matmul(code.hx, code.hz.transpose()).to_dense()
     # dual-route: rebuild the product straight from exponent differences
     from eaqc.models import theorem9_model

@@ -263,9 +263,9 @@ def _loop_patterns(n, supports, letters):
 @lru_cache
 def _logicals(code):
     """(x | z) rows of Z1, X1, Z2, X2, ... on the n transmitted qubits."""
-    n = code.n
-    ops = [op for xbar, zbar in logical_operators(code) for op in (zbar, xbar)]
-    return np.array([np.concatenate([op.x[:n], op.z[:n]]) for op in ops])
+    n, q = code.n, code.n + code.c
+    ops = logical_operators(code)[:, ::-1].reshape(-1, 2 * q)
+    return np.hstack([ops[:, :n], ops[:, q:q + n]])
 
 
 def _enumerate_against_loop(code, supports, letters):
@@ -386,6 +386,19 @@ def test_min_weight_rejects_malformed_syndromes(nine):
     for key in [(bytes(4), bytes(3)), (bytes(3), bytes(2)), (b"\x02\x00\x00", bytes(3))]:
         with pytest.raises(DimensionMismatch, match="expected 3 \\+ 3 bytes"):
             min_weight_decoder(nine, [key])
+
+
+def test_min_weight_rejects_unreachable_syndromes(twentyfive, monkeypatch):
+    # hx of [[25,8;1]] has rank 9 on 10 rows, so sx = e_0 is not hx·z for
+    # any z; a sweep for it would run through all 4^25 patterns
+    def no_enumeration(*args):
+        raise AssertionError("enumerated patterns for an unreachable syndrome")
+
+    monkeypatch.setattr(harness, "_enumerate", no_enumeration)
+    sx = np.eye(1, twentyfive.hx.rows, dtype=np.uint8)[0]
+    for key in [(sx.tobytes(), bytes(10)), (bytes(10), sx.tobytes())]:
+        with pytest.raises(RuntimeError, match="not reachable"):
+            min_weight_decoder(twentyfive, [key])
 
 
 def test_min_weight_table_zero_syndrome_is_identity(nine):
