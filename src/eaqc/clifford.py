@@ -9,9 +9,13 @@ every primitive against brute-force unitary conjugation on 2x2 / 4x4
 matrices before anything else relies on them.
 
 Two rules of the stabilizer formalism each have one home here.
-`symplectic_product` is the only place that forms x·z' + z·x' (mod 2):
-commutation, the tableau gram check, the pairing of logicals, their
-checks and images all call it on stacks of (x | z) rows.
+`_xz_words` is the one packed form of x·z' + z·x' (mod 2): a row packed
+as (x words | z words) anticommutes with another exactly when its AND
+with the other's swapped words has odd popcount.  `symplectic_product`
+reads every pair of two stacks of (x | z) rows so, as one packed GF(2)
+product, for commutation, the tableau gram check and the checks and
+images of logicals; `logical_operators` packs its quotient rows once and
+pairs them in that form, one AND and one popcount parity per row a step.
 `_product_phases` is the only place that works out the sign of an
 in-order product of generators, Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4).  Its
 one caller is the sign rule, `_negative_dependency`: no product of
@@ -36,7 +40,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from eaqc.eacode import EaCode, build_theorem5
-from eaqc.gf2 import BinaryMatrix, RowBasis, gfrank, independent_rows, matmul, nullspace
+from eaqc.gf2 import (
+    BinaryMatrix,
+    RowBasis,
+    _matmul_words,
+    gfrank,
+    independent_rows,
+    matmul,
+    nullspace,
+)
 from eaqc.models import _require_odd_prime
 
 __all__ = [
@@ -58,17 +70,38 @@ __all__ = [
 _GATE_ARITY = {"H": 1, "S": 1, "SDG": 1, "CZ": 2, "SWAP": 2}
 
 
+def _xz_words(rows: np.ndarray) -> np.ndarray:
+    """(x | z) rows packed as (x words | z words), each half whole words.
+
+    The symplectic form of two packed rows u and v is the popcount parity
+    of u & _swap_xz(v).  `symplectic_product` reads every pair so in one
+    GF(2) product, and `_anticommutes_with` every row with one row.
+    """
+    q = rows.shape[1] // 2
+    return np.hstack([BinaryMatrix.from_dense(rows[:, :q]).words,
+                      BinaryMatrix.from_dense(rows[:, q:]).words])
+
+
+def _swap_xz(words: np.ndarray) -> np.ndarray:
+    """Packed rows with their x and z words exchanged: (z words | x words)."""
+    half = words.shape[-1] // 2
+    return np.concatenate([words[..., half:], words[..., :half]], axis=-1)
+
+
+def _anticommutes_with(words: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each packed row anticommutes with the packed row v."""
+    return (np.bitwise_count(words & _swap_xz(v)).sum(axis=1) & 1).astype(bool)
+
+
 def symplectic_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Forms x·z' + z·x' (mod 2) of every row of a with every row of b.
 
     a and b are 2-D stacks of (x | z) rows of one even width, as 0/1
     integers; entry [i, j] of the result, a uint8 bit, is 1 exactly when
-    row i of a anticommutes with row j of b.  It is the GF(2) product of a
-    with the (z | x)-swapped rows of b, formed by `gf2.matmul`.
+    row i of a anticommutes with row j of b.  It is the GF(2) product of
+    a's packed rows with the (z | x)-swapped packed rows of b.
     """
-    q = a.shape[1] // 2
-    swapped = BinaryMatrix.from_dense(np.hstack([b[:, q:], b[:, :q]]).T)
-    return matmul(BinaryMatrix.from_dense(a), swapped).to_dense()
+    return _matmul_words(_xz_words(a), _swap_xz(_xz_words(b)))
 
 
 def _product_phases(sel: np.ndarray, rows: np.ndarray,
@@ -314,8 +347,9 @@ def logical_operators(obj) -> np.ndarray:
     Builds the normalizer as the kernel of the symplectically swapped
     generator matrix, quotients out the stabilizer rows, and pairs the
     representatives so each X-side anticommutes only with its own Z-side.
+    The quotient rows are packed once and paired in packed form.
     Returns a (k, 2, 2q) uint8 stack: pair j is the (x | z) rows of X_j
-    then Z_j.
+    then Z_j; k = 0 when the normalizer is the stabilizer.
     """
     t = code_tableau(obj) if isinstance(obj, EaCode) else obj
     q = t.qubits
@@ -324,24 +358,30 @@ def logical_operators(obj) -> np.ndarray:
     # extend the stabilizer rows to a basis of the normalizer
     stacked = np.vstack([t.rows, kernel])
     kept = independent_rows(BinaryMatrix.from_dense(stacked))
-    remaining = stacked[kept[kept >= len(t.rows)]]
+    remaining = _xz_words(stacked[kept[kept >= len(t.rows)]])
     pairs = []
     while len(remaining):
         a, rest = remaining[0], remaining[1:]
-        with_a = symplectic_product(rest, a[None])[:, 0]
+        with_a = _anticommutes_with(rest, a)
         if not with_a.any():
             raise RuntimeError("degenerate symplectic form on the quotient")
         hit = int(np.argmax(with_a))
         b = rest[hit]
-        rest = np.delete(rest, hit, axis=0)
-        with_a = np.delete(with_a, hit)
-        with_b = symplectic_product(rest, b[None])[:, 0]
+        others = np.arange(len(rest)) != hit
+        # a copy, so no view keeps an earlier working array alive
+        rest, with_a = rest[others], with_a[others]
+        with_b = _anticommutes_with(rest, b)
         # clear each row's form with b by adding a, then its form with a by
         # adding b; (c ^ a)·a = c·a, so both read the rows as they were
-        remaining = rest ^ np.outer(with_b, a) ^ np.outer(with_a, b)
-        # a copy, so no view keeps an earlier working array alive
+        rest[with_b] ^= a
+        rest[with_a] ^= b
         pairs.append(np.stack([a, b]))
-    return np.array(pairs, dtype=np.uint8).reshape(-1, 2, 2 * q)
+        remaining = rest
+    words = np.array(pairs, dtype=np.uint64).reshape(-1, remaining.shape[1])
+    half = words.shape[1] // 2
+    x, z = (BinaryMatrix(len(words), q, w).to_dense()
+            for w in (words[:, :half], words[:, half:]))
+    return np.hstack([x, z]).reshape(-1, 2, 2 * q)
 
 
 def _check_logical_basis(t: Tableau, logicals: np.ndarray) -> np.ndarray:

@@ -5,9 +5,11 @@ little-endian bit order within each word).  All arithmetic is mod 2:
 addition is XOR, and `matmul` is the package's one GF(2) product.  It
 folds the inner words word-major (one AND and one XOR per word over a
 block of rows of a) and keeps its scratch within one byte bound,
-`_MATMUL_BYTES`.  The ebit count, the tableau's commutation gram, the
-signs and logical action of generator products and decoder syndromes all
-go through it; no caller forms a mod-2 product from integer sums.
+`_MATMUL_BYTES`; `_matmul_words` is that kernel on packed rows, for
+callers that already hold both factors packed.  The ebit count, the
+tableau's commutation gram, the signs and logical action of generator
+products and decoder syndromes all go through it; no caller forms a
+mod-2 product from integer sums.
 `RowBasis.build` is its one Gaussian elimination: `gfrank`,
 `independent_rows`, `nullspace` and row-space membership all read the
 reduced echelon form it returns, which is unique.
@@ -226,12 +228,21 @@ def matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     """
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.shape} @ {b.shape}")
-    bt = b.transpose().words.T.copy()  # (inner words, b.cols)
-    aw = a.words.T  # (inner words, a.rows)
+    return BinaryMatrix.from_dense(_matmul_words(a.words, b.transpose().words))
+
+
+def _matmul_words(aw: np.ndarray, btw: np.ndarray) -> np.ndarray:
+    """`matmul` on packed rows: a's words and bᵀ's words, of one width.
+
+    Returns the uint8 (len(aw), len(btw)) product; callers that hold both
+    factors as packed rows call it without repacking either.
+    """
+    bt = btw.T.copy()  # (inner words, b.cols)
+    aw = aw.T  # (inner words, a.rows)
     arrays = 1 if len(bt) == 1 else 2
     chunk = max(1, _MATMUL_BYTES // max(1, arrays * bt[0].nbytes))
-    out = np.zeros((a.rows, b.cols), dtype=np.uint8)
-    for lo in range(0, a.rows, chunk):
+    out = np.zeros((aw.shape[1], bt.shape[1]), dtype=np.uint8)
+    for lo in range(0, len(out), chunk):
         acc = aw[0, lo : lo + chunk, None] & bt[0]
         if arrays == 2:
             anded = np.empty_like(acc)
@@ -241,7 +252,7 @@ def matmul(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
             del anded
         out[lo : lo + chunk] = np.bitwise_count(acc) & 1
         del acc
-    return BinaryMatrix.from_dense(out)
+    return out
 
 
 @dataclass

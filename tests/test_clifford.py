@@ -636,7 +636,7 @@ def test_readme_logical_bases_are_pinned(builder, args, kwargs, digest):
 
 def test_logical_operators_memory_is_bounded():
     # every pair is copied out of the working array, so no earlier
-    # quotient stays alive; about 5.4 MiB on [[390,132;128]]
+    # quotient stays alive; about 4.9 MiB on [[390,132;128]]
     code = build_theorem8(6, 2)
     tracemalloc.start()
     try:
@@ -654,6 +654,15 @@ def test_code_tableau_generates_the_same_group():
     assert t_code.qubits == 10
     assert group_preserved(t_block, t_code)
     assert group_preserved(t_code, t_block)
+
+
+def test_logical_operators_of_a_maximal_group_are_an_empty_stack():
+    # XX and ZZ on 2 qubits: the normalizer is the group itself, so k = 0
+    mk = PauliVector.from_support
+    t = tableau((mk(2, x_on=[0, 1]), mk(2, z_on=[0, 1])))
+    got = logical_operators(t)
+    assert got.shape == (0, 2, 4)
+    assert got.dtype == np.uint8
 
 
 def test_logical_operators_accepts_a_code():
