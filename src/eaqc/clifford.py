@@ -16,15 +16,19 @@ reads every pair of two stacks of (x | z) rows so, as one packed GF(2)
 product, for commutation, the tableau gram check and the checks and
 images of logicals; `logical_operators` packs its quotient rows once and
 pairs them in that form, one AND and one popcount parity per row a step.
+It picks the quotient rows off one elimination of the generators on the
+normalizer's free columns, not off the stack of generators and kernel.
 `_product_phases` is the only place that works out the sign of an
 in-order product of generators, Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4).  Its
 one caller is the sign rule, `_negative_dependency`: no product of
 commuting Hermitian generators that multiplies out to a multiple of I may
-be −I.  A tableau applies it to its own generators, and `group_preserved`
-to the generators of two tableaux stacked together, whose rank it reads
-off the same dependencies.  Every mod-2 product in both, and in the
-logical action, is a packed `gf2.matmul`; only the mod-4 sums of phases
-and pair counts are integer arithmetic.
+be −I.  A tableau applies it to its own generators and keeps its rank,
+the row count less their dependencies; `group_preserved` applies it to
+the generators of two tableaux stacked together, reads the stack's rank
+off the same dependencies and compares it with the two kept ranks.
+Every mod-2 product in both, and in the logical action, is a packed
+GF(2) product (`gf2.matmul` or its kernel on packed rows); only the mod-4
+sums of phases and pair counts are integer arithmetic.
 
 The block stabilizer of the transversal operators is the tableau of the
 Theorem-5 code with l1 = l2 = (p−1)/2.  The three operators built here act
@@ -35,20 +39,13 @@ latter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from eaqc.eacode import EaCode, build_theorem5
-from eaqc.gf2 import (
-    BinaryMatrix,
-    RowBasis,
-    _matmul_words,
-    gfrank,
-    independent_rows,
-    matmul,
-    nullspace,
-)
+from eaqc.gf2 import BinaryMatrix, RowBasis, _matmul_words, matmul, nullspace
 from eaqc.models import _require_odd_prime
 
 __all__ = [
@@ -114,10 +111,10 @@ def _product_phases(sel: np.ndarray, rows: np.ndarray,
     Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4).
     """
     q = rows.shape[1] // 2
-    zx = matmul(BinaryMatrix.from_dense(rows[:, q:]),
-                BinaryMatrix.from_dense(rows[:, :q].T))
-    cross = BinaryMatrix.from_dense(np.triu(zx.to_dense(), 1))
-    pairs = matmul(BinaryMatrix.from_dense(sel), cross).to_dense() & sel
+    x, z = (BinaryMatrix.from_dense(half).words for half in (rows[:, :q], rows[:, q:]))
+    # row j of earlier holds x_j·z_i for each i < j
+    earlier = BinaryMatrix.from_dense(np.tril(_matmul_words(x, z), -1))
+    pairs = _matmul_words(BinaryMatrix.from_dense(sel).words, earlier.words) & sel
     return (sel @ phases + 2 * pairs.sum(axis=1)) % 4
 
 
@@ -180,10 +177,15 @@ class Tableau:
     no dependency multiplies out to −I, so the sign of any group element is
     well defined by any expression in the generators.  `group_preserved`
     applies the same rule to two tableaux stacked together.
+
+    rank, the dimension of the row space, is m less the number of
+    dependencies that check finds.  basis, the rows' reduced echelon form
+    for membership, is built on first use and then kept.
     """
 
     rows: np.ndarray
     phases: np.ndarray
+    rank: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.uint8) & 1
@@ -203,12 +205,18 @@ class Tableau:
             raise ValueError("a generator is not Hermitian")
         if symplectic_product(rows, rows).any():
             raise ValueError("generators do not pairwise commute")
-        if _negative_dependency(_dependencies(rows), rows, phases):
+        deps = _dependencies(rows)
+        if _negative_dependency(deps, rows, phases):
             raise ValueError("a generator dependency multiplies to -I")
+        object.__setattr__(self, "rank", len(rows) - len(deps))
 
     @property
     def qubits(self) -> int:
         return self.rows.shape[1] // 2
+
+    @cached_property
+    def basis(self) -> RowBasis:
+        return RowBasis.build(BinaryMatrix.from_dense(self.rows))
 
 
 # ── gate application ──────────────────────────────────────────────────
@@ -318,15 +326,14 @@ def group_preserved(before: Tableau, after: Tableau) -> bool:
     """Whether after generates before's stabilizer group, signs included.
 
     The row spaces are equal when before, after and their stack share one
-    rank, the stack's being its row count less its dependencies; the signs
-    agree when no dependency of the stack multiplies to −I.
+    rank, each being its row count less its dependencies; the signs agree
+    when no dependency of the stack multiplies to −I.
     """
     if before.qubits != after.qubits:
         raise ValueError("tableaux act on different registers")
     stacked = np.vstack([before.rows, after.rows])
     deps = _dependencies(stacked)
-    ranks = [gfrank(BinaryMatrix.from_dense(t.rows)) for t in (before, after)]
-    if not ranks[0] == ranks[1] == len(stacked) - len(deps):
+    if not before.rank == after.rank == len(stacked) - len(deps):
         return False
     return not _negative_dependency(deps, stacked, np.append(before.phases, after.phases))
 
@@ -341,11 +348,31 @@ def code_tableau(code: EaCode) -> Tableau:
     return Tableau(rows, np.zeros(len(rows), dtype=np.int64))
 
 
+def _quotient_rows(t: Tableau) -> np.ndarray:
+    """Kernel rows of the swapped generators that extend t to the normalizer.
+
+    They are the kernel rows an in-order greedy scan over [generators;
+    kernel] keeps, as (x | z) rows.  Kernel row i is 1 at the i-th free
+    column and 0 at the others, so a normalizer element is the sum of the
+    kernel rows at its free 1s, and the scan drops row i exactly when some
+    product of generators has its last free 1 at i: a pivot of one
+    elimination of the generators' free columns, in reverse order.
+    """
+    q = t.qubits
+    swapped = np.hstack([t.rows[:, q:], t.rows[:, :q]])
+    normalizer = RowBasis.build(BinaryMatrix.from_dense(swapped))
+    free = normalizer.free_cols
+    last = RowBasis.build(BinaryMatrix.from_dense(t.rows[:, free[::-1]])).pivot_cols
+    kept = np.setdiff1d(np.arange(len(free)), len(free) - 1 - last)
+    return normalizer.kernel().to_dense()[kept]
+
+
 def logical_operators(obj) -> np.ndarray:
     """Canonical anticommuting logical pairs modulo the stabilizer.
 
     Builds the normalizer as the kernel of the symplectically swapped
-    generator matrix, quotients out the stabilizer rows, and pairs the
+    generator matrix, keeps the kernel rows that extend the stabilizer
+    rows to a basis of it (`_quotient_rows`), and pairs those
     representatives so each X-side anticommutes only with its own Z-side.
     The quotient rows are packed once and paired in packed form.
     Returns a (k, 2, 2q) uint8 stack: pair j is the (x | z) rows of X_j
@@ -353,12 +380,7 @@ def logical_operators(obj) -> np.ndarray:
     """
     t = code_tableau(obj) if isinstance(obj, EaCode) else obj
     q = t.qubits
-    swapped = np.hstack([t.rows[:, q:], t.rows[:, :q]])
-    kernel = nullspace(BinaryMatrix.from_dense(swapped)).to_dense()
-    # extend the stabilizer rows to a basis of the normalizer
-    stacked = np.vstack([t.rows, kernel])
-    kept = independent_rows(BinaryMatrix.from_dense(stacked))
-    remaining = _xz_words(stacked[kept[kept >= len(t.rows)]])
+    remaining = _xz_words(_quotient_rows(t))
     pairs = []
     while len(remaining):
         a, rest = remaining[0], remaining[1:]
@@ -429,8 +451,7 @@ def logical_action(
     # Z_j coefficient, so pair each basis row with its partner
     coeff = symplectic_product(images, basis[np.arange(len(basis)) ^ 1])
     spanned = matmul(BinaryMatrix.from_dense(coeff), BinaryMatrix.from_dense(basis))
-    stab = RowBasis.build(BinaryMatrix.from_dense(t.rows))
-    if not stab.contains_batch(BinaryMatrix.from_dense(images) + spanned).all():
+    if not t.basis.contains_batch(BinaryMatrix.from_dense(images) + spanned).all():
         raise RuntimeError(
             "image does not reduce to the logical basis modulo the group"
         )

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eaqc.eacode import EaCode
-from eaqc.gf2 import BinaryMatrix, DimensionMismatch, matmul
+from eaqc.gf2 import BinaryMatrix, DimensionMismatch, _matmul_words
 
 __all__ = [
     "TannerGraph",
@@ -149,17 +149,18 @@ def syndrome_batch(
     """GF(2) syndromes of a batch of errors on the n transmitted qubits.
 
     x and z are (T, n) bit arrays; returns the uint8 bits sx = z·Hxᵀ and
-    sz = x·Hzᵀ with one row per error, both packed products of
-    `gf2.matmul`.  Ebits are noise-free.  Raises DimensionMismatch unless
-    x and z are both (T, n) with one T.
+    sz = x·Hzᵀ with one row per error, both GF(2) products of the packed
+    rows of the errors and of the check matrix, so neither is transposed.
+    Ebits are noise-free.  Raises DimensionMismatch unless x and z are
+    both (T, n) with one T.
     """
     if x.ndim != 2 or x.shape != z.shape or x.shape[1] != code.n:
         raise DimensionMismatch(
             f"error bits of shapes {x.shape} and {z.shape}; expected (T, {code.n}) each"
         )
-    sx = matmul(BinaryMatrix.from_dense(z), code.hx.transpose())
-    sz = matmul(BinaryMatrix.from_dense(x), code.hz.transpose())
-    return sx.to_dense(), sz.to_dense()
+    sx = _matmul_words(BinaryMatrix.from_dense(z).words, code.hx.words)
+    sz = _matmul_words(BinaryMatrix.from_dense(x).words, code.hz.words)
+    return sx, sz
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from eaqc.gf2 import (
     DimensionMismatch,
     ModelMatrix,
     RowBasis,
+    _matmul_words,
     expand,
     gfrank,
-    matmul,
 )
 from eaqc.girth import has_four_cycle, has_six_cycle
 from eaqc.models import (
@@ -97,7 +97,7 @@ def extend(hx: BinaryMatrix, hz: BinaryMatrix) -> tuple[BinaryMatrix, BinaryMatr
     """
     if hx.cols != hz.cols:
         raise DimensionMismatch(f"hx has {hx.cols} columns, hz has {hz.cols}")
-    m = matmul(hx, hz.transpose())
+    m = BinaryMatrix.from_dense(_matmul_words(hx.words, hz.words))
     basis = RowBasis.build(m)
     if basis.rank == 0:
         return hx, hz
@@ -145,7 +145,7 @@ def _assemble(
     n = hx.cols
     c = hex_.cols - n
     k = (n - gx) + (n - gz) - n + c
-    if not matmul(hex_, hez.transpose()).is_zero():
+    if _matmul_words(hex_.words, hez.words).any():
         raise StructureCheckFailed(f"{family}: extended matrices do not commute")
     return EaCode(
         n=n, k=k, c=c, hx=hx, hz=hz, hex=hex_, hez=hez,

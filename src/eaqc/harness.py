@@ -12,7 +12,10 @@ decoding by weight layer, and the burst-window audit) read every column
 of an error, its x and z bits, syndromes and logical class, as the XOR of
 one table of per-qubit letter rows, `_letter_rows`, folded over each
 support by one enumerator, `_enumerate`; its order fixes which error
-represents a coset and so every table and report they return.
+represents a coset and so every table and report they return.  The ML
+oracle packs the table into one uint64 word per letter first, so it folds
+and reads one word per error.  The burst audit runs the decoder once per
+distinct syndrome: a trial's decode depends on its syndrome alone.
 """
 
 from __future__ import annotations
@@ -217,13 +220,14 @@ def _letter_rows(code: EaCode, logicals=()) -> np.ndarray:
 def _enumerate(rows: np.ndarray, supports, letters) -> np.ndarray:
     """XOR of the letter rows of every assignment of letters to each support.
 
-    The supports share one width.  They come in the order given; within
-    one support the assignments come in itertools.product order, the last
-    position fastest.
+    rows is a letter table such as `_letter_rows` returns, as 0/1 bytes or
+    packed into words; the result has its dtype.  The supports share one
+    width.  They come in the order given; within one support the
+    assignments come in itertools.product order, the last position fastest.
     """
     supports = np.array([list(s) for s in supports], np.intp)
     picked = rows[:, list(letters)][supports]  # (support, position, letter, column)
-    out = np.zeros((len(supports), 1, rows.shape[2]), np.uint8)
+    out = np.zeros((len(supports), 1, rows.shape[2]), rows.dtype)
     for at in picked.swapaxes(0, 1):  # each position of every support
         out = (out[:, :, None] ^ at[:, None]).reshape(len(out), -1, out.shape[2])
     return out.reshape(-1, out.shape[2])
@@ -292,6 +296,14 @@ def ml_coset_decoder(code: EaCode, p_d: float):
     then holds the one with the largest class bytes; no decoder promises
     the same pick, so a comparison against this table must accept any most
     likely coset on a tied syndrome.
+
+    Each error is one uint64 word: its x and z bits, then its coset.  A
+    coset is the (syndrome, class) key written in the coordinates of the
+    keys' reduced echelon basis, its most significant column first, and
+    those coordinates read as an integer sort like the key itself.  So the
+    r coordinates number the 2^r cosets densely, a syndrome's cosets are
+    one run of them, and the word is at most 4n bits whatever the number
+    of checks.
     """
     n = code.n
     total = 4 ** n
@@ -301,33 +313,45 @@ def ml_coset_decoder(code: EaCode, p_d: float):
     # transmitted qubits; the form with Z_j is the X_j coefficient
     ops = logical_operators(code)[:, ::-1].reshape(-1, 2, n + code.c)
     logicals = ops[:, :, :n].reshape(len(ops), 2 * n)
-    # the last support position varies fastest, so qubit 0 is the least
-    # significant digit; that fixes each coset's first error and key order
-    rows = _enumerate(_letter_rows(code, logicals), [range(n - 1, -1, -1)], range(4))
-    x, z, syn_bytes, cls = np.split(rows, [n, 2 * n, rows.shape[1] - len(ops)], axis=1)
-    weights = np.count_nonzero(x | z, axis=1)
-    # one integer per (syndrome, class); the first class bit is the most
-    # significant, so integer order is class-bytes order
-    bits = cls.shape[1]
-    key = ((syn_bytes @ (1 << np.arange(syn_bytes.shape[1]))) << bits
-           | cls @ (1 << np.arange(bits - 1, -1, -1)))
-    cosets, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    counts = np.bincount(
-        inv * (n + 1) + weights, minlength=len(cosets) * (n + 1)
-    ).reshape(len(cosets), n + 1)
+    letters = _letter_rows(code, logicals)
+    syn = code.hx.rows + code.hz.rows
+    # the key, most significant column first: the last syndrome bit down
+    # to the first, then the class bits in order
+    key = letters[..., np.r_[2 * n + syn - 1:2 * n - 1:-1, 2 * n + syn:letters.shape[2]]]
+    echelon = RowBasis.build(BinaryMatrix.from_dense(key.reshape(4 * n, -1)))
+    # a key's coordinates are its bits at the pivot columns, which are unit
+    # vectors; the last pivot is the least significant bit of the coset
+    coords = key[..., echelon.pivot_cols[::-1]]
+    table = BinaryMatrix.from_dense(
+        np.concatenate([letters[..., :2 * n], coords], axis=2).reshape(4 * n, -1))
+    # 2n + r <= 4n bits, one word for any n that _ML_LIMIT admits.  The
+    # last support position varies fastest, so qubit 0 is the least
+    # significant digit; that fixes each coset's first error
+    words = _enumerate(table.words.reshape(n, 4, 1), [range(n - 1, -1, -1)], range(4))[:, 0]
+    coset = (words >> np.uint64(2 * n)).astype(np.intp)
+    weights = np.bitwise_count((words | words >> np.uint64(n)) & np.uint64((1 << n) - 1))
+    cosets = 1 << echelon.rank
+    counts = np.bincount(coset * (n + 1) + weights,
+                         minlength=cosets * (n + 1)).reshape(cosets, n + 1)
     p = min(max(p_d, 1e-12), 1 - 1e-12)
     ratio = (p / 3.0) / (1.0 - p)  # per unit of weight, up to a constant
-    prob = np.zeros(len(cosets))
+    prob = np.zeros(cosets)
     for w in range(n, -1, -1):
         prob = prob * ratio + counts[:, w]
-    # cosets are sorted by syndrome; per syndrome take the last coset in
-    # (probability, class) order, and list syndromes as they first occur
-    syn_of = cosets >> bits
-    order = np.lexsort((cosets, prob, syn_of))
-    best = order[np.append(np.flatnonzero(np.diff(syn_of[order])), len(order) - 1)]
-    syn_first = np.minimum.reduceat(first, np.flatnonzero(np.diff(syn_of, prepend=-1)))
-    return {syn_bytes[t].tobytes(): (x[t].copy(), z[t].copy())
-            for t in first[best[np.argsort(syn_first)]]}
+    first = np.full(cosets, total)
+    np.minimum.at(first, coset, np.arange(total))
+    # the pivots in the syndrome columns lead, so each row holds one
+    # syndrome's cosets in class order; take its last most likely coset,
+    # and list syndromes as they first occur
+    classes = 1 << int(np.count_nonzero(echelon.pivot_cols >= syn))
+    prob, first = prob.reshape(-1, classes), first.reshape(-1, classes)
+    best = classes - 1 - np.argmax(prob[:, ::-1], axis=1)
+    reps = first[np.arange(len(first)), best][np.argsort(first.min(axis=1))]
+    bits = np.unpackbits(words[reps, None].view(np.uint8), axis=1, bitorder="little")
+    x, z = bits[:, :n], bits[:, n:2 * n]
+    sx, sz = syndrome_batch(code, x, z)
+    return {np.concatenate([a, b]).tobytes(): (ex.copy(), ez.copy())
+            for a, b, ex, ez in zip(sx, sz, x, z)}
 
 
 def burst_oracle(
@@ -372,7 +396,12 @@ def burst_oracle(
     graph, basis = _decoding_setup(code)
     est_x, est_z = map(np.stack, zip(*(table[k] for k in keys)))
     oracle_ok = residual_in_group(basis, code, xs ^ est_x, zs ^ est_z)
-    dx, dz, conv, _ = decode_batch(graph, sx, sz, spa_cfg)
+    # a pattern's decode depends only on its syndrome: decode each distinct
+    # syndrome once and hand the result to every pattern that has it
+    _, once, inverse = np.unique(np.hstack([sx, sz]), axis=0,
+                                 return_index=True, return_inverse=True)
+    dx, dz, conv, _ = decode_batch(graph, sx[once], sz[once], spa_cfg)
+    dx, dz, conv = (a[inverse.reshape(-1)] for a in (dx, dz, conv))
     spa_ok = residual_in_group(basis, code, xs ^ dx, zs ^ dz) & conv
     failures = tuple((tuple(np.flatnonzero(xs[t]).tolist()),
                       tuple(np.flatnonzero(zs[t]).tolist()))

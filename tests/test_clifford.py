@@ -14,6 +14,7 @@ from eaqc.clifford import (
     Tableau,
     _apply_gates,
     _product_phases,
+    _quotient_rows,
     code_tableau,
     conjugate,
     group_preserved,
@@ -32,7 +33,8 @@ from eaqc.eacode import (
     build_theorem8,
     build_theorem9,
 )
-from eaqc.gf2 import BinaryMatrix, gfrank
+from eaqc.gf2 import BinaryMatrix, RowBasis, gfrank, nullspace
+from gf2_reference import independent_rows
 from paulis import PauliVector, generators, logical_pairs, logical_stack, tableau
 
 # ── unitary oracle ────────────────────────────────────────────────────
@@ -262,7 +264,7 @@ def test_block_stabilizer_counts_and_rank(p, rank):
     t = stabilizer_matrix(p)
     assert t.qubits == p * p + 1
     assert len(t.rows) == p * (p - 1)
-    assert gfrank(BinaryMatrix.from_dense(t.rows)) == rank
+    assert gfrank(BinaryMatrix.from_dense(t.rows)) == rank == t.rank
 
 
 def test_tableau_holds_read_only_copies():
@@ -478,6 +480,35 @@ def test_group_preserved_matches_subset_search(pair):
     assert group_preserved(after, before) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(_tableau_pairs())
+def test_tableau_rank_equals_gfrank_on_drawn_tableaux(pair):
+    before, after_gens = pair
+    assert before.rank == gfrank(BinaryMatrix.from_dense(before.rows))
+    try:
+        after = tableau(after_gens)
+    except ValueError:
+        assume(False)  # a flipped sign made a dependency multiply to -I
+    assert after.rank == gfrank(BinaryMatrix.from_dense(after.rows))
+
+
+def test_tableau_builds_its_row_basis_once(monkeypatch):
+    t = stabilizer_matrix(3)
+    logs = logical_operators(t)
+    build, shapes = RowBasis.build, []
+
+    def counted(a):
+        shapes.append(a.shape)
+        return build(a)
+
+    monkeypatch.setattr(RowBasis, "build", staticmethod(counted))
+    for seq in (hadamard_swap(3), s_cz(3), h_s_cz(3)):
+        logical_action(t, logs, seq)
+    # the other eliminations are of transposed stacks, (20, 6) and (20, 12)
+    assert shapes.count(t.rows.shape) == 1
+    assert t.basis is t.basis
+
+
 # ── the transversal operators ─────────────────────────────────────────
 
 def test_hadamard_then_block_reversal_gate_list():
@@ -632,6 +663,44 @@ def test_readme_logical_bases_are_pinned(builder, args, kwargs, digest):
     assert len(logs) == code.k
     assert logs.shape == (code.k, 2, 2 * (code.n + code.c))
     assert _digest(logs) == digest
+
+
+def _greedy_quotient_rows(t: Tableau) -> np.ndarray:
+    """The kernel rows an in-order greedy scan over [generators; kernel] keeps."""
+    q = t.qubits
+    swapped = np.hstack([t.rows[:, q:], t.rows[:, :q]])
+    stacked = np.vstack([t.rows, nullspace(BinaryMatrix.from_dense(swapped)).to_dense()])
+    kept = independent_rows(BinaryMatrix.from_dense(stacked))
+    return stacked[kept[kept >= len(t.rows)]]
+
+
+@pytest.mark.parametrize(
+    "builder,args,kwargs,digest", _README_LOGICALS_SHA256,
+    ids=[f"{b.__name__}{a}" for b, a, *_ in _README_LOGICALS_SHA256],
+)
+def test_quotient_rows_match_the_greedy_scan_on_readme_codes(builder, args, kwargs, digest):
+    code = builder(*args, **kwargs)
+    t = code_tableau(code)
+    got = _quotient_rows(t)
+    assert len(got) == 2 * code.k
+    assert np.array_equal(got, _greedy_quotient_rows(t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tableau_pairs())
+def test_quotient_rows_match_the_greedy_scan_on_drawn_tableaux(pair):
+    # k Z generators on q qubits give q - k logical pairs, none when k = q
+    t = pair[0]
+    got = _quotient_rows(t)
+    assert len(got) == 2 * (t.qubits - t.rank)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, _greedy_quotient_rows(t))
+
+
+def test_quotient_rows_of_a_maximal_group_are_empty():
+    mk = PauliVector.from_support
+    t = tableau((mk(2, x_on=[0, 1]), mk(2, z_on=[0, 1])))
+    assert _quotient_rows(t).shape == _greedy_quotient_rows(t).shape == (0, 4)
 
 
 def test_logical_operators_memory_is_bounded():

@@ -15,10 +15,10 @@ from eaqc.gf2 import (
     RowBasis,
     expand,
     gfrank,
-    independent_rows,
     matmul,
     nullspace,
 )
+from gf2_reference import independent_rows
 
 # ── independent oracles ───────────────────────────────────────────────
 

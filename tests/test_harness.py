@@ -20,8 +20,8 @@ from eaqc.decoder import (
     decode_quaternary_batch,
     syndrome_batch,
 )
-from eaqc.eacode import build_theorem5, build_theorem8
-from eaqc.gf2 import DimensionMismatch
+from eaqc.eacode import _assemble, build_theorem5, build_theorem8
+from eaqc.gf2 import DimensionMismatch, ModelMatrix
 from eaqc.harness import (
     CSV_COLUMNS,
     BurstReport,
@@ -441,6 +441,83 @@ def test_ml_table_is_pinned(nine):
     for key, (x, z) in ml_coset_decoder(nine, 0.03).items():
         digest.update(key + x.tobytes() + z.tobytes())
     assert digest.hexdigest() == _NINE_ML_DIGEST
+
+
+# Recorded from the sort-based ML oracle: its [[9,4;1]] table at p_d 0.6,
+# which moves the representative of 7 of the 64 syndromes away from the
+# p_d 0.03 table (every p_d from 0.03 to 0.5 gives the 0.03 table).
+_NINE_ML_DIGEST_AT_0_6 = "22905df169ba3bf406914bff5f760f274f575ae65a3129ede67dc4e4b97ac05b"
+
+
+def test_ml_table_is_pinned_at_a_second_p_d(nine):
+    digest = hashlib.sha256()
+    for key, (x, z) in ml_coset_decoder(nine, 0.6).items():
+        digest.update(key + x.tobytes() + z.tobytes())
+    assert digest.hexdigest() == _NINE_ML_DIGEST_AT_0_6
+
+
+def _ml_reference(code, p_d):
+    """The ML table by a plain loop over every error, its coset keyed by
+    (syndrome bytes, class bytes); per syndrome, the coset last in
+    (probability, class bytes) order, listed as syndromes first occur."""
+    n = code.n
+    cats = (np.arange(4 ** n)[:, None] >> (2 * np.arange(n))) & 3
+    x, z = category_bits(cats)
+    syn = np.hstack(syndrome_batch(code, x, z))
+    cls = symplectic_product(np.hstack([x, z]), _logicals(code))
+    weights = np.count_nonzero(x | z, axis=1)
+    cosets = {}  # key -> (first error, count of each weight)
+    for t, (s, c, w) in enumerate(zip(syn, cls, weights.tolist())):
+        cosets.setdefault((s.tobytes(), c.tobytes()), (t, [0] * (n + 1)))[1][w] += 1
+    p = min(max(p_d, 1e-12), 1 - 1e-12)
+    ratio = (p / 3.0) / (1.0 - p)
+    best = {}
+    for (s, c), (first, counts) in cosets.items():
+        prob = 0.0
+        for w in range(n, -1, -1):
+            prob = prob * ratio + counts[w]
+        if s not in best or (prob, c) > best[s][:2]:
+            best[s] = (prob, c, first)
+    return {s: (x[t], z[t]) for s, (_, _, t) in best.items()}
+
+
+@pytest.mark.parametrize("order,x_rows,z_rows,k", [
+    (3, [[0, 1]] * 12 + [[0, 2]], [[0, 2]] * 12 + [[1, 1]], 0),
+    (3, [[0, 1]] * 13, [[0, 0]] * 12 + [[0, 1]], 0),
+    (2, [[0, 1, 1]] * 18 + [[1, 0, 1]], [[0, 0, 1]] * 18 + [[1, 1, 0]], 3),
+], ids=["k0-two-new-rows", "k0-one-new-row", "k3"])
+def test_ml_matches_the_reference_past_one_word_of_syndrome(order, x_rows, z_rows, k):
+    # 76-78 checks on 6 qubits, most of them repeats: the syndrome is wider
+    # than one uint64, and the last block-row of hz, past bit 64, is new
+    code = _assemble("tiled", ModelMatrix(order, np.array(x_rows)),
+                     ModelMatrix(order, np.array(z_rows)), min_floor=4)
+    assert code.hx.rows + code.hz.rows > 64 and code.n == 6 and code.k == k
+    for p_d in (0.03, 0.6):
+        _assert_same_table(ml_coset_decoder(code, p_d), _ml_reference(code, p_d))
+
+
+def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
+    calls = []
+
+    def recorded(graph, sx, sz, cfg):
+        calls.append((sx, sz, decode_batch(graph, sx, sz, cfg)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(harness, "decode_batch", recorded)
+    rep = burst_oracle(nine, 3)
+    (got_sx, got_sz, (dx, dz, conv, _)), = calls
+    # every window-3 pattern but the identity, repeats removed in order
+    cats = _loop_patterns(9, [range(s, s + 3) for s in range(7)], range(4))
+    cats = np.array(list(dict.fromkeys(map(tuple, cats.tolist())))[1:], np.int8)
+    sx, sz = syndrome_batch(nine, *category_bits(cats))
+    assert len(cats) == rep.patterns == 351
+    row = {(a.tobytes(), b.tobytes()): i for i, (a, b) in enumerate(zip(got_sx, got_sz))}
+    assert len(row) == len(got_sx) == 64
+    at = [row[a.tobytes(), b.tobytes()] for a, b in zip(sx, sz)]
+    # the arrays that one decode of all 351 patterns gives
+    want = decode_batch(build_graphs(nine), sx, sz, DecoderConfig("quaternary-spa", 0.03))
+    for got, all_351 in zip((dx, dz, conv), want):
+        assert np.array_equal(got[at], all_351)
 
 
 def test_burst_oracle_failures_are_pinned(nine):
