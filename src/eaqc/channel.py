@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eaqc.clifford import category_bits
-
 __all__ = [
     "ChannelParams",
+    "category_bits",
     "sample_error_batch",
 ]
 
@@ -58,6 +57,13 @@ class ChannelParams:
             raise ValueError(f"p_d must lie in [0, 1], got {self.p_d}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+
+
+def category_bits(cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) bit arrays of Pauli categories (I, X, Y, Z) = (0, 1, 2, 3)."""
+    x = ((cats == 1) | (cats == 2)).astype(np.uint8)
+    z = ((cats == 2) | (cats == 3)).astype(np.uint8)
+    return x, z
 
 
 def _categories(v: np.ndarray, p_d: float) -> np.ndarray:

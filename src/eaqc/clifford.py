@@ -50,7 +50,6 @@ from eaqc.models import _require_odd_prime
 
 __all__ = [
     "symplectic_product",
-    "category_bits",
     "Tableau",
     "GateSequence",
     "stabilizer_matrix",
@@ -135,13 +134,6 @@ def _negative_dependency(deps: np.ndarray, rows: np.ndarray, phases: np.ndarray)
     checks them all.
     """
     return bool(len(deps) and _product_phases(deps, rows, phases).any())
-
-
-def category_bits(cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, z) bit arrays of Pauli categories (I, X, Y, Z) = (0, 1, 2, 3)."""
-    x = ((cats == 1) | (cats == 2)).astype(np.uint8)
-    z = ((cats == 2) | (cats == 3)).astype(np.uint8)
-    return x, z
 
 
 @dataclass(frozen=True)

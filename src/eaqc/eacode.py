@@ -24,6 +24,7 @@ from eaqc.gf2 import (
 from eaqc.girth import has_four_cycle, has_six_cycle
 from eaqc.models import (
     _require_odd_prime,
+    scalar_rows,
     special_prime_model,
     theorem6_models,
     theorem8_model,
@@ -182,24 +183,23 @@ def theorem5_selection(p: int, l1: int, l2: int) -> tuple[ModelMatrix, ModelMatr
 
 def _check_scalar_class_rows(p: int, mx: ModelMatrix, mz: ModelMatrix) -> None:
     """All block-rows must come from one scalar-multiple class, no repeats."""
-    if mx.order != p or mz.order != p:
-        raise ValueError("row banks must share the circulant order p")
-    if mx.block_cols != p or mz.block_cols != p:
-        raise ValueError("row banks must span all p block-columns")
+    if {mx.order, mz.order, mx.block_cols, mz.block_cols} != {p}:
+        raise ValueError("row banks must have circulant order p and span all p block-columns")
     rows = np.vstack([mx.exponents, mz.exponents])
-    if len({tuple(r) for r in rows.tolist()}) != len(rows):
+    if len(np.unique(rows, axis=0)) != len(rows):
         raise ValueError("the X and Z banks share a block-row")
-    nonzero = [r for r in rows if r.any()]
-    for r in nonzero:
-        if r[0] != 0 or sorted(r.tolist()) != list(range(p)):
-            raise ValueError("each nonzero row must permute Z_p with leading zero")
-    if nonzero:
-        base = nonzero[0]
-        inv = pow(int(base[1]), -1, p)
-        for r in nonzero[1:]:
-            scalar = (int(r[1]) * inv) % p
-            if ((scalar * base) % p != r).any():
-                raise ValueError("rows are not scalar multiples of a common row")
+    nonzero = rows[rows.any(axis=1)]
+    if not len(nonzero):
+        return
+    base = nonzero[0]
+    if base[0] == 0 and sorted(base.tolist()) == list(range(p)):
+        # base[1] is then invertible mod p
+        scalars = nonzero[:, 1] * pow(int(base[1]), -1, p) % p
+        if (scalar_rows(p, scalars, base).exponents == nonzero).all():
+            return
+    raise ValueError(
+        "nonzero rows must be scalar multiples of one permutation of Z_p with leading zero"
+    )
 
 
 def build_theorem5(
@@ -271,46 +271,34 @@ def build_theorem7(p: int, l: int) -> EaCode:
 # ── geometric wide-girth families (girth above 6) ─────────────────────
 
 
-def _geometric_bounds(
-    family: str, code: EaCode, order: int, diag_blocks: int
-) -> None:
-    # 3 block-rows cap the rank at 3*order − 2, 4 block-rows at 4*order − 3
-    cap = diag_blocks * order - (diag_blocks - 1)
-    if code.rank_hx > cap:
-        raise StructureCheckFailed(
-            f"{family}: gfrank(H) = {code.rank_hx} exceeds the bound {cap}"
-        )
-    if code.c > cap:
-        raise StructureCheckFailed(
-            f"{family}: ebit count {code.c} exceeds the bound {cap}"
-        )
+def _build_geometric(family: str, m: ModelMatrix) -> EaCode:
+    """Single-H code of a geometric model, girth above 6.
+
+    Its block_rows stacked circulant strips cap the rank of H, and so the
+    ebit count, at block_rows·order − (block_rows − 1).
+    """
+    code = _assemble(family, m, m, min_floor=8)
+    _expect(family, "n", code.n, m.order * m.block_cols)
+    cap = m.block_rows * m.order - (m.block_rows - 1)
+    for name, got in (("gfrank(H)", code.rank_hx), ("ebit count", code.c)):
+        if got > cap:
+            raise StructureCheckFailed(f"{family}: {name} {got} exceeds the bound {cap}")
+    return code
 
 
 def build_theorem8(l: int, w: int) -> EaCode:
-    """Single-H geometric family over order w^l + 1, girth above 6."""
-    m = theorem8_model(l, w)
-    code = _assemble("theorem8", m, m, min_floor=8)
-    _expect("theorem8", "n", code.n, m.order * l)
-    _geometric_bounds("theorem8", code, m.order, 3)
-    return code
+    """Three-row geometric family over order w^l + 1, girth above 6."""
+    return _build_geometric("theorem8", theorem8_model(l, w))
 
 
 def build_theorem9(s, w: int, *, enforce_scale: bool = True) -> EaCode:
     """Four-row geometric family, even w, girth above 6."""
-    m = theorem9_model(s, w, enforce_scale=enforce_scale)
-    code = _assemble("theorem9", m, m, min_floor=8)
-    _expect("theorem9", "n", code.n, m.order * m.block_cols)
-    _geometric_bounds("theorem9", code, m.order, 4)
-    return code
+    return _build_geometric("theorem9", theorem9_model(s, w, enforce_scale=enforce_scale))
 
 
 def build_theorem10(s, w: int, *, enforce_scale: bool = True) -> EaCode:
     """Four-row geometric family, pairwise gaps of 2, girth above 6."""
-    m = theorem10_model(s, w, enforce_scale=enforce_scale)
-    code = _assemble("theorem10", m, m, min_floor=8)
-    _expect("theorem10", "n", code.n, m.order * m.block_cols)
-    _geometric_bounds("theorem10", code, m.order, 4)
-    return code
+    return _build_geometric("theorem10", theorem10_model(s, w, enforce_scale=enforce_scale))
 
 
 # CLI family name -> (builder, the CLI flags that supply its positional

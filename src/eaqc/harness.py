@@ -29,8 +29,8 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from eaqc.channel import ChannelParams, sample_error_batch
-from eaqc.clifford import logical_operators
+from eaqc.channel import ChannelParams, category_bits, sample_error_batch
+from eaqc.clifford import logical_operators, symplectic_product
 from eaqc.decoder import (
     DecoderConfig,
     TannerGraph,
@@ -203,18 +203,20 @@ def run_trials(cfg: SimConfig) -> SimResult:
 def _letter_rows(code: EaCode, logicals=()) -> np.ndarray:
     """(n, 4, w) bits of each letter I, X, Y, Z on each qubit.
 
-    A row is [x | z | sx | sz | form with each logical]; the logicals are
-    (x | z) rows on the n transmitted qubits, and the form with one is
-    x·z' + z·x'.  Every column of an error is the XOR of its letters' rows.
+    A row is [x | z | sx | sz | form with each logical] of the one-qubit
+    error: its `category_bits`, its `syndrome_batch` and its
+    `symplectic_product` with each logical, an (x | z) row on the n
+    transmitted qubits.  Every column of an error is the XOR of its
+    letters' rows.
     """
     n = code.n
-    hx, hz = code.hx.to_dense().T, code.hz.to_dense().T
-    swapped = np.asarray(logicals, np.uint8).reshape(-1, 2, n)[:, ::-1].reshape(-1, 2 * n)
-    # the columns an X (first n rows) or a Z (last n rows) on each qubit sets
-    unit = np.hstack([np.eye(2 * n, dtype=np.uint8),
-                      np.block([[0 * hx, hz], [hx, 0 * hz]]), swapped.T])
-    letters = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], np.uint8)  # (x, z) of I, X, Y, Z
-    return letters @ unit.reshape(2, n, -1).transpose(1, 0, 2) & 1
+    cats = np.zeros((n, 4, n), np.uint8)
+    cats[np.arange(n), :, np.arange(n)] = np.arange(4)
+    x, z = category_bits(cats.reshape(4 * n, n))
+    cols = [x, z, *syndrome_batch(code, x, z)]
+    if len(logicals):
+        cols.append(symplectic_product(np.hstack([x, z]), np.asarray(logicals)))
+    return np.hstack(cols).reshape(n, 4, -1)
 
 
 def _enumerate(rows: np.ndarray, supports, letters) -> np.ndarray:

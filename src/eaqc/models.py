@@ -1,12 +1,16 @@
 """Model-matrix construction for every quasi-cyclic family.
 
-Five generators live here:
+Each construction rule has one home here:
 
-* a randomized prime-order family built from one scalar-multiple base row,
-* the deterministic prime-order grid with exponent ``i*j mod p``,
-* a randomized composite-order family with rejection sampling,
-* two-sided selections for the paired-code families, and
-* three deterministic wide-girth families built from geometric sequences.
+* the scalar-multiple class over a prime p, row i = scalars[i]·base
+  mod p, is `scalar_rows`; the randomized prime family, the deterministic
+  grid with exponent ``i*j mod p``, the identity-free banks of
+  `theorem6_models` and the check of custom Theorem-5 banks all build
+  from it;
+* the randomized composite-order family rejects each candidate row that
+  closes a 4-cycle with the earlier rows, by `girth.has_four_cycle`;
+* the wide-girth families build their rows from geometric sequences of
+  powers of w, the four-row ones through `_geometric_four_row`.
 
 All "random" choices consume draws from ``numpy.random.default_rng(seed)``
 in a documented order, so outputs are reproducible across platforms.
@@ -14,16 +18,16 @@ in a documented order, so outputs are reproducible across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from eaqc.gf2 import ModelMatrix
+from eaqc.girth import has_four_cycle
 
 __all__ = [
     "OrderExhausted",
-    "PrimeModelParams",
-    "CompositeModelParams",
+    "scalar_rows",
     "construct_prime_model",
     "special_prime_model",
     "construct_composite_model",
@@ -64,141 +68,71 @@ def _require_odd_prime(p: int) -> None:
 # ── prime-order families ──────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class PrimeModelParams:
-    """Draws that fully determine a randomized prime-order model.
-
-    base_row is a permutation of Z_p with leading zero; every other row
-    of the grid is a scalar multiple of it.  multipliers are the scalars
-    for rows 2..p-1 (row 0 is the zero row, row 1 the base itself).
-    """
-
-    p: int
-    multipliers: tuple[int, ...]
-    base_row: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _require_odd_prime(self.p)
-        p = self.p
-        if sorted(self.base_row) != list(range(p)) or self.base_row[0] != 0:
-            raise ValueError("base row must be a permutation of Z_p starting at 0")
-        ks = self.multipliers
-        if len(ks) != p - 2 or len(set(ks)) != len(ks):
-            raise ValueError(f"need {p - 2} distinct multipliers")
-        if any(k in (0, 1) or not 0 < k < p for k in ks):
-            raise ValueError("multipliers must lie in {2, ..., p-1}")
-
-    def assemble(self) -> ModelMatrix:
-        p = self.p
-        base = np.asarray(self.base_row, dtype=np.int64)
-        grid = np.zeros((p, p), dtype=np.int64)
-        grid[1] = base
-        for i, k in enumerate(self.multipliers, start=2):
-            grid[i] = (k * base) % p
-        return ModelMatrix(p, grid)
+def scalar_rows(p: int, scalars, base) -> ModelMatrix:
+    """The scalar-multiple class: row i is scalars[i]·base mod p."""
+    return ModelMatrix(p, np.outer(scalars, base) % p)
 
 
 def construct_prime_model(p: int, seed) -> ModelMatrix:
     """Randomized p x p exponent grid whose rows are multiples of one row.
 
     Draw order: (1) a permutation of [1, p-1] filling the base row after
-    its leading zero; (2) a permutation of [2, p-1] giving the row
-    multipliers in row order.
+    its leading zero; (2) a permutation of [2, p-1] giving the scalars of
+    rows 2..p-1 in row order.  Row 0 is the zero row, row 1 the base.
     """
     _require_odd_prime(p)
     rng = np.random.default_rng(seed)
-    base_tail = rng.permutation(np.arange(1, p))
-    multipliers = rng.permutation(np.arange(2, p))
-    params = PrimeModelParams(
-        p=p,
-        multipliers=tuple(int(k) for k in multipliers),
-        base_row=(0, *(int(v) for v in base_tail)),
-    )
-    return params.assemble()
+    base = np.concatenate([[0], rng.permutation(np.arange(1, p))])
+    scalars = np.concatenate([[0, 1], rng.permutation(np.arange(2, p))])
+    return scalar_rows(p, scalars, base)
 
 
 def special_prime_model(p: int) -> ModelMatrix:
     """Deterministic member of the prime family: exponent(i, j) = i*j mod p."""
     _require_odd_prime(p)
     idx = np.arange(p, dtype=np.int64)
-    return ModelMatrix(p, np.outer(idx, idx) % p)
+    return scalar_rows(p, idx, idx)
 
 
 # ── composite-order family ────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class CompositeModelParams:
-    n: int
-    q: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.n < 4 or _is_odd_prime(self.n) or self.n == 2:
-            raise ValueError(f"order must be composite, got {self.n}")
-        if not self.q < self.r < self.n:
-            raise ValueError(f"need q < r < n, got q={self.q}, r={self.r}, n={self.n}")
-        if self.q < 1:
-            raise ValueError("need at least one block-row")
-
-    @property
-    def itr_max(self) -> int:
-        # ordered draws of r-1 distinct nonzero residues
-        out = 1
-        for v in range(self.n - self.r + 1, self.n):
-            out *= v
-        return out
-
-
-def _difference_ok(cand: np.ndarray, earlier: np.ndarray, n: int) -> bool:
-    # full-row difference (leading zero column included) must have all
-    # distinct entries mod n for every earlier row
-    for row in earlier:
-        d = (cand - row) % n
-        if len(np.unique(d)) != len(d):
-            return False
-    return True
 
 
 def construct_composite_model(n: int, q: int, r: int, seed) -> ModelMatrix:
     """Randomized q x r grid over a composite order with zero first row/column.
 
     Each candidate row is an ordered draw of r-1 distinct nonzero residues
-    (one `rng.choice` call per candidate).  A candidate is rejected when the
-    full-row difference against any earlier row repeats an entry mod n; only
-    fresh rejected candidates consume the retry budget.  When the budget (or
-    the candidate universe) is spent, OrderExhausted signals the caller to
-    move to the next composite order.
+    (one `rng.choice` call per candidate), rejected when it closes a
+    4-cycle with the earlier rows (`has_four_cycle`).  When all
+    perm(n-1, r-1) such draws have been tried, or after 64 times that
+    many draws plus 1024, OrderExhausted signals the caller to move to
+    the next composite order.
     """
-    params = CompositeModelParams(n, q, r)
+    if n < 4 or _is_odd_prime(n):
+        raise ValueError(f"order must be composite, got {n}")
+    if not q < r < n:
+        raise ValueError(f"need q < r < n, got q={q}, r={r}, n={n}")
+    if q < 1:
+        raise ValueError("need at least one block-row")
     rng = np.random.default_rng(seed)
-    itr_max = params.itr_max
+    universe = math.perm(n - 1, r - 1)
     grid = np.zeros((q, r), dtype=np.int64)
+    cand = np.zeros(r, dtype=np.int64)
     values = np.arange(1, n)
     for i in range(1, q):
-        earlier = grid[:i]
         tried: set[bytes] = set()
-        itr = 0
-        raw_draws = 0
-        raw_cap = 64 * itr_max + 1024
-        while True:
-            if len(tried) >= itr_max or itr > itr_max or raw_draws >= raw_cap:
-                raise OrderExhausted(n, q, r, i)
-            cand = np.zeros(r, dtype=np.int64)
+        for _ in range(64 * universe + 1024):
+            if len(tried) == universe:
+                break
             cand[1:] = rng.choice(values, size=r - 1, replace=False)
-            raw_draws += 1
             key = cand.tobytes()
             if key in tried:
                 continue
-            if any(np.array_equal(cand, row) for row in earlier):
-                tried.add(key)  # excluded from the draw, not a budget miss
-                continue
-            if not _difference_ok(cand, earlier, n):
-                tried.add(key)
-                itr += 1
-                continue
-            grid[i] = cand
-            break
+            tried.add(key)
+            if not has_four_cycle(ModelMatrix(n, np.vstack([grid[:i], cand]))):
+                grid[i] = cand
+                break
+        if not grid[i].any():  # no candidate was admitted
+            raise OrderExhausted(n, q, r, i)
     return ModelMatrix(n, grid)
 
 
@@ -217,9 +151,8 @@ def theorem6_models(p: int, l1: int, l2: int) -> tuple[ModelMatrix, ModelMatrix]
             f"need 1 <= l1, l2 <= p-2 and l1+l2 <= p-1; got l1={l1}, l2={l2}, p={p}"
         )
     cols = np.arange(1, p, dtype=np.int64)
-    mx = ModelMatrix(p, np.outer(np.arange(1, l1 + 1), cols) % p)
-    mz = ModelMatrix(p, np.outer(np.arange(l1 + 1, l1 + l2 + 1), cols) % p)
-    return mx, mz
+    return (scalar_rows(p, np.arange(1, l1 + 1), cols),
+            scalar_rows(p, np.arange(l1 + 1, l1 + l2 + 1), cols))
 
 
 # ── wide-girth families ───────────────────────────────────────────────

@@ -29,9 +29,8 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from eaqc.channel import ChannelParams
+from eaqc.channel import ChannelParams, category_bits
 from eaqc.clifford import (
-    category_bits,
     conjugate,
     group_preserved,
     h_s_cz,

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqc.channel import ChannelParams, sample_error_batch
-from eaqc.clifford import category_bits
+from eaqc.channel import ChannelParams, category_bits, sample_error_batch
 from eaqc.decoder import (
     _CLIP,
     DecoderConfig,

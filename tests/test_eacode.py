@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eaqc import eacode
+from eaqc.cli import main
 from eaqc.eacode import (
     FAMILIES,
     EaCode,
@@ -413,8 +415,72 @@ def test_builder_constraint_errors():
     mx, _ = theorem5_selection(5, 2, 2)
     with pytest.raises(ValueError):
         build_theorem5(5, 2, 2, mx, None)  # banks must come together
-    with pytest.raises(ValueError):
-        build_theorem5(5, 2, 2, mx, mx)  # shared block-rows
-    bad = ModelMatrix(5, np.array([[0, 1, 2, 3, 4], [0, 2, 1, 3, 4]]))
-    with pytest.raises(ValueError):
-        build_theorem5(5, 2, 2, mx, bad)  # not scalar multiples of one row
+    with pytest.raises(ValueError, match="share a block-row"):
+        build_theorem5(5, 2, 2, mx, mx)
+    with pytest.raises(ValueError, match="circulant order p"):
+        build_theorem5(5, 2, 2, mx, ModelMatrix(7, np.zeros((2, 5), np.int64)))
+    with pytest.raises(ValueError, match="span all p block-columns"):
+        build_theorem5(5, 2, 2, mx, ModelMatrix(5, np.array([[0, 1, 2, 3], [0, 2, 4, 1]])))
+    not_multiples = np.array([[0, 1, 2, 3, 4], [0, 2, 1, 3, 4]])
+    not_a_permutation = np.array([[0, 1, 1, 3, 4], [0, 2, 2, 1, 3]])
+    for rows in (not_multiples, not_a_permutation, not_a_permutation[::-1]):
+        with pytest.raises(ValueError, match="scalar multiples of one permutation"):
+            build_theorem5(5, 1, 1, ModelMatrix(5, rows[:1]), ModelMatrix(5, rows[1:]))
+
+
+# ── structure guards ──────────────────────────────────────────────────
+# Each StructureCheckFailed guard of the builders, forced by patching the
+# measurement it reads.
+
+
+def test_girth_floor_guard(monkeypatch):
+    monkeypatch.setattr(eacode, "girth_floor_of", lambda mx, mz=None: 4)
+    with pytest.raises(StructureCheckFailed, match="theorem5: .*girth floor 4 below required 6"):
+        build_theorem5(3, 1, 1)
+
+
+def test_commutation_guard(monkeypatch):
+    # thm5 p=3 needs one ebit, so the unextended pair does not commute
+    monkeypatch.setattr(eacode, "extend", lambda hx, hz: (hx, hz))
+    with pytest.raises(StructureCheckFailed, match="theorem5: extended matrices do not commute"):
+        build_theorem5(3, 1, 1)
+
+
+def test_prediction_guard(monkeypatch):
+    monkeypatch.setattr(eacode, "gfrank", lambda h: gfrank(h) + 1)
+    with pytest.raises(StructureCheckFailed, match="theorem5: k is 2, predicted 4"):
+        build_theorem5(3, 1, 1)
+
+
+GEOMETRIC_CASES = [
+    ("theorem8", build_theorem8, (6, 2), {}),
+    ("theorem9", build_theorem9, ((2, 4, 6), 2), {"enforce_scale": False}),
+    ("theorem10", build_theorem10, ((2, 4, 6), 2), {"enforce_scale": False}),
+]
+
+
+@pytest.mark.parametrize("family,builder,args,kwargs", GEOMETRIC_CASES,
+                         ids=[case[0] for case in GEOMETRIC_CASES])
+def test_geometric_rank_bound_guard(monkeypatch, family, builder, args, kwargs):
+    monkeypatch.setattr(eacode, "gfrank", lambda h: h.rows)
+    with pytest.raises(StructureCheckFailed, match=f"{family}: gfrank\\(H\\) .* exceeds the bound"):
+        builder(*args, **kwargs)
+
+
+@pytest.mark.parametrize("family,builder,args,kwargs", GEOMETRIC_CASES,
+                         ids=[case[0] for case in GEOMETRIC_CASES])
+def test_geometric_ebit_bound_guard(monkeypatch, family, builder, args, kwargs):
+    # zero columns appended to both sides keep them commuting and add ebits
+    real = eacode.extend
+    monkeypatch.setattr(eacode, "extend", lambda hx, hz: tuple(
+        m.hstack(BinaryMatrix.zeros(m.rows, 2 ** 12)) for m in real(hx, hz)))
+    with pytest.raises(StructureCheckFailed, match=f"{family}: ebit count .* exceeds the bound"):
+        builder(*args, **kwargs)
+
+
+def test_params_reports_a_failed_guard(monkeypatch, capsys):
+    monkeypatch.setattr(eacode, "girth_floor_of", lambda mx, mz=None: 4)
+    status = main(["params", "--family", "thm5", "--p", "3", "--l1", "1", "--l2", "1"])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err.startswith("verification failure: theorem5:")

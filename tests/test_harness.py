@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eaqc import harness
-from eaqc.channel import ChannelParams, sample_error_batch
-from eaqc.clifford import category_bits, logical_operators, symplectic_product
+from eaqc.channel import ChannelParams, category_bits, sample_error_batch
+from eaqc.clifford import logical_operators, symplectic_product
 from eaqc.decoder import (
     DecoderConfig,
     build_graphs,
