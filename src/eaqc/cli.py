@@ -35,8 +35,8 @@ from eaqc.harness import (
     write_csv,
 )
 
-# the flags that carry a family's builder arguments (see eacode.FAMILIES)
-_CODE_FLAGS = ("p", "l1", "l2", "l", "w", "set")
+# the flags that carry a family's builder arguments, in first-seen order
+_CODE_FLAGS = tuple(dict.fromkeys(n for _, flags in FAMILIES.values() for n in flags))
 
 _DECODER_NAMES = {
     "binary": "binary-spa",
@@ -189,7 +189,7 @@ def _cmd_sweep(args) -> int:
     # every point decodes with the first --pd as its prior
     prior = pd_values[0] if pd_values else 0.0
     rows = sweep(_sim_config(args, prior, 0.0), pd_values, eta_values)
-    _emit(write_csv(rows, None), args.out)
+    _emit(write_csv(rows), args.out)
     return 0
 
 

@@ -155,9 +155,6 @@ class GateSequence:
     def __iter__(self):
         return iter(self.gates)
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 @dataclass(frozen=True, eq=False)
 class Tableau:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from eaqc.gf2 import (
     BinaryMatrix,
     DimensionMismatch,
@@ -24,7 +22,6 @@ from eaqc.gf2 import (
 from eaqc.girth import has_four_cycle, has_six_cycle
 from eaqc.models import (
     _require_odd_prime,
-    scalar_rows,
     special_prime_model,
     theorem6_models,
     theorem8_model,
@@ -94,14 +91,13 @@ def extend(hx: BinaryMatrix, hz: BinaryMatrix) -> tuple[BinaryMatrix, BinaryMatr
     the reduced-echelon rows of m, ex the pivot columns of m itself (which
     hold the combination coefficients because echelon pivot columns are
     unit vectors).  Appending makes hex·hezᵀ = m + ex·ezᵀ = 0 over GF(2).
-    c, the pair's entanglement cost, is read back as hex.cols − hx.cols.
+    c, the pair's entanglement cost, is read back as hex.cols − hx.cols;
+    a commuting pair (m = 0) gets no columns and comes back equal to itself.
     """
     if hx.cols != hz.cols:
         raise DimensionMismatch(f"hx has {hx.cols} columns, hz has {hz.cols}")
     m = BinaryMatrix.from_dense(_matmul_words(hx.words, hz.words))
     basis = RowBasis.build(m)
-    if basis.rank == 0:
-        return hx, hz
     ez = BinaryMatrix(basis.rank, m.cols, basis.rref_words).transpose()
     ex = BinaryMatrix.from_dense(m.to_dense()[:, basis.pivot_cols])
     return hx.hstack(ex), hz.hstack(ez)
@@ -163,7 +159,7 @@ def _expect(family: str, name: str, got: int, want: int) -> None:
 
 
 def theorem5_selection(p: int, l1: int, l2: int) -> tuple[ModelMatrix, ModelMatrix]:
-    """Default disjoint block-row banks from the deterministic prime grid.
+    """The disjoint X and Z block-row banks of the deterministic prime grid.
 
     X takes rows 1..l1, Z the top l2 rows; when every row is spoken for
     (l1 + l2 = p) the Z bank swaps its lowest pick for the zero row to
@@ -181,46 +177,9 @@ def theorem5_selection(p: int, l1: int, l2: int) -> tuple[ModelMatrix, ModelMatr
     return mx, mz
 
 
-def _check_scalar_class_rows(p: int, mx: ModelMatrix, mz: ModelMatrix) -> None:
-    """All block-rows must come from one scalar-multiple class, no repeats."""
-    if {mx.order, mz.order, mx.block_cols, mz.block_cols} != {p}:
-        raise ValueError("row banks must have circulant order p and span all p block-columns")
-    rows = np.vstack([mx.exponents, mz.exponents])
-    if len(np.unique(rows, axis=0)) != len(rows):
-        raise ValueError("the X and Z banks share a block-row")
-    nonzero = rows[rows.any(axis=1)]
-    if not len(nonzero):
-        return
-    base = nonzero[0]
-    if base[0] == 0 and sorted(base.tolist()) == list(range(p)):
-        # base[1] is then invertible mod p
-        scalars = nonzero[:, 1] * pow(int(base[1]), -1, p) % p
-        if (scalar_rows(p, scalars, base).exponents == nonzero).all():
-            return
-    raise ValueError(
-        "nonzero rows must be scalar multiples of one permutation of Z_p with leading zero"
-    )
-
-
-def build_theorem5(
-    p: int,
-    l1: int,
-    l2: int,
-    mx: ModelMatrix | None = None,
-    mz: ModelMatrix | None = None,
-) -> EaCode:
-    """[[p², p² − 2p − (p−1)(l1+l2−2) + 1; 1]] from one scalar-multiple class."""
-    if (mx is None) != (mz is None):
-        raise ValueError("provide both row banks or neither")
-    if mx is None:
-        mx, mz = theorem5_selection(p, l1, l2)
-    else:
-        _require_odd_prime(p)
-        if mx.block_rows != l1 or mz.block_rows != l2:
-            raise ValueError("row banks disagree with l1/l2")
-        if l1 + l2 > p:
-            raise ValueError(f"need l1 + l2 <= p, got {l1 + l2} > {p}")
-        _check_scalar_class_rows(p, mx, mz)
+def build_theorem5(p: int, l1: int, l2: int) -> EaCode:
+    """[[p², p² − 2p − (p−1)(l1+l2−2) + 1; 1]] from the banks of `theorem5_selection`."""
+    mx, mz = theorem5_selection(p, l1, l2)
     code = _assemble("theorem5", mx, mz, min_floor=6)
     _expect("theorem5", "n", code.n, p * p)
     _expect("theorem5", "c", code.c, 1)

@@ -144,9 +144,6 @@ class BinaryMatrix:
             self.rows + other.rows, self.cols, np.vstack([self.words, other.words])
         )
 
-    def is_zero(self) -> bool:
-        return not self.words.any()
-
 
 @dataclass(frozen=True)
 class ModelMatrix:

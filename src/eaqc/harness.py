@@ -448,15 +448,11 @@ def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
     return rows
 
 
-def write_csv(rows: list[dict], target) -> str:
-    """Write sweep rows; returns the CSV text.  target may be a path or None."""
+def write_csv(rows: list[dict]) -> str:
+    """The CSV text of sweep rows: a header of CSV_COLUMNS, one line per row."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: row[k] for k in CSV_COLUMNS})
-    text = buf.getvalue()
-    if target is not None:
-        with open(target, "w", newline="") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()

@@ -4,9 +4,8 @@ Each construction rule has one home here:
 
 * the scalar-multiple class over a prime p, row i = scalars[i]·base
   mod p, is `scalar_rows`; the randomized prime family, the deterministic
-  grid with exponent ``i*j mod p``, the identity-free banks of
-  `theorem6_models` and the check of custom Theorem-5 banks all build
-  from it;
+  grid with exponent ``i*j mod p`` and the identity-free banks of
+  `theorem6_models` all build from it;
 * the randomized composite-order family rejects each candidate row that
   closes a 4-cycle with the earlier rows, by `girth.has_four_cycle`;
 * the wide-girth families build their rows from geometric sequences of
@@ -79,6 +78,10 @@ def construct_prime_model(p: int, seed) -> ModelMatrix:
     Draw order: (1) a permutation of [1, p-1] filling the base row after
     its leading zero; (2) a permutation of [2, p-1] giving the scalars of
     rows 2..p-1 in row order.  Row 0 is the zero row, row 1 the base.
+
+    No builder reads it: the prime-order codes all come from the
+    deterministic grid.  It stays only because the benchmark's tracer
+    wraps it by name.
     """
     _require_odd_prime(p)
     rng = np.random.default_rng(seed)
@@ -106,6 +109,9 @@ def construct_composite_model(n: int, q: int, r: int, seed) -> ModelMatrix:
     perm(n-1, r-1) such draws have been tried, or after 64 times that
     many draws plus 1024, OrderExhausted signals the caller to move to
     the next composite order.
+
+    No builder reads it; it stays only because the benchmark's tracer
+    wraps it by name.
     """
     if n < 4 or _is_odd_prime(n):
         raise ValueError(f"order must be composite, got {n}")

@@ -612,7 +612,7 @@ def test_criterion_11_sweep_reproducibility():
             trials=150,
             master_seed=9,
         )
-        return write_csv(sweep(cfg, (0.02, 0.03), (0.0, 0.5)), None)
+        return write_csv(sweep(cfg, (0.02, 0.03), (0.0, 0.5)))
 
     first, second = run_inline(), run_inline()
     outputs = []
@@ -634,7 +634,7 @@ def test_criterion_11_sweep_reproducibility():
              "                channel=ChannelParams(0.02, 0.0),\n"
              "                decoder=DecoderConfig('quaternary-spa', p_d=0.02, l_max=100),\n"
              "                trials=150, master_seed=9)\n"
-             "sys.stdout.write(write_csv(sweep(cfg, (0.02, 0.03), (0.0, 0.5)), None))\n"],
+             "sys.stdout.write(write_csv(sweep(cfg, (0.02, 0.03), (0.0, 0.5))))\n"],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr

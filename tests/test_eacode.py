@@ -25,7 +25,6 @@ from eaqc.eacode import (
 )
 from eaqc.gf2 import BinaryMatrix, DimensionMismatch, ModelMatrix, expand, gfrank, matmul
 from eaqc.models import (
-    construct_prime_model,
     theorem6_models,
     theorem8_model,
     theorem9_model,
@@ -43,6 +42,10 @@ def dense(a) -> BinaryMatrix:
 def test_ebit_count_orthogonal_pair_is_zero():
     hx = dense(np.hstack([np.eye(3), np.eye(3)]))
     assert gfrank(matmul(hx, hx.transpose())) == 0  # h·hᵀ = I + I = 0
+    # c = 0: extend appends no column and returns the pair unchanged
+    hex_, hez = extend(hx, hx)
+    assert hex_ == hx and hez == hx
+    assert hex_.cols - hx.cols == hez.cols - hx.cols == 0
 
 
 def test_ebit_count_known_pairs():
@@ -104,7 +107,7 @@ def test_extend_always_commutes(rows_a, rows_b, cols, data):
     c = gfrank(matmul(hx, hz.transpose()))
     hex_, hez = extend(hx, hz)
     assert hex_.cols == cols + c and hez.cols == cols + c
-    assert matmul(hex_, hez.transpose()).is_zero()
+    assert not matmul(hex_, hez.transpose()).words.any()
     assert (hex_.to_dense()[:, :cols] == hx.to_dense()).all()
     assert (hez.to_dense()[:, :cols] == hz.to_dense()).all()
 
@@ -128,7 +131,7 @@ def test_reference_extension_is_valid(p, l1, l2):
     assert ex.cols == code.c and ez.cols == code.c
     hex_ref = code.hx.hstack(ex)
     hez_ref = code.hz.hstack(ez)
-    assert matmul(hex_ref, hez_ref.transpose()).is_zero()
+    assert not matmul(hex_ref, hez_ref.transpose()).words.any()
     assert matmul(ex, ez.transpose()) == matmul(code.hx, code.hz.transpose())
 
 
@@ -271,7 +274,7 @@ FROZEN = [
 def test_frozen_parameters(builder, args, nkc):
     code = builder(*args)
     assert (code.n, code.k, code.c) == nkc
-    assert matmul(code.hex, code.hez.transpose()).is_zero()
+    assert not matmul(code.hex, code.hez.transpose()).words.any()
     assert code.hex.cols == code.n + code.c
 
 
@@ -279,7 +282,7 @@ def test_theorem8_frozen_parameters():
     code = build_theorem8(6, 2)
     assert (code.n, code.k, code.c) == (390, 132, 128)
     assert gfrank(code.hx) == 193
-    assert matmul(code.hex, code.hez.transpose()).is_zero()
+    assert not matmul(code.hex, code.hez.transpose()).words.any()
 
 
 def test_reduced_geometric_regression_values():
@@ -323,19 +326,6 @@ def test_readme_family_matrices_are_pinned(builder, args, kwargs, params, digest
     assert got == params
     words = [m.words.astype("<u8").tobytes() for m in (code.hx, code.hz, code.hex, code.hez)]
     assert tuple(hashlib.sha256(w).hexdigest()[:16] for w in words) == digests
-
-
-def test_theorem5_accepts_custom_class_banks():
-    # defaults re-supplied explicitly reproduce the default build
-    mx, mz = theorem5_selection(5, 2, 2)
-    code = build_theorem5(5, 2, 2, mx, mz)
-    assert (code.n, code.k, code.c) == (25, 8, 1)
-    # banks from a random member of the scalar-multiple class work too
-    cls = construct_prime_model(5, 3)
-    code2 = build_theorem5(
-        5, 2, 2, cls.row_submodel([1, 2]), cls.row_submodel([3, 4])
-    )
-    assert (code2.n, code2.k, code2.c) == (25, 8, 1)
 
 
 def test_theorem5_full_band_fallback_stays_disjoint():
@@ -412,20 +402,6 @@ def test_builder_constraint_errors():
         build_theorem7(5, 3)  # 2l not below p
     with pytest.raises(ValueError):
         build_theorem6(5, 4, 1)  # l1 above p-2
-    mx, _ = theorem5_selection(5, 2, 2)
-    with pytest.raises(ValueError):
-        build_theorem5(5, 2, 2, mx, None)  # banks must come together
-    with pytest.raises(ValueError, match="share a block-row"):
-        build_theorem5(5, 2, 2, mx, mx)
-    with pytest.raises(ValueError, match="circulant order p"):
-        build_theorem5(5, 2, 2, mx, ModelMatrix(7, np.zeros((2, 5), np.int64)))
-    with pytest.raises(ValueError, match="span all p block-columns"):
-        build_theorem5(5, 2, 2, mx, ModelMatrix(5, np.array([[0, 1, 2, 3], [0, 2, 4, 1]])))
-    not_multiples = np.array([[0, 1, 2, 3, 4], [0, 2, 1, 3, 4]])
-    not_a_permutation = np.array([[0, 1, 1, 3, 4], [0, 2, 2, 1, 3]])
-    for rows in (not_multiples, not_a_permutation, not_a_permutation[::-1]):
-        with pytest.raises(ValueError, match="scalar multiples of one permutation"):
-            build_theorem5(5, 1, 1, ModelMatrix(5, rows[:1]), ModelMatrix(5, rows[1:]))
 
 
 # ── structure guards ──────────────────────────────────────────────────

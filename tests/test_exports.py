@@ -1,5 +1,6 @@
 """Every module of the package imports, and every name in its __all__ exists
-and has a caller outside the tests."""
+and has a caller outside the tests, as has every public method and property
+of an exported class."""
 
 import ast
 import importlib
@@ -56,6 +57,8 @@ def _references(tree: ast.Module, skip: ast.AST | None):
 
 
 def test_every_public_name_has_a_caller_outside_tests():
+    # exported names, and the public methods and properties of exported
+    # classes, each as (file, its definitions' path from the module)
     exports, callers = [], {}
     for folder in ("src", "perfbench"):
         for path in sorted((_ROOT / folder).rglob("*.py")):
@@ -67,10 +70,17 @@ def test_every_public_name_has_a_caller_outside_tests():
                              and any(getattr(t, "id", None) == "__all__" for t in node.targets)),
                             None)
             if all_node is not None:
-                exports += [(path, elt.value) for elt in all_node.value.elts]
+                names = [elt.value for elt in all_node.value.elts]
+                exports += [(path, (name,)) for name in names]
+                exports += [(path, (node.name, item.name))
+                            for node in tree.body
+                            if isinstance(node, ast.ClassDef) and node.name in names
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
             for name, owners in _references(tree, all_node):
-                callers.setdefault(name, set()).add((path, owners[:1]))
-    # a caller is any mention outside the name's own top-level definition
-    unused = [f"{path.name}:{name}" for path, name in exports
-              if not any(p != path or o != (name,) for p, o in callers.get(name, ()))]
+                callers.setdefault(name, set()).add((path, owners))
+    # a caller is any mention outside the name's own definition
+    unused = [f"{path.name}:{'.'.join(owned)}" for path, owned in exports
+              if not any(p != path or o[:len(owned)] != owned
+                         for p, o in callers.get(owned[-1], ()))]
     assert not unused, f"exported but only tests call: {unused}"

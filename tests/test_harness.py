@@ -582,7 +582,7 @@ def test_sweep_grid_and_csv(twentyfive):
         assert r["decoder"] == "quaternary-spa"
         assert r["seed"] == 9
         assert r["ci_low"] <= r["LER"] <= r["ci_high"]
-    text = write_csv(rows, None)
+    text = write_csv(rows)
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
     assert len(text.splitlines()) == 5
 
@@ -598,14 +598,5 @@ def test_sweep_without_axes_is_an_error(nine):
 def test_sweep_is_byte_reproducible(nine):
     cfg = SimConfig(nine, ChannelParams(0.03, 0.0),
                     DecoderConfig("quaternary-spa", 0.03), 150, 21)
-    text = write_csv(sweep(cfg, (0.02, 0.03), (0.0,)), None)
-    assert text == write_csv(sweep(cfg, (0.02, 0.03), (0.0,)), None)
-
-
-def test_write_csv_to_file(tmp_path, nine):
-    cfg = SimConfig(nine, ChannelParams(0.03, 0.0),
-                    DecoderConfig("quaternary-spa", 0.03), 30, 2)
-    rows = sweep(cfg, (0.03,), (0.0,))
-    out = tmp_path / "rows.csv"
-    text = write_csv(rows, out)
-    assert out.read_text() == text
+    text = write_csv(sweep(cfg, (0.02, 0.03), (0.0,)))
+    assert text == write_csv(sweep(cfg, (0.02, 0.03), (0.0,)))
