@@ -1,22 +1,26 @@
 """Command-line front end.
 
 Subcommands: construct, params, girth, transversal, simulate, sweep,
-burst-check.  Single results print as JSON; sweeps print as CSV.  Any
-verification failure (structure checks, girth mismatch, non-preserved
-operator) exits nonzero.
+burst-check.  Each command returns its document and exit status, and
+`main` is the one writer: it opens `--out` before the command runs, or
+else writes to stdout with a trailing newline, a dict as indented JSON
+and the sweep's CSV text as it is.  Exit codes: 0 on success; 1 on a
+verification failure (a girth contradiction or a non-preserved operator
+writes its document first; a failed structure check or a refused
+enumeration writes nothing); 2 on bad input, an unwritable `--out`
+included.  A command that fails after the open leaves `--out` empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from functools import cache
 
 from eaqc.channel import ChannelParams
 from eaqc.clifford import (
-    conjugate,
-    group_preserved,
     h_s_cz,
     hadamard_swap,
     logical_action,
@@ -49,11 +53,12 @@ def _usage_error(message: str) -> SystemExit:
     return SystemExit(2)
 
 
-def _parse_set(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: type, flag: str) -> tuple:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError as err:
-        raise _usage_error(f"--set expects comma-separated integers: {err}")
+        noun = "integers" if kind is int else "numbers"
+        raise _usage_error(f"{flag} expects comma-separated {noun}: {err}")
 
 
 def _build_code(args):
@@ -67,7 +72,7 @@ def _build_code(args):
         stray.append("--reduced")
     if stray:
         raise _usage_error(f"--family {args.family} does not read {', '.join(stray)}")
-    values = [_parse_set(args.set) if n == "set" else getattr(args, n)
+    values = [_parse_list(args.set, int, "--set") if n == "set" else getattr(args, n)
               for n in flags]
     if "set" in flags:
         return build(*values, enforce_scale=not args.reduced)
@@ -78,129 +83,95 @@ def _bit_rows(m) -> list[str]:
     return ["".join(str(int(b)) for b in row) for row in m.to_dense()]
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _code_header(code) -> dict:
+    return {"family": code.family, "n": code.n, "k": code.k, "c": code.c}
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args):
     code = _build_code(args)
-    doc = {
-        "family": code.family,
-        "n": code.n,
-        "k": code.k,
-        "c": code.c,
+    return {
+        **_code_header(code),
         "mx": code.mx.to_json_dict(),
         "mz": code.mz.to_json_dict(),
         "hex": _bit_rows(code.hex),
         "hez": _bit_rows(code.hez),
-    }
-    _emit(json.dumps(doc, indent=2), args.out)
-    return 0
+    }, 0
 
 
-def _cmd_params(args) -> int:
+def _cmd_params(args):
     code = _build_code(args)
-    doc = {
-        "family": code.family,
-        "n": code.n,
-        "k": code.k,
-        "c": code.c,
+    return {
+        **_code_header(code),
         "gfrank_hx": code.rank_hx,
         "gfrank_hz": code.rank_hz,
         "girth_floor": code.girth_floor,
-    }
-    _emit(json.dumps(doc, indent=2), args.out)
-    return 0
+    }, 0
 
 
-def _cmd_girth(args) -> int:
+def _cmd_girth(args):
     code = _build_code(args)
     floor = code.girth_floor
     stacked = code.hx if code.hz is code.hx else code.hx.vstack(code.hz)
     found = girth_bfs(stacked, cap=8)
-    bfs_value = None if found == float("inf") else int(found)
-    doc = {"family": code.family,
-           "girth_floor": floor, "bfs_cap": 8, "bfs_girth": bfs_value}
-    _emit(json.dumps(doc, indent=2), args.out)
-    if floor in (4, 6):
-        return 0 if bfs_value == floor else 1
-    return 0 if bfs_value is None or bfs_value >= 8 else 1
+    bfs = None if found == float("inf") else int(found)
+    agree = bfs == floor if floor in (4, 6) else bfs is None or bfs >= 8
+    doc = {"family": code.family, "girth_floor": floor, "bfs_cap": 8, "bfs_girth": bfs}
+    return doc, 0 if agree else 1
 
 
-def _cmd_transversal(args) -> int:
+def _cmd_transversal(args):
     t = stabilizer_matrix(args.p)
-    sequences = {
-        "hadamard_swap": hadamard_swap(args.p),
-        "s_cz": s_cz(args.p),
-        "h_s_cz": h_s_cz(args.p),
+    logs = logical_operators(t)
+    actions = {
+        name: logical_action(t, logs, build(args.p))
+        for name, build in (
+            ("hadamard_swap", hadamard_swap), ("s_cz", s_cz), ("h_s_cz", h_s_cz))
     }
-    preserved = {
-        name: group_preserved(t, conjugate(t, seq))
-        for name, seq in sequences.items()
-    }
-    doc = {"p": args.p, "preserved": preserved, "logical_action": {}}
-    if all(preserved.values()):
-        logs = logical_operators(t)
-        for name, seq in sequences.items():
-            act = logical_action(t, logs, seq)
-            doc["logical_action"][name] = {k: list(v) for k, v in act.items()}
-    _emit(json.dumps(doc, indent=2), args.out)
-    return 0 if all(preserved.values()) else 1
+    preserved = {name: act is not None for name, act in actions.items()}
+    ok = all(preserved.values())
+    listed = {name: {k: list(v) for k, v in act.items()}
+              for name, act in actions.items()} if ok else {}
+    return {"p": args.p, "preserved": preserved, "logical_action": listed}, 0 if ok else 1
 
 
-def _sim_config(args, p_d: float, eta: float) -> SimConfig:
-    code = _build_code(args)
-    decoder = DecoderConfig(_DECODER_NAMES[args.decoder], p_d=p_d, l_max=args.lmax)
+def _decoder_config(args, p_d: float) -> DecoderConfig:
+    return DecoderConfig(_DECODER_NAMES[args.decoder], p_d=p_d, l_max=args.lmax)
+
+
+def _sim_config(args, p_d: float) -> SimConfig:
+    """The run of args' code and decoder; `sweep` sets each point's channel."""
     return SimConfig(
-        code=code,
-        channel=ChannelParams(p_d, eta),
-        decoder=decoder,
+        code=_build_code(args),
+        channel=ChannelParams(p_d, 0.0),
+        decoder=_decoder_config(args, p_d),
         trials=args.trials,
         master_seed=args.seed,
     )
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as err:
-        raise _usage_error(f"expected comma-separated numbers: {err}")
-
-
-def _cmd_simulate(args) -> int:
-    values = _parse_floats(args.pd)
-    etas = _parse_floats(args.eta)
+def _cmd_simulate(args):
+    values = _parse_list(args.pd, float, "--pd")
+    etas = _parse_list(args.eta, float, "--eta")
     if len(values) != 1 or len(etas) != 1:
         raise _usage_error("simulate takes a single --pd and --eta")
-    cfg = _sim_config(args, values[0], etas[0])
-    _emit(json.dumps(sweep(cfg, values, etas)[0], indent=2), args.out)
-    return 0
+    return sweep(_sim_config(args, values[0]), values, etas)[0], 0
 
 
-def _cmd_sweep(args) -> int:
-    pd_values = _parse_floats(args.pd)
-    eta_values = _parse_floats(args.eta)
+def _cmd_sweep(args):
+    pd_values = _parse_list(args.pd, float, "--pd")
+    eta_values = _parse_list(args.eta, float, "--eta")
     # every point decodes with the first --pd as its prior
     prior = pd_values[0] if pd_values else 0.0
-    rows = sweep(_sim_config(args, prior, 0.0), pd_values, eta_values)
-    _emit(write_csv(rows), args.out)
-    return 0
+    return write_csv(sweep(_sim_config(args, prior), pd_values, eta_values)), 0
 
 
-def _cmd_burst_check(args) -> int:
-    values = _parse_floats(args.pd)
+def _cmd_burst_check(args):
+    values = _parse_list(args.pd, float, "--pd")
     if len(values) != 1:
         raise _usage_error("burst-check takes a single --pd")
     code = _build_code(args)
-    decoder = DecoderConfig(_DECODER_NAMES[args.decoder], p_d=values[0], l_max=args.lmax)
-    rep = burst_oracle(code, args.length, spa_cfg=decoder)
-    doc = {
+    rep = burst_oracle(code, args.length, spa_cfg=_decoder_config(args, values[0]))
+    return {
         "family": code.family,
         "n": code.n,
         "burst_len": rep.burst_len,
@@ -214,9 +185,7 @@ def _cmd_burst_check(args) -> int:
             {"x_support": list(xs), "z_support": list(zs)}
             for xs, zs in rep.oracle_failures
         ],
-    }
-    _emit(json.dumps(doc, indent=2), args.out)
-    return 0
+    }, 0
 
 
 def _add_code_flags(sp) -> None:
@@ -253,47 +222,46 @@ def build_parser() -> argparse.ArgumentParser:
                     "entanglement-assisted quantum LDPC codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("construct", _cmd_construct),
-        ("params", _cmd_params),
-        ("girth", _cmd_girth),
+    code = _add_code_flags
+    for name, fn, *flag_groups in (
+        ("construct", _cmd_construct, code),
+        ("params", _cmd_params, code),
+        ("girth", _cmd_girth, code),
+        ("transversal", _cmd_transversal,
+         lambda sp: sp.add_argument("--p", type=int, required=True)),
+        ("simulate", _cmd_simulate, code, _add_sim_flags),
+        ("sweep", _cmd_sweep, code, _add_sim_flags),
+        ("burst-check", _cmd_burst_check, code, _add_decoder_flags,
+         lambda sp: sp.add_argument("--length", type=int, required=True)),
     ):
         sp = sub.add_parser(name)
-        _add_code_flags(sp)
+        for add in flag_groups:
+            add(sp)
         sp.add_argument("--out", type=str)
         sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("transversal")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--out", type=str)
-    sp.set_defaults(fn=_cmd_transversal)
-
-    for name, fn in (("simulate", _cmd_simulate), ("sweep", _cmd_sweep)):
-        sp = sub.add_parser(name)
-        _add_code_flags(sp)
-        _add_sim_flags(sp)
-        sp.add_argument("--out", type=str)
-        sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("burst-check")
-    _add_code_flags(sp)
-    _add_decoder_flags(sp)
-    sp.add_argument("--length", type=int, required=True)
-    sp.add_argument("--out", type=str)
-    sp.set_defaults(fn=_cmd_burst_check)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (StructureCheckFailed, BurstTooLarge) as err:
-        print(f"verification failure: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
+        sink = open(args.out, "w", newline="") if args.out else None
+    except OSError as err:
+        print(f"error: cannot write {args.out}: {err.strerror}", file=sys.stderr)
         return 2
+    # stdout is looked up per call, so a caller's redirect of it takes effect
+    with sink or contextlib.nullcontext(sys.stdout) as fh:
+        try:
+            doc, status = args.fn(args)
+        except (StructureCheckFailed, BurstTooLarge) as err:
+            print(f"verification failure: {err}", file=sys.stderr)
+            return 1
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        text = doc if isinstance(doc, str) else json.dumps(doc, indent=2)
+        fh.write(text if sink or text.endswith("\n") else text + "\n")
+    return status
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from eaqc.eacode import EaCode, build_theorem5
-from eaqc.gf2 import BinaryMatrix, RowBasis, _matmul_words, matmul, nullspace
+from eaqc.gf2 import BinaryMatrix, RowBasis, _matmul_words, matmul
 from eaqc.models import _require_odd_prime
 
 __all__ = [
@@ -122,7 +122,7 @@ def _dependencies(rows: np.ndarray) -> np.ndarray:
 
     There are as many as the row count exceeds the rank of rows.
     """
-    return nullspace(BinaryMatrix.from_dense(rows.T)).to_dense()
+    return RowBasis.build(BinaryMatrix.from_dense(rows.T)).kernel().to_dense()
 
 
 def _negative_dependency(deps: np.ndarray, rows: np.ndarray, phases: np.ndarray) -> bool:
@@ -422,17 +422,18 @@ def _check_logical_basis(t: Tableau, logicals: np.ndarray) -> np.ndarray:
 
 def logical_action(
     t: Tableau, logicals: np.ndarray, g: GateSequence
-) -> dict[str, tuple[str, ...]]:
+) -> dict[str, tuple[str, ...]] | None:
     """Image of each logical under g, written in the supplied logical basis.
 
     logicals is a (k, 2, 2q) stack as `logical_operators` returns.  Keys
     and factors are 1-based labels "X1", "Z1", ...  Signs of the images are
     not reported: a representative shifts by stabilizer elements, which
-    flips signs freely, so only the class is meaningful.
+    flips signs freely, so only the class is meaningful.  Returns None when
+    g does not preserve the stabilizer group, so a caller need not conjugate
+    and check g first.
     """
-    after = conjugate(t, g)
-    if not group_preserved(t, after):
-        raise ValueError("the gate sequence does not preserve the stabilizer group")
+    if not group_preserved(t, conjugate(t, g)):
+        return None
     basis = _check_logical_basis(t, logicals)
     images = basis.copy()
     _apply_gates(images, np.zeros(len(images), dtype=np.int64), g)

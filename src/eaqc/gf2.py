@@ -12,8 +12,8 @@ commutation gram, the signs and logical action of generator products and
 decoder syndromes all go through it; no caller forms a mod-2 product from
 integer sums.
 `RowBasis.build` is its one Gaussian elimination: `gfrank`, kernels
-(`nullspace`, `RowBasis.kernel`) and row-space membership all read the
-reduced echelon form it returns, which is unique.
+(`RowBasis.kernel`) and row-space membership all read the reduced
+echelon form it returns, which is unique.
 
 A :class:`ModelMatrix` is the compressed form of a quasi-cyclic
 parity-check matrix: a grid of shift exponents over Z_n.  ``expand``
@@ -34,7 +34,6 @@ __all__ = [
     "expand",
     "gfrank",
     "matmul",
-    "nullspace",
 ]
 
 _WORD = 64
@@ -327,8 +326,3 @@ class RowBasis:
         out[np.arange(len(free)), free] = 1
         out[:, self.pivot_cols] = rref[:, free].T
         return BinaryMatrix.from_dense(out)
-
-
-def nullspace(a: BinaryMatrix) -> BinaryMatrix:
-    """Independent rows spanning {v : a·v = 0}, one per free column."""
-    return RowBasis.build(a).kernel()

@@ -1,5 +1,6 @@
 """End-to-end checks of the eaqc command line."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from eaqc import cli, clifford, harness
 from eaqc.cli import build_parser, main
 from eaqc.decoder import DecoderConfig
 from eaqc.eacode import build_theorem5
@@ -207,6 +209,70 @@ def test_sweep_writes_file(tmp_path, capsys):
     assert code == 0
     text = target.read_text()
     assert text.startswith(",".join(CSV_COLUMNS))
+
+
+def test_out_file_holds_the_stdout_document(tmp_path, capsys):
+    argv = ["params", "--family", "thm5", "--p", "3", "--l1", "1", "--l2", "1"]
+    _, out, _ = run_cli(capsys, *argv)
+    target = tmp_path / "params.json"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and printed == ""
+    # stdout alone gets the trailing newline
+    assert target.read_text() + "\n" == out
+
+
+def test_unwritable_out_exits_two_before_any_work(tmp_path, capsys, monkeypatch):
+    real, calls = harness.run_trials, []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(harness, "run_trials", counted)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "thm5", "--p", "3", "--l1", "1",
+        "--l2", "1", "--pd", "0.03", "--eta", "0.0", "--trials", "20",
+        "--out", str(target))
+    assert code == 2 and out == ""
+    assert f"error: cannot write {target}" in err
+    assert calls == []
+
+
+def test_transversal_checks_each_sequence_once(capsys, monkeypatch):
+    real, calls = clifford.group_preserved, []
+
+    def counted(before, after):
+        calls.append(before)
+        return real(before, after)
+
+    monkeypatch.setattr(clifford, "group_preserved", counted)
+    monkeypatch.setattr(cli, "group_preserved", counted, raising=False)
+    assert run_cli(capsys, "transversal", "--p", "3")[0] == 0
+    assert len(calls) == 3
+
+
+_CODE_OPTIONS = {"--family", "--l", "--l1", "--l2", "--p", "--reduced", "--set", "--w"}
+_DECODER_OPTIONS = {"--pd", "--decoder", "--lmax"}
+_SIM_OPTIONS = _CODE_OPTIONS | _DECODER_OPTIONS | {"--eta", "--trials", "--seed"}
+_OPTIONS = {
+    "construct": _CODE_OPTIONS,
+    "params": _CODE_OPTIONS,
+    "girth": _CODE_OPTIONS,
+    "transversal": {"--p"},
+    "simulate": _SIM_OPTIONS,
+    "sweep": _SIM_OPTIONS,
+    "burst-check": _CODE_OPTIONS | _DECODER_OPTIONS | {"--length"},
+}
+
+
+def test_each_subcommand_keeps_its_options():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_OPTIONS)
+    for name, sp in sub.choices.items():
+        found = {opt for action in sp._actions for opt in action.option_strings}
+        assert found == _OPTIONS[name] | {"--out", "-h", "--help"}, name
 
 
 def test_sweep_with_an_empty_axis_exits_two(capsys):

@@ -33,7 +33,7 @@ from eaqc.eacode import (
     build_theorem8,
     build_theorem9,
 )
-from eaqc.gf2 import BinaryMatrix, RowBasis, gfrank, nullspace
+from eaqc.gf2 import BinaryMatrix, RowBasis, gfrank
 from gf2_reference import independent_rows
 from paulis import PauliVector, generators, logical_pairs, logical_stack, tableau
 
@@ -669,7 +669,8 @@ def _greedy_quotient_rows(t: Tableau) -> np.ndarray:
     """The kernel rows an in-order greedy scan over [generators; kernel] keeps."""
     q = t.qubits
     swapped = np.hstack([t.rows[:, q:], t.rows[:, :q]])
-    stacked = np.vstack([t.rows, nullspace(BinaryMatrix.from_dense(swapped)).to_dense()])
+    kernel = RowBasis.build(BinaryMatrix.from_dense(swapped)).kernel()
+    stacked = np.vstack([t.rows, kernel.to_dense()])
     kept = independent_rows(BinaryMatrix.from_dense(stacked))
     return stacked[kept[kept >= len(t.rows)]]
 
@@ -792,8 +793,7 @@ def test_computed_logicals_give_self_consistent_tables():
 
 def test_action_refuses_non_preserving_sequence():
     t = stabilizer_matrix(3)
-    with pytest.raises(ValueError):
-        logical_action(t, _frozen_logicals(), GateSequence((("H", 0),)))
+    assert logical_action(t, _frozen_logicals(), GateSequence((("H", 0),))) is None
 
 
 def test_action_refuses_a_basis_on_another_register():
