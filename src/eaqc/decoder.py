@@ -69,6 +69,7 @@ iteration.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,19 @@ def syndrome_batch(
     return sx, sz
 
 
+def _set_count(config, name: str) -> None:
+    """Store field name of a frozen dataclass as a plain int.
+
+    A bool and anything without __index__ (2.5, or 100.0) raise TypeError,
+    so a count field fails when its config is built rather than in the
+    loop that reads it; an np.int64 becomes the int of the same value.
+    """
+    value = getattr(config, name)
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    object.__setattr__(config, name, operator.index(value))
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     algorithm: str
@@ -172,6 +186,7 @@ class DecoderConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        _set_count(self, "l_max")
         if self.l_max < 1:
             raise ValueError("l_max must be at least 1")
         if not 0.0 <= self.p_d <= 1.0:

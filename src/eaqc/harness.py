@@ -34,6 +34,7 @@ from eaqc.clifford import logical_operators, symplectic_product
 from eaqc.decoder import (
     DecoderConfig,
     TannerGraph,
+    _set_count,
     build_graphs,
     decode_batch,
     syndrome_batch,
@@ -90,8 +91,12 @@ class SimConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
+        _set_count(self, "trials")
+        _set_count(self, "master_seed")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master seed must be non-negative, got {self.master_seed}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqc.channel import ChannelParams, _uniforms, sample_error_batch
+from eaqc.channel import ChannelParams, _draw, _uniforms, sample_error_batch
+from eaqc.decoder import DecoderConfig
+from eaqc.eacode import build_theorem5
+from eaqc.harness import SimConfig, sweep, write_csv
 from paulis import PauliVector
 
 
@@ -165,6 +168,55 @@ def test_trial_range_is_checked():
     sample_error_batch(9, ChannelParams(0.1, 0.0), 1, 2, first=2**64 - 2)
     with pytest.raises(ValueError):
         sample_error_batch(9, ChannelParams(0.1, 0.0), 1, 3, first=2**64 - 2)
+
+
+# ── the one kept draw ─────────────────────────────────────────────────
+
+def test_a_repeated_draw_is_the_same_read_only_array():
+    first = _uniforms(50, 7, 12, 3)
+    assert _uniforms(50, 7, 12, 3) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("args", [(52, 7, 12, 3), (50, 8, 12, 3), (50, 7, 13, 3),
+                                  (50, 7, 12, 4)])
+def test_a_changed_argument_draws_afresh(args):
+    kept = _uniforms(50, 7, 12, 3)
+    got = _uniforms(*args)
+    assert got is not kept
+    width, seed, trials, first = args
+    _assert_draws_match_default_rng(width // 2, seed, trials, first)
+    # and the key that was evicted draws the same numbers again
+    assert np.array_equal(_uniforms(50, 7, 12, 3), kept)
+
+
+def test_the_kept_draw_does_not_answer_a_bad_seed():
+    params = ChannelParams(0.1, 0.0)
+    sample_error_batch(9, params, 0, 3)
+    # 0.0 == 0 with one hash: the seed is checked before the cache is read
+    with pytest.raises(TypeError):
+        sample_error_batch(9, params, 0.0, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="-1"):
+            sample_error_batch(9, params, -1, 3)
+
+
+def test_the_points_of_a_sweep_share_one_draw():
+    cfg = SimConfig(build_theorem5(5, 2, 2), ChannelParams(0.02, 0.0),
+                    DecoderConfig("binary-spa", 0.02), 40, 3)
+    pds, etas = (0.02, 0.04), (0.0, 0.5)
+    _draw.cache_clear()
+    shared = write_csv(sweep(cfg, pds, etas))
+    info = _draw.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    rows = []
+    for p_d in pds:
+        for eta in etas:
+            _draw.cache_clear()
+            rows += sweep(cfg, (p_d,), (eta,))
+    assert write_csv(rows) == shared
 
 
 # ── the frozen draws against numpy's default_rng ──────────────────────

@@ -261,6 +261,17 @@ def test_config_validation():
         decode_quaternary_batch(None, None, None, DecoderConfig("binary-spa", 0.1))
 
 
+@pytest.mark.parametrize("l_max", [2.5, 100.0, True, "100"])
+def test_l_max_that_is_not_an_integer_fails_at_construction(l_max):
+    with pytest.raises(TypeError, match="l_max"):
+        DecoderConfig("binary-spa", 0.02, l_max=l_max)
+
+
+def test_l_max_is_stored_as_an_int():
+    cfg = DecoderConfig("binary-spa", 0.02, l_max=np.int64(20))
+    assert type(cfg.l_max) is int and cfg.l_max == 20
+
+
 @pytest.mark.parametrize("alg", _ALGS)
 def test_mis_sized_syndromes_are_rejected(alg):
     code = build_theorem6(7, 3, 2)

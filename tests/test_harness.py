@@ -246,6 +246,26 @@ def test_trials_validated(nine):
                   DecoderConfig("binary-spa", 0.1), 0, 1)
 
 
+@pytest.mark.parametrize("trials, seed, error", [
+    (100.0, 1, TypeError), (True, 1, TypeError), (10, 0.0, TypeError),
+    (10, False, TypeError), (10, -1, ValueError),
+])
+def test_count_fields_fail_at_construction(nine, trials, seed, error):
+    with pytest.raises(error):
+        SimConfig(nine, ChannelParams(0.1, 0.0),
+                  DecoderConfig("binary-spa", 0.1), trials, seed)
+
+
+def test_numpy_counts_give_the_same_csv(nine):
+    def csv_of(trials, seed):
+        cfg = SimConfig(nine, ChannelParams(0.1, 0.0),
+                        DecoderConfig("binary-spa", 0.1), trials, seed)
+        assert type(cfg.trials) is int and type(cfg.master_seed) is int
+        return write_csv(sweep(cfg, (0.1,), (0.0,)))
+
+    assert csv_of(np.int64(30), np.uint32(4)) == csv_of(30, 4)
+
+
 # ── the Pauli-pattern enumerator ──────────────────────────────────────
 
 def _loop_patterns(n, supports, letters):
