@@ -25,27 +25,29 @@ which one reused PCG64 takes through its public `state` setter before
 drawing the trial's 2n uniforms.
 
 The uniforms of one call depend on (2n, master seed, trial count, first
-trial) alone, so the last such draw is kept (`functools.lru_cache` of
-size 1 on `_draw`) and handed out again, marked read-only; the chain only
+trial) alone, so the last such draw is kept (`_keep_last` on `_draw`,
+one slot) and handed out again, marked read-only; the chain only
 reads it, and every call returns fresh x and z arrays.  The key holds the
 ints `operator.index` makes of the arguments, checked before the cache is
 consulted, so a float seed such as 0.0 still raises TypeError rather than
 hitting the key of seed 0.  The points of a sweep share one seed and one
 trial count, and so does each decoder's sweep of one code: when a point
 fits one decode chunk (every point of the criterion-08 grid does), all of
-them read one draw.  A point of several chunks evicts each chunk's draw
-with the next and gains nothing.  The cache holds one chunk's array,
-16n bytes per trial of the chunk: a full chunk is 2.8 MB on [[49,12;1]]
-and [[390,132;128]], 4.2 MB on [[25,8;1]] and 8.4 MB on [[9,4;1]].  The
-kept draw is freed only once the next one is made, so a point of several
-chunks peaks one such array above what it would without the cache.
+them read one draw.  The cache holds one chunk's array, 16n bytes per
+trial of the chunk: a full chunk is 2.8 MB on [[49,12;1]] and
+[[390,132;128]], 4.2 MB on [[25,8;1]] and 8.4 MB on [[9,4;1]].  The kept
+draw is dropped before the next one is made, so two never coexist.  A
+point of several chunks never asks for a chunk's draw again, so
+`harness.run_trials` drops each one once it is sampled, and such a point
+peaks no higher than it would without the cache.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -62,6 +64,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,37 @@ def _uniforms(width: int, master_seed: int, trials: int, first: int) -> np.ndarr
     return _draw(width, master_seed, trials, first)
 
 
-@lru_cache(maxsize=1)
+def _keep_last(fn):
+    """fn with its last result kept for a call with the same arguments.
+
+    The interface of functools.lru_cache(maxsize=1): cache_info(),
+    cache_clear() and __wrapped__.  Unlike lru_cache, a call with new
+    arguments drops the kept result before fn runs, so two results never
+    exist at once.
+    """
+    kept: dict = {}
+    counts = {"hits": 0, "misses": 0}
+
+    @wraps(fn)
+    def call(*key):
+        if key in kept:
+            counts["hits"] += 1
+            return kept[key]
+        kept.clear()
+        counts["misses"] += 1
+        kept[key] = value = fn(*key)
+        return value
+
+    def cache_clear() -> None:
+        kept.clear()
+        counts.update(hits=0, misses=0)
+
+    call.cache_info = lambda: _CacheInfo(counts["hits"], counts["misses"], 1, len(kept))
+    call.cache_clear = cache_clear
+    return call
+
+
+@_keep_last
 def _draw(width: int, master_seed: int, trials: int, first: int) -> np.ndarray:
     """`_uniforms` of validated ints, kept for the last key.
 

@@ -65,6 +65,16 @@ Numerical guard: the tanh-domain clip at 1 - 1e-12, which bounds every
 check message by 2·atanh(1 - 1e-12) ≈ 28.33; no further clamp is needed.
 Convergence is checked before the first message exchange and after every
 iteration.
+
+A trial's outputs depend on its syndrome alone, so each entry point
+decodes the distinct syndromes of its batch: it finds the distinct
+[sx | sz] rows (`np.unique` over one void scalar per row), runs `_flood`
+once on them and copies each row's outputs to every trial that has it.
+Given a `SyndromeTable`, the outputs of distinct rows decoded earlier
+under the same graph and DecoderConfig (`decode_table` builds one), it
+copies the rows the table holds and decodes only the rest; a table of
+another graph or config raises ValueError.  Either way the outputs equal
+those of decoding every trial on its own.
 """
 
 from __future__ import annotations
@@ -82,7 +92,9 @@ __all__ = [
     "DecoderConfig",
     "build_graphs",
     "syndrome_batch",
+    "SyndromeTable",
     "decode_batch",
+    "decode_table",
     "decode_binary_batch",
     "decode_quaternary_batch",
 ]
@@ -272,13 +284,13 @@ def _check_messages_exact(r: _RuleScratch, out: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_log(a, b):
-    """log(e^a + e^b); symmetric in a and b bit for bit.
+    """log(e^a + e^b), into a; symmetric in a and b bit for bit.
 
     min(a, b) - max(a, b) is -|a - b| exactly, so this equals
     max(a, b) + log1p(exp(-|a - b|)) in every bit.
     """
     hi = np.maximum(a, b)
-    d = np.minimum(a, b)
+    d = np.minimum(a, b, out=a)
     d -= hi
     np.log1p(np.exp(d, out=d), out=d)
     d += hi
@@ -313,23 +325,16 @@ def _categories(l_x, l_y, l_z, x, z):
 
 
 def _flood(
-    g: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig
+    g: TannerGraph, rows: np.ndarray, cfg: DecoderConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pass messages until every block of every trial meets its syndrome."""
-    sx, sz = np.atleast_2d(sx, sz)
-    if sx.shape[1] != g.x_checks or sz.shape[1] != g.checks - g.x_checks:
-        raise DimensionMismatch(
-            f"syndromes have {sx.shape[1]} X and {sz.shape[1]} Z columns, the "
-            f"graph {g.x_checks} X-check and {g.checks - g.x_checks} Z-check rows"
-        )
-    if sx.shape[0] != sz.shape[0]:
-        raise DimensionMismatch(
-            f"sx holds {sx.shape[0]} trials but sz holds {sz.shape[0]}"
-        )
+    """Pass messages until every block of every trial meets its syndrome.
+
+    rows holds one [sx | sz] syndrome per trial, as `_syndrome_rows` makes it.
+    """
     n, l_max = g.n, cfg.l_max
     checks, width = g.idx.shape
     col = g.idx.T.copy()  # the column of each (slot, row); padding reads 2n
-    s = np.concatenate([sx, sz], axis=1).T
+    s = rows.T
     trials = s.shape[1]
     p = _safe_p(cfg.p_d)
     binary = cfg.algorithm == "binary-spa"
@@ -427,28 +432,138 @@ def _flood(
     return est[:n].T.copy(), est[n:].T.copy(), conv.all(axis=0), iters.max(axis=0)
 
 
+@dataclass(frozen=True)
+class SyndromeTable:
+    """The decoder's outputs on a set of distinct syndromes, each decoded once.
+
+    rows holds the distinct [sx | sz] rows, as uint8 and sorted as
+    np.unique sorts their bytes; est_x[i], est_z[i], conv[i] and iters[i]
+    are the outputs of rows[i] under graph and config.  A decode call
+    given the table copies the outputs of the rows it finds there.
+    """
+
+    graph: TannerGraph
+    config: DecoderConfig
+    rows: np.ndarray
+    est_x: np.ndarray
+    est_z: np.ndarray
+    conv: np.ndarray
+    iters: np.ndarray
+
+
+def _syndrome_rows(g: TannerGraph, sx: np.ndarray, sz: np.ndarray) -> np.ndarray:
+    """The (trials, checks) uint8 rows [sx | sz], C-contiguous.
+
+    Raises DimensionMismatch unless sx and sz hold one trial count and the
+    graph's X-check and Z-check counts of columns.
+    """
+    sx, sz = np.atleast_2d(sx, sz)
+    if sx.shape[1] != g.x_checks or sz.shape[1] != g.checks - g.x_checks:
+        raise DimensionMismatch(
+            f"syndromes have {sx.shape[1]} X and {sz.shape[1]} Z columns, the "
+            f"graph {g.x_checks} X-check and {g.checks - g.x_checks} Z-check rows"
+        )
+    if sx.shape[0] != sz.shape[0]:
+        raise DimensionMismatch(
+            f"sx holds {sx.shape[0]} trials but sz holds {sz.shape[0]}"
+        )
+    return np.ascontiguousarray(np.hstack([sx, sz]), dtype=np.uint8)
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous uint8 array as one void scalar of its bytes."""
+    return rows.view(f"V{rows.shape[1]}").ravel()
+
+
+def _rows(keys: np.ndarray) -> np.ndarray:
+    """The uint8 rows of `_keys`' void scalars."""
+    return keys.view(np.uint8).reshape(len(keys), keys.dtype.itemsize)
+
+
+def _same_graph(a: TannerGraph, b: TannerGraph) -> bool:
+    return a is b or (a.n == b.n and a.x_checks == b.x_checks
+                      and np.array_equal(a.idx, b.idx)
+                      and np.array_equal(a.slots, b.slots))
+
+
+def _decode(
+    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
+    known: SyndromeTable | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decode each distinct syndrome of the batch once, and copy to the rest.
+
+    The rows found in known are copied from it; the others go through one
+    `_flood` call.  A trial's outputs depend on its syndrome alone, so
+    this equals decoding every trial.
+    """
+    if known is not None and not (known.config == cfg
+                                  and _same_graph(known.graph, graph)):
+        raise ValueError("the syndrome table was decoded under another "
+                         "graph or DecoderConfig")
+    keys, inverse = np.unique(_keys(_syndrome_rows(graph, sx, sz)),
+                              return_inverse=True)
+    rows, count, n = _rows(keys), len(keys), graph.n
+    out = (np.empty((count, n), np.uint8), np.empty((count, n), np.uint8),
+           np.empty(count, bool), np.empty(count, np.int64))
+    new = np.ones(count, bool)
+    if known is not None and len(known.rows):
+        table = _keys(known.rows)
+        at = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+        new = table[at] != keys
+        for part, value in zip(out, (known.est_x, known.est_z, known.conv, known.iters)):
+            part[~new] = value[at[~new]]
+    if new.any():
+        for part, value in zip(out, _flood(graph, rows[new], cfg)):
+            part[new] = value
+    return tuple(part[inverse] for part in out)
+
+
 def decode_binary_batch(
-    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig
+    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
+    *, known: SyndromeTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(est_x, est_z, conv, iters) of each trial under binary-spa."""
     if cfg.algorithm != "binary-spa":
         raise ValueError("binary decoding requires the binary-spa algorithm")
-    return _flood(graph, sx, sz, cfg)
+    return _decode(graph, sx, sz, cfg, known)
 
 
 def decode_quaternary_batch(
-    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig
+    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
+    *, known: SyndromeTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(est_x, est_z, conv, iters) of each trial under quaternary-spa."""
     if cfg.algorithm != "quaternary-spa":
         raise ValueError("joint decoding requires the quaternary-spa algorithm")
-    return _flood(graph, sx, sz, cfg)
+    return _decode(graph, sx, sz, cfg, known)
 
 
 def decode_batch(
-    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig
+    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
+    *, known: SyndromeTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Decode with whichever of the two entry points cfg.algorithm names."""
+    """Decode with whichever of the two entry points cfg.algorithm names.
+
+    known, a table decoded under the same graph and cfg, answers the
+    syndromes it holds; a table of another graph or config raises
+    ValueError.
+    """
     if cfg.algorithm == "binary-spa":
-        return decode_binary_batch(graph, sx, sz, cfg)
-    return decode_quaternary_batch(graph, sx, sz, cfg)
+        return decode_binary_batch(graph, sx, sz, cfg, known=known)
+    return decode_quaternary_batch(graph, sx, sz, cfg, known=known)
+
+
+def decode_table(
+    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
+    width: int,
+) -> SyndromeTable:
+    """Decode each distinct syndrome of the batch once, at most width per call.
+
+    The distinct rows go through `decode_batch` in sorted slices of at
+    most width rows, so no decode is wider than width trials.
+    """
+    rows = _rows(np.unique(_keys(_syndrome_rows(graph, sx, sz))))
+    x = graph.x_checks
+    parts = [decode_batch(graph, rows[lo:lo + width, :x], rows[lo:lo + width, x:], cfg)
+             for lo in range(0, max(len(rows), 1), width)]
+    return SyndromeTable(graph, cfg, rows, *map(np.concatenate, zip(*parts)))

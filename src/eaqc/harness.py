@@ -7,6 +7,17 @@ decoder did not converge on fails so: its residual has a nonzero
 syndrome.  Per-trial randomness comes from (master_seed, trial)
 counter seeds, so results are independent of how trials are scheduled.
 
+`run_trials` runs a point in chunks of at most `_chunk_trials` trials,
+each sampled, decoded and tested before the next, and the decoder decodes
+each distinct syndrome of a chunk once.  When all the points of a `sweep`
+fit one chunk together, the sweep first samples every point, decodes the
+distinct syndromes of them all in slices of one point's trial count
+(`decoder.decode_table`), and hands the table to each point's
+`run_trials`, whose decode copies what it holds.  The points then share
+one run of each stalled syndrome, and no decode is wider than one
+point's trials.  Each point still samples, decodes and tests all its own
+trials, so its SimResult can be rebuilt from its own steps.
+
 The exhaustive oracles (ML coset decoding over all 4^n errors, min-weight
 decoding by weight layer, and the burst-window audit) read every column
 of an error, its x and z bits, syndromes and logical class, as the XOR of
@@ -14,8 +25,8 @@ one table of per-qubit letter rows, `_letter_rows`, folded over each
 support by one enumerator, `_enumerate`; its order fixes which error
 represents a coset and so every table and report they return.  The ML
 oracle packs the table into one uint64 word per letter first, so it folds
-and reads one word per error.  The burst audit runs the decoder once per
-distinct syndrome: a trial's decode depends on its syndrome alone.
+and reads one word per error.  The burst audit hands all its patterns to
+one `decode_batch` call, which decodes each distinct syndrome once.
 """
 
 from __future__ import annotations
@@ -29,14 +40,16 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from eaqc.channel import ChannelParams, category_bits, sample_error_batch
+from eaqc.channel import ChannelParams, _draw, category_bits, sample_error_batch
 from eaqc.clifford import logical_operators, symplectic_product
 from eaqc.decoder import (
     DecoderConfig,
+    SyndromeTable,
     TannerGraph,
     _set_count,
     build_graphs,
     decode_batch,
+    decode_table,
     syndrome_batch,
 )
 from eaqc.eacode import EaCode
@@ -178,16 +191,31 @@ def _decoding_setup(code: EaCode) -> tuple[TannerGraph, RowBasis]:
     return build_graphs(code), stabilizer_symplectic(code)
 
 
-def run_trials(cfg: SimConfig) -> SimResult:
+def _chunk_trials(graph: TannerGraph) -> int:
+    """Trials per chunk of a point: the most whose check messages fit _DECODE_BYTES."""
+    return max(1, _DECODE_BYTES // (8 * graph.idx.size))
+
+
+def run_trials(cfg: SimConfig, known: SyndromeTable | None = None) -> SimResult:
+    """Sample, decode and test every trial of one point, a chunk at a time.
+
+    known, a table of syndromes decoded under cfg.decoder on the code's
+    graph, goes to each chunk's `decode_batch` call, which copies the
+    outputs of the syndromes it holds; the result is the same without it.
+    """
     code = cfg.code
     graph, basis = _decoding_setup(code)
-    step = max(1, _DECODE_BYTES // (8 * graph.idx.size))
+    step = _chunk_trials(graph)
     failures = non_converged = 0
     for lo in range(0, cfg.trials, step):
         xs, zs = sample_error_batch(code.n, cfg.channel, cfg.master_seed,
                                     min(step, cfg.trials - lo), first=lo)
+        if cfg.trials > step:
+            # no later call asks for a chunk of a point of several chunks,
+            # so its kept draw would only add to the peak
+            _draw.cache_clear()
         sx, sz = syndrome_batch(code, xs, zs)
-        est_x, est_z, conv, _ = decode_batch(graph, sx, sz, cfg.decoder)
+        est_x, est_z, conv, _ = decode_batch(graph, sx, sz, cfg.decoder, known=known)
         member = residual_in_group(basis, code, xs ^ est_x, zs ^ est_z)
         # a residual in the group has a zero syndrome, so its trial converged
         failures += int(np.count_nonzero(~member))
@@ -403,12 +431,7 @@ def burst_oracle(
     graph, basis = _decoding_setup(code)
     est_x, est_z = map(np.stack, zip(*(table[k] for k in keys)))
     oracle_ok = residual_in_group(basis, code, xs ^ est_x, zs ^ est_z)
-    # a pattern's decode depends only on its syndrome: decode each distinct
-    # syndrome once and hand the result to every pattern that has it
-    _, once, inverse = np.unique(np.hstack([sx, sz]), axis=0,
-                                 return_index=True, return_inverse=True)
-    dx, dz, conv, _ = decode_batch(graph, sx[once], sz[once], spa_cfg)
-    dx, dz, conv = (a[inverse.reshape(-1)] for a in (dx, dz, conv))
+    dx, dz, conv, _ = decode_batch(graph, sx, sz, spa_cfg)
     spa_ok = residual_in_group(basis, code, xs ^ dx, zs ^ dz) & conv
     failures = tuple((tuple(np.flatnonzero(xs[t]).tolist()),
                       tuple(np.flatnonzero(zs[t]).tolist()))
@@ -419,6 +442,24 @@ def burst_oracle(
 
 # ── sweeps ────────────────────────────────────────────────────────────
 
+def _sweep_table(cfg: SimConfig, points: list[SimConfig]) -> SyndromeTable | None:
+    """The decodes of every distinct syndrome of the points' trials.
+
+    None unless all the points' trials fit one chunk.  Each point is
+    sampled as `run_trials` samples it, and the union's distinct syndromes
+    are decoded in slices of at most cfg.trials, so no decode is wider
+    than one point's.
+    """
+    code = cfg.code
+    graph, _ = _decoding_setup(code)
+    if len(points) * cfg.trials > _chunk_trials(graph):
+        return None
+    syndromes = [syndrome_batch(code, *sample_error_batch(
+        code.n, point.channel, cfg.master_seed, cfg.trials)) for point in points]
+    sx, sz = (np.vstack(part) for part in zip(*syndromes))
+    return decode_table(graph, sx, sz, cfg.decoder, cfg.trials)
+
+
 def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
     """One row per (p_d, eta) grid point, p_d outer, same seed for each.
 
@@ -426,30 +467,34 @@ def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
     `write_csv` leaves out.  Each point runs cfg with its channel
     replaced.  It decodes with cfg.decoder as given, so its prior stays at
     cfg.decoder.p_d whatever the point's p_d; `eaqc sweep` sets it to the
-    first --pd value.
+    first --pd value.  When all the points' trials fit one chunk, every
+    distinct syndrome among them is decoded once before the points run,
+    and each point's `run_trials` reads those decodes (`_sweep_table`).
     """
     if not pd_values or not eta_values:
         raise ValueError("a sweep needs at least one p_d and one eta")
+    points = [replace(cfg, channel=ChannelParams(p_d, eta))
+              for p_d in pd_values for eta in eta_values]
+    known = _sweep_table(cfg, points)
     rows = []
-    for p_d in pd_values:
-        for eta in eta_values:
-            res = run_trials(replace(cfg, channel=ChannelParams(p_d, eta)))
-            rows.append({
-                "family": cfg.code.family,
-                "n": cfg.code.n,
-                "k": cfg.code.k,
-                "c": cfg.code.c,
-                "p_d": p_d,
-                "eta": eta,
-                "decoder": cfg.decoder.algorithm,
-                "trials": res.trials,
-                "failures": res.failures,
-                "non_converged": res.non_converged,
-                "LER": res.ler,
-                "ci_low": res.ci_low,
-                "ci_high": res.ci_high,
-                "seed": cfg.master_seed,
-            })
+    for point in points:
+        res = run_trials(point, known)
+        rows.append({
+            "family": cfg.code.family,
+            "n": cfg.code.n,
+            "k": cfg.code.k,
+            "c": cfg.code.c,
+            "p_d": point.channel.p_d,
+            "eta": point.channel.eta,
+            "decoder": cfg.decoder.algorithm,
+            "trials": res.trials,
+            "failures": res.failures,
+            "non_converged": res.non_converged,
+            "LER": res.ler,
+            "ci_low": res.ci_low,
+            "ci_high": res.ci_high,
+            "seed": cfg.master_seed,
+        })
     return rows
 
 

@@ -8,15 +8,18 @@ the uniforms of default_rng((seed, t)) from one reused PCG64; the guard
 tests compare them with numpy's own generator bit for bit, so a numpy
 release that changes SeedSequence, PCG64 or default_rng fails here."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eaqc import channel
 from eaqc.channel import ChannelParams, _draw, _uniforms, sample_error_batch
 from eaqc.decoder import DecoderConfig
-from eaqc.eacode import build_theorem5
-from eaqc.harness import SimConfig, sweep, write_csv
+from eaqc.eacode import build_theorem5, build_theorem8
+from eaqc.harness import SimConfig, run_trials, sweep, write_csv
 from paulis import PauliVector
 
 
@@ -210,13 +213,45 @@ def test_the_points_of_a_sweep_share_one_draw():
     _draw.cache_clear()
     shared = write_csv(sweep(cfg, pds, etas))
     info = _draw.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    # the sweep samples each point for its syndrome table, then run_trials
+    # samples it again: one draw, read eight times
+    assert (info.misses, info.hits) == (1, 7)
     rows = []
     for p_d in pds:
         for eta in etas:
             _draw.cache_clear()
             rows += sweep(cfg, (p_d,), (eta,))
     assert write_csv(rows) == shared
+
+
+@pytest.mark.parametrize("build, trials", [((build_theorem5, 7, 3, 3), 5000),
+                                          ((build_theorem8, 6, 2), 1000)],
+                         ids=["n49-5000", "n390-1000"])
+def test_a_point_of_several_chunks_peaks_as_without_the_kept_draw(build, trials,
+                                                                   monkeypatch):
+    # 3566 + 1434 trials on [[49,12;1]], 3 x 448 trials on [[390,132;128]]:
+    # no chunk's draw is asked for again, so keeping one must not raise the
+    # point's peak, neither while the next chunk is drawn nor while a chunk
+    # decodes
+    code = build[0](*build[1:])
+    cfg = SimConfig(code, ChannelParams(0.001, 0.0),
+                    DecoderConfig("quaternary-spa", 0.001), trials, 0)
+    run_trials(cfg)  # the code's graph and basis, built outside the measure
+
+    def peak():
+        _draw.cache_clear()
+        tracemalloc.start()
+        try:
+            run_trials(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    kept = peak()
+    monkeypatch.setattr(channel, "_draw", _draw.__wrapped__)
+    cache_free = peak()
+    chunk_draw = 16 * code.n * (3566 if code.n == 49 else 448)
+    assert kept <= cache_free + chunk_draw // 64
 
 
 # ── the frozen draws against numpy's default_rng ──────────────────────

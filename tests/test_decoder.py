@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eaqc import decoder
 from eaqc.channel import ChannelParams, category_bits, sample_error_batch
 from eaqc.decoder import (
     _CLIP,
@@ -27,6 +28,7 @@ from eaqc.decoder import (
     decode_batch,
     decode_binary_batch,
     decode_quaternary_batch,
+    decode_table,
     syndrome_batch,
 )
 from eaqc.eacode import build_theorem5, build_theorem6, build_theorem8
@@ -606,6 +608,115 @@ def test_estimates_are_deterministic(nine, seed):
     a = decode_quaternary_batch(g, sx, sz, cfg)
     b = decode_quaternary_batch(g, sx, sz, cfg)
     assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+# ── each distinct syndrome once, and tables of decoded syndromes ─────
+
+def _repeated(code, trials=30, copies=120):
+    """Syndromes of [[25,8;1]] at p_d 0.05 with repeats: every one of the
+    first `trials` draws once, then `copies` more drawn from them."""
+    sx, sz = syndrome_batch(code, *sample_error_batch(code.n, ChannelParams(0.05, 0.4), 77, trials))
+    rng = np.random.default_rng(5)
+    pick = rng.permutation(np.concatenate([np.arange(trials),
+                                           rng.integers(0, trials, copies)]))
+    return sx[pick], sz[pick]
+
+
+def _flood_widths(monkeypatch):
+    """Record the trial count of each message-passing run from now on."""
+    widths = []
+    flood = decoder._flood
+
+    def counted(g, rows, cfg):
+        widths.append(len(rows))
+        return flood(g, rows, cfg)
+
+    monkeypatch.setattr(decoder, "_flood", counted)
+    return widths
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+def test_duplicated_syndromes_decode_as_each_trial_alone(twentyfive, alg, monkeypatch):
+    code, _, g = twentyfive
+    sx, sz = _repeated(code)
+    cfg = DecoderConfig(alg, 0.05)
+    distinct = len(np.unique(np.hstack([sx, sz]), axis=0))
+    widths = _flood_widths(monkeypatch)
+    got = decode_batch(g, sx, sz, cfg)
+    assert widths == [distinct] and distinct < len(sx)
+    conv = got[2]
+    assert (~conv).any() and conv.any()  # stalled syndromes repeat too
+    stalled = np.hstack([sx, sz])[~conv]
+    assert len(np.unique(stalled, axis=0)) < len(stalled)
+    for t in range(len(sx)):
+        alone = decode_batch(g, sx[t:t + 1], sz[t:t + 1], cfg)
+        for part, want in zip(got, alone):
+            assert np.array_equal(part[t], want[0])
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+def test_a_syndrome_table_of_all_some_or_no_rows_gives_equal_outputs(
+        twentyfive, alg, monkeypatch):
+    code, _, g = twentyfive
+    sx, sz = _repeated(code)
+    cfg = DecoderConfig(alg, 0.05)
+    want = decode_batch(g, sx, sz, cfg)
+    other = syndrome_batch(code, *sample_error_batch(code.n, ChannelParams(0.05, 0.4), 78, 30))
+    tables = {
+        "all": decode_table(g, sx, sz, cfg, 7),
+        "some": decode_table(g, sx[:40], sz[:40], cfg, 7),
+        "another sample": decode_table(g, *other, cfg, 7),
+        "empty": decode_table(g, sx[:0], sz[:0], cfg, 7),
+    }
+    assert len(tables["empty"].rows) == 0
+    widths = _flood_widths(monkeypatch)
+    for name, table in tables.items():
+        del widths[:]
+        got = decode_batch(g, sx, sz, cfg, known=table)
+        for part, full in zip(got, want):
+            assert np.array_equal(part, full), name
+        # only the rows the table lacks are decoded, in one run
+        held = {r.tobytes() for r in table.rows}
+        lacking = {r.tobytes() for r in np.hstack([sx, sz])} - held
+        assert widths == ([len(lacking)] if lacking else []), name
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+def test_decode_table_slices_hold_at_most_width_rows(twentyfive, alg, monkeypatch):
+    code, _, g = twentyfive
+    sx, sz = _repeated(code)
+    cfg = DecoderConfig(alg, 0.05)
+    whole = decode_table(g, sx, sz, cfg, len(sx))
+    widths = _flood_widths(monkeypatch)
+    for width in (1, 7):
+        del widths[:]
+        table = decode_table(g, sx, sz, cfg, width)
+        assert max(widths) <= width and sum(widths) == len(whole.rows)
+        for name in ("rows", "est_x", "est_z", "conv", "iters"):
+            assert np.array_equal(getattr(table, name), getattr(whole, name))
+    rows = np.hstack([sx, sz])
+    assert np.array_equal(whole.rows, np.unique(rows, axis=0))
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+def test_a_syndrome_table_of_another_config_or_graph_raises(nine, twentyfive, alg):
+    code, _, g = twentyfive
+    sx, sz = _repeated(code)
+    cfg = DecoderConfig(alg, 0.05)
+    table = decode_table(g, sx, sz, cfg, 50)
+    other_alg = _ALGS[1 - _ALGS.index(alg)]
+    for other in (DecoderConfig(alg, 0.04), DecoderConfig(alg, 0.05, l_max=99),
+                  DecoderConfig(other_alg, 0.05)):
+        with pytest.raises(ValueError, match="another graph or DecoderConfig"):
+            decode_batch(g, sx, sz, other, known=table)
+    nine_code, _, g9 = nine
+    x9, z9 = syndrome_batch(nine_code, *sample_error_batch(9, ChannelParams(0.1, 0.0), 1, 5))
+    with pytest.raises(ValueError, match="another graph or DecoderConfig"):
+        decode_batch(g9, x9, z9, cfg, known=table)
+    # a graph built again from the same code is the same graph
+    again = decode_batch(build_graphs(code), sx, sz, cfg, known=table)
+    for part, want in zip(again, decode_batch(g, sx, sz, cfg)):
+        assert np.array_equal(part, want)
 
 
 # ── a scalar reference decoder ────────────────────────────────────────

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eaqc import harness
+from eaqc import decoder, harness
 from eaqc.channel import ChannelParams, category_bits, sample_error_batch
 from eaqc.clifford import logical_operators, symplectic_product
 from eaqc.decoder import (
     DecoderConfig,
+    _flood,
     build_graphs,
     decode_batch,
     decode_quaternary_batch,
@@ -156,9 +157,9 @@ def test_decode_chunks_do_not_change_the_result(twentyfive, seed, alg):
     for size in (1, 7, trials):
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return decode(*args)
+            return decode(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "_DECODE_BYTES", size * per_trial)
@@ -228,8 +229,9 @@ def test_sweep_builds_each_code_setup_once(twentyfive, nine, monkeypatch):
     assert built() == (3, 3)
     monkeypatch.setattr(harness, "_decoding_setup",
                         harness._decoding_setup.__wrapped__)
-    assert grid(twentyfive) == first  # every point built from scratch
-    assert built() == (7, 7)
+    # every point built from scratch, and the sweep's syndrome table too
+    assert grid(twentyfive) == first
+    assert built() == (8, 8)
 
 
 def test_ler_strictly_inside_unit_interval_at_moderate_noise(nine):
@@ -517,13 +519,18 @@ def test_ml_matches_the_reference_past_one_word_of_syndrome(order, x_rows, z_row
 
 
 def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
-    calls = []
+    calls, floods = [], []
 
     def recorded(graph, sx, sz, cfg):
         calls.append((sx, sz, decode_batch(graph, sx, sz, cfg)))
         return calls[-1][2]
 
+    def flood(graph, rows, cfg):
+        floods.append(rows.copy())
+        return _flood(graph, rows, cfg)
+
     monkeypatch.setattr(harness, "decode_batch", recorded)
+    monkeypatch.setattr(decoder, "_flood", flood)
     rep = burst_oracle(nine, 3)
     (got_sx, got_sz, (dx, dz, conv, _)), = calls
     # every window-3 pattern but the identity, repeats removed in order
@@ -531,13 +538,17 @@ def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
     cats = np.array(list(dict.fromkeys(map(tuple, cats.tolist())))[1:], np.int8)
     sx, sz = syndrome_batch(nine, *category_bits(cats))
     assert len(cats) == rep.patterns == 351
-    row = {(a.tobytes(), b.tobytes()): i for i, (a, b) in enumerate(zip(got_sx, got_sz))}
-    assert len(row) == len(got_sx) == 64
-    at = [row[a.tobytes(), b.tobytes()] for a, b in zip(sx, sz)]
-    # the arrays that one decode of all 351 patterns gives
-    want = decode_batch(build_graphs(nine), sx, sz, DecoderConfig("quaternary-spa", 0.03))
-    for got, all_351 in zip((dx, dz, conv), want):
-        assert np.array_equal(got[at], all_351)
+    assert np.array_equal(got_sx, sx) and np.array_equal(got_sz, sz)
+    # one message-passing run, over the 64 distinct syndromes
+    (rows,) = floods
+    assert len(rows) == len({r.tobytes() for r in rows}) == 64
+    assert {r.tobytes() for r in rows} == {r.tobytes() for r in np.hstack([sx, sz])}
+    # each pattern gets what decoding it alone gives
+    g, cfg = build_graphs(nine), DecoderConfig("quaternary-spa", 0.03)
+    for t in range(351):
+        alone = decode_batch(g, sx[t:t + 1], sz[t:t + 1], cfg)
+        for got, want in zip((dx, dz, conv), alone):
+            assert np.array_equal(got[t], want[0])
 
 
 def test_burst_oracle_failures_are_pinned(nine):
@@ -620,3 +631,83 @@ def test_sweep_is_byte_reproducible(nine):
                     DecoderConfig("quaternary-spa", 0.03), 150, 21)
     text = write_csv(sweep(cfg, (0.02, 0.03), (0.0,)))
     assert text == write_csv(sweep(cfg, (0.02, 0.03), (0.0,)))
+
+
+def _recorded_results(monkeypatch):
+    """Record the SimResult of each run_trials call from now on."""
+    results = []
+    run = harness.run_trials
+
+    def recorded(*args):
+        results.append(run(*args))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "run_trials", recorded)
+    return results
+
+
+@pytest.mark.parametrize("alg", ["binary-spa", "quaternary-spa"])
+def test_a_sweep_gives_equal_rows_with_and_without_its_syndrome_table(
+        twentyfive, alg, monkeypatch):
+    trials = 40
+    cfg = SimConfig(twentyfive, ChannelParams(0.05, 0.0), DecoderConfig(alg, 0.05),
+                    trials, 13)
+    pds, etas = (0.04, 0.07), (0.0, 0.5)
+    tables = []
+    build = harness.decode_table
+
+    def counted(*args):
+        tables.append(build(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(harness, "decode_table", counted)
+    results = _recorded_results(monkeypatch)
+    shared = sweep(cfg, pds, etas)
+    assert len(tables) == 1
+    shared_results = results[:]
+    # one trial short of the four points: each runs alone, in one chunk
+    per_trial = 8 * build_graphs(twentyfive).idx.size
+    monkeypatch.setattr(harness, "_DECODE_BYTES", (4 * trials - 1) * per_trial)
+    del results[:]
+    alone = sweep(cfg, pds, etas)
+    assert len(tables) == 1
+    assert shared == alone and write_csv(shared) == write_csv(alone)
+    assert shared_results == results and len(results) == 4
+    assert any(r["non_converged"] for r in shared)
+    assert (~tables[0].conv).any()  # the table holds stalled syndromes
+
+
+def test_a_sweep_syndrome_table_decodes_no_wider_than_one_point(fortynine, monkeypatch):
+    # the table is decoded in slices of one point's trial count, so no decode
+    # of the sweep is wider, or peaks higher, than a point whose trials all
+    # have distinct nonzero syndromes: all of them still decode after pass 0
+    trials = 100
+    cfg = SimConfig(fortynine, ChannelParams(0.03, 0.5),
+                    DecoderConfig("quaternary-spa", 0.03), trials, 0)
+    flood, runs = decoder._flood, []
+
+    def measured(g, rows, dcfg):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = flood(g, rows, dcfg)
+        runs.append((len(rows), tracemalloc.get_traced_memory()[1] - before))
+        return out
+
+    monkeypatch.setattr(decoder, "_flood", measured)
+    sx, sz = syndrome_batch(fortynine, *sample_error_batch(
+        fortynine.n, ChannelParams(0.03, 0.5), 1, 4 * trials))
+    rows = np.unique(np.hstack([sx, sz]), axis=0)
+    rows = rows[rows.any(axis=1)][:trials]
+    tracemalloc.start()
+    try:
+        measured(build_graphs(fortynine), rows, cfg.decoder)
+        (width, point_peak), = runs
+        del runs[:]
+        sweep(cfg, (0.02, 0.03), (0.0, 0.5))
+    finally:
+        tracemalloc.stop()
+    assert width == trials
+    # the union of the four points' syndromes takes more than one slice
+    assert len(runs) >= 2 and sum(w for w, _ in runs) > trials
+    assert max(w for w, _ in runs) <= trials
+    assert max(p for _, p in runs) <= point_peak
