@@ -29,8 +29,8 @@ Every per-trial array keeps the trials on its last, contiguous axis: the
 messages are (dmax·checks + 1, trials), the log ratios (columns, trials)
 and the bits (2n + 1 + checks, trials), in the graph's column order.  A
 numpy call then runs over whole rows of trials, never once per trial and
-row.  Each pass runs these steps on the trials still decoding, a few
-numpy calls each:
+row.  Each pass runs these steps on the columns of the window (see
+below), a few numpy calls each:
 
 1. Sum: one gather of each column's message rows from the slot table;
    each column's sum is its first message plus the sum of the rest, added
@@ -41,10 +41,11 @@ numpy calls each:
    order I, X, Y, Z, as with argmax.
 3. Check: each row's bits and its own syndrome bit are gathered and
    XOR-reduced, and one boolean product tells which blocks still have an
-   unmet row.  Only on a pass where some block meets its syndrome are
-   estimates written back, and only then do finished trials leave the
-   batch, so a batch costs the sum of its trials' iterations rather than
-   its slowest trial times the batch size.
+   unmet row.  Only on a pass where some block meets its syndrome, or a
+   column reaches l_max, are estimates written back, and only then does
+   a finished column take the next row of the stream or leave the
+   window, so a stream costs the sum of its rows' iterations rather than
+   its slowest row times its length.
 4. Variable-to-check messages: binary-spa sends prior + s - mu.
    Quaternary's fmax(0, a) depends on the column alone, so it is
    evaluated once per column (2n values rather than one per edge) and
@@ -66,15 +67,30 @@ check message by 2·atanh(1 - 1e-12) ≈ 28.33; no further clamp is needed.
 Convergence is checked before the first message exchange and after every
 iteration.
 
+`_flood` decodes a stream of [sx | sz] rows through a window of at most
+`width` columns (all the rows by default).  Each column keeps the stream
+index of its row and the pass it started on, so its own iteration count.
+A column finishes when all its blocks have met their syndromes, or
+unmet once it has run l_max iterations; its outputs are then written.
+While rows remain, each finished column takes the next one in place, at
+the start of the next pass: zero messages, its own syndrome bits and
+signs.  So it runs as a lone decode of its row would, from the check at
+iteration 0.  Once the stream is empty, finished columns leave and the
+window shrinks.  A stream then runs about its rows' passes divided by
+width, plus one tail of at most l_max + 1, rather than l_max + 1 passes
+for each slice of width rows that holds a stalled row; no array of the
+window is wider than width columns.
+
 A trial's outputs depend on its syndrome alone, so each entry point
 decodes the distinct syndromes of its batch: it finds the distinct
 [sx | sz] rows (`np.unique` over one void scalar per row), runs `_flood`
-once on them and copies each row's outputs to every trial that has it.
-Given a `SyndromeTable`, the outputs of distinct rows decoded earlier
-under the same graph and DecoderConfig (`decode_table` builds one), it
-copies the rows the table holds and decodes only the rest; a table of
-another graph or config raises ValueError.  Either way the outputs equal
-those of decoding every trial on its own.
+once on them, in a window of its `width` argument, and copies each row's
+outputs to every trial that has it.  Given a `SyndromeTable`, the
+outputs of distinct rows decoded earlier under the same graph and
+DecoderConfig (`decode_table` builds one, in one windowed run), it copies
+the rows the table holds and decodes only the rest; a table of another
+graph or config raises ValueError.  Either way the outputs equal those
+of decoding every trial on its own.
 """
 
 from __future__ import annotations
@@ -176,17 +192,20 @@ def syndrome_batch(
     return sx, sz
 
 
-def _set_count(config, name: str) -> None:
-    """Store field name of a frozen dataclass as a plain int.
+def _count(name: str, value) -> int:
+    """value as a plain int, or TypeError for a bool or anything without __index__.
 
-    A bool and anything without __index__ (2.5, or 100.0) raise TypeError,
-    so a count field fails when its config is built rather than in the
-    loop that reads it; an np.int64 becomes the int of the same value.
+    A count then fails where it is given (2.5, or 100.0) rather than in
+    the loop that reads it; an np.int64 becomes the int of the same value.
     """
-    value = getattr(config, name)
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    object.__setattr__(config, name, operator.index(value))
+    return operator.index(value)
+
+
+def _set_count(config, name: str) -> None:
+    """Store field name of a frozen dataclass as a plain int (`_count`)."""
+    object.__setattr__(config, name, _count(name, getattr(config, name)))
 
 
 @dataclass(frozen=True)
@@ -325,37 +344,47 @@ def _categories(l_x, l_y, l_z, x, z):
 
 
 def _flood(
-    g: TannerGraph, rows: np.ndarray, cfg: DecoderConfig
+    g: TannerGraph, rows: np.ndarray, cfg: DecoderConfig, *,
+    width: int | None = None, out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pass messages until every block of every trial meets its syndrome.
+    """Pass messages until every block of every row meets its syndrome.
 
-    rows holds one [sx | sz] syndrome per trial, as `_syndrome_rows` makes it.
+    rows holds a stream of [sx | sz] syndromes, as `_syndrome_rows` makes
+    them, decoded through a window of at most width columns (all the rows
+    when None); a column that finishes takes the next row of the stream.
+    Row i's outputs go to entry i of each of out's (est_x, est_z, conv,
+    iters), made when None, which are returned.
     """
     n, l_max = g.n, cfg.l_max
-    checks, width = g.idx.shape
+    checks, dmax = g.idx.shape
     col = g.idx.T.copy()  # the column of each (slot, row); padding reads 2n
     s = rows.T
     trials = s.shape[1]
+    t = trials if width is None else min(width, trials)
+    if out is None:
+        out = (np.empty((trials, n), np.uint8), np.empty((trials, n), np.uint8),
+               np.empty(trials, bool), np.empty(trials, np.int64))
+    est_x, est_z, conv, iters = out
     p = _safe_p(cfg.p_d)
     binary = cfg.algorithm == "binary-spa"
     if binary:
         prior = float(np.log((1.0 - p) / p))
-        # the bits of each block that freezes on its own: X checks
-        # explain the z bits, Z checks the x bits
-        blocks = (slice(n, 2 * n), slice(0, n))
+        # the bits of each block that freezes on its own, and where its
+        # estimate goes: X checks explain the z bits, Z checks the x bits
+        blocks = (((est_z, slice(n, 2 * n)),), ((est_x, slice(0, n)),))
         in_block = np.arange(checks) < g.x_checks
         in_block = np.vstack([in_block, ~in_block])
         # log ratio per column; the padding column's +inf sends +inf
-        llr = np.full((2 * n + 1, trials), np.inf)
+        llr = np.full((2 * n + 1, t), np.inf)
     else:
         m0 = float(np.log(p / (3.0 * (1.0 - p))))
-        blocks = (slice(0, 2 * n),)
+        blocks = (((est_x, slice(0, n)), (est_z, slice(n, 2 * n))),)
         in_block = np.ones((1, checks), bool)
         # the ratios against I, by row: l_x of each qubit, l_z of each
         # qubit, -inf and +inf, l_y of each qubit, and a 0.  A padding
         # slot reads -inf as its own ratio, +inf as the other and 0 as l_y,
         # so it sends +inf.
-        llr = np.zeros((3 * n + 3, trials))
+        llr = np.zeros((3 * n + 3, t))
         llr[2 * n:2 * n + 2] = np.array([-np.inf, np.inf])[:, None]
         ys, zero = slice(2 * n + 2, 3 * n + 2), 3 * n + 2
         # An edge sends fmax(0, a) - fmax(l_y + mu, b + mu), where b is its
@@ -370,25 +399,34 @@ def _flood(
             np.concatenate([np.arange(heads), col.ravel()])])
         # the column of a, among the first 2n + 2
         cross = np.where(col < 2 * n, (col + n) % (2 * n), 2 * n + 1)
-    # the syndrome sign of each row, times 2
-    sign = 2.0 * (1.0 - 2.0 * s.astype(np.float64))
-    rule = _RuleScratch(sign, width)
     # each row's parity reads its bits and its own syndrome bit from cur:
     # the 2n bits of the hard decision, a padding bit 0, then the syndrome
     parity = np.vstack([col, 2 * n + 1 + np.arange(checks)])
-    cur = np.zeros((2 * n + 1 + checks, trials), bool)
-    cur[2 * n + 1:] = s
-
-    mu = np.zeros((width * checks + 1, trials))
-    est = np.zeros((2 * n, trials), dtype=np.uint8)
-    conv = np.zeros((len(blocks), trials), dtype=bool)
-    iters = np.full((len(blocks), trials), l_max, dtype=np.int64)
-    # the trials still decoding, and which of their blocks have not met
-    # their syndromes; mu, cur, llr and sign hold their columns
-    act = np.arange(trials)
-    pending = np.ones((len(blocks), trials), bool)
-    for it in range(l_max + 1 if trials else 0):
-        t = act.size
+    cur = np.zeros((2 * n + 1 + checks, t), bool)
+    # the window's columns: the row each decodes and the pass it started
+    # on, the syndrome sign of each check times 2, and which of its blocks
+    # have not met their syndromes; mu, cur, llr and sign hold the same
+    # columns.  The first pass loads every column.
+    act, start, sign = np.empty(t, np.intp), np.empty(t, np.int64), np.empty((checks, t))
+    pending = np.empty((len(blocks), t), bool)
+    mu = np.empty((dmax * checks + 1, t))
+    rule = _RuleScratch(sign, dmax)
+    load, nxt, it = np.arange(t), 0, 0
+    while t:
+        if load.size:
+            # each column of load takes the next row of the stream, with
+            # no messages, and runs as a lone decode of that row would
+            fresh = slice(nxt, nxt + load.size)
+            nxt = fresh.stop
+            act[load] = np.arange(fresh.start, fresh.stop)
+            start[load] = it
+            pending[:, load] = True
+            cur[2 * n + 1:, load] = s[:, fresh]
+            sign[:, load] = np.where(s[:, fresh], -2.0, 2.0)
+            mu[:, load] = 0.0
+            conv[fresh] = True
+            oldest = int(start.min())
+            load = load[:0]
         summed = _column_sums(mu, g.slots)
         if binary:
             np.add(prior, summed, out=llr[:2 * n])
@@ -400,36 +438,47 @@ def _flood(
         del summed  # a view of the gathered messages, which it would keep
         bad = np.bitwise_xor.reduce(cur.take(parity, axis=0), axis=0)
         # the pending blocks without an unmet row
-        hit = np.greater(pending, in_block @ bad)
-        if np.count_nonzero(hit):
-            for k, rows in enumerate(blocks):
-                done = act[hit[k]]
-                est[rows, done] = cur[rows, hit[k]]
-                iters[k, done] = it
-                conv[k, done] = True
-            pending &= ~hit
-            keep = pending.any(axis=0)
-            if it < l_max and not keep.all():
-                act = act[keep]
-                pending, mu, cur, llr, sign = (
-                    a[:, keep] for a in (pending, mu, cur, llr, sign))
+        met = np.greater(pending, in_block @ bad)
+        stalled = it - oldest == l_max  # a column has run l_max passes
+        if stalled or np.count_nonzero(met):
+            end = met
+            if stalled:
+                # such a column's pending blocks end unmet
+                unmet = np.greater(pending, met) & (start == it - l_max)
+                conv[act[unmet.any(axis=0)]] = False
+                end = met | unmet
+            for k, parts in enumerate(blocks):
+                cols = end[k]
+                done = act[cols]
+                for est, bits in parts:
+                    est[done] = cur[bits, cols].T
+                iters[done] = it - start[cols]  # a row's later block writes last
+            pending &= ~end
+            # each finished column takes the next row of the stream, in
+            # place; those the stream cannot refill leave the window
+            load = np.flatnonzero(~pending.any(axis=0))
+            gone = load[trials - nxt:]
+            if gone.size:
+                load = load[:trials - nxt]  # all before the leaving columns
+                keep = np.ones(t, bool)
+                keep[gone] = False
+                del rule  # free the old scratch before the compacted arrays
+                act, start, pending, mu, cur, llr, sign = (
+                    a[..., keep] for a in (act, start, pending, mu, cur, llr, sign))
                 t = act.size
                 if not t:
                     break
-                del rule  # free the old arrays before making the new
-                rule = _RuleScratch(sign, width)
-        if it == l_max:
-            break
-        mu_rows = mu[:-1].reshape(width, checks, t)
+                rule = _RuleScratch(sign, dmax)
+                oldest = int(start.min())
+        mu_rows = mu[:-1].reshape(dmax, checks, t)
         if binary:
             llr.take(col, axis=0, out=rule.m, mode="clip")  # see _quaternary_messages
             np.subtract(rule.m, mu_rows, out=rule.m)
         else:
             _quaternary_messages(llr, mu_rows, pair, cross, out=rule.m)
         _check_messages_exact(rule, out=mu_rows)
-    for k, rows in enumerate(blocks):
-        est[rows, act[pending[k]]] = cur[rows, pending[k]]
-    return est[:n].T.copy(), est[n:].T.copy(), conv.all(axis=0), iters.max(axis=0)
+        it += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -486,16 +535,27 @@ def _same_graph(a: TannerGraph, b: TannerGraph) -> bool:
                       and np.array_equal(a.slots, b.slots))
 
 
+def _window(width) -> int:
+    """width as a plain int; TypeError or ValueError unless it is a positive int."""
+    width = _count("width", width)
+    if width < 1:
+        raise ValueError(f"width must be at least 1, got {width}")
+    return width
+
+
 def _decode(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
-    known: SyndromeTable | None,
+    known: SyndromeTable | None, width: int | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode each distinct syndrome of the batch once, and copy to the rest.
 
     The rows found in known are copied from it; the others go through one
-    `_flood` call.  A trial's outputs depend on its syndrome alone, so
-    this equals decoding every trial.
+    `_flood` call, in a window of at most width columns.  A trial's
+    outputs depend on its syndrome alone, so this equals decoding every
+    trial.
     """
+    if width is not None:
+        width = _window(width)
     if known is not None and not (known.config == cfg
                                   and _same_graph(known.graph, graph)):
         raise ValueError("the syndrome table was decoded under another "
@@ -512,58 +572,63 @@ def _decode(
         new = table[at] != keys
         for part, value in zip(out, (known.est_x, known.est_z, known.conv, known.iters)):
             part[~new] = value[at[~new]]
-    if new.any():
-        for part, value in zip(out, _flood(graph, rows[new], cfg)):
+    if new.all():  # no row was looked up: decode straight into out
+        _flood(graph, rows, cfg, width=width, out=out)
+    elif new.any():
+        for part, value in zip(out, _flood(graph, rows[new], cfg, width=width)):
             part[new] = value
     return tuple(part[inverse] for part in out)
 
 
 def decode_binary_batch(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
-    *, known: SyndromeTable | None = None,
+    *, known: SyndromeTable | None = None, width: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(est_x, est_z, conv, iters) of each trial under binary-spa."""
     if cfg.algorithm != "binary-spa":
         raise ValueError("binary decoding requires the binary-spa algorithm")
-    return _decode(graph, sx, sz, cfg, known)
+    return _decode(graph, sx, sz, cfg, known, width)
 
 
 def decode_quaternary_batch(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
-    *, known: SyndromeTable | None = None,
+    *, known: SyndromeTable | None = None, width: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(est_x, est_z, conv, iters) of each trial under quaternary-spa."""
     if cfg.algorithm != "quaternary-spa":
         raise ValueError("joint decoding requires the quaternary-spa algorithm")
-    return _decode(graph, sx, sz, cfg, known)
+    return _decode(graph, sx, sz, cfg, known, width)
 
 
 def decode_batch(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
-    *, known: SyndromeTable | None = None,
+    *, known: SyndromeTable | None = None, width: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode with whichever of the two entry points cfg.algorithm names.
 
     known, a table decoded under the same graph and cfg, answers the
     syndromes it holds; a table of another graph or config raises
-    ValueError.
+    ValueError.  The rest decode through a window of at most width
+    columns, all of them when width is None; a width that is not a
+    positive int raises TypeError or ValueError.
     """
     if cfg.algorithm == "binary-spa":
-        return decode_binary_batch(graph, sx, sz, cfg, known=known)
-    return decode_quaternary_batch(graph, sx, sz, cfg, known=known)
+        return decode_binary_batch(graph, sx, sz, cfg, known=known, width=width)
+    return decode_quaternary_batch(graph, sx, sz, cfg, known=known, width=width)
 
 
 def decode_table(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
     width: int,
 ) -> SyndromeTable:
-    """Decode each distinct syndrome of the batch once, at most width per call.
+    """Decode each distinct syndrome of the batch once, in one window.
 
-    The distinct rows go through `decode_batch` in sorted slices of at
-    most width rows, so no decode is wider than width trials.
+    The distinct rows go through one `decode_batch` call whose window is
+    at most width columns wide, so no decode is wider than width trials.
+    A width that is not a positive int raises before any work.
     """
+    width = _window(width)
     rows = _rows(np.unique(_keys(_syndrome_rows(graph, sx, sz))))
     x = graph.x_checks
-    parts = [decode_batch(graph, rows[lo:lo + width, :x], rows[lo:lo + width, x:], cfg)
-             for lo in range(0, max(len(rows), 1), width)]
-    return SyndromeTable(graph, cfg, rows, *map(np.concatenate, zip(*parts)))
+    return SyndromeTable(graph, cfg, rows,
+                         *decode_batch(graph, rows[:, :x], rows[:, x:], cfg, width=width))

@@ -10,12 +10,13 @@ counter seeds, so results are independent of how trials are scheduled.
 `run_trials` runs a point in chunks of at most `_chunk_trials` trials,
 each sampled, decoded and tested before the next, and the decoder decodes
 each distinct syndrome of a chunk once.  When all the points of a `sweep`
-fit one chunk together, the sweep first samples every point, decodes the
-distinct syndromes of them all in slices of one point's trial count
-(`decoder.decode_table`), and hands the table to each point's
-`run_trials`, whose decode copies what it holds.  The points then share
-one run of each stalled syndrome, and no decode is wider than one
-point's trials.  Each point still samples, decodes and tests all its own
+fit one chunk together, the sweep first samples every point, streams the
+distinct syndromes of them all through one decode window of one point's
+trial count (`decoder.decode_table`), and hands the table to each
+point's `run_trials`, whose decode copies what it holds.  The points
+then share one run of each stalled syndrome, a column whose syndrome
+finishes takes the next one, and no decode is wider than one point's
+trials.  Each point still samples, decodes and tests all its own
 trials, so its SimResult can be rebuilt from its own steps.
 
 The exhaustive oracles (ML coset decoding over all 4^n errors, min-weight
@@ -447,8 +448,8 @@ def _sweep_table(cfg: SimConfig, points: list[SimConfig]) -> SyndromeTable | Non
 
     None unless all the points' trials fit one chunk.  Each point is
     sampled as `run_trials` samples it, and the union's distinct syndromes
-    are decoded in slices of at most cfg.trials, so no decode is wider
-    than one point's.
+    stream through one decode window of cfg.trials columns, so no decode
+    is wider than one point's.
     """
     code = cfg.code
     graph, _ = _decoding_setup(code)
@@ -469,7 +470,8 @@ def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
     cfg.decoder.p_d whatever the point's p_d; `eaqc sweep` sets it to the
     first --pd value.  When all the points' trials fit one chunk, every
     distinct syndrome among them is decoded once before the points run,
-    and each point's `run_trials` reads those decodes (`_sweep_table`).
+    through a window of one point's trial count, and each point's
+    `run_trials` reads those decodes (`_sweep_table`).
     """
     if not pd_values or not eta_values:
         raise ValueError("a sweep needs at least one p_d and one eta")

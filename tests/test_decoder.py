@@ -623,13 +623,13 @@ def _repeated(code, trials=30, copies=120):
 
 
 def _flood_widths(monkeypatch):
-    """Record the trial count of each message-passing run from now on."""
+    """Record the row count of each message-passing run from now on."""
     widths = []
     flood = decoder._flood
 
-    def counted(g, rows, cfg):
+    def counted(g, rows, cfg, **kwargs):
         widths.append(len(rows))
-        return flood(g, rows, cfg)
+        return flood(g, rows, cfg, **kwargs)
 
     monkeypatch.setattr(decoder, "_flood", counted)
     return widths
@@ -681,21 +681,92 @@ def test_a_syndrome_table_of_all_some_or_no_rows_gives_equal_outputs(
         assert widths == ([len(lacking)] if lacking else []), name
 
 
+def _window_widths(monkeypatch):
+    """Record the column count of each window the message passing makes
+    from now on: its first, and each it shrinks to once the stream ends."""
+    widths = []
+
+    class Recorded(decoder._RuleScratch):
+        def __init__(self, sign, dmax):
+            widths.append(sign.shape[1])
+            super().__init__(sign, dmax)
+
+    monkeypatch.setattr(decoder, "_RuleScratch", Recorded)
+    return widths
+
+
 @pytest.mark.parametrize("alg", _ALGS)
 def test_decode_table_slices_hold_at_most_width_rows(twentyfive, alg, monkeypatch):
+    # the distinct rows stream through one run whose window, the width of
+    # its messages, is never wider than width columns
     code, _, g = twentyfive
     sx, sz = _repeated(code)
     cfg = DecoderConfig(alg, 0.05)
     whole = decode_table(g, sx, sz, cfg, len(sx))
-    widths = _flood_widths(monkeypatch)
-    for width in (1, 7):
-        del widths[:]
+    runs = _flood_widths(monkeypatch)
+    windows = _window_widths(monkeypatch)
+    for width in (1, 7, np.int64(7)):
+        del runs[:], windows[:]
         table = decode_table(g, sx, sz, cfg, width)
-        assert max(widths) <= width and sum(widths) == len(whole.rows)
+        assert runs == [len(whole.rows)] and max(windows) == width
         for name in ("rows", "est_x", "est_z", "conv", "iters"):
             assert np.array_equal(getattr(table, name), getattr(whole, name))
     rows = np.hstack([sx, sz])
     assert np.array_equal(whole.rows, np.unique(rows, axis=0))
+
+
+@pytest.mark.parametrize("width, error", [
+    (0, ValueError), (-3, ValueError), (2.5, TypeError), (7.0, TypeError),
+    (True, TypeError), ("7", TypeError), (None, TypeError)])
+def test_decode_table_rejects_a_width_that_is_not_a_positive_int(
+        twentyfive, width, error, monkeypatch):
+    code, _, g = twentyfive
+    sx, sz = _repeated(code)
+    cfg = DecoderConfig("binary-spa", 0.05)
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    # neither the syndrome rows nor a decode loop is reached
+    monkeypatch.setattr(decoder, "_syndrome_rows", never)
+    monkeypatch.setattr(decoder, "_flood", never)
+    with pytest.raises(error, match="width"):
+        decode_table(g, sx, sz, cfg, width)
+    if width is not None:  # decode_batch's default: all the rows at once
+        with pytest.raises(error, match="width"):
+            decode_batch(g, sx, sz, cfg, width=width)
+
+
+def _stream(code):
+    """The distinct nonzero syndromes of 150 draws on [[25,8;1]] at p_d
+    0.05, in a seeded order, with the zero syndrome put in at place 70."""
+    sx, sz = syndrome_batch(code, *sample_error_batch(code.n, ChannelParams(0.05, 0.4), 9, 150))
+    rows = np.unique(np.hstack([sx, sz]), axis=0)
+    rows = rows[rows.any(axis=1)]
+    return np.insert(rows[np.random.default_rng(3).permutation(len(rows))], 70, 0, axis=0)
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 100])
+@pytest.mark.parametrize("alg", _ALGS)
+def test_a_window_of_any_width_gives_equal_outputs(twentyfive, alg, l_max, monkeypatch):
+    # a column that finishes takes the next row in place.  The zero
+    # syndrome, past the first 64 rows, converges on the first check of the
+    # column it refills, which then takes a row again; under l_max 1 or 2
+    # every column finishes within a pass or two of its refill
+    code, _, g = twentyfive
+    rows = _stream(code)
+    cfg = DecoderConfig(alg, 0.05, l_max=l_max)
+    want = decoder._flood(g, rows, cfg)
+    assert len(rows) == 78 and np.flatnonzero(~rows.any(axis=1)).tolist() == [70]
+    assert want[2][70] and want[3][70] == 0
+    assert (~want[2]).any() and (want[2] & (want[3] > 0)).any()
+    windows = _window_widths(monkeypatch)
+    for width in (1, 7, 64, len(rows)):
+        del windows[:]
+        got = decoder._flood(g, rows, cfg, width=width)
+        assert max(windows) == width
+        for part, full in zip(got, want):
+            assert np.array_equal(part, full), width
 
 
 @pytest.mark.parametrize("alg", _ALGS)
@@ -832,12 +903,13 @@ def reference_decode(hx, hz, sx, sz, cfg):
     return _quaternary(x_rows, z_rows, sx, sz, n, m0, cfg.l_max)
 
 
-def _compare_dense(hx, hz, g, sx, sz, cfg):
-    """Assert that decode_batch equals the reference on every row.
+def _compare_dense(hx, hz, g, sx, sz, cfg, width=None):
+    """Assert that decode_batch, through a window of width columns, equals
+    the reference on every row.
 
     Returns decode_batch's (est_x, est_z, conv, iters).
     """
-    est_x, est_z, conv, iters = decode_batch(g, sx, sz, cfg)
+    est_x, est_z, conv, iters = decode_batch(g, sx, sz, cfg, width=width)
     seen = {}
     for t in range(len(sx)):
         key = (sx[t].tobytes(), sz[t].tobytes())
@@ -848,10 +920,10 @@ def _compare_dense(hx, hz, g, sx, sz, cfg):
     return est_x, est_z, conv, iters
 
 
-def _compare(code, g, xs, zs, cfg):
+def _compare(code, g, xs, zs, cfg, width=None):
     """_compare_dense on the syndromes of the errors xs, zs; returns conv, iters."""
     sx, sz = syndrome_batch(code, xs, zs)
-    return _compare_dense(code.hx.to_dense(), code.hz.to_dense(), g, sx, sz, cfg)[2:]
+    return _compare_dense(code.hx.to_dense(), code.hz.to_dense(), g, sx, sz, cfg, width)[2:]
 
 
 @pytest.mark.parametrize("alg", _ALGS)
@@ -869,6 +941,17 @@ def test_flood_matches_the_reference_on_twentyfive(twentyfive, alg):
     xs, zs = sample_error_batch(code.n, ChannelParams(0.05, 0.4), 77, 40)
     conv, iters = _compare(code, g, xs, zs, DecoderConfig(alg, 0.05))
     assert (~conv).any() and (conv & (iters > 0)).any()
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+def test_flood_matches_the_reference_in_a_window_of_three(twentyfive, alg, monkeypatch):
+    # the sample above streamed through three columns, each refilled in
+    # place as its row finishes
+    code, _, g = twentyfive
+    windows = _window_widths(monkeypatch)
+    xs, zs = sample_error_batch(code.n, ChannelParams(0.05, 0.4), 77, 40)
+    conv, iters = _compare(code, g, xs, zs, DecoderConfig(alg, 0.05), width=3)
+    assert (~conv).any() and (conv & (iters > 0)).any() and max(windows) == 3
 
 
 @pytest.mark.parametrize("alg", _ALGS)

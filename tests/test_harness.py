@@ -525,9 +525,9 @@ def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
         calls.append((sx, sz, decode_batch(graph, sx, sz, cfg)))
         return calls[-1][2]
 
-    def flood(graph, rows, cfg):
-        floods.append(rows.copy())
-        return _flood(graph, rows, cfg)
+    def flood(graph, rows, cfg, **kwargs):
+        floods.append((rows.copy(), kwargs))
+        return _flood(graph, rows, cfg, **kwargs)
 
     monkeypatch.setattr(harness, "decode_batch", recorded)
     monkeypatch.setattr(decoder, "_flood", flood)
@@ -539,8 +539,10 @@ def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
     sx, sz = syndrome_batch(nine, *category_bits(cats))
     assert len(cats) == rep.patterns == 351
     assert np.array_equal(got_sx, sx) and np.array_equal(got_sz, sz)
-    # one message-passing run, over the 64 distinct syndromes
-    (rows,) = floods
+    # one message-passing run, over the 64 distinct syndromes in one window
+    # of them all, so no column is refilled
+    ((rows, kwargs),) = floods
+    assert kwargs["width"] is None
     assert len(rows) == len({r.tobytes() for r in rows}) == 64
     assert {r.tobytes() for r in rows} == {r.tobytes() for r in np.hstack([sx, sz])}
     # each pattern gets what decoding it alone gives
@@ -678,22 +680,29 @@ def test_a_sweep_gives_equal_rows_with_and_without_its_syndrome_table(
 
 
 def test_a_sweep_syndrome_table_decodes_no_wider_than_one_point(fortynine, monkeypatch):
-    # the table is decoded in slices of one point's trial count, so no decode
-    # of the sweep is wider, or peaks higher, than a point whose trials all
-    # have distinct nonzero syndromes: all of them still decode after pass 0
+    # the table streams through a window of one point's trial count, so no
+    # decode of the sweep is wider, or peaks higher, than a point whose
+    # trials all have distinct nonzero syndromes: all of them still decode
+    # after pass 0
     trials = 100
     cfg = SimConfig(fortynine, ChannelParams(0.03, 0.5),
                     DecoderConfig("quaternary-spa", 0.03), trials, 0)
-    flood, runs = decoder._flood, []
+    flood, runs, windows = decoder._flood, [], []
 
-    def measured(g, rows, dcfg):
+    def measured(g, rows, dcfg, **kwargs):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        out = flood(g, rows, dcfg)
+        out = flood(g, rows, dcfg, **kwargs)
         runs.append((len(rows), tracemalloc.get_traced_memory()[1] - before))
         return out
 
+    class Recorded(decoder._RuleScratch):
+        def __init__(self, sign, dmax):
+            windows.append(sign.shape[1])  # the width of the run's messages
+            super().__init__(sign, dmax)
+
     monkeypatch.setattr(decoder, "_flood", measured)
+    monkeypatch.setattr(decoder, "_RuleScratch", Recorded)
     sx, sz = syndrome_batch(fortynine, *sample_error_batch(
         fortynine.n, ChannelParams(0.03, 0.5), 1, 4 * trials))
     rows = np.unique(np.hstack([sx, sz]), axis=0)
@@ -702,12 +711,14 @@ def test_a_sweep_syndrome_table_decodes_no_wider_than_one_point(fortynine, monke
     try:
         measured(build_graphs(fortynine), rows, cfg.decoder)
         (width, point_peak), = runs
-        del runs[:]
+        del runs[:], windows[:]
         sweep(cfg, (0.02, 0.03), (0.0, 0.5))
     finally:
         tracemalloc.stop()
     assert width == trials
-    # the union of the four points' syndromes takes more than one slice
-    assert len(runs) >= 2 and sum(w for w, _ in runs) > trials
-    assert max(w for w, _ in runs) <= trials
+    # the union of the four points' syndromes exceeds one point's trials,
+    # yet decodes in one windowed run
+    (union, _), = runs
+    assert union > trials
+    assert max(windows) == trials
     assert max(p for _, p in runs) <= point_peak
