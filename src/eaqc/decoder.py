@@ -12,10 +12,12 @@ One flooding loop, `_flood`, serves both algorithms:
 
 * binary-spa takes prior + s as the log ratio of each bit, and runs each
   check block as a graph of its own: the X-check rows explain the z bits
-  from sx, the Z-check rows the x bits from sz.  A block freezes its bits
-  of a trial's estimate when it meets its own syndrome, so the outputs
-  equal two separate graph runs; a trial converges when both blocks have
-  and reports the later of the two iteration counts.
+  from sx, the Z-check rows the x bits from sz.  The blocks share no
+  variable, so each decodes the distinct halves of its own syndromes, sx
+  or sz, as a stream of its own (see below), and its outputs equal two
+  separate graph runs.  A row's est_z is its sx half's estimate, est_x
+  its sz half's; it converges when both halves have and reports the later
+  of the two iteration counts.
 * quaternary-spa (Poulin & Chung, QIC 8, 987, 2008) takes
   l_x = m0 - s_one, l_z = m0 - s_omega and l_y = l_x - s_omega as the log
   ratios of X, Y and Z against I.  Each edge sends the single log ratio
@@ -41,11 +43,11 @@ below), a few numpy calls each:
    order I, X, Y, Z, as with argmax.
 3. Check: each row's bits and its own syndrome bit are gathered and
    XOR-reduced, and one boolean product tells which blocks still have an
-   unmet row.  Only on a pass where some block meets its syndrome, or a
-   column reaches l_max, are estimates written back, and only then does
-   a finished column take the next row of the stream or leave the
-   window, so a stream costs the sum of its rows' iterations rather than
-   its slowest row times its length.
+   unmet row.  Only on a pass where some block meets its syndrome, or
+   reaches l_max, are estimates written back, and only then does a
+   finished block take the next syndrome of its stream or the window
+   shrink, so a stream costs the sum of its syndromes' iterations rather
+   than its slowest syndrome times its length.
 4. Variable-to-check messages: binary-spa sends prior + s - mu.
    Quaternary's fmax(0, a) depends on the column alone, so it is
    evaluated once per column (2n values rather than one per edge) and
@@ -67,19 +69,23 @@ check message by 2·atanh(1 - 1e-12) ≈ 28.33; no further clamp is needed.
 Convergence is checked before the first message exchange and after every
 iteration.
 
-`_flood` decodes a stream of [sx | sz] rows through a window of at most
-`width` columns (all the rows by default).  Each column keeps the stream
-index of its row and the pass it started on, so its own iteration count.
-A column finishes when all its blocks have met their syndromes, or
-unmet once it has run l_max iterations; its outputs are then written.
-While rows remain, each finished column takes the next one in place, at
-the start of the next pass: zero messages, its own syndrome bits and
-signs.  So it runs as a lone decode of its row would, from the check at
-iteration 0.  Once the stream is empty, finished columns leave and the
-window shrinks.  A stream then runs about its rows' passes divided by
-width, plus one tail of at most l_max + 1, rather than l_max + 1 passes
-for each slice of width rows that holds a stalled row; no array of the
-window is wider than width columns.
+`_flood` decodes [sx | sz] rows through a window of at most `width`
+columns (all of them by default).  Each check block reads its own stream
+of syndromes: quaternary-spa's one block the rows, binary-spa's X-check
+and Z-check blocks the distinct sx and sz halves.  Per column, each block
+keeps its syndrome's stream index and the pass it started on, so its own
+iteration count.  A block finishes when it meets its syndrome, or unmet
+after l_max iterations, and its outputs are written then.  While its
+stream lasts, a finished block takes the next syndrome in place at the
+start of the next pass (zero messages on its check rows, its syndrome
+bits and signs), so it runs as a lone decode of that syndrome would.
+Once no block holds a syndrome in every column, each block's holding
+columns move to the left, apart from the other block's, and the window
+shrinks to the most any block holds.  A stream then runs about its
+syndromes' passes divided by width, plus one tail of at most l_max + 1;
+binary-spa's tail carries neither the met half of a stalled row nor one
+stalled half once per row that has it.  No array of the window is wider
+than width columns.
 
 A trial's outputs depend on its syndrome alone, so each entry point
 decodes the distinct syndromes of its batch: it finds the distinct
@@ -296,7 +302,7 @@ def _check_messages_exact(r: _RuleScratch, out: np.ndarray) -> np.ndarray:
     out.  A padding slot's m is +inf, so it multiplies in as 1.
     """
     m = r.m
-    np.tanh(np.divide(m, 2.0, out=m), out=m)
+    np.tanh(np.multiply(m, 0.5, out=m), out=m)
     _exclusive(r)
     np.arctanh(_clip(m, _CLIP, out=m), out=m)
     return np.multiply(r.sign, m, out=out)
@@ -343,49 +349,95 @@ def _categories(l_x, l_y, l_z, x, z):
     np.bitwise_or(z, y, out=z)  # Y or Z wins
 
 
+_IDLE = np.iinfo(np.int64).max  # the start pass of a block holding no syndrome
+
+
+class _Stream:
+    """The syndromes one check block of a graph on n qubits decodes, in
+    order, and where their outputs go.
+
+    checks are the block's rows of [hx; hz], bits the columns it reads and
+    syn the rows of its syndrome bits in `_flood`'s bit array.  s holds
+    those syndrome bits, one column per syndrome, and next is the first
+    column not yet loaded.  Syndrome i's bits of each (est, part) of parts
+    go to est[i], its flag to conv[i] and its iteration count to iters[i].
+    """
+
+    def __init__(self, n: int, checks: slice, bits: slice, s: np.ndarray,
+                 parts, conv: np.ndarray, iters: np.ndarray):
+        self.checks, self.s, self.parts, self.conv, self.iters = checks, s, parts, conv, iters
+        self.syn = slice(2 * n + 1 + checks.start, 2 * n + 1 + checks.stop)
+        self.next = 0
+        # its rows of the messages (by slot and check), bits, ratios and
+        # signs, as `_block_views` lists those arrays
+        self.rows = ((slice(None), checks), bits, self.syn, bits, checks)
+
+
+def _block_views(mu, cur, llr, sign):
+    """The arrays that the entries of a `_Stream`'s rows select from."""
+    return mu[:-1].reshape(-1, *sign.shape), cur, cur, llr, sign
+
+
+def _pack(arrays, streams, orders):
+    """The window's arrays with each block's columns in its own order.
+
+    Every row takes its columns in orders[0], the first stream's order
+    (the padding rows are the same in every column), then each later
+    stream's own rows in its own.
+    """
+    new = tuple(a[..., orders[0]] for a in arrays)
+    for st, order in zip(streams[1:], orders[1:]):
+        for a, b, r in zip(_block_views(*arrays), _block_views(*new), st.rows):
+            b[r] = a[r][..., order]
+    return new
+
+
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a uint8 array, sorted by their bytes, and the
+    index of each row among them."""
+    keys, inverse = np.unique(_keys(np.ascontiguousarray(rows)), return_inverse=True)
+    return _rows(keys), inverse
+
+
 def _flood(
     g: TannerGraph, rows: np.ndarray, cfg: DecoderConfig, *,
     width: int | None = None, out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pass messages until every block of every row meets its syndrome.
 
-    rows holds a stream of [sx | sz] syndromes, as `_syndrome_rows` makes
-    them, decoded through a window of at most width columns (all the rows
-    when None); a column that finishes takes the next row of the stream.
-    Row i's outputs go to entry i of each of out's (est_x, est_z, conv,
-    iters), made when None, which are returned.
+    rows holds [sx | sz] syndromes, as `_syndrome_rows` makes them.  Each
+    check block decodes a stream of them through a window of at most
+    width columns (all of them when None), and a block that finishes
+    takes the next syndrome of its stream.  Row i's outputs go to entry i
+    of each of out's (est_x, est_z, conv, iters), made when None, which
+    are returned.
     """
     n, l_max = g.n, cfg.l_max
     checks, dmax = g.idx.shape
     col = g.idx.T.copy()  # the column of each (slot, row); padding reads 2n
-    s = rows.T
-    trials = s.shape[1]
-    t = trials if width is None else min(width, trials)
+    trials = len(rows)
     if out is None:
         out = (np.empty((trials, n), np.uint8), np.empty((trials, n), np.uint8),
                np.empty(trials, bool), np.empty(trials, np.int64))
     est_x, est_z, conv, iters = out
     p = _safe_p(cfg.p_d)
     binary = cfg.algorithm == "binary-spa"
+    x = g.x_checks
     if binary:
         prior = float(np.log((1.0 - p) / p))
-        # the bits of each block that freezes on its own, and where its
-        # estimate goes: X checks explain the z bits, Z checks the x bits
-        blocks = (((est_z, slice(n, 2 * n)),), ((est_x, slice(0, n)),))
-        in_block = np.arange(checks) < g.x_checks
-        in_block = np.vstack([in_block, ~in_block])
-        # log ratio per column; the padding column's +inf sends +inf
-        llr = np.full((2 * n + 1, t), np.inf)
+        # each block decodes the distinct halves of the rows on its own:
+        # the X checks explain the z bits from sx, the Z checks the x bits
+        # from sz, and no variable is shared
+        halves = [_distinct(rows[:, :x]), _distinct(rows[:, x:])]
+        streams = [
+            _Stream(n, blk, bits, half.T, ((np.empty((len(half), n), np.uint8), bits),),
+                    np.empty(len(half), bool), np.empty(len(half), np.int64))
+            for blk, bits, (half, _) in zip((slice(0, x), slice(x, checks)),
+                                            (slice(n, 2 * n), slice(0, n)), halves)]
     else:
         m0 = float(np.log(p / (3.0 * (1.0 - p))))
-        blocks = (((est_x, slice(0, n)), (est_z, slice(n, 2 * n))),)
-        in_block = np.ones((1, checks), bool)
-        # the ratios against I, by row: l_x of each qubit, l_z of each
-        # qubit, -inf and +inf, l_y of each qubit, and a 0.  A padding
-        # slot reads -inf as its own ratio, +inf as the other and 0 as l_y,
-        # so it sends +inf.
-        llr = np.zeros((3 * n + 3, t))
-        llr[2 * n:2 * n + 2] = np.array([-np.inf, np.inf])[:, None]
+        streams = [_Stream(n, slice(0, checks), slice(0, 2 * n), rows.T,
+                           ((est_x, slice(0, n)), (est_z, slice(n, 2 * n))), conv, iters)]
         ys, zero = slice(2 * n + 2, 3 * n + 2), 3 * n + 2
         # An edge sends fmax(0, a) - fmax(l_y + mu, b + mu), where b is its
         # own label's ratio (l_z on an X-check row) and a the other's.  One
@@ -399,34 +451,56 @@ def _flood(
             np.concatenate([np.arange(heads), col.ravel()])])
         # the column of a, among the first 2n + 2
         cross = np.where(col < 2 * n, (col + n) % (2 * n), 2 * n + 1)
+    counts = [st.s.shape[1] for st in streams]
+    t = max(counts) if width is None else min(width, max(counts))
+    if binary:
+        # log ratio per column; the padding column's +inf sends +inf
+        llr = np.full((2 * n + 1, t), np.inf)
+    else:
+        # the ratios against I, by row: l_x of each qubit, l_z of each
+        # qubit, -inf and +inf, l_y of each qubit, and a 0.  A padding
+        # slot reads -inf as its own ratio, +inf as the other and 0 as l_y,
+        # so it sends +inf.
+        llr = np.zeros((3 * n + 3, t))
+        llr[2 * n:2 * n + 2] = np.array([-np.inf, np.inf])[:, None]
+    in_block = np.zeros((len(streams), checks), bool)
+    for k, st in enumerate(streams):
+        in_block[k, st.checks] = True
     # each row's parity reads its bits and its own syndrome bit from cur:
     # the 2n bits of the hard decision, a padding bit 0, then the syndrome
     parity = np.vstack([col, 2 * n + 1 + np.arange(checks)])
     cur = np.zeros((2 * n + 1 + checks, t), bool)
-    # the window's columns: the row each decodes and the pass it started
-    # on, the syndrome sign of each check times 2, and which of its blocks
-    # have not met their syndromes; mu, cur, llr and sign hold the same
-    # columns.  The first pass loads every column.
-    act, start, sign = np.empty(t, np.intp), np.empty(t, np.int64), np.empty((checks, t))
-    pending = np.empty((len(blocks), t), bool)
-    mu = np.empty((dmax * checks + 1, t))
+    # per block and window column: the stream index of the syndrome it
+    # decodes, the pass it started on (_IDLE when it holds none) and
+    # whether it has yet to meet that syndrome; mu, cur, llr and sign (the
+    # syndrome sign of each check times 2) hold the same columns.  A
+    # block's columns that hold no syndrome compute finite messages that
+    # nothing reads, and never finish
+    act = np.zeros((len(streams), t), np.intp)
+    start = np.full((len(streams), t), _IDLE)
+    pending = np.zeros((len(streams), t), bool)
+    sign = np.full((checks, t), 2.0)
+    mu = np.zeros((dmax * checks + 1, t))
     rule = _RuleScratch(sign, dmax)
-    load, nxt, it = np.arange(t), 0, 0
+    loads, it = [np.arange(min(t, c)) for c in counts], 0
     while t:
-        if load.size:
-            # each column of load takes the next row of the stream, with
-            # no messages, and runs as a lone decode of that row would
-            fresh = slice(nxt, nxt + load.size)
-            nxt = fresh.stop
-            act[load] = np.arange(fresh.start, fresh.stop)
-            start[load] = it
-            pending[:, load] = True
-            cur[2 * n + 1:, load] = s[:, fresh]
-            sign[:, load] = np.where(s[:, fresh], -2.0, 2.0)
-            mu[:, load] = 0.0
-            conv[fresh] = True
+        if loads:
+            # each block column of loads takes the next syndrome of its
+            # stream, with no messages, and runs as a lone decode would
+            mu_rows = mu[:-1].reshape(dmax, checks, t)
+            for st, load, a, s0, run in zip(streams, loads, act, start, pending):
+                if load.size:
+                    fresh = slice(st.next, st.next + load.size)
+                    st.next = fresh.stop
+                    a[load] = np.arange(fresh.start, fresh.stop)
+                    s0[load] = it
+                    run[load] = True
+                    cur[st.syn, load] = st.s[:, fresh]
+                    sign[st.checks, load] = np.where(st.s[:, fresh], -2.0, 2.0)
+                    mu_rows[:, st.checks, load] = 0.0
+                    st.conv[fresh] = True
             oldest = int(start.min())
-            load = load[:0]
+            loads = None
         summed = _column_sums(mu, g.slots)
         if binary:
             np.add(prior, summed, out=llr[:2 * n])
@@ -439,36 +513,55 @@ def _flood(
         bad = np.bitwise_xor.reduce(cur.take(parity, axis=0), axis=0)
         # the pending blocks without an unmet row
         met = np.greater(pending, in_block @ bad)
-        stalled = it - oldest == l_max  # a column has run l_max passes
+        stalled = it - oldest == l_max  # a block has run l_max passes
         if stalled or np.count_nonzero(met):
             end = met
             if stalled:
-                # such a column's pending blocks end unmet
+                # such a block's pending syndrome ends unmet
                 unmet = np.greater(pending, met) & (start == it - l_max)
-                conv[act[unmet.any(axis=0)]] = False
                 end = met | unmet
-            for k, parts in enumerate(blocks):
-                cols = end[k]
-                done = act[cols]
-                for est, bits in parts:
-                    est[done] = cur[bits, cols].T
-                iters[done] = it - start[cols]  # a row's later block writes last
             pending &= ~end
-            # each finished column takes the next row of the stream, in
-            # place; those the stream cannot refill leave the window
-            load = np.flatnonzero(~pending.any(axis=0))
-            gone = load[trials - nxt:]
-            if gone.size:
-                load = load[:trials - nxt]  # all before the leaving columns
-                keep = np.ones(t, bool)
-                keep[gone] = False
-                del rule  # free the old scratch before the compacted arrays
-                act, start, pending, mu, cur, llr, sign = (
-                    a[..., keep] for a in (act, start, pending, mu, cur, llr, sign))
-                t = act.size
-                if not t:
-                    break
-                rule = _RuleScratch(sign, dmax)
+            loads, gone = [], False
+            for k, st in enumerate(streams):
+                cols = np.flatnonzero(end[k])
+                if not cols.size:
+                    loads.append(cols)
+                    continue
+                a, s0 = act[k], start[k]
+                done = a[cols]
+                if stalled:
+                    st.conv[a[unmet[k]]] = False
+                for est, bits in st.parts:
+                    est[done] = cur[bits, cols].T
+                st.iters[done] = it - s0[cols]
+                # a finished block takes the next syndrome of its stream in
+                # place; one that the stream cannot refill holds none
+                left = st.s.shape[1] - st.next
+                loads.append(cols[:left])
+                if cols.size > left:
+                    s0[cols[left:]] = _IDLE
+                    gone = True
+            if gone:
+                held = pending.copy()  # the blocks that hold a syndrome
+                for run, load in zip(held, loads):
+                    run[load] = True
+                most = int(np.count_nonzero(held, axis=1).max())
+                if most < t:
+                    # each block's columns that hold a syndrome move to the
+                    # left, in order, and the window shrinks to the most
+                    # that any block holds
+                    t = most
+                    if not t:
+                        break
+                    # a block's first columns hold its syndromes, in order
+                    orders = np.argsort(~held, axis=1, kind="stable")[:, :t]
+                    loads = [np.searchsorted(order, load) for order, load in zip(orders, loads)]
+                    at = np.arange(len(streams))[:, None], orders
+                    act, start, pending = act[at], start[at], pending[at]
+                    del rule  # free the old scratch before the packed arrays
+                    # this pass's ratios move too: the messages read them next
+                    mu, cur, llr, sign = _pack((mu, cur, llr, sign), streams, orders)
+                    rule = _RuleScratch(sign, dmax)
                 oldest = int(start.min())
         mu_rows = mu[:-1].reshape(dmax, checks, t)
         if binary:
@@ -478,6 +571,16 @@ def _flood(
             _quaternary_messages(llr, mu_rows, pair, cross, out=rule.m)
         _check_messages_exact(rule, out=mu_rows)
         it += 1
+    if binary:
+        # a row's outputs join its two halves': est_z from the X checks,
+        # est_x from the Z checks, converged when both are, and the later
+        # of the two iteration counts
+        (xs, (_, xi)), (zs, (_, zi)) = zip(streams, halves)
+        ((x_est, _),), ((z_est, _),) = xs.parts, zs.parts
+        np.take(x_est, xi, axis=0, out=est_z)
+        np.take(z_est, zi, axis=0, out=est_x)
+        np.logical_and(xs.conv[xi], zs.conv[zi], out=conv)
+        np.maximum(xs.iters[xi], zs.iters[zi], out=iters)
     return out
 
 
@@ -560,9 +663,8 @@ def _decode(
                                   and _same_graph(known.graph, graph)):
         raise ValueError("the syndrome table was decoded under another "
                          "graph or DecoderConfig")
-    keys, inverse = np.unique(_keys(_syndrome_rows(graph, sx, sz)),
-                              return_inverse=True)
-    rows, count, n = _rows(keys), len(keys), graph.n
+    rows, inverse = _distinct(_syndrome_rows(graph, sx, sz))
+    keys, count, n = _keys(rows), len(rows), graph.n
     out = (np.empty((count, n), np.uint8), np.empty((count, n), np.uint8),
            np.empty(count, bool), np.empty(count, np.int64))
     new = np.ones(count, bool)

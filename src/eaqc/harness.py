@@ -14,9 +14,12 @@ fit one chunk together, the sweep first samples every point, streams the
 distinct syndromes of them all through one decode window of one point's
 trial count (`decoder.decode_table`), and hands the table to each
 point's `run_trials`, whose decode copies what it holds.  The points
-then share one run of each stalled syndrome, a column whose syndrome
-finishes takes the next one, and no decode is wider than one point's
-trials.  Each point still samples, decodes and tests all its own
+then share one run of each stalled syndrome, and no decode is wider
+than one point's trials.  In that window each check block streams its
+own syndromes and takes the next as one finishes: binary-spa's X-check
+and Z-check blocks their distinct sx and sz halves, each packed to the
+left apart from the other once its stream is empty, quaternary-spa's
+one block the rows.  Each point still samples, decodes and tests all its own
 trials, so its SimResult can be rebuilt from its own steps.
 
 The exhaustive oracles (ML coset decoding over all 4^n errors, min-weight

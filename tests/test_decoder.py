@@ -749,10 +749,13 @@ def _stream(code):
 @pytest.mark.parametrize("l_max", [1, 2, 100])
 @pytest.mark.parametrize("alg", _ALGS)
 def test_a_window_of_any_width_gives_equal_outputs(twentyfive, alg, l_max, monkeypatch):
-    # a column that finishes takes the next row in place.  The zero
-    # syndrome, past the first 64 rows, converges on the first check of the
-    # column it refills, which then takes a row again; under l_max 1 or 2
-    # every column finishes within a pass or two of its refill
+    # a block that finishes takes the next syndrome of its stream in place.
+    # The zero syndrome, past the first 64 rows, converges on the first
+    # check of the column it refills, which then takes a row again; under
+    # l_max 1 or 2 every column finishes within a pass or two of its
+    # refill.  Quaternary streams the rows, binary each block the distinct
+    # halves of its own syndromes, so its widest window is the larger
+    # block's count of them
     code, _, g = twentyfive
     rows = _stream(code)
     cfg = DecoderConfig(alg, 0.05, l_max=l_max)
@@ -760,11 +763,15 @@ def test_a_window_of_any_width_gives_equal_outputs(twentyfive, alg, l_max, monke
     assert len(rows) == 78 and np.flatnonzero(~rows.any(axis=1)).tolist() == [70]
     assert want[2][70] and want[3][70] == 0
     assert (~want[2]).any() and (want[2] & (want[3] > 0)).any()
+    x = g.x_checks
+    streamed = (max(len(np.unique(rows[:, :x], axis=0)), len(np.unique(rows[:, x:], axis=0)))
+                if alg == "binary-spa" else len(rows))
+    assert streamed == (48 if alg == "binary-spa" else 78)
     windows = _window_widths(monkeypatch)
     for width in (1, 7, 64, len(rows)):
         del windows[:]
         got = decoder._flood(g, rows, cfg, width=width)
-        assert max(windows) == width
+        assert max(windows) == min(width, streamed)
         for part, full in zip(got, want):
             assert np.array_equal(part, full), width
 
@@ -952,6 +959,41 @@ def test_flood_matches_the_reference_in_a_window_of_three(twentyfive, alg, monke
     xs, zs = sample_error_batch(code.n, ChannelParams(0.05, 0.4), 77, 40)
     conv, iters = _compare(code, g, xs, zs, DecoderConfig(alg, 0.05), width=3)
     assert (~conv).any() and (conv & (iters > 0)).any() and max(windows) == 3
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+@pytest.mark.parametrize("p, l", [(5, 2), (7, 3)])
+def test_flood_matches_the_reference_as_each_block_streams_on_its_own(p, l, alg, monkeypatch):
+    # the distinct syndromes of a seeded sample of [[25,8;1]] or
+    # [[49,12;1]], in which some rows stall in their X checks alone and
+    # others in their Z checks alone.  Under binary-spa each block streams
+    # its own distinct halves, refills as they finish and, once its stream
+    # is empty, packs its columns apart from the other block's
+    code = build_theorem5(p, l, l)
+    g = build_graphs(code)
+    hx, hz = code.hx.to_dense(), code.hz.to_dense()
+    sx, sz = syndrome_batch(code, *sample_error_batch(code.n, ChannelParams(0.05, 0.4), 9, 30))
+    rows = np.unique(np.hstack([sx, sz]), axis=0)
+    x = g.x_checks
+    halves = [len(np.unique(rows[:, :x], axis=0)), len(np.unique(rows[:, x:], axis=0))]
+    assert min(halves) < max(halves) < len(rows)  # rows share halves
+    prior = float(np.log(0.95 / 0.05))
+    met = [[_binary_block([list(np.flatnonzero(r)) for r in h], list(s), code.n, prior, 100)[1]
+            for s in part] for h, part in ((hx, rows[:, :x]), (hz, rows[:, x:]))]
+    x_met, z_met = np.array(met)
+    assert (x_met & ~z_met).any() and (~x_met & z_met).any()
+    cfg = DecoderConfig(alg, 0.05)
+    want = [reference_decode(hx, hz, list(r[:x]), list(r[x:]), cfg) for r in rows]
+    windows = _window_widths(monkeypatch)
+    for width in (1, 3, 7, None):
+        del windows[:]
+        est_x, est_z, conv, iters = decoder._flood(g, rows, cfg, width=width)
+        got = [(a.tolist(), b.tolist(), bool(c), int(i))
+               for a, b, c, i in zip(est_x, est_z, conv, iters)]
+        assert got == want, width
+        # the window shrinks as its blocks' streams run out (one of width
+        # 1 ends at once)
+        assert len(windows) > 1 or width == 1, width
 
 
 @pytest.mark.parametrize("alg", _ALGS)
