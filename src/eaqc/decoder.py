@@ -69,34 +69,34 @@ check message by 2·atanh(1 - 1e-12) ≈ 28.33; no further clamp is needed.
 Convergence is checked before the first message exchange and after every
 iteration.
 
-`_flood` decodes [sx | sz] rows through a window of at most `width`
-columns (all of them by default).  Each check block reads its own stream
-of syndromes: quaternary-spa's one block the rows, binary-spa's X-check
-and Z-check blocks the distinct sx and sz halves.  Per column, each block
-keeps its syndrome's stream index and the pass it started on, so its own
-iteration count.  A block finishes when it meets its syndrome, or unmet
-after l_max iterations, and its outputs are written then.  While its
-stream lasts, a finished block takes the next syndrome in place at the
-start of the next pass (zero messages on its check rows, its syndrome
-bits and signs), so it runs as a lone decode of that syndrome would.
-Once no block holds a syndrome in every column, each block's holding
-columns move to the left, apart from the other block's, and the window
-shrinks to the most any block holds.  A stream then runs about its
-syndromes' passes divided by width, plus one tail of at most l_max + 1;
-binary-spa's tail carries neither the met half of a stalled row nor one
-stalled half once per row that has it.  No array of the window is wider
-than width columns.
+`_flood` decodes [sx | sz] rows through a window of at most `_WINDOW`
+columns, one constant for every caller.  Each check block reads its own
+stream of syndromes: quaternary-spa's one block the rows, binary-spa's
+X-check and Z-check blocks the distinct sx and sz halves.  Per column,
+each block keeps its syndrome's stream index and the pass it started on,
+so its own iteration count.  A block finishes when it meets its syndrome,
+or unmet after l_max iterations, and its outputs are written then.  While
+its stream lasts, a finished block takes the next syndrome in place at
+the start of the next pass (zero messages on its check rows, its
+syndrome bits and signs), so it runs as a lone decode of that syndrome
+would.  Once no block holds a syndrome in every column, each block's
+holding columns move to the left, apart from the other block's, and the
+window shrinks to the most any block holds.  A stream then runs about
+its syndromes' passes divided by the window, plus one tail of at most
+l_max + 1; binary-spa's tail carries neither the met half of a stalled
+row nor one stalled half once per row that has it.  The window's arrays
+are the decode's peak, so it stays bounded however many syndromes a
+call brings.
 
 A trial's outputs depend on its syndrome alone, so each entry point
 decodes the distinct syndromes of its batch: it finds the distinct
 [sx | sz] rows (`np.unique` over one void scalar per row), runs `_flood`
-once on them, in a window of its `width` argument, and copies each row's
-outputs to every trial that has it.  Given a `SyndromeTable`, the
-outputs of distinct rows decoded earlier under the same graph and
-DecoderConfig (`decode_table` builds one, in one windowed run), it copies
-the rows the table holds and decodes only the rest; a table of another
-graph or config raises ValueError.  Either way the outputs equal those
-of decoding every trial on its own.
+once on them, and copies each row's outputs to every trial that has it.
+Given a `SyndromeTable`, the outputs of distinct rows decoded earlier
+under the same graph and DecoderConfig (`decode_table` builds one, in
+one run), it copies the rows the table holds and decodes only the rest;
+a table of another graph or config raises ValueError.  Either way the
+outputs equal those of decoding every trial on its own.
 """
 
 from __future__ import annotations
@@ -123,6 +123,10 @@ __all__ = [
 
 _ALGORITHMS = ("binary-spa", "quaternary-spa")
 _CLIP = 1.0 - 1e-12
+# The most syndromes `_flood` decodes side by side, whoever calls it.  The
+# outputs do not depend on it.  It bounds the decode's peak on the largest
+# codes, and of 64 to 512 columns, 100 was the fastest on n = 25, 49 and 121.
+_WINDOW = 100
 
 
 @dataclass(frozen=True)
@@ -198,20 +202,17 @@ def syndrome_batch(
     return sx, sz
 
 
-def _count(name: str, value) -> int:
-    """value as a plain int, or TypeError for a bool or anything without __index__.
+def _set_count(config, name: str) -> None:
+    """Store field name of a frozen dataclass as a plain int.
 
-    A count then fails where it is given (2.5, or 100.0) rather than in
-    the loop that reads it; an np.int64 becomes the int of the same value.
+    A bool, or anything without __index__, raises TypeError, so a count
+    fails where it is given (2.5, or 100.0) rather than in the loop that
+    reads it; an np.int64 becomes the int of the same value.
     """
+    value = getattr(config, name)
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _set_count(config, name: str) -> None:
-    """Store field name of a frozen dataclass as a plain int (`_count`)."""
-    object.__setattr__(config, name, _count(name, getattr(config, name)))
+    object.__setattr__(config, name, operator.index(value))
 
 
 @dataclass(frozen=True)
@@ -400,17 +401,15 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flood(
-    g: TannerGraph, rows: np.ndarray, cfg: DecoderConfig, *,
-    width: int | None = None, out: tuple | None = None,
+    g: TannerGraph, rows: np.ndarray, cfg: DecoderConfig, *, out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pass messages until every block of every row meets its syndrome.
 
     rows holds [sx | sz] syndromes, as `_syndrome_rows` makes them.  Each
     check block decodes a stream of them through a window of at most
-    width columns (all of them when None), and a block that finishes
-    takes the next syndrome of its stream.  Row i's outputs go to entry i
-    of each of out's (est_x, est_z, conv, iters), made when None, which
-    are returned.
+    `_WINDOW` columns, and a block that finishes takes the next syndrome
+    of its stream.  Row i's outputs go to entry i of each of out's
+    (est_x, est_z, conv, iters), made when None, which are returned.
     """
     n, l_max = g.n, cfg.l_max
     checks, dmax = g.idx.shape
@@ -452,7 +451,7 @@ def _flood(
         # the column of a, among the first 2n + 2
         cross = np.where(col < 2 * n, (col + n) % (2 * n), 2 * n + 1)
     counts = [st.s.shape[1] for st in streams]
-    t = max(counts) if width is None else min(width, max(counts))
+    t = min(_WINDOW, max(counts))
     if binary:
         # log ratio per column; the padding column's +inf sends +inf
         llr = np.full((2 * n + 1, t), np.inf)
@@ -638,27 +637,16 @@ def _same_graph(a: TannerGraph, b: TannerGraph) -> bool:
                       and np.array_equal(a.slots, b.slots))
 
 
-def _window(width) -> int:
-    """width as a plain int; TypeError or ValueError unless it is a positive int."""
-    width = _count("width", width)
-    if width < 1:
-        raise ValueError(f"width must be at least 1, got {width}")
-    return width
-
-
 def _decode(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
-    known: SyndromeTable | None, width: int | None,
+    known: SyndromeTable | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode each distinct syndrome of the batch once, and copy to the rest.
 
     The rows found in known are copied from it; the others go through one
-    `_flood` call, in a window of at most width columns.  A trial's
-    outputs depend on its syndrome alone, so this equals decoding every
-    trial.
+    `_flood` call.  A trial's outputs depend on its syndrome alone, so
+    this equals decoding every trial.
     """
-    if width is not None:
-        width = _window(width)
     if known is not None and not (known.config == cfg
                                   and _same_graph(known.graph, graph)):
         raise ValueError("the syndrome table was decoded under another "
@@ -675,62 +663,53 @@ def _decode(
         for part, value in zip(out, (known.est_x, known.est_z, known.conv, known.iters)):
             part[~new] = value[at[~new]]
     if new.all():  # no row was looked up: decode straight into out
-        _flood(graph, rows, cfg, width=width, out=out)
+        _flood(graph, rows, cfg, out=out)
     elif new.any():
-        for part, value in zip(out, _flood(graph, rows[new], cfg, width=width)):
+        for part, value in zip(out, _flood(graph, rows[new], cfg)):
             part[new] = value
     return tuple(part[inverse] for part in out)
 
 
 def decode_binary_batch(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
-    *, known: SyndromeTable | None = None, width: int | None = None,
+    *, known: SyndromeTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(est_x, est_z, conv, iters) of each trial under binary-spa."""
     if cfg.algorithm != "binary-spa":
         raise ValueError("binary decoding requires the binary-spa algorithm")
-    return _decode(graph, sx, sz, cfg, known, width)
+    return _decode(graph, sx, sz, cfg, known)
 
 
 def decode_quaternary_batch(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
-    *, known: SyndromeTable | None = None, width: int | None = None,
+    *, known: SyndromeTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(est_x, est_z, conv, iters) of each trial under quaternary-spa."""
     if cfg.algorithm != "quaternary-spa":
         raise ValueError("joint decoding requires the quaternary-spa algorithm")
-    return _decode(graph, sx, sz, cfg, known, width)
+    return _decode(graph, sx, sz, cfg, known)
 
 
 def decode_batch(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
-    *, known: SyndromeTable | None = None, width: int | None = None,
+    *, known: SyndromeTable | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode with whichever of the two entry points cfg.algorithm names.
 
     known, a table decoded under the same graph and cfg, answers the
     syndromes it holds; a table of another graph or config raises
-    ValueError.  The rest decode through a window of at most width
-    columns, all of them when width is None; a width that is not a
-    positive int raises TypeError or ValueError.
+    ValueError.
     """
     if cfg.algorithm == "binary-spa":
-        return decode_binary_batch(graph, sx, sz, cfg, known=known, width=width)
-    return decode_quaternary_batch(graph, sx, sz, cfg, known=known, width=width)
+        return decode_binary_batch(graph, sx, sz, cfg, known=known)
+    return decode_quaternary_batch(graph, sx, sz, cfg, known=known)
 
 
 def decode_table(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
-    width: int,
 ) -> SyndromeTable:
-    """Decode each distinct syndrome of the batch once, in one window.
-
-    The distinct rows go through one `decode_batch` call whose window is
-    at most width columns wide, so no decode is wider than width trials.
-    A width that is not a positive int raises before any work.
-    """
-    width = _window(width)
-    rows = _rows(np.unique(_keys(_syndrome_rows(graph, sx, sz))))
+    """Decode each distinct syndrome of the batch once, in one `decode_batch` call."""
+    rows, _ = _distinct(_syndrome_rows(graph, sx, sz))
     x = graph.x_checks
     return SyndromeTable(graph, cfg, rows,
-                         *decode_batch(graph, rows[:, :x], rows[:, x:], cfg, width=width))
+                         *decode_batch(graph, rows[:, :x], rows[:, x:], cfg))

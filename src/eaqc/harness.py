@@ -11,16 +11,16 @@ counter seeds, so results are independent of how trials are scheduled.
 each sampled, decoded and tested before the next, and the decoder decodes
 each distinct syndrome of a chunk once.  When all the points of a `sweep`
 fit one chunk together, the sweep first samples every point, streams the
-distinct syndromes of them all through one decode window of one point's
-trial count (`decoder.decode_table`), and hands the table to each
-point's `run_trials`, whose decode copies what it holds.  The points
-then share one run of each stalled syndrome, and no decode is wider
-than one point's trials.  In that window each check block streams its
-own syndromes and takes the next as one finishes: binary-spa's X-check
-and Z-check blocks their distinct sx and sz halves, each packed to the
-left apart from the other once its stream is empty, quaternary-spa's
-one block the rows.  Each point still samples, decodes and tests all its own
-trials, so its SimResult can be rebuilt from its own steps.
+distinct syndromes of them all through the decoder's one fixed window
+(`decoder.decode_table`), and hands the table to each point's
+`run_trials`, whose decode copies what it holds.  The points then share
+one run of each stalled syndrome.  In that window each check block
+streams its own syndromes and takes the next as one finishes:
+binary-spa's X-check and Z-check blocks their distinct sx and sz halves,
+each packed to the left apart from the other once its stream is empty,
+quaternary-spa's one block the rows.  Each point still samples, decodes
+and tests all its own trials, so its SimResult can be rebuilt from its
+own steps.
 
 The exhaustive oracles (ML coset decoding over all 4^n errors, min-weight
 decoding by weight layer, and the burst-window audit) read every column
@@ -77,9 +77,10 @@ __all__ = [
 ]
 
 # A point runs its trials in chunks whose (dmax, checks, trials) float64
-# check messages fit in this many bytes: each chunk is sampled, decoded
-# and tested for membership before the next.  The flooding loop peaks at
-# about six times that, whatever the trial count.
+# check messages would fit in this many bytes: each chunk is sampled,
+# decoded and tested for membership before the next.  The rule bounds a
+# chunk's uniforms, errors, syndromes and outputs; the decode's own peak
+# is set by the decoder's window, `decoder._WINDOW`.
 _DECODE_BYTES = 8 * 2**20
 
 # The min-weight oracle enumerates at most this many Pauli patterns at once.
@@ -196,7 +197,9 @@ def _decoding_setup(code: EaCode) -> tuple[TannerGraph, RowBasis]:
 
 
 def _chunk_trials(graph: TannerGraph) -> int:
-    """Trials per chunk of a point: the most whose check messages fit _DECODE_BYTES."""
+    """Trials per chunk of a point: the most whose check messages would fit
+    _DECODE_BYTES, which bounds the chunk's per-trial arrays (the decode's
+    window is `decoder._WINDOW` whatever the chunk)."""
     return max(1, _DECODE_BYTES // (8 * graph.idx.size))
 
 
@@ -326,7 +329,8 @@ def ml_coset_decoder(code: EaCode, p_d: float):
     Enumerates every Pauli error, counts the errors of each weight in each
     (syndrome, logical class) coset, and returns {sx‖sz bytes: the first
     error, in enumeration order, of the syndrome's most likely coset}.
-    Refuses when 4^n exceeds _ML_LIMIT.
+    Refuses when 4^n exceeds _ML_LIMIT, and raises ValueError for a p_d
+    outside [0, 1] (NaN included), both before any enumeration.
 
     A coset's probability is one Horner evaluation of its integer weight
     counts, so cosets with equal weight enumerators compare bit-equal.
@@ -344,6 +348,8 @@ def ml_coset_decoder(code: EaCode, p_d: float):
     one run of them, and the word is at most 4n bits whatever the number
     of checks.
     """
+    if not 0.0 <= p_d <= 1.0:
+        raise ValueError(f"p_d must lie in [0, 1], got {p_d}")
     n = code.n
     total = 4 ** n
     if total > _ML_LIMIT:
@@ -451,8 +457,7 @@ def _sweep_table(cfg: SimConfig, points: list[SimConfig]) -> SyndromeTable | Non
 
     None unless all the points' trials fit one chunk.  Each point is
     sampled as `run_trials` samples it, and the union's distinct syndromes
-    stream through one decode window of cfg.trials columns, so no decode
-    is wider than one point's.
+    stream through one decode.
     """
     code = cfg.code
     graph, _ = _decoding_setup(code)
@@ -461,7 +466,7 @@ def _sweep_table(cfg: SimConfig, points: list[SimConfig]) -> SyndromeTable | Non
     syndromes = [syndrome_batch(code, *sample_error_batch(
         code.n, point.channel, cfg.master_seed, cfg.trials)) for point in points]
     sx, sz = (np.vstack(part) for part in zip(*syndromes))
-    return decode_table(graph, sx, sz, cfg.decoder, cfg.trials)
+    return decode_table(graph, sx, sz, cfg.decoder)
 
 
 def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
@@ -473,8 +478,7 @@ def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
     cfg.decoder.p_d whatever the point's p_d; `eaqc sweep` sets it to the
     first --pd value.  When all the points' trials fit one chunk, every
     distinct syndrome among them is decoded once before the points run,
-    through a window of one point's trial count, and each point's
-    `run_trials` reads those decodes (`_sweep_table`).
+    and each point's `run_trials` reads those decodes (`_sweep_table`).
     """
     if not pd_values or not eta_values:
         raise ValueError("a sweep needs at least one p_d and one eta")

@@ -662,11 +662,12 @@ def test_a_syndrome_table_of_all_some_or_no_rows_gives_equal_outputs(
     cfg = DecoderConfig(alg, 0.05)
     want = decode_batch(g, sx, sz, cfg)
     other = syndrome_batch(code, *sample_error_batch(code.n, ChannelParams(0.05, 0.4), 78, 30))
+    monkeypatch.setattr(decoder, "_WINDOW", 7)
     tables = {
-        "all": decode_table(g, sx, sz, cfg, 7),
-        "some": decode_table(g, sx[:40], sz[:40], cfg, 7),
-        "another sample": decode_table(g, *other, cfg, 7),
-        "empty": decode_table(g, sx[:0], sz[:0], cfg, 7),
+        "all": decode_table(g, sx, sz, cfg),
+        "some": decode_table(g, sx[:40], sz[:40], cfg),
+        "another sample": decode_table(g, *other, cfg),
+        "empty": decode_table(g, sx[:0], sz[:0], cfg),
     }
     assert len(tables["empty"].rows) == 0
     widths = _flood_widths(monkeypatch)
@@ -698,43 +699,23 @@ def _window_widths(monkeypatch):
 @pytest.mark.parametrize("alg", _ALGS)
 def test_decode_table_slices_hold_at_most_width_rows(twentyfive, alg, monkeypatch):
     # the distinct rows stream through one run whose window, the width of
-    # its messages, is never wider than width columns
+    # its messages, is never wider than decoder._WINDOW columns
     code, _, g = twentyfive
     sx, sz = _repeated(code)
     cfg = DecoderConfig(alg, 0.05)
-    whole = decode_table(g, sx, sz, cfg, len(sx))
+    monkeypatch.setattr(decoder, "_WINDOW", len(sx))
+    whole = decode_table(g, sx, sz, cfg)
     runs = _flood_widths(monkeypatch)
     windows = _window_widths(monkeypatch)
-    for width in (1, 7, np.int64(7)):
+    for width in (1, 7):
         del runs[:], windows[:]
-        table = decode_table(g, sx, sz, cfg, width)
+        monkeypatch.setattr(decoder, "_WINDOW", width)
+        table = decode_table(g, sx, sz, cfg)
         assert runs == [len(whole.rows)] and max(windows) == width
         for name in ("rows", "est_x", "est_z", "conv", "iters"):
             assert np.array_equal(getattr(table, name), getattr(whole, name))
     rows = np.hstack([sx, sz])
     assert np.array_equal(whole.rows, np.unique(rows, axis=0))
-
-
-@pytest.mark.parametrize("width, error", [
-    (0, ValueError), (-3, ValueError), (2.5, TypeError), (7.0, TypeError),
-    (True, TypeError), ("7", TypeError), (None, TypeError)])
-def test_decode_table_rejects_a_width_that_is_not_a_positive_int(
-        twentyfive, width, error, monkeypatch):
-    code, _, g = twentyfive
-    sx, sz = _repeated(code)
-    cfg = DecoderConfig("binary-spa", 0.05)
-
-    def never(*args, **kwargs):
-        raise AssertionError("work started")
-
-    # neither the syndrome rows nor a decode loop is reached
-    monkeypatch.setattr(decoder, "_syndrome_rows", never)
-    monkeypatch.setattr(decoder, "_flood", never)
-    with pytest.raises(error, match="width"):
-        decode_table(g, sx, sz, cfg, width)
-    if width is not None:  # decode_batch's default: all the rows at once
-        with pytest.raises(error, match="width"):
-            decode_batch(g, sx, sz, cfg, width=width)
 
 
 def _stream(code):
@@ -770,7 +751,8 @@ def test_a_window_of_any_width_gives_equal_outputs(twentyfive, alg, l_max, monke
     windows = _window_widths(monkeypatch)
     for width in (1, 7, 64, len(rows)):
         del windows[:]
-        got = decoder._flood(g, rows, cfg, width=width)
+        monkeypatch.setattr(decoder, "_WINDOW", width)
+        got = decoder._flood(g, rows, cfg)
         assert max(windows) == min(width, streamed)
         for part, full in zip(got, want):
             assert np.array_equal(part, full), width
@@ -781,7 +763,7 @@ def test_a_syndrome_table_of_another_config_or_graph_raises(nine, twentyfive, al
     code, _, g = twentyfive
     sx, sz = _repeated(code)
     cfg = DecoderConfig(alg, 0.05)
-    table = decode_table(g, sx, sz, cfg, 50)
+    table = decode_table(g, sx, sz, cfg)
     other_alg = _ALGS[1 - _ALGS.index(alg)]
     for other in (DecoderConfig(alg, 0.04), DecoderConfig(alg, 0.05, l_max=99),
                   DecoderConfig(other_alg, 0.05)):
@@ -910,13 +892,12 @@ def reference_decode(hx, hz, sx, sz, cfg):
     return _quaternary(x_rows, z_rows, sx, sz, n, m0, cfg.l_max)
 
 
-def _compare_dense(hx, hz, g, sx, sz, cfg, width=None):
-    """Assert that decode_batch, through a window of width columns, equals
-    the reference on every row.
+def _compare_dense(hx, hz, g, sx, sz, cfg):
+    """Assert that decode_batch equals the reference on every row.
 
     Returns decode_batch's (est_x, est_z, conv, iters).
     """
-    est_x, est_z, conv, iters = decode_batch(g, sx, sz, cfg, width=width)
+    est_x, est_z, conv, iters = decode_batch(g, sx, sz, cfg)
     seen = {}
     for t in range(len(sx)):
         key = (sx[t].tobytes(), sz[t].tobytes())
@@ -927,10 +908,10 @@ def _compare_dense(hx, hz, g, sx, sz, cfg, width=None):
     return est_x, est_z, conv, iters
 
 
-def _compare(code, g, xs, zs, cfg, width=None):
+def _compare(code, g, xs, zs, cfg):
     """_compare_dense on the syndromes of the errors xs, zs; returns conv, iters."""
     sx, sz = syndrome_batch(code, xs, zs)
-    return _compare_dense(code.hx.to_dense(), code.hz.to_dense(), g, sx, sz, cfg, width)[2:]
+    return _compare_dense(code.hx.to_dense(), code.hz.to_dense(), g, sx, sz, cfg)[2:]
 
 
 @pytest.mark.parametrize("alg", _ALGS)
@@ -955,9 +936,10 @@ def test_flood_matches_the_reference_in_a_window_of_three(twentyfive, alg, monke
     # the sample above streamed through three columns, each refilled in
     # place as its row finishes
     code, _, g = twentyfive
+    monkeypatch.setattr(decoder, "_WINDOW", 3)
     windows = _window_widths(monkeypatch)
     xs, zs = sample_error_batch(code.n, ChannelParams(0.05, 0.4), 77, 40)
-    conv, iters = _compare(code, g, xs, zs, DecoderConfig(alg, 0.05), width=3)
+    conv, iters = _compare(code, g, xs, zs, DecoderConfig(alg, 0.05))
     assert (~conv).any() and (conv & (iters > 0)).any() and max(windows) == 3
 
 
@@ -985,9 +967,10 @@ def test_flood_matches_the_reference_as_each_block_streams_on_its_own(p, l, alg,
     cfg = DecoderConfig(alg, 0.05)
     want = [reference_decode(hx, hz, list(r[:x]), list(r[x:]), cfg) for r in rows]
     windows = _window_widths(monkeypatch)
-    for width in (1, 3, 7, None):
+    for width in (1, 3, 7, len(rows)):  # the last holds every row at once
         del windows[:]
-        est_x, est_z, conv, iters = decoder._flood(g, rows, cfg, width=width)
+        monkeypatch.setattr(decoder, "_WINDOW", width)
+        est_x, est_z, conv, iters = decoder._flood(g, rows, cfg)
         got = [(a.tolist(), b.tolist(), bool(c), int(i))
                for a, b, c, i in zip(est_x, est_z, conv, iters)]
         assert got == want, width

@@ -448,6 +448,18 @@ def test_ml_decoder_refuses_large_register(twentyfive):
         ml_coset_decoder(twentyfive, 0.03)
 
 
+@pytest.mark.parametrize("p_d", [float("nan"), -1.0, 2.0])
+def test_ml_decoder_rejects_a_p_d_outside_the_unit_interval(nine, p_d, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    # the check comes before the letter table or any enumeration
+    monkeypatch.setattr(harness, "_letter_rows", never)
+    monkeypatch.setattr(harness, "_enumerate", never)
+    with pytest.raises(ValueError, match="p_d must lie in"):
+        ml_coset_decoder(nine, p_d)
+
+
 # Recorded before the oracles shared one pattern enumerator: the window-3
 # oracle failures of [[9,4;1]] in report order, and a digest of its p_d 0.03
 # ML table (keys, representatives and key order).
@@ -518,6 +530,20 @@ def test_ml_matches_the_reference_past_one_word_of_syndrome(order, x_rows, z_row
         _assert_same_table(ml_coset_decoder(code, p_d), _ml_reference(code, p_d))
 
 
+def _window_widths(monkeypatch):
+    """Record the column count of each window the message passing makes
+    from now on: its first, and each it shrinks to."""
+    widths = []
+
+    class Recorded(decoder._RuleScratch):
+        def __init__(self, sign, dmax):
+            widths.append(sign.shape[1])
+            super().__init__(sign, dmax)
+
+    monkeypatch.setattr(decoder, "_RuleScratch", Recorded)
+    return widths
+
+
 def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
     calls, floods = [], []
 
@@ -531,6 +557,7 @@ def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
 
     monkeypatch.setattr(harness, "decode_batch", recorded)
     monkeypatch.setattr(decoder, "_flood", flood)
+    windows = _window_widths(monkeypatch)
     rep = burst_oracle(nine, 3)
     (got_sx, got_sz, (dx, dz, conv, _)), = calls
     # every window-3 pattern but the identity, repeats removed in order
@@ -540,9 +567,9 @@ def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
     assert len(cats) == rep.patterns == 351
     assert np.array_equal(got_sx, sx) and np.array_equal(got_sz, sz)
     # one message-passing run, over the 64 distinct syndromes in one window
-    # of them all, so no column is refilled
-    ((rows, kwargs),) = floods
-    assert kwargs["width"] is None
+    # of them all (fewer than decoder._WINDOW), so no column is refilled
+    ((rows, _),) = floods
+    assert windows[0] == 64 < decoder._WINDOW
     assert len(rows) == len({r.tobytes() for r in rows}) == 64
     assert {r.tobytes() for r in rows} == {r.tobytes() for r in np.hstack([sx, sz])}
     # each pattern gets what decoding it alone gives
@@ -555,6 +582,18 @@ def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
 
 def test_burst_oracle_failures_are_pinned(nine):
     assert burst_oracle(nine, 3).oracle_failures == _NINE_WINDOW3_FAILURES
+
+
+def test_a_burst_oracle_decode_keeps_to_the_window(nine, monkeypatch):
+    # the 64 distinct syndromes of the window-3 audit stream through five
+    # columns, refilled as they finish, and the report stays the same
+    want = burst_oracle(nine, 3)
+    monkeypatch.setattr(decoder, "_WINDOW", 5)
+    windows = _window_widths(monkeypatch)
+    got = burst_oracle(nine, 3)
+    assert windows[0] == max(windows) == 5
+    assert got == want
+    assert got.patterns == 351 and got.oracle_failures == _NINE_WINDOW3_FAILURES
 
 
 # ── burst audits ──────────────────────────────────────────────────────
@@ -680,14 +719,14 @@ def test_a_sweep_gives_equal_rows_with_and_without_its_syndrome_table(
 
 
 def test_a_sweep_syndrome_table_decodes_no_wider_than_one_point(fortynine, monkeypatch):
-    # the table streams through a window of one point's trial count, so no
-    # decode of the sweep is wider, or peaks higher, than a point whose
-    # trials all have distinct nonzero syndromes: all of them still decode
-    # after pass 0
+    # the table streams through the decoder's window, here one point's trial
+    # count, so no decode of the sweep is wider, or peaks higher, than a
+    # point whose trials all have distinct nonzero syndromes: all of them
+    # still decode after pass 0
     trials = 100
     cfg = SimConfig(fortynine, ChannelParams(0.03, 0.5),
                     DecoderConfig("quaternary-spa", 0.03), trials, 0)
-    flood, runs, windows = decoder._flood, [], []
+    flood, runs = decoder._flood, []
 
     def measured(g, rows, dcfg, **kwargs):
         tracemalloc.reset_peak()
@@ -696,13 +735,8 @@ def test_a_sweep_syndrome_table_decodes_no_wider_than_one_point(fortynine, monke
         runs.append((len(rows), tracemalloc.get_traced_memory()[1] - before))
         return out
 
-    class Recorded(decoder._RuleScratch):
-        def __init__(self, sign, dmax):
-            windows.append(sign.shape[1])  # the width of the run's messages
-            super().__init__(sign, dmax)
-
     monkeypatch.setattr(decoder, "_flood", measured)
-    monkeypatch.setattr(decoder, "_RuleScratch", Recorded)
+    windows = _window_widths(monkeypatch)  # the widths of the run's messages
     sx, sz = syndrome_batch(fortynine, *sample_error_batch(
         fortynine.n, ChannelParams(0.03, 0.5), 1, 4 * trials))
     rows = np.unique(np.hstack([sx, sz]), axis=0)
@@ -720,5 +754,5 @@ def test_a_sweep_syndrome_table_decodes_no_wider_than_one_point(fortynine, monke
     # yet decodes in one windowed run
     (union, _), = runs
     assert union > trials
-    assert max(windows) == trials
+    assert max(windows) == decoder._WINDOW == trials
     assert max(p for _, p in runs) <= point_peak
