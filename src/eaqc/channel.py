@@ -45,7 +45,6 @@ peaks no higher than it would without the cache.
 from __future__ import annotations
 
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import wraps
 
@@ -64,9 +63,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -212,30 +208,20 @@ def _uniforms(width: int, master_seed: int, trials: int, first: int) -> np.ndarr
 def _keep_last(fn):
     """fn with its last result kept for a call with the same arguments.
 
-    The interface of functools.lru_cache(maxsize=1): cache_info(),
-    cache_clear() and __wrapped__.  Unlike lru_cache, a call with new
-    arguments drops the kept result before fn runs, so two results never
-    exist at once.
+    Like functools.lru_cache(maxsize=1), it has cache_clear() and
+    __wrapped__.  Unlike lru_cache, a call with new arguments drops the
+    kept result before fn runs, so two results never exist at once.
     """
     kept: dict = {}
-    counts = {"hits": 0, "misses": 0}
 
     @wraps(fn)
     def call(*key):
-        if key in kept:
-            counts["hits"] += 1
-            return kept[key]
-        kept.clear()
-        counts["misses"] += 1
-        kept[key] = value = fn(*key)
-        return value
+        if key not in kept:
+            kept.clear()
+            kept[key] = fn(*key)
+        return kept[key]
 
-    def cache_clear() -> None:
-        kept.clear()
-        counts.update(hits=0, misses=0)
-
-    call.cache_info = lambda: _CacheInfo(counts["hits"], counts["misses"], 1, len(kept))
-    call.cache_clear = cache_clear
+    call.cache_clear = kept.clear
     return call
 
 

@@ -69,13 +69,14 @@ check message by 2·atanh(1 - 1e-12) ≈ 28.33; no further clamp is needed.
 Convergence is checked before the first message exchange and after every
 iteration.
 
-`_flood` decodes [sx | sz] rows through a window of at most `_WINDOW`
-columns, one constant for every caller.  Each check block reads its own
-stream of syndromes: quaternary-spa's one block the rows, binary-spa's
-X-check and Z-check blocks the distinct sx and sz halves.  Per column,
-each block keeps its syndrome's stream index and the pass it started on,
-so its own iteration count.  A block finishes when it meets its syndrome,
-or unmet after l_max iterations, and its outputs are written then.  While
+`_flood` decodes [sx | sz] rows, repeats allowed, through a window of
+at most `_WINDOW` columns, one constant for every caller.  Each check
+block (a `_Stream`) streams the distinct rows of its own columns:
+quaternary-spa's one block the distinct rows, binary-spa's X-check and
+Z-check blocks the distinct sx and sz halves.  Per column, each block
+keeps its syndrome's stream index and the pass it started on, so its
+own iteration count.  A block finishes when it meets its syndrome, or
+unmet after l_max iterations, and its outputs are written then.  While
 its stream lasts, a finished block takes the next syndrome in place at
 the start of the next pass (zero messages on its check rows, its
 syndrome bits and signs), so it runs as a lone decode of that syndrome
@@ -86,17 +87,19 @@ its syndromes' passes divided by the window, plus one tail of at most
 l_max + 1; binary-spa's tail carries neither the met half of a stalled
 row nor one stalled half once per row that has it.  The window's arrays
 are the decode's peak, so it stays bounded however many syndromes a
-call brings.
+call brings.  At the end one join gives each row its blocks' outputs:
+each block's estimate of its bits, converged when every block is, and
+the latest of their iteration counts.
 
-A trial's outputs depend on its syndrome alone, so each entry point
-decodes the distinct syndromes of its batch: it finds the distinct
-[sx | sz] rows (`np.unique` over one void scalar per row), runs `_flood`
-once on them, and copies each row's outputs to every trial that has it.
-Given a `SyndromeTable`, the outputs of distinct rows decoded earlier
-under the same graph and DecoderConfig (`decode_table` builds one, in
-one run), it copies the rows the table holds and decodes only the rest;
-a table of another graph or config raises ValueError.  Either way the
-outputs equal those of decoding every trial on its own.
+A trial's outputs depend on its syndrome alone, so each entry point runs
+`_flood` once on its batch, which decodes each distinct syndrome of a
+block once (`np.unique` over one void scalar per row).  Given a
+`SyndromeTable`, the outputs of distinct rows decoded earlier under the
+same graph and DecoderConfig (`decode_table` builds one, in one run), it
+decodes nothing and reads every row from the table by one binary search;
+a table of another graph or config, or one that lacks a row of the
+batch, raises ValueError.  Either way the outputs equal those of
+decoding every trial on its own.
 """
 
 from __future__ import annotations
@@ -202,17 +205,21 @@ def syndrome_batch(
     return sx, sz
 
 
-def _set_count(config, name: str) -> None:
-    """Store field name of a frozen dataclass as a plain int.
+def _count(value, name: str) -> int:
+    """A count named name as a plain int.
 
     A bool, or anything without __index__, raises TypeError, so a count
     fails where it is given (2.5, or 100.0) rather than in the loop that
     reads it; an np.int64 becomes the int of the same value.
     """
-    value = getattr(config, name)
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    object.__setattr__(config, name, operator.index(value))
+    return operator.index(value)
+
+
+def _set_count(config, name: str) -> None:
+    """Store field name of a frozen dataclass as a `_count`."""
+    object.__setattr__(config, name, _count(getattr(config, name), name))
 
 
 @dataclass(frozen=True)
@@ -354,19 +361,24 @@ _IDLE = np.iinfo(np.int64).max  # the start pass of a block holding no syndrome
 
 
 class _Stream:
-    """The syndromes one check block of a graph on n qubits decodes, in
-    order, and where their outputs go.
+    """The distinct syndromes one check block of a graph on n qubits
+    decodes, in order, and their outputs.
 
     checks are the block's rows of [hx; hz], bits the columns it reads and
-    syn the rows of its syndrome bits in `_flood`'s bit array.  s holds
-    those syndrome bits, one column per syndrome, and next is the first
-    column not yet loaded.  Syndrome i's bits of each (est, part) of parts
-    go to est[i], its flag to conv[i] and its iteration count to iters[i].
+    syn the rows of its syndrome bits in `_flood`'s bit array.  Its
+    syndromes are the distinct rows of its columns of rows, and inverse
+    gives each row's index among them.  s holds them, one column per
+    syndrome, and next is the first column not yet loaded.  Syndrome i's
+    bits go to est[i], its flag to conv[i] and its iteration count to
+    iters[i].
     """
 
-    def __init__(self, n: int, checks: slice, bits: slice, s: np.ndarray,
-                 parts, conv: np.ndarray, iters: np.ndarray):
-        self.checks, self.s, self.parts, self.conv, self.iters = checks, s, parts, conv, iters
+    def __init__(self, n: int, checks: slice, bits: slice, rows: np.ndarray):
+        self.checks, self.bits = checks, bits
+        distinct, self.inverse = _distinct(rows[:, checks])
+        self.s, count = distinct.T, len(distinct)
+        self.est = np.empty((count, bits.stop - bits.start), np.uint8)
+        self.conv, self.iters = np.empty(count, bool), np.empty(count, np.int64)
         self.syn = slice(2 * n + 1 + checks.start, 2 * n + 1 + checks.stop)
         self.next = 0
         # its rows of the messages (by slot and check), bits, ratios and
@@ -401,42 +413,32 @@ def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flood(
-    g: TannerGraph, rows: np.ndarray, cfg: DecoderConfig, *, out: tuple | None = None,
+    g: TannerGraph, rows: np.ndarray, cfg: DecoderConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pass messages until every block of every row meets its syndrome.
+    """(est_x, est_z, conv, iters) of each of the [sx | sz] rows.
 
-    rows holds [sx | sz] syndromes, as `_syndrome_rows` makes them.  Each
-    check block decodes a stream of them through a window of at most
-    `_WINDOW` columns, and a block that finishes takes the next syndrome
-    of its stream.  Row i's outputs go to entry i of each of out's
-    (est_x, est_z, conv, iters), made when None, which are returned.
+    rows holds [sx | sz] syndromes, as `_syndrome_rows` makes them,
+    repeats allowed.  Each check block decodes the stream of its distinct
+    syndromes through a window of at most `_WINDOW` columns, and a block
+    that finishes takes the next syndrome of its stream.  A row then reads
+    each block's estimate of its bits, converges when every block has, and
+    reports the latest of their iteration counts.
     """
     n, l_max = g.n, cfg.l_max
     checks, dmax = g.idx.shape
     col = g.idx.T.copy()  # the column of each (slot, row); padding reads 2n
-    trials = len(rows)
-    if out is None:
-        out = (np.empty((trials, n), np.uint8), np.empty((trials, n), np.uint8),
-               np.empty(trials, bool), np.empty(trials, np.int64))
-    est_x, est_z, conv, iters = out
     p = _safe_p(cfg.p_d)
     binary = cfg.algorithm == "binary-spa"
     x = g.x_checks
     if binary:
         prior = float(np.log((1.0 - p) / p))
-        # each block decodes the distinct halves of the rows on its own:
-        # the X checks explain the z bits from sx, the Z checks the x bits
-        # from sz, and no variable is shared
-        halves = [_distinct(rows[:, :x]), _distinct(rows[:, x:])]
-        streams = [
-            _Stream(n, blk, bits, half.T, ((np.empty((len(half), n), np.uint8), bits),),
-                    np.empty(len(half), bool), np.empty(len(half), np.int64))
-            for blk, bits, (half, _) in zip((slice(0, x), slice(x, checks)),
-                                            (slice(n, 2 * n), slice(0, n)), halves)]
+        # each block decodes on its own: the X checks explain the z bits
+        # from sx, the Z checks the x bits from sz, and no variable is shared
+        streams = [_Stream(n, slice(0, x), slice(n, 2 * n), rows),
+                   _Stream(n, slice(x, checks), slice(0, n), rows)]
     else:
         m0 = float(np.log(p / (3.0 * (1.0 - p))))
-        streams = [_Stream(n, slice(0, checks), slice(0, 2 * n), rows.T,
-                           ((est_x, slice(0, n)), (est_z, slice(n, 2 * n))), conv, iters)]
+        streams = [_Stream(n, slice(0, checks), slice(0, 2 * n), rows)]
         ys, zero = slice(2 * n + 2, 3 * n + 2), 3 * n + 2
         # An edge sends fmax(0, a) - fmax(l_y + mu, b + mu), where b is its
         # own label's ratio (l_z on an X-check row) and a the other's.  One
@@ -530,8 +532,7 @@ def _flood(
                 done = a[cols]
                 if stalled:
                     st.conv[a[unmet[k]]] = False
-                for est, bits in st.parts:
-                    est[done] = cur[bits, cols].T
+                st.est[done] = cur[st.bits, cols].T
                 st.iters[done] = it - s0[cols]
                 # a finished block takes the next syndrome of its stream in
                 # place; one that the stream cannot refill holds none
@@ -570,17 +571,12 @@ def _flood(
             _quaternary_messages(llr, mu_rows, pair, cross, out=rule.m)
         _check_messages_exact(rule, out=mu_rows)
         it += 1
-    if binary:
-        # a row's outputs join its two halves': est_z from the X checks,
-        # est_x from the Z checks, converged when both are, and the later
-        # of the two iteration counts
-        (xs, (_, xi)), (zs, (_, zi)) = zip(streams, halves)
-        ((x_est, _),), ((z_est, _),) = xs.parts, zs.parts
-        np.take(x_est, xi, axis=0, out=est_z)
-        np.take(z_est, zi, axis=0, out=est_x)
-        np.logical_and(xs.conv[xi], zs.conv[zi], out=conv)
-        np.maximum(xs.iters[xi], zs.iters[zi], out=iters)
-    return out
+    est = np.empty((len(rows), 2 * n), np.uint8)
+    for st in streams:
+        est[:, st.bits] = st.est[st.inverse]
+    conv = np.logical_and.reduce([st.conv[st.inverse] for st in streams])
+    iters = np.maximum.reduce([st.iters[st.inverse] for st in streams])
+    return est[:, :n], est[:, n:], conv, iters
 
 
 @dataclass(frozen=True)
@@ -590,7 +586,7 @@ class SyndromeTable:
     rows holds the distinct [sx | sz] rows, as uint8 and sorted as
     np.unique sorts their bytes; est_x[i], est_z[i], conv[i] and iters[i]
     are the outputs of rows[i] under graph and config.  A decode call
-    given the table copies the outputs of the rows it finds there.
+    given the table reads the outputs of every row of its batch there.
     """
 
     graph: TannerGraph
@@ -641,33 +637,24 @@ def _decode(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
     known: SyndromeTable | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Decode each distinct syndrome of the batch once, and copy to the rest.
+    """Decode the batch in one `_flood` call, or read every row from known.
 
-    The rows found in known are copied from it; the others go through one
-    `_flood` call.  A trial's outputs depend on its syndrome alone, so
-    this equals decoding every trial.
+    A trial's outputs depend on its syndrome alone, so either way this
+    equals decoding every trial.  A table of another graph or config, or
+    one that lacks a row of the batch, raises ValueError before any decode.
     """
     if known is not None and not (known.config == cfg
                                   and _same_graph(known.graph, graph)):
         raise ValueError("the syndrome table was decoded under another "
                          "graph or DecoderConfig")
-    rows, inverse = _distinct(_syndrome_rows(graph, sx, sz))
-    keys, count, n = _keys(rows), len(rows), graph.n
-    out = (np.empty((count, n), np.uint8), np.empty((count, n), np.uint8),
-           np.empty(count, bool), np.empty(count, np.int64))
-    new = np.ones(count, bool)
-    if known is not None and len(known.rows):
-        table = _keys(known.rows)
-        at = np.minimum(np.searchsorted(table, keys), len(table) - 1)
-        new = table[at] != keys
-        for part, value in zip(out, (known.est_x, known.est_z, known.conv, known.iters)):
-            part[~new] = value[at[~new]]
-    if new.all():  # no row was looked up: decode straight into out
-        _flood(graph, rows, cfg, out=out)
-    elif new.any():
-        for part, value in zip(out, _flood(graph, rows[new], cfg)):
-            part[new] = value
-    return tuple(part[inverse] for part in out)
+    rows = _syndrome_rows(graph, sx, sz)
+    if known is None:
+        return _flood(graph, rows, cfg)
+    table, keys = _keys(known.rows), _keys(rows)
+    at = np.searchsorted(table, keys)
+    if (at == len(table)).any() or (table[at] != keys).any():
+        raise ValueError("the syndrome table lacks a syndrome of the batch")
+    return tuple(value[at] for value in (known.est_x, known.est_z, known.conv, known.iters))
 
 
 def decode_binary_batch(
@@ -696,9 +683,9 @@ def decode_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode with whichever of the two entry points cfg.algorithm names.
 
-    known, a table decoded under the same graph and cfg, answers the
-    syndromes it holds; a table of another graph or config raises
-    ValueError.
+    known, a table decoded under the same graph and cfg that holds every
+    syndrome of the batch, answers them all; a table of another graph or
+    config, or one that lacks a syndrome of the batch, raises ValueError.
     """
     if cfg.algorithm == "binary-spa":
         return decode_binary_batch(graph, sx, sz, cfg, known=known)

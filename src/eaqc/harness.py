@@ -13,14 +13,14 @@ each distinct syndrome of a chunk once.  When all the points of a `sweep`
 fit one chunk together, the sweep first samples every point, streams the
 distinct syndromes of them all through the decoder's one fixed window
 (`decoder.decode_table`), and hands the table to each point's
-`run_trials`, whose decode copies what it holds.  The points then share
-one run of each stalled syndrome.  In that window each check block
-streams its own syndromes and takes the next as one finishes:
-binary-spa's X-check and Z-check blocks their distinct sx and sz halves,
-each packed to the left apart from the other once its stream is empty,
-quaternary-spa's one block the rows.  Each point still samples, decodes
-and tests all its own trials, so its SimResult can be rebuilt from its
-own steps.
+`run_trials`, whose decode reads every syndrome from it and decodes
+nothing.  The points then share one run of each stalled syndrome.  In
+that window each check block streams the distinct syndromes of its own
+columns and takes the next as one finishes: binary-spa's X-check and
+Z-check blocks the distinct sx and sz halves, each packed to the left
+apart from the other once its stream is empty, quaternary-spa's one
+block the distinct rows.  Each point still samples, decodes and tests
+all its own trials, so its SimResult can be rebuilt from its own steps.
 
 The exhaustive oracles (ML coset decoding over all 4^n errors, min-weight
 decoding by weight layer, and the burst-window audit) read every column
@@ -50,6 +50,7 @@ from eaqc.decoder import (
     DecoderConfig,
     SyndromeTable,
     TannerGraph,
+    _count,
     _set_count,
     build_graphs,
     decode_batch,
@@ -206,9 +207,10 @@ def _chunk_trials(graph: TannerGraph) -> int:
 def run_trials(cfg: SimConfig, known: SyndromeTable | None = None) -> SimResult:
     """Sample, decode and test every trial of one point, a chunk at a time.
 
-    known, a table of syndromes decoded under cfg.decoder on the code's
-    graph, goes to each chunk's `decode_batch` call, which copies the
-    outputs of the syndromes it holds; the result is the same without it.
+    known, a table decoded under cfg.decoder on the code's graph that
+    holds every syndrome of the point's trials, goes to each chunk's
+    `decode_batch` call, which reads the outputs there; the result is the
+    same without it.
     """
     code = cfg.code
     graph, basis = _decoding_setup(code)
@@ -415,9 +417,11 @@ def burst_oracle(
     reach, not a ceiling: min-weight decoding ignores that the patterns
     sit in a window.  On [[9,4;1]] with window 3 it corrects 51 of 351
     patterns, while grouping the patterns by syndrome and logical class
-    shows that the best decoder for this window corrects 65.
+    shows that the best decoder for this window corrects 65.  A bool, or
+    a burst length without __index__, raises TypeError.
     """
     n = code.n
+    burst_len = _count(burst_len, "burst length")
     if burst_len < 0:
         raise ValueError(f"burst length {burst_len} is negative")
     if burst_len > n:
@@ -479,7 +483,9 @@ def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
     first --pd value.  When all the points' trials fit one chunk, every
     distinct syndrome among them is decoded once before the points run,
     and each point's `run_trials` reads those decodes (`_sweep_table`).
+    Either axis may be any iterable, a one-shot generator included.
     """
+    pd_values, eta_values = tuple(pd_values), tuple(eta_values)
     if not pd_values or not eta_values:
         raise ValueError("a sweep needs at least one p_d and one eta")
     points = [replace(cfg, channel=ChannelParams(p_d, eta))

@@ -206,16 +206,28 @@ def test_the_kept_draw_does_not_answer_a_bad_seed():
             sample_error_batch(9, params, -1, 3)
 
 
-def test_the_points_of_a_sweep_share_one_draw():
+def _counted(monkeypatch, name):
+    """channel's function name, counting its calls from now on in calls[0]."""
+    fn, calls = getattr(channel, name), [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(channel, name, counted)
+    return calls
+
+
+def test_the_points_of_a_sweep_share_one_draw(monkeypatch):
     cfg = SimConfig(build_theorem5(5, 2, 2), ChannelParams(0.02, 0.0),
                     DecoderConfig("binary-spa", 0.02), 40, 3)
     pds, etas = (0.02, 0.04), (0.0, 0.5)
     _draw.cache_clear()
+    made, asked = _counted(monkeypatch, "_pcg64_states"), _counted(monkeypatch, "_draw")
     shared = write_csv(sweep(cfg, pds, etas))
-    info = _draw.cache_info()
     # the sweep samples each point for its syndrome table, then run_trials
-    # samples it again: one draw, read eight times
-    assert (info.misses, info.hits) == (1, 7)
+    # samples it again: one draw made, asked for eight times
+    assert (made[0], asked[0]) == (1, 8)
     rows = []
     for p_d in pds:
         for eta in etas:

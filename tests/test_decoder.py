@@ -635,18 +635,41 @@ def _flood_widths(monkeypatch):
     return widths
 
 
+def _recorded_streams(monkeypatch):
+    """Record each check block's stream that message passing makes from now on."""
+    streams = []
+
+    class Recorded(decoder._Stream):
+        def __init__(self, *args):
+            super().__init__(*args)
+            streams.append(self)
+
+    monkeypatch.setattr(decoder, "_Stream", Recorded)
+    return streams
+
+
 @pytest.mark.parametrize("alg", _ALGS)
 def test_duplicated_syndromes_decode_as_each_trial_alone(twentyfive, alg, monkeypatch):
     code, _, g = twentyfive
     sx, sz = _repeated(code)
     cfg = DecoderConfig(alg, 0.05)
-    distinct = len(np.unique(np.hstack([sx, sz]), axis=0))
+    rows = np.hstack([sx, sz])
+    distinct = len(np.unique(rows, axis=0))
     widths = _flood_widths(monkeypatch)
+    streams = _recorded_streams(monkeypatch)
     got = decode_batch(g, sx, sz, cfg)
-    assert widths == [distinct] and distinct < len(sx)
+    # one run over every row, whose blocks each stream their distinct
+    # syndromes: the rows under quaternary-spa, the sx and sz halves under
+    # binary-spa
+    assert widths == [len(sx)] and distinct < len(sx)
+    held = ([np.unique(sx, axis=0), np.unique(sz, axis=0)] if alg == "binary-spa"
+            else [np.unique(rows, axis=0)])
+    assert len(streams) == len(held)
+    for st, want in zip(streams, held):
+        assert np.array_equal(st.s.T, want)
     conv = got[2]
     assert (~conv).any() and conv.any()  # stalled syndromes repeat too
-    stalled = np.hstack([sx, sz])[~conv]
+    stalled = rows[~conv]
     assert len(np.unique(stalled, axis=0)) < len(stalled)
     for t in range(len(sx)):
         alone = decode_batch(g, sx[t:t + 1], sz[t:t + 1], cfg)
@@ -655,31 +678,35 @@ def test_duplicated_syndromes_decode_as_each_trial_alone(twentyfive, alg, monkey
 
 
 @pytest.mark.parametrize("alg", _ALGS)
-def test_a_syndrome_table_of_all_some_or_no_rows_gives_equal_outputs(
-        twentyfive, alg, monkeypatch):
+def test_a_syndrome_table_answers_every_row_or_raises(twentyfive, alg, monkeypatch):
     code, _, g = twentyfive
     sx, sz = _repeated(code)
     cfg = DecoderConfig(alg, 0.05)
     want = decode_batch(g, sx, sz, cfg)
     other = syndrome_batch(code, *sample_error_batch(code.n, ChannelParams(0.05, 0.4), 78, 30))
     monkeypatch.setattr(decoder, "_WINDOW", 7)
-    tables = {
-        "all": decode_table(g, sx, sz, cfg),
+    full = decode_table(g, sx, sz, cfg)
+    lacking = {
         "some": decode_table(g, sx[:40], sz[:40], cfg),
         "another sample": decode_table(g, *other, cfg),
         "empty": decode_table(g, sx[:0], sz[:0], cfg),
     }
-    assert len(tables["empty"].rows) == 0
+    assert len(lacking["empty"].rows) == 0
     widths = _flood_widths(monkeypatch)
-    for name, table in tables.items():
-        del widths[:]
-        got = decode_batch(g, sx, sz, cfg, known=table)
-        for part, full in zip(got, want):
-            assert np.array_equal(part, full), name
-        # only the rows the table lacks are decoded, in one run
-        held = {r.tobytes() for r in table.rows}
-        lacking = {r.tobytes() for r in np.hstack([sx, sz])} - held
-        assert widths == ([len(lacking)] if lacking else []), name
+    # a table of every row answers them all, and nothing is decoded
+    got = decode_batch(g, sx, sz, cfg, known=full)
+    for part, whole in zip(got, want):
+        assert np.array_equal(part, whole)
+    rows = {r.tobytes() for r in np.hstack([sx, sz])}
+    for name, table in lacking.items():
+        assert rows - {r.tobytes() for r in table.rows}, name
+        with pytest.raises(ValueError, match="lacks a syndrome of the batch"):
+            decode_batch(g, sx, sz, cfg, known=table)
+    # an empty batch reads as empty from any table
+    for table in (full, *lacking.values()):
+        empty = decode_batch(g, sx[:0], sz[:0], cfg, known=table)
+        assert [part.shape for part in empty] == [(0, code.n), (0, code.n), (0,), (0,)]
+    assert widths == []
 
 
 def _window_widths(monkeypatch):

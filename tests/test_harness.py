@@ -544,6 +544,19 @@ def _window_widths(monkeypatch):
     return widths
 
 
+def _recorded_streams(monkeypatch):
+    """Record each check block's stream that message passing makes from now on."""
+    streams = []
+
+    class Recorded(decoder._Stream):
+        def __init__(self, *args):
+            super().__init__(*args)
+            streams.append(self)
+
+    monkeypatch.setattr(decoder, "_Stream", Recorded)
+    return streams
+
+
 def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
     calls, floods = [], []
 
@@ -551,13 +564,14 @@ def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
         calls.append((sx, sz, decode_batch(graph, sx, sz, cfg)))
         return calls[-1][2]
 
-    def flood(graph, rows, cfg, **kwargs):
-        floods.append((rows.copy(), kwargs))
-        return _flood(graph, rows, cfg, **kwargs)
+    def flood(graph, rows, cfg):
+        floods.append(rows.copy())
+        return _flood(graph, rows, cfg)
 
     monkeypatch.setattr(harness, "decode_batch", recorded)
     monkeypatch.setattr(decoder, "_flood", flood)
     windows = _window_widths(monkeypatch)
+    streams = _recorded_streams(monkeypatch)
     rep = burst_oracle(nine, 3)
     (got_sx, got_sz, (dx, dz, conv, _)), = calls
     # every window-3 pattern but the identity, repeats removed in order
@@ -566,12 +580,15 @@ def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
     sx, sz = syndrome_batch(nine, *category_bits(cats))
     assert len(cats) == rep.patterns == 351
     assert np.array_equal(got_sx, sx) and np.array_equal(got_sz, sz)
-    # one message-passing run, over the 64 distinct syndromes in one window
-    # of them all (fewer than decoder._WINDOW), so no column is refilled
-    ((rows, _),) = floods
+    # one message-passing run over every pattern's syndrome, whose one block
+    # streams the 64 distinct syndromes in one window of them all (fewer
+    # than decoder._WINDOW), so no column is refilled
+    (rows,), (stream,) = floods, streams
+    assert np.array_equal(rows, np.hstack([sx, sz]))
     assert windows[0] == 64 < decoder._WINDOW
-    assert len(rows) == len({r.tobytes() for r in rows}) == 64
-    assert {r.tobytes() for r in rows} == {r.tobytes() for r in np.hstack([sx, sz])}
+    held = stream.s.T
+    assert len(held) == len({r.tobytes() for r in held}) == 64
+    assert {r.tobytes() for r in held} == {r.tobytes() for r in rows}
     # each pattern gets what decoding it alone gives
     g, cfg = build_graphs(nine), DecoderConfig("quaternary-spa", 0.03)
     for t in range(351):
@@ -626,6 +643,19 @@ def test_burst_rejects_oversized_window(nine):
         burst_oracle(nine, 10)
 
 
+def test_burst_length_is_an_integer_count(nine, monkeypatch):
+    got = burst_oracle(nine, np.int64(2))
+    assert got == burst_oracle(nine, 2) and type(got.burst_len) is int
+
+    def refused(*args):
+        raise AssertionError("patterns enumerated")
+
+    monkeypatch.setattr(harness, "_enumerate", refused)
+    for value in (True, 2.0):
+        with pytest.raises(TypeError, match="burst length must be an integer"):
+            burst_oracle(nine, value)
+
+
 def test_zero_syndrome_logical_defeats_the_window_oracle(nine):
     # the weight-2 x pattern on qubits 5 and 7 sits inside a length-3
     # window, has zero syndrome, and is not a stabilizer, so the oracle
@@ -665,6 +695,16 @@ def test_sweep_without_axes_is_an_error(nine):
     for pd_values, eta_values in (((), ()), ((), (0.0,)), ((0.02,), ())):
         with pytest.raises(ValueError):
             sweep(cfg, pd_values, eta_values)
+
+
+def test_a_sweep_reads_generator_axes_as_tuples(twentyfive):
+    cfg = SimConfig(twentyfive, ChannelParams(0.02, 0.0),
+                    DecoderConfig("quaternary-spa", 0.02), 20, 4)
+    pds, etas = (0.02, 0.04), (0.0, 0.5)
+    rows = sweep(cfg, (p for p in pds), (e for e in etas))
+    assert len(rows) == 4 and rows == sweep(cfg, pds, etas)
+    with pytest.raises(ValueError, match="at least one p_d and one eta"):
+        sweep(cfg, (p for p in ()), etas)
 
 
 def test_sweep_is_byte_reproducible(nine):
@@ -720,39 +760,41 @@ def test_a_sweep_gives_equal_rows_with_and_without_its_syndrome_table(
 
 def test_a_sweep_syndrome_table_decodes_no_wider_than_one_point(fortynine, monkeypatch):
     # the table streams through the decoder's window, here one point's trial
-    # count, so no decode of the sweep is wider, or peaks higher, than a
-    # point whose trials all have distinct nonzero syndromes: all of them
-    # still decode after pass 0
+    # count, so no decode of the sweep is wider than a point, and the
+    # union's decode peaks no higher than a lone decode of as many rows
+    # whose syndromes are distinct and nonzero: all of them still decode
+    # after pass 0.  The rows' outputs are made inside the decode, so both
+    # peaks hold them
     trials = 100
     cfg = SimConfig(fortynine, ChannelParams(0.03, 0.5),
                     DecoderConfig("quaternary-spa", 0.03), trials, 0)
     flood, runs = decoder._flood, []
 
-    def measured(g, rows, dcfg, **kwargs):
+    def measured(g, rows, dcfg):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        out = flood(g, rows, dcfg, **kwargs)
+        out = flood(g, rows, dcfg)
         runs.append((len(rows), tracemalloc.get_traced_memory()[1] - before))
         return out
 
     monkeypatch.setattr(decoder, "_flood", measured)
     windows = _window_widths(monkeypatch)  # the widths of the run's messages
     sx, sz = syndrome_batch(fortynine, *sample_error_batch(
-        fortynine.n, ChannelParams(0.03, 0.5), 1, 4 * trials))
+        fortynine.n, ChannelParams(0.03, 0.5), 1, 8 * trials))
     rows = np.unique(np.hstack([sx, sz]), axis=0)
-    rows = rows[rows.any(axis=1)][:trials]
-    tracemalloc.start()
-    try:
-        measured(build_graphs(fortynine), rows, cfg.decoder)
-        (width, point_peak), = runs
-        del runs[:], windows[:]
-        sweep(cfg, (0.02, 0.03), (0.0, 0.5))
-    finally:
-        tracemalloc.stop()
-    assert width == trials
+    rows = rows[rows.any(axis=1)]
+    sweep(cfg, (0.02, 0.03), (0.0, 0.5))  # untraced: it counts the union
     # the union of the four points' syndromes exceeds one point's trials,
     # yet decodes in one windowed run
     (union, _), = runs
-    assert union > trials
     assert max(windows) == decoder._WINDOW == trials
-    assert max(p for _, p in runs) <= point_peak
+    assert trials < union <= len(rows)
+    del runs[:], windows[:]
+    tracemalloc.start()
+    try:
+        measured(build_graphs(fortynine), rows[:union], cfg.decoder)
+        sweep(cfg, (0.02, 0.03), (0.0, 0.5))
+    finally:
+        tracemalloc.stop()
+    (_, lone_peak), (_, union_peak) = runs
+    assert max(windows) == trials and union_peak <= lone_peak
