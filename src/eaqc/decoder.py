@@ -44,10 +44,10 @@ below), a few numpy calls each:
 3. Check: each row's bits and its own syndrome bit are gathered and
    XOR-reduced, and one boolean product tells which blocks still have an
    unmet row.  Only on a pass where some block meets its syndrome, or
-   reaches l_max, are estimates written back, and only then does a
-   finished block take the next syndrome of its stream or the window
-   shrink, so a stream costs the sum of its syndromes' iterations rather
-   than its slowest syndrome times its length.
+   reaches l_max, are its outputs written and its column freed, and only
+   after such a pass does the window turn over (see below), so a stream
+   costs the sum of its syndromes' iterations rather than its slowest
+   syndrome times its length.
 4. Variable-to-check messages: binary-spa sends prior + s - mu.
    Quaternary's fmax(0, a) depends on the column alone, so it is
    evaluated once per column (2n values rather than one per edge) and
@@ -75,21 +75,24 @@ block (a `_Stream`) streams the distinct rows of its own columns:
 quaternary-spa's one block the distinct rows, binary-spa's X-check and
 Z-check blocks the distinct sx and sz halves.  Per column, each block
 keeps its syndrome's stream index and the pass it started on, so its
-own iteration count.  A block finishes when it meets its syndrome, or
-unmet after l_max iterations, and its outputs are written then.  While
-its stream lasts, a finished block takes the next syndrome in place at
-the start of the next pass (zero messages on its check rows, its
-syndrome bits and signs), so it runs as a lone decode of that syndrome
-would.  Once no block holds a syndrome in every column, each block's
-holding columns move to the left, apart from the other block's, and the
-window shrinks to the most any block holds.  A stream then runs about
-its syndromes' passes divided by the window, plus one tail of at most
-l_max + 1; binary-spa's tail carries neither the met half of a stalled
-row nor one stalled half once per row that has it.  The window's arrays
-are the decode's peak, so it stays bounded however many syndromes a
-call brings.  At the end one join gives each row its blocks' outputs:
-each block's estimate of its bits, converged when every block is, and
-the latest of their iteration counts.
+own iteration count, or `_IDLE` while it holds none.  A column turns
+over in two steps.  On the pass where a block meets its syndrome, or
+ends unmet after l_max iterations, it writes its outputs and frees its
+column.  At the top of the next pass each freed block column takes the
+next syndrome of its stream in place (zero messages on its check rows,
+its syndrome bits and signs), so it runs as a lone decode of that
+syndrome would, or holds none once the stream is empty.  Then, if no
+block holds a syndrome in every column, each block's holding columns
+move to the left, apart from the other block's, and the window shrinks
+to the most any block holds.  The log ratios and hard decisions are
+computed again on every pass, so the shrink cuts them rather than moving
+them.  A stream then runs about its syndromes' passes divided by the
+window, plus one tail of at most l_max + 1; binary-spa's tail carries
+neither the met half of a stalled row nor one stalled half once per row
+that has it.  The window's arrays are the decode's peak, so it stays
+bounded however many syndromes a call brings.  At the end one join gives
+each row its blocks' outputs: each block's estimate of its bits,
+converged when every block is, and the latest of their iteration counts.
 
 A trial's outputs depend on its syndrome alone, so each entry point runs
 `_flood` once on its batch, which decodes each distinct syndrome of a
@@ -239,6 +242,7 @@ class DecoderConfig:
 
 
 def _safe_p(p_d: float) -> float:
+    """p_d clipped to [1e-12, 1 - 1e-12], so that its log ratios are finite."""
     return min(max(p_d, 1e-12), 1.0 - 1e-12)
 
 
@@ -370,7 +374,7 @@ class _Stream:
     gives each row's index among them.  s holds them, one column per
     syndrome, and next is the first column not yet loaded.  Syndrome i's
     bits go to est[i], its flag to conv[i] and its iteration count to
-    iters[i].
+    iters[i], which `finish` writes when it ends.
     """
 
     def __init__(self, n: int, checks: slice, bits: slice, rows: np.ndarray):
@@ -381,25 +385,44 @@ class _Stream:
         self.conv, self.iters = np.empty(count, bool), np.empty(count, np.int64)
         self.syn = slice(2 * n + 1 + checks.start, 2 * n + 1 + checks.stop)
         self.next = 0
-        # its rows of the messages (by slot and check), bits, ratios and
+        # its rows of the messages (by slot and check), syndrome bits and
         # signs, as `_block_views` lists those arrays
-        self.rows = ((slice(None), checks), bits, self.syn, bits, checks)
+        self.rows = ((slice(None), checks), self.syn, checks)
+
+    def finish(self, ends, act, start, met, cur, it):
+        """Write the outputs of the syndromes that end on pass it.
+
+        ends, act, start and met are the block's rows of the window's
+        arrays.  The syndrome of each column where ends is True takes that
+        column's bits of cur, whether it met, and its passes since start.
+        Its index arrays are freed on return, before the pass forms its
+        messages, where the decode peaks.
+        """
+        cols = np.flatnonzero(ends)
+        if cols.size:
+            done = act[cols]
+            self.conv[done] = met[cols]
+            self.est[done] = cur[self.bits, cols].T
+            self.iters[done] = it - start[cols]
 
 
-def _block_views(mu, cur, llr, sign):
+def _block_views(mu, cur, sign):
     """The arrays that the entries of a `_Stream`'s rows select from."""
-    return mu[:-1].reshape(-1, *sign.shape), cur, cur, llr, sign
+    return mu[:-1].reshape(-1, *sign.shape), cur, sign
 
 
 def _pack(arrays, streams, orders):
-    """The window's arrays with each block's columns in its own order.
+    """The window's arrays cut to the width of orders, each block's rows
+    with its columns in its own order.
 
-    Every row takes its columns in orders[0], the first stream's order
-    (the padding rows are the same in every column), then each later
-    stream's own rows in its own.
+    Every row keeps its first columns, then each stream's rows take theirs
+    in its own order.  The rows no block lists, the messages' zero row and
+    the hard decision with its padding bit 0, are the same in every
+    column or computed again before they are read.  Each new array is
+    C-contiguous, trials last; a[..., order] alone would be column-major.
     """
-    new = tuple(a[..., orders[0]] for a in arrays)
-    for st, order in zip(streams[1:], orders[1:]):
+    new = tuple(a[..., :orders.shape[1]].copy() for a in arrays)
+    for st, order in zip(streams, orders):
         for a, b, r in zip(_block_views(*arrays), _block_views(*new), st.rows):
             b[r] = a[r][..., order]
     return new
@@ -419,10 +442,12 @@ def _flood(
 
     rows holds [sx | sz] syndromes, as `_syndrome_rows` makes them,
     repeats allowed.  Each check block decodes the stream of its distinct
-    syndromes through a window of at most `_WINDOW` columns, and a block
-    that finishes takes the next syndrome of its stream.  A row then reads
-    each block's estimate of its bits, converges when every block has, and
-    reports the latest of their iteration counts.
+    syndromes through a window of at most `_WINDOW` columns.  A block that
+    finishes writes its outputs and frees its column, which takes the next
+    syndrome of its stream at the top of the next pass; then the window
+    shrinks if no block fills it.  A row reads each block's estimate of its
+    bits, converges when every block has, and reports the latest of their
+    iteration counts.
     """
     n, l_max = g.n, cfg.l_max
     checks, dmax = g.idx.shape
@@ -452,8 +477,7 @@ def _flood(
             np.concatenate([np.arange(heads), col.ravel()])])
         # the column of a, among the first 2n + 2
         cross = np.where(col < 2 * n, (col + n) % (2 * n), 2 * n + 1)
-    counts = [st.s.shape[1] for st in streams]
-    t = min(_WINDOW, max(counts))
+    t = min(_WINDOW, max(st.s.shape[1] for st in streams))
     if binary:
         # log ratio per column; the padding column's +inf sends +inf
         llr = np.full((2 * n + 1, t), np.inf)
@@ -472,36 +496,48 @@ def _flood(
     parity = np.vstack([col, 2 * n + 1 + np.arange(checks)])
     cur = np.zeros((2 * n + 1 + checks, t), bool)
     # per block and window column: the stream index of the syndrome it
-    # decodes, the pass it started on (_IDLE when it holds none) and
-    # whether it has yet to meet that syndrome; mu, cur, llr and sign (the
-    # syndrome sign of each check times 2) hold the same columns.  A
-    # block's columns that hold no syndrome compute finite messages that
-    # nothing reads, and never finish
+    # decodes and the pass it started on, _IDLE while it holds none; mu,
+    # cur and sign (the syndrome sign of each check times 2) hold the same
+    # columns.  A block's columns that hold no syndrome compute finite
+    # messages that nothing reads, and never finish
     act = np.zeros((len(streams), t), np.intp)
     start = np.full((len(streams), t), _IDLE)
-    pending = np.zeros((len(streams), t), bool)
     sign = np.full((checks, t), 2.0)
     mu = np.zeros((dmax * checks + 1, t))
     rule = _RuleScratch(sign, dmax)
-    loads, it = [np.arange(min(t, c)) for c in counts], 0
+    it, freed = 0, True
     while t:
-        if loads:
-            # each block column of loads takes the next syndrome of its
-            # stream, with no messages, and runs as a lone decode would
+        if freed:
+            # each block column that holds no syndrome takes the next of its
+            # stream, with no messages, and runs as a lone decode of it would
             mu_rows = mu[:-1].reshape(dmax, checks, t)
-            for st, load, a, s0, run in zip(streams, loads, act, start, pending):
-                if load.size:
-                    fresh = slice(st.next, st.next + load.size)
+            for st, a, s0 in zip(streams, act, start):
+                cols = np.flatnonzero(s0 == _IDLE)[:st.s.shape[1] - st.next]
+                if cols.size:
+                    fresh = slice(st.next, st.next + cols.size)
                     st.next = fresh.stop
-                    a[load] = np.arange(fresh.start, fresh.stop)
-                    s0[load] = it
-                    run[load] = True
-                    cur[st.syn, load] = st.s[:, fresh]
-                    sign[st.checks, load] = np.where(st.s[:, fresh], -2.0, 2.0)
-                    mu_rows[:, st.checks, load] = 0.0
-                    st.conv[fresh] = True
-            oldest = int(start.min())
-            loads = None
+                    a[cols] = np.arange(fresh.start, fresh.stop)
+                    s0[cols] = it
+                    cur[st.syn, cols] = st.s[:, fresh]
+                    sign[st.checks, cols] = np.where(st.s[:, fresh], -2.0, 2.0)
+                    mu_rows[:, st.checks, cols] = 0.0
+            held = start != _IDLE
+            most = int(np.count_nonzero(held, axis=1).max())
+            if most < t:
+                # each block's columns that hold a syndrome move to the
+                # left, in order, and the window shrinks to the most that
+                # any block holds
+                t = most
+                if not t:
+                    break
+                orders = np.argsort(~held, axis=1, kind="stable")[:, :t]
+                at = np.arange(len(streams))[:, None], orders
+                act, start, held = act[at], start[at], held[at]
+                del rule  # free the old scratch before the packed arrays
+                mu, cur, sign = _pack((mu, cur, sign), streams, orders)
+                llr = llr[:, :t].copy()  # its constant rows; the rest is computed next
+                rule = _RuleScratch(sign, dmax)
+            oldest, freed = int(start.min()), False
         summed = _column_sums(mu, g.slots)
         if binary:
             np.add(prior, summed, out=llr[:2 * n])
@@ -512,57 +548,17 @@ def _flood(
             _categories(llr[:n], llr[ys], llr[n:2 * n], cur[:n], cur[n:2 * n])
         del summed  # a view of the gathered messages, which it would keep
         bad = np.bitwise_xor.reduce(cur.take(parity, axis=0), axis=0)
-        # the pending blocks without an unmet row
-        met = np.greater(pending, in_block @ bad)
+        # the blocks that hold a syndrome and have no unmet row
+        met = np.greater(held, in_block @ bad)
         stalled = it - oldest == l_max  # a block has run l_max passes
         if stalled or np.count_nonzero(met):
-            end = met
-            if stalled:
-                # such a block's pending syndrome ends unmet
-                unmet = np.greater(pending, met) & (start == it - l_max)
-                end = met | unmet
-            pending &= ~end
-            loads, gone = [], False
-            for k, st in enumerate(streams):
-                cols = np.flatnonzero(end[k])
-                if not cols.size:
-                    loads.append(cols)
-                    continue
-                a, s0 = act[k], start[k]
-                done = a[cols]
-                if stalled:
-                    st.conv[a[unmet[k]]] = False
-                st.est[done] = cur[st.bits, cols].T
-                st.iters[done] = it - s0[cols]
-                # a finished block takes the next syndrome of its stream in
-                # place; one that the stream cannot refill holds none
-                left = st.s.shape[1] - st.next
-                loads.append(cols[:left])
-                if cols.size > left:
-                    s0[cols[left:]] = _IDLE
-                    gone = True
-            if gone:
-                held = pending.copy()  # the blocks that hold a syndrome
-                for run, load in zip(held, loads):
-                    run[load] = True
-                most = int(np.count_nonzero(held, axis=1).max())
-                if most < t:
-                    # each block's columns that hold a syndrome move to the
-                    # left, in order, and the window shrinks to the most
-                    # that any block holds
-                    t = most
-                    if not t:
-                        break
-                    # a block's first columns hold its syndromes, in order
-                    orders = np.argsort(~held, axis=1, kind="stable")[:, :t]
-                    loads = [np.searchsorted(order, load) for order, load in zip(orders, loads)]
-                    at = np.arange(len(streams))[:, None], orders
-                    act, start, pending = act[at], start[at], pending[at]
-                    del rule  # free the old scratch before the packed arrays
-                    # this pass's ratios move too: the messages read them next
-                    mu, cur, llr, sign = _pack((mu, cur, llr, sign), streams, orders)
-                    rule = _RuleScratch(sign, dmax)
-                oldest = int(start.min())
+            # a block ends when it meets its syndrome, or unmet after l_max
+            # passes; its outputs are written and its columns freed
+            end = (met | (start == it - l_max)) if stalled else met
+            for st, ends, a, s0, m in zip(streams, end, act, start, met):
+                st.finish(ends, a, s0, m, cur, it)
+            start[end] = _IDLE
+            freed = True
         mu_rows = mu[:-1].reshape(dmax, checks, t)
         if binary:
             llr.take(col, axis=0, out=rule.m, mode="clip")  # see _quaternary_messages

@@ -10,16 +10,14 @@ counter seeds, so results are independent of how trials are scheduled.
 `run_trials` runs a point in chunks of at most `_chunk_trials` trials,
 each sampled, decoded and tested before the next, and the decoder decodes
 each distinct syndrome of a chunk once.  When all the points of a `sweep`
-fit one chunk together, the sweep first samples every point, streams the
-distinct syndromes of them all through the decoder's one fixed window
-(`decoder.decode_table`), and hands the table to each point's
-`run_trials`, whose decode reads every syndrome from it and decodes
-nothing.  The points then share one run of each stalled syndrome.  In
-that window each check block streams the distinct syndromes of its own
-columns and takes the next as one finishes: binary-spa's X-check and
-Z-check blocks the distinct sx and sz halves, each packed to the left
-apart from the other once its stream is empty, quaternary-spa's one
-block the distinct rows.  Each point still samples, decodes and tests
+fit one chunk together, the sweep first samples every point, decodes the
+distinct syndromes of them all in one run (`decoder.decode_table`), and
+hands the table to each point's `run_trials`, whose decode reads every
+syndrome from it and decodes nothing.  The points then share one run of
+each stalled syndrome.  How that run streams the syndromes through its
+window is the `decoder` module's to describe; this module relies only on
+each distinct syndrome being decoded once and on the outputs not
+depending on the window.  Each point still samples, decodes and tests
 all its own trials, so its SimResult can be rebuilt from its own steps.
 
 The exhaustive oracles (ML coset decoding over all 4^n errors, min-weight
@@ -51,6 +49,7 @@ from eaqc.decoder import (
     SyndromeTable,
     TannerGraph,
     _count,
+    _safe_p,
     _set_count,
     build_graphs,
     decode_batch,
@@ -380,7 +379,7 @@ def ml_coset_decoder(code: EaCode, p_d: float):
     cosets = 1 << echelon.rank
     counts = np.bincount(coset * (n + 1) + weights,
                          minlength=cosets * (n + 1)).reshape(cosets, n + 1)
-    p = min(max(p_d, 1e-12), 1 - 1e-12)
+    p = _safe_p(p_d)
     ratio = (p / 3.0) / (1.0 - p)  # per unit of weight, up to a constant
     prob = np.zeros(cosets)
     for w in range(n, -1, -1):

@@ -785,6 +785,34 @@ def test_a_window_of_any_width_gives_equal_outputs(twentyfive, alg, l_max, monke
             assert np.array_equal(part, full), width
 
 
+@pytest.mark.parametrize("alg, width, passes, columns", [
+    ("binary-spa", 7, 313, 1978), ("binary-spa", 100, 101, 1978),
+    ("quaternary-spa", 7, 422, 2512), ("quaternary-spa", 100, 101, 2512)])
+def test_the_decode_work_of_a_stream_is_pinned(twentyfive, alg, width, passes, columns,
+                                               monkeypatch):
+    # the loop passes of the 78-row stream above at l_max 100, and the
+    # window columns they sum: a turnover that adds a pass, or that keeps a
+    # finished column, moves them.  Quaternary's one block holds a syndrome
+    # in every column it sums, so its columns are its syndromes' passes,
+    # iters + 1 each, at any width.  Every window keeps its trials on the
+    # last, contiguous axis
+    code, _, g = twentyfive
+    rows = _stream(code)
+    monkeypatch.setattr(decoder, "_WINDOW", width)
+    column_sums, widths = decoder._column_sums, []
+
+    def counted(mu, slots):
+        assert mu.flags.c_contiguous
+        widths.append(mu.shape[1])
+        return column_sums(mu, slots)
+
+    monkeypatch.setattr(decoder, "_column_sums", counted)
+    iters = decoder._flood(g, rows, DecoderConfig(alg, 0.05, l_max=100))[3]
+    assert (len(widths), sum(widths)) == (passes, columns)
+    if alg == "quaternary-spa":
+        assert columns == (iters + 1).sum()
+
+
 @pytest.mark.parametrize("alg", _ALGS)
 def test_a_syndrome_table_of_another_config_or_graph_raises(nine, twentyfive, alg):
     code, _, g = twentyfive
