@@ -64,16 +64,27 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
+
+def _probability(value, name: str) -> None:
+    """Raise unless value, the probability named name, lies in [0, 1].
+
+    A bool raises TypeError, so True is not read as 1; a value outside
+    [0, 1], NaN included, raises ValueError.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     p_d: float
     eta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_d <= 1.0:
-            raise ValueError(f"p_d must lie in [0, 1], got {self.p_d}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
+        _probability(self.p_d, "p_d")
+        _probability(self.eta, "eta")
 
 
 def category_bits(cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -97,12 +97,11 @@ converged when every block is, and the latest of their iteration counts.
 A trial's outputs depend on its syndrome alone, so each entry point runs
 `_flood` once on its batch, which decodes each distinct syndrome of a
 block once (`np.unique` over one void scalar per row).  Given a
-`SyndromeTable`, the outputs of distinct rows decoded earlier under the
-same graph and DecoderConfig (`decode_table` builds one, in one run), it
-decodes nothing and reads every row from the table by one binary search;
-a table of another graph or config, or one that lacks a row of the
-batch, raises ValueError.  Either way the outputs equal those of
-decoding every trial on its own.
+`SyndromeTable`, the outputs of a batch decoded earlier under the same
+graph and DecoderConfig, it decodes nothing: a batch whose rows are the
+table's, in order, reads the table's outputs, and any other batch, or a
+table of another graph or config, raises ValueError.  Either way the
+outputs equal those of decoding every trial on its own.
 """
 
 from __future__ import annotations
@@ -112,6 +111,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from eaqc.channel import _probability
 from eaqc.eacode import EaCode
 from eaqc.gf2 import BinaryMatrix, DimensionMismatch, _matmul_words
 
@@ -122,7 +122,6 @@ __all__ = [
     "syndrome_batch",
     "SyndromeTable",
     "decode_batch",
-    "decode_table",
     "decode_binary_batch",
     "decode_quaternary_batch",
 ]
@@ -237,8 +236,7 @@ class DecoderConfig:
         _set_count(self, "l_max")
         if self.l_max < 1:
             raise ValueError("l_max must be at least 1")
-        if not 0.0 <= self.p_d <= 1.0:
-            raise ValueError("p_d must lie in [0, 1]")
+        _probability(self.p_d, "p_d")
 
 
 def _safe_p(p_d: float) -> float:
@@ -430,9 +428,11 @@ def _pack(arrays, streams, orders):
 
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a uint8 array, sorted by their bytes, and the
-    index of each row among them."""
-    keys, inverse = np.unique(_keys(np.ascontiguousarray(rows)), return_inverse=True)
-    return _rows(keys), inverse
+    index of each row among them; each row is sorted as one void scalar."""
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1]
+    keys, inverse = np.unique(rows.view(f"V{width}").ravel(), return_inverse=True)
+    return keys.view(np.uint8).reshape(len(keys), width), inverse
 
 
 def _flood(
@@ -577,12 +577,12 @@ def _flood(
 
 @dataclass(frozen=True)
 class SyndromeTable:
-    """The decoder's outputs on a set of distinct syndromes, each decoded once.
+    """The decoder's outputs on one batch of syndromes, decoded earlier.
 
-    rows holds the distinct [sx | sz] rows, as uint8 and sorted as
-    np.unique sorts their bytes; est_x[i], est_z[i], conv[i] and iters[i]
-    are the outputs of rows[i] under graph and config.  A decode call
-    given the table reads the outputs of every row of its batch there.
+    rows holds the batch's [sx | sz] rows in order; est_x[i], est_z[i],
+    conv[i] and iters[i] are the outputs of rows[i] under graph and
+    config.  A decode call of the same batch given the table returns
+    these outputs.
     """
 
     graph: TannerGraph
@@ -613,16 +613,6 @@ def _syndrome_rows(g: TannerGraph, sx: np.ndarray, sz: np.ndarray) -> np.ndarray
     return np.ascontiguousarray(np.hstack([sx, sz]), dtype=np.uint8)
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a C-contiguous uint8 array as one void scalar of its bytes."""
-    return rows.view(f"V{rows.shape[1]}").ravel()
-
-
-def _rows(keys: np.ndarray) -> np.ndarray:
-    """The uint8 rows of `_keys`' void scalars."""
-    return keys.view(np.uint8).reshape(len(keys), keys.dtype.itemsize)
-
-
 def _same_graph(a: TannerGraph, b: TannerGraph) -> bool:
     return a is b or (a.n == b.n and a.x_checks == b.x_checks
                       and np.array_equal(a.idx, b.idx)
@@ -633,11 +623,12 @@ def _decode(
     graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
     known: SyndromeTable | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Decode the batch in one `_flood` call, or read every row from known.
+    """Decode the batch in one `_flood` call, or read it from known.
 
     A trial's outputs depend on its syndrome alone, so either way this
     equals decoding every trial.  A table of another graph or config, or
-    one that lacks a row of the batch, raises ValueError before any decode.
+    of rows other than the batch's in order, raises ValueError before any
+    decode.
     """
     if known is not None and not (known.config == cfg
                                   and _same_graph(known.graph, graph)):
@@ -646,11 +637,9 @@ def _decode(
     rows = _syndrome_rows(graph, sx, sz)
     if known is None:
         return _flood(graph, rows, cfg)
-    table, keys = _keys(known.rows), _keys(rows)
-    at = np.searchsorted(table, keys)
-    if (at == len(table)).any() or (table[at] != keys).any():
-        raise ValueError("the syndrome table lacks a syndrome of the batch")
-    return tuple(value[at] for value in (known.est_x, known.est_z, known.conv, known.iters))
+    if not np.array_equal(known.rows, rows):
+        raise ValueError("the syndrome table holds another batch's syndromes")
+    return known.est_x, known.est_z, known.conv, known.iters
 
 
 def decode_binary_batch(
@@ -679,20 +668,11 @@ def decode_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Decode with whichever of the two entry points cfg.algorithm names.
 
-    known, a table decoded under the same graph and cfg that holds every
-    syndrome of the batch, answers them all; a table of another graph or
-    config, or one that lacks a syndrome of the batch, raises ValueError.
+    known, a table of this batch's rows decoded under the same graph and
+    cfg, answers them all; a table of another graph, config or batch
+    raises ValueError.
     """
     if cfg.algorithm == "binary-spa":
         return decode_binary_batch(graph, sx, sz, cfg, known=known)
     return decode_quaternary_batch(graph, sx, sz, cfg, known=known)
 
-
-def decode_table(
-    graph: TannerGraph, sx: np.ndarray, sz: np.ndarray, cfg: DecoderConfig,
-) -> SyndromeTable:
-    """Decode each distinct syndrome of the batch once, in one `decode_batch` call."""
-    rows, _ = _distinct(_syndrome_rows(graph, sx, sz))
-    x = graph.x_checks
-    return SyndromeTable(graph, cfg, rows,
-                         *decode_batch(graph, rows[:, :x], rows[:, x:], cfg))

@@ -10,15 +10,15 @@ counter seeds, so results are independent of how trials are scheduled.
 `run_trials` runs a point in chunks of at most `_chunk_trials` trials,
 each sampled, decoded and tested before the next, and the decoder decodes
 each distinct syndrome of a chunk once.  When all the points of a `sweep`
-fit one chunk together, the sweep first samples every point, decodes the
-distinct syndromes of them all in one run (`decoder.decode_table`), and
-hands the table to each point's `run_trials`, whose decode reads every
-syndrome from it and decodes nothing.  The points then share one run of
-each stalled syndrome.  How that run streams the syndromes through its
-window is the `decoder` module's to describe; this module relies only on
-each distinct syndrome being decoded once and on the outputs not
-depending on the window.  Each point still samples, decodes and tests
-all its own trials, so its SimResult can be rebuilt from its own steps.
+fit one chunk together, the sweep first samples every point and decodes
+the rows of them all, in point order, in one `decoder.decode_batch` call,
+which decodes each distinct syndrome among them once.  It cuts the outputs
+into one `SyndromeTable` per point and hands each point's `run_trials` its
+own, whose decode reads the point's rows from it by position and decodes
+nothing.  The points then share one run of each stalled syndrome.  How
+that run streams the syndromes through its window is the `decoder`
+module's to describe.  Each point still samples, decodes and tests all its
+own trials, so its SimResult can be rebuilt from its own steps.
 
 The exhaustive oracles (ML coset decoding over all 4^n errors, min-weight
 decoding by weight layer, and the burst-window audit) read every column
@@ -42,7 +42,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from eaqc.channel import ChannelParams, _draw, category_bits, sample_error_batch
+from eaqc.channel import ChannelParams, _draw, _probability, category_bits, sample_error_batch
 from eaqc.clifford import logical_operators, symplectic_product
 from eaqc.decoder import (
     DecoderConfig,
@@ -53,7 +53,6 @@ from eaqc.decoder import (
     _set_count,
     build_graphs,
     decode_batch,
-    decode_table,
     syndrome_batch,
 )
 from eaqc.eacode import EaCode
@@ -206,10 +205,9 @@ def _chunk_trials(graph: TannerGraph) -> int:
 def run_trials(cfg: SimConfig, known: SyndromeTable | None = None) -> SimResult:
     """Sample, decode and test every trial of one point, a chunk at a time.
 
-    known, a table decoded under cfg.decoder on the code's graph that
-    holds every syndrome of the point's trials, goes to each chunk's
-    `decode_batch` call, which reads the outputs there; the result is the
-    same without it.
+    known, the table of a point that fits one chunk, as `_sweep_table`
+    makes it, goes to that chunk's `decode_batch` call, which reads the
+    outputs there; the result is the same without it.
     """
     code = cfg.code
     graph, basis = _decoding_setup(code)
@@ -330,8 +328,9 @@ def ml_coset_decoder(code: EaCode, p_d: float):
     Enumerates every Pauli error, counts the errors of each weight in each
     (syndrome, logical class) coset, and returns {sx‖sz bytes: the first
     error, in enumeration order, of the syndrome's most likely coset}.
-    Refuses when 4^n exceeds _ML_LIMIT, and raises ValueError for a p_d
-    outside [0, 1] (NaN included), both before any enumeration.
+    Refuses when 4^n exceeds _ML_LIMIT, raises ValueError for a p_d
+    outside [0, 1] (NaN included) and TypeError for a bool p_d, all before
+    any enumeration.
 
     A coset's probability is one Horner evaluation of its integer weight
     counts, so cosets with equal weight enumerators compare bit-equal.
@@ -349,8 +348,7 @@ def ml_coset_decoder(code: EaCode, p_d: float):
     one run of them, and the word is at most 4n bits whatever the number
     of checks.
     """
-    if not 0.0 <= p_d <= 1.0:
-        raise ValueError(f"p_d must lie in [0, 1], got {p_d}")
+    _probability(p_d, "p_d")
     n = code.n
     total = 4 ** n
     if total > _ML_LIMIT:
@@ -455,21 +453,24 @@ def burst_oracle(
 
 # ── sweeps ────────────────────────────────────────────────────────────
 
-def _sweep_table(cfg: SimConfig, points: list[SimConfig]) -> SyndromeTable | None:
-    """The decodes of every distinct syndrome of the points' trials.
+def _sweep_table(cfg: SimConfig, points: list[SimConfig]) -> list[SyndromeTable] | None:
+    """Each point's `SyndromeTable`, all decoded in one `decode_batch` call.
 
-    None unless all the points' trials fit one chunk.  Each point is
-    sampled as `run_trials` samples it, and the union's distinct syndromes
-    stream through one decode.
+    None unless all the points' trials fit one chunk, so that the call's
+    per-row arrays are no larger than one chunk's.  Each point is sampled
+    as `run_trials` samples it; the call takes every point's rows in point
+    order, and its outputs are cut into one table per point.
     """
-    code = cfg.code
+    code, trials = cfg.code, cfg.trials
     graph, _ = _decoding_setup(code)
-    if len(points) * cfg.trials > _chunk_trials(graph):
+    if len(points) * trials > _chunk_trials(graph):
         return None
     syndromes = [syndrome_batch(code, *sample_error_batch(
-        code.n, point.channel, cfg.master_seed, cfg.trials)) for point in points]
+        code.n, point.channel, cfg.master_seed, trials)) for point in points]
     sx, sz = (np.vstack(part) for part in zip(*syndromes))
-    return decode_table(graph, sx, sz, cfg.decoder)
+    rows, outputs = np.hstack([sx, sz]), decode_batch(graph, sx, sz, cfg.decoder)
+    return [SyndromeTable(graph, cfg.decoder, rows[at], *(out[at] for out in outputs))
+            for at in (slice(lo, lo + trials) for lo in range(0, len(rows), trials))]
 
 
 def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
@@ -479,19 +480,20 @@ def sweep(cfg: SimConfig, pd_values, eta_values) -> list[dict]:
     `write_csv` leaves out.  Each point runs cfg with its channel
     replaced.  It decodes with cfg.decoder as given, so its prior stays at
     cfg.decoder.p_d whatever the point's p_d; `eaqc sweep` sets it to the
-    first --pd value.  When all the points' trials fit one chunk, every
-    distinct syndrome among them is decoded once before the points run,
-    and each point's `run_trials` reads those decodes (`_sweep_table`).
-    Either axis may be any iterable, a one-shot generator included.
+    first --pd value.  When all the points' trials fit one chunk, one
+    decode of all their rows, which decodes each distinct syndrome among
+    them once, comes before the points run, and each point's `run_trials`
+    reads its own rows' outputs (`_sweep_table`).  Either axis may be any
+    iterable, a one-shot generator included.
     """
     pd_values, eta_values = tuple(pd_values), tuple(eta_values)
     if not pd_values or not eta_values:
         raise ValueError("a sweep needs at least one p_d and one eta")
     points = [replace(cfg, channel=ChannelParams(p_d, eta))
               for p_d in pd_values for eta in eta_values]
-    known = _sweep_table(cfg, points)
+    tables = _sweep_table(cfg, points) or [None] * len(points)
     rows = []
-    for point in points:
+    for point, known in zip(points, tables):
         res = run_trials(point, known)
         rows.append({
             "family": cfg.code.family,

@@ -64,6 +64,15 @@ def test_params_validated():
         ChannelParams(0.5, 1.5)
 
 
+@pytest.mark.parametrize("p_d, eta, name", [
+    (True, 0.0, "p_d"), (False, 0.5, "p_d"), (0.1, True, "eta"), (0.1, np.False_, "eta")])
+def test_a_bool_p_d_or_eta_fails_at_construction(p_d, eta, name):
+    # a bool passes the range check as 0 or 1, and a sweep would write it
+    # into the CSV's p_d or eta column as True or False
+    with pytest.raises(TypeError, match=f"{name} must be a number"):
+        ChannelParams(p_d, eta)
+
+
 def test_zero_noise_is_identity_for_any_correlation():
     for eta in (0.0, 0.3, 1.0):
         e = _row(50, ChannelParams(0.0, eta), 7)

@@ -17,6 +17,7 @@ from eaqc.channel import ChannelParams, category_bits, sample_error_batch
 from eaqc.decoder import (
     _CLIP,
     DecoderConfig,
+    SyndromeTable,
     TannerGraph,
     _RuleScratch,
     _categories,
@@ -28,7 +29,6 @@ from eaqc.decoder import (
     decode_batch,
     decode_binary_batch,
     decode_quaternary_batch,
-    decode_table,
     syndrome_batch,
 )
 from eaqc.eacode import build_theorem5, build_theorem6, build_theorem8
@@ -255,12 +255,19 @@ def test_config_validation():
         DecoderConfig("osd", 0.1)
     with pytest.raises(ValueError):
         DecoderConfig("binary-spa", 0.1, l_max=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"p_d must lie in \[0, 1\], got 1.5"):
         DecoderConfig("binary-spa", 1.5)
     with pytest.raises(ValueError):
         decode_binary_batch(None, None, None, DecoderConfig("quaternary-spa", 0.1))
     with pytest.raises(ValueError):
         decode_quaternary_batch(None, None, None, DecoderConfig("binary-spa", 0.1))
+
+
+@pytest.mark.parametrize("p_d", [True, False, np.True_])
+def test_a_bool_p_d_fails_at_construction(p_d):
+    # True would otherwise pass the range check as 1 and reach a sweep's CSV
+    with pytest.raises(TypeError, match="p_d must be a number"):
+        DecoderConfig("quaternary-spa", p_d)
 
 
 @pytest.mark.parametrize("l_max", [2.5, 100.0, True, "100"])
@@ -677,35 +684,40 @@ def test_duplicated_syndromes_decode_as_each_trial_alone(twentyfive, alg, monkey
             assert np.array_equal(part[t], want[0])
 
 
+def _table(g, sx, sz, cfg):
+    """The table of one batch, as `harness._sweep_table` cuts a point's."""
+    return SyndromeTable(g, cfg, np.hstack([sx, sz]), *decode_batch(g, sx, sz, cfg))
+
+
 @pytest.mark.parametrize("alg", _ALGS)
 def test_a_syndrome_table_answers_every_row_or_raises(twentyfive, alg, monkeypatch):
+    # a table answers the batch whose rows it holds, in order, and no
+    # other: a shorter, longer, reordered or other batch raises before any
+    # decode, as does any nonempty batch given an empty table
     code, _, g = twentyfive
     sx, sz = _repeated(code)
     cfg = DecoderConfig(alg, 0.05)
     want = decode_batch(g, sx, sz, cfg)
-    other = syndrome_batch(code, *sample_error_batch(code.n, ChannelParams(0.05, 0.4), 78, 30))
-    monkeypatch.setattr(decoder, "_WINDOW", 7)
-    full = decode_table(g, sx, sz, cfg)
-    lacking = {
-        "some": decode_table(g, sx[:40], sz[:40], cfg),
-        "another sample": decode_table(g, *other, cfg),
-        "empty": decode_table(g, sx[:0], sz[:0], cfg),
-    }
-    assert len(lacking["empty"].rows) == 0
+    table, empty = _table(g, sx, sz, cfg), _table(g, sx[:0], sz[:0], cfg)
+    other = syndrome_batch(code, *sample_error_batch(
+        code.n, ChannelParams(0.05, 0.4), 78, len(sx)))
+    flip = np.arange(len(sx))[::-1]
+    assert not np.array_equal(np.hstack([sx, sz]), np.hstack([sx[flip], sz[flip]]))
     widths = _flood_widths(monkeypatch)
-    # a table of every row answers them all, and nothing is decoded
-    got = decode_batch(g, sx, sz, cfg, known=full)
+    got = decode_batch(g, sx, sz, cfg, known=table)
     for part, whole in zip(got, want):
         assert np.array_equal(part, whole)
-    rows = {r.tobytes() for r in np.hstack([sx, sz])}
-    for name, table in lacking.items():
-        assert rows - {r.tobytes() for r in table.rows}, name
-        with pytest.raises(ValueError, match="lacks a syndrome of the batch"):
-            decode_batch(g, sx, sz, cfg, known=table)
-    # an empty batch reads as empty from any table
-    for table in (full, *lacking.values()):
-        empty = decode_batch(g, sx[:0], sz[:0], cfg, known=table)
-        assert [part.shape for part in empty] == [(0, code.n), (0, code.n), (0,), (0,)]
+    assert [part.shape for part in decode_batch(g, sx[:0], sz[:0], cfg, known=empty)] == [
+        (0, code.n), (0, code.n), (0,), (0,)]
+    for name, batch, known in (
+            ("some", (sx[:40], sz[:40]), table),
+            ("empty", (sx[:0], sz[:0]), table),
+            ("longer", (np.vstack([sx, sx[:1]]), np.vstack([sz, sz[:1]])), table),
+            ("reordered", (sx[flip], sz[flip]), table),
+            ("another sample", other, table),
+            ("any, from an empty table", (sx, sz), empty)):
+        with pytest.raises(ValueError, match="another batch's syndromes"):
+            decode_batch(g, *batch, cfg, known=known)
     assert widths == []
 
 
@@ -721,28 +733,6 @@ def _window_widths(monkeypatch):
 
     monkeypatch.setattr(decoder, "_RuleScratch", Recorded)
     return widths
-
-
-@pytest.mark.parametrize("alg", _ALGS)
-def test_decode_table_slices_hold_at_most_width_rows(twentyfive, alg, monkeypatch):
-    # the distinct rows stream through one run whose window, the width of
-    # its messages, is never wider than decoder._WINDOW columns
-    code, _, g = twentyfive
-    sx, sz = _repeated(code)
-    cfg = DecoderConfig(alg, 0.05)
-    monkeypatch.setattr(decoder, "_WINDOW", len(sx))
-    whole = decode_table(g, sx, sz, cfg)
-    runs = _flood_widths(monkeypatch)
-    windows = _window_widths(monkeypatch)
-    for width in (1, 7):
-        del runs[:], windows[:]
-        monkeypatch.setattr(decoder, "_WINDOW", width)
-        table = decode_table(g, sx, sz, cfg)
-        assert runs == [len(whole.rows)] and max(windows) == width
-        for name in ("rows", "est_x", "est_z", "conv", "iters"):
-            assert np.array_equal(getattr(table, name), getattr(whole, name))
-    rows = np.hstack([sx, sz])
-    assert np.array_equal(whole.rows, np.unique(rows, axis=0))
 
 
 def _stream(code):
@@ -814,11 +804,15 @@ def test_the_decode_work_of_a_stream_is_pinned(twentyfive, alg, width, passes, c
 
 
 @pytest.mark.parametrize("alg", _ALGS)
-def test_a_syndrome_table_of_another_config_or_graph_raises(nine, twentyfive, alg):
+def test_a_syndrome_table_of_another_config_or_graph_raises(nine, twentyfive, alg,
+                                                           monkeypatch):
+    # the graph and config are checked before the rows, and before any decode
     code, _, g = twentyfive
     sx, sz = _repeated(code)
     cfg = DecoderConfig(alg, 0.05)
-    table = decode_table(g, sx, sz, cfg)
+    table = _table(g, sx, sz, cfg)
+    want = decode_batch(g, sx, sz, cfg)
+    widths = _flood_widths(monkeypatch)
     other_alg = _ALGS[1 - _ALGS.index(alg)]
     for other in (DecoderConfig(alg, 0.04), DecoderConfig(alg, 0.05, l_max=99),
                   DecoderConfig(other_alg, 0.05)):
@@ -830,8 +824,9 @@ def test_a_syndrome_table_of_another_config_or_graph_raises(nine, twentyfive, al
         decode_batch(g9, x9, z9, cfg, known=table)
     # a graph built again from the same code is the same graph
     again = decode_batch(build_graphs(code), sx, sz, cfg, known=table)
-    for part, want in zip(again, decode_batch(g, sx, sz, cfg)):
-        assert np.array_equal(part, want)
+    for part, whole in zip(again, want):
+        assert np.array_equal(part, whole)
+    assert widths == []
 
 
 # ── a scalar reference decoder ────────────────────────────────────────

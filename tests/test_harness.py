@@ -727,6 +727,33 @@ def _recorded_results(monkeypatch):
     return results
 
 
+def _recorded_decodes(monkeypatch):
+    """Record each decode_batch call the harness makes from now on: its
+    [sx | sz] rows, its table (None when it has none) and its outputs."""
+    calls = []
+    decode = harness.decode_batch
+
+    def recorded(graph, sx, sz, cfg, *, known=None):
+        out = decode(graph, sx, sz, cfg, known=known)
+        calls.append((np.hstack([sx, sz]), known, out))
+        return out
+
+    monkeypatch.setattr(harness, "decode_batch", recorded)
+    return calls
+
+
+def _flood_runs(monkeypatch):
+    """Record the rows of each message-passing run from now on."""
+    flood, runs = decoder._flood, []
+
+    def counted(g, rows, cfg):
+        runs.append(rows)
+        return flood(g, rows, cfg)
+
+    monkeypatch.setattr(decoder, "_flood", counted)
+    return runs
+
+
 @pytest.mark.parametrize("alg", ["binary-spa", "quaternary-spa"])
 def test_a_sweep_gives_equal_rows_with_and_without_its_syndrome_table(
         twentyfive, alg, monkeypatch):
@@ -734,67 +761,74 @@ def test_a_sweep_gives_equal_rows_with_and_without_its_syndrome_table(
     cfg = SimConfig(twentyfive, ChannelParams(0.05, 0.0), DecoderConfig(alg, 0.05),
                     trials, 13)
     pds, etas = (0.04, 0.07), (0.0, 0.5)
-    tables = []
-    build = harness.decode_table
-
-    def counted(*args):
-        tables.append(build(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(harness, "decode_table", counted)
+    calls = _recorded_decodes(monkeypatch)
     results = _recorded_results(monkeypatch)
     shared = sweep(cfg, pds, etas)
-    assert len(tables) == 1
+    # one call without a table decodes the four points' rows, then each
+    # point reads its own table
+    union = [out for _, known, out in calls if known is None]
+    assert len(union) == 1 and len(calls) == 5
     shared_results = results[:]
     # one trial short of the four points: each runs alone, in one chunk
     per_trial = 8 * build_graphs(twentyfive).idx.size
     monkeypatch.setattr(harness, "_DECODE_BYTES", (4 * trials - 1) * per_trial)
-    del results[:]
+    del results[:], calls[:]
     alone = sweep(cfg, pds, etas)
-    assert len(tables) == 1
+    assert [(len(rows), known) for rows, known, _ in calls] == [(trials, None)] * 4
     assert shared == alone and write_csv(shared) == write_csv(alone)
     assert shared_results == results and len(results) == 4
     assert any(r["non_converged"] for r in shared)
-    assert (~tables[0].conv).any()  # the table holds stalled syndromes
+    assert (~union[0][2]).any()  # the union holds stalled syndromes
 
 
-def test_a_sweep_syndrome_table_decodes_no_wider_than_one_point(fortynine, monkeypatch):
-    # the table streams through the decoder's window, here one point's trial
-    # count, so no decode of the sweep is wider than a point, and the
-    # union's decode peaks no higher than a lone decode of as many rows
-    # whose syndromes are distinct and nonzero: all of them still decode
-    # after pass 0.  The rows' outputs are made inside the decode, so both
-    # peaks hold them
-    trials = 100
+@pytest.mark.parametrize("alg", ["binary-spa", "quaternary-spa"])
+def test_a_one_chunk_sweep_decodes_its_rows_in_one_call_and_reads_them_by_position(
+        twentyfive, alg, monkeypatch):
+    # the one call without a table takes every point's rows in point order,
+    # points x trials of them, in one run; each point's table holds its own
+    # rows and their outputs, and another point's batch raises before any run
+    trials = 30
+    cfg = SimConfig(twentyfive, ChannelParams(0.05, 0.0), DecoderConfig(alg, 0.05),
+                    trials, 13)
+    calls = _recorded_decodes(monkeypatch)
+    runs = _flood_runs(monkeypatch)
+    sweep(cfg, (0.04, 0.07), (0.0, 0.5, 0.9))
+    (union, none, outputs), *points = calls
+    assert none is None and len(union) == 6 * trials and len(points) == 6
+    assert [len(rows) for rows in runs] == [6 * trials]
+    assert np.array_equal(union, np.vstack([rows for rows, _, _ in points]))
+    for i, (rows, known, got) in enumerate(points):
+        at = slice(i * trials, (i + 1) * trials)
+        assert np.array_equal(known.rows, rows)
+        for part, whole in zip(got, outputs):
+            assert np.array_equal(part, whole[at])
+    graph, x = build_graphs(twentyfive), twentyfive.hx.rows
+    first, (second, _, _) = points[0][1], points[1]
+    assert not np.array_equal(first.rows, second)
+    with pytest.raises(ValueError, match="another batch's syndromes"):
+        decode_batch(graph, second[:, :x], second[:, x:], cfg.decoder, known=first)
+    assert len(runs) == 1
+
+
+def test_a_sweep_syndrome_table_decodes_within_the_window(fortynine, monkeypatch):
+    # the four points' rows hold more distinct syndromes than the decoder's
+    # window, at a trial count other than the window's, yet decode in one
+    # run whose every pass sums the messages of at most decoder._WINDOW
+    # columns, and whose every window's arrays are that narrow
+    trials = 60
     cfg = SimConfig(fortynine, ChannelParams(0.03, 0.5),
                     DecoderConfig("quaternary-spa", 0.03), trials, 0)
-    flood, runs = decoder._flood, []
+    runs = _flood_runs(monkeypatch)
+    column_sums, passes = decoder._column_sums, []
 
-    def measured(g, rows, dcfg):
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        out = flood(g, rows, dcfg)
-        runs.append((len(rows), tracemalloc.get_traced_memory()[1] - before))
-        return out
+    def measured(mu, slots):
+        passes.append(mu.shape[1])
+        return column_sums(mu, slots)
 
-    monkeypatch.setattr(decoder, "_flood", measured)
-    windows = _window_widths(monkeypatch)  # the widths of the run's messages
-    sx, sz = syndrome_batch(fortynine, *sample_error_batch(
-        fortynine.n, ChannelParams(0.03, 0.5), 1, 8 * trials))
-    rows = np.unique(np.hstack([sx, sz]), axis=0)
-    rows = rows[rows.any(axis=1)]
-    sweep(cfg, (0.02, 0.03), (0.0, 0.5))  # untraced: it counts the union
-    # the union of the four points' syndromes exceeds one point's trials,
-    # yet decodes in one windowed run
-    (union, _), = runs
-    assert max(windows) == decoder._WINDOW == trials
-    assert trials < union <= len(rows)
-    del runs[:], windows[:]
-    tracemalloc.start()
-    try:
-        measured(build_graphs(fortynine), rows[:union], cfg.decoder)
-        sweep(cfg, (0.02, 0.03), (0.0, 0.5))
-    finally:
-        tracemalloc.stop()
-    (_, lone_peak), (_, union_peak) = runs
-    assert max(windows) == trials and union_peak <= lone_peak
+    monkeypatch.setattr(decoder, "_column_sums", measured)
+    windows = _window_widths(monkeypatch)
+    sweep(cfg, (0.02, 0.03), (0.0, 0.5))
+    (rows,) = runs
+    distinct = len(np.unique(rows, axis=0))
+    assert trials != decoder._WINDOW < distinct <= len(rows) == 4 * trials
+    assert max(passes) == max(windows) == decoder._WINDOW
