@@ -22,10 +22,17 @@ normalizer's free columns, not off the stack of generators and kernel.
 in-order product of generators, Σ p_i + 2·Σ_{i<j} z_i·x_j (mod 4).  Its
 one caller is the sign rule, `_negative_dependency`: no product of
 commuting Hermitian generators that multiplies out to a multiple of I may
-be −I.  A tableau applies it to its own generators and keeps its rank,
-the row count less their dependencies; `group_preserved` applies it to
-the generators of two tableaux stacked together, reads the stack's rank
-off the same dependencies and compares it with the two kept ranks.
+be −I.  A tableau applies it to its own generators, eliminating their
+dependencies at most once, and two kinds of tableau need no elimination
+for it.  A `conjugate` takes its parent's dependencies and rank: every
+gate maps the (x | z) rows by an invertible GF(2) map, so the kernel of
+rowsᵀ does not change, and only the signs are checked again.  A CSS
+tableau of phase 0 (each row pure X or pure Z, every phase 0) is valid
+as it stands: each z_i·x_j term pairs a Z row with an X row, and their
+commutation makes the overlap even, so no dependency multiplies to −I.
+`group_preserved` applies the rule to the generators of two tableaux
+stacked together, reads the stack's rank off its dependencies and
+compares it with the two tableaux' ranks.
 Every mod-2 product in both, and in the logical action, is a packed
 GF(2) product (`gf2.matmul` or its kernel on packed rows); only the mod-4
 sums of phases and pair counts are integer arithmetic.
@@ -39,13 +46,13 @@ latter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from eaqc.eacode import EaCode, build_theorem5
-from eaqc.gf2 import BinaryMatrix, RowBasis, _matmul_words, matmul
+from eaqc.gf2 import BinaryMatrix, RowBasis, _count, _matmul_words, matmul
 from eaqc.models import _require_odd_prime
 
 __all__ = [
@@ -138,22 +145,45 @@ def _negative_dependency(deps: np.ndarray, rows: np.ndarray, phases: np.ndarray)
 
 @dataclass(frozen=True)
 class GateSequence:
-    """Gates listed in order of application (first entry acts first)."""
+    """Gates listed in order of application (first entry acts first).
+
+    Each qubit index is kept as a plain int (`gf2._count`): a bool, a
+    float or anything without __index__ raises TypeError here.
+    """
 
     gates: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
+        gates = []
         for g in self.gates:
             name, *qs = g
             if name not in _GATE_ARITY or len(qs) != _GATE_ARITY[name]:
                 raise ValueError(f"malformed gate {g!r}")
+            qs = [_count(q, f"a qubit index of {g!r}") for q in qs]
             if any(q < 0 for q in qs):
                 raise ValueError(f"negative qubit index in {g!r}")
             if len(qs) == 2 and qs[0] == qs[1]:
                 raise ValueError(f"two-qubit gate on one qubit: {g!r}")
+            gates.append((name, *qs))
+        object.__setattr__(self, "gates", tuple(gates))
 
     def __iter__(self):
         return iter(self.gates)
+
+    @cached_property
+    def _runs(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """The gates as maximal runs of one name on pairwise-disjoint qubits.
+
+        Each run, in order, is (name, an (r, arity) array of its qubits).
+        """
+        runs, used = [], set()
+        for name, *qs in self.gates:
+            if not runs or runs[-1][0] != name or used.intersection(qs):
+                runs.append((name, []))
+                used = set()
+            runs[-1][1].append(qs)
+            used.update(qs)
+        return tuple((name, np.array(qs, dtype=np.intp)) for name, qs in runs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,24 +191,32 @@ class Tableau:
     """Commuting Hermitian Pauli generators of a stabilizer group.
 
     rows is an (m, 2q) uint8 stack of (x | z) generators and phases their
-    (m,) int64 exponents mod 4; both are read-only copies.  Each generator
-    squares to +I.  Generators may be dependent; what is enforced is that
-    no dependency multiplies out to −I, so the sign of any group element is
-    well defined by any expression in the generators.  `group_preserved`
-    applies the same rule to two tableaux stacked together.
+    (m,) int64 exponents mod 4; both are read-only copies.  They are given
+    as integers (or bools), read mod 2 and mod 4; any other dtype raises
+    TypeError.  Each generator squares to +I.  Generators may be
+    dependent; what is enforced is that no dependency multiplies out to
+    −I, so the sign of any group element is well defined by any expression
+    in the generators.  `group_preserved` applies the same rule to two
+    tableaux stacked together.
 
-    rank, the dimension of the row space, is m less the number of
-    dependencies that check finds.  basis, the rows' reduced echelon form
-    for membership, is built on first use and then kept.
+    dependencies, a read-only basis of the kernel of rowsᵀ (one row per
+    product of generators equal to ±I); rank, the dimension of the row
+    space, m less their count; and basis, the rows' reduced echelon form
+    for membership, are each built on first use and then kept.  A CSS
+    tableau of phase 0 checks its signs without its dependencies, and a
+    `conjugate` takes its parent's.
     """
 
     rows: np.ndarray
     phases: np.ndarray
-    rank: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.uint8) & 1
-        phases = np.asarray(self.phases, dtype=np.int64) % 4
+        rows, phases = np.asarray(self.rows), np.asarray(self.phases)
+        if rows.dtype.kind not in "biu" or phases.dtype.kind not in "biu":
+            raise TypeError("a tableau needs integer rows and phases, "
+                            f"got {rows.dtype} and {phases.dtype}")
+        rows = rows.astype(np.uint8) & 1
+        phases = phases.astype(np.int64) % 4
         if rows.ndim != 2 or rows.shape[1] % 2 or phases.shape != rows.shape[:1]:
             raise ValueError("a tableau needs (m, 2q) rows and one phase per row")
         if not len(rows):
@@ -194,14 +232,25 @@ class Tableau:
             raise ValueError("a generator is not Hermitian")
         if symplectic_product(rows, rows).any():
             raise ValueError("generators do not pairwise commute")
-        deps = _dependencies(rows)
-        if _negative_dependency(deps, rows, phases):
+        # a CSS tableau of phase 0 needs no dependencies (see the module notes)
+        mixed = (rows[:, :q].any(axis=1) & rows[:, q:].any(axis=1)).any()
+        if ((mixed or phases.any())
+                and _negative_dependency(self.dependencies, rows, phases)):
             raise ValueError("a generator dependency multiplies to -I")
-        object.__setattr__(self, "rank", len(rows) - len(deps))
 
     @property
     def qubits(self) -> int:
         return self.rows.shape[1] // 2
+
+    @cached_property
+    def dependencies(self) -> np.ndarray:
+        deps = _dependencies(self.rows)
+        deps.flags.writeable = False
+        return deps
+
+    @cached_property
+    def rank(self) -> int:
+        return len(self.rows) - len(self.dependencies)
 
     @cached_property
     def basis(self) -> RowBasis:
@@ -220,42 +269,50 @@ def _apply_gates(rows: np.ndarray, phases: np.ndarray, gates: GateSequence) -> N
       S†:   z ^= x;  phase += 3x
       CZ:   z_a ^= x_b, z_b ^= x_a; phase += 2 x_a x_b
       SWAP: exchange both columns
+
+    Each run of same-name gates on pairwise-disjoint qubits
+    (`GateSequence._runs`) is one update over its columns: gates on
+    disjoint qubits commute, and none reads a column another writes.
     """
     qubits = rows.shape[1] // 2
     xs, zs = rows[:, :qubits], rows[:, qubits:]
-    for g in gates:
-        name, *qs = g
-        if any(q >= qubits for q in qs):
+    for name, qs in gates._runs:
+        out = (qs >= qubits).any(axis=1)
+        if out.any():
+            g = (name, *qs[np.argmax(out)].tolist())
             raise ValueError(f"gate {g!r} is out of range for {qubits} qubits")
+        a, b = qs[:, 0], qs[:, -1]  # b is a for one-qubit gates
         if name == "H":
-            (q,) = qs
-            phases += 2 * (xs[:, q].astype(np.int64) * zs[:, q])
-            xs[:, q], zs[:, q] = zs[:, q].copy(), xs[:, q].copy()
-        elif name == "S":
-            (q,) = qs
-            phases += xs[:, q]
-            zs[:, q] ^= xs[:, q]
-        elif name == "SDG":
-            (q,) = qs
-            phases += 3 * xs[:, q].astype(np.int64)
-            zs[:, q] ^= xs[:, q]
+            xa, za = xs[:, a], zs[:, a]
+            phases += 2 * (xa & za).sum(axis=1, dtype=np.int64)
+            xs[:, a], zs[:, a] = za, xa
+        elif name in ("S", "SDG"):
+            xa = xs[:, a]
+            phases += (1 if name == "S" else 3) * xa.sum(axis=1, dtype=np.int64)
+            zs[:, a] ^= xa
         elif name == "CZ":
-            a, b = qs
-            phases += 2 * (xs[:, a].astype(np.int64) * xs[:, b])
-            za = zs[:, a] ^ xs[:, b]
-            zb = zs[:, b] ^ xs[:, a]
-            zs[:, a], zs[:, b] = za, zb
+            phases += 2 * (xs[:, a] & xs[:, b]).sum(axis=1, dtype=np.int64)
+            zs[:, a], zs[:, b] = zs[:, a] ^ xs[:, b], zs[:, b] ^ xs[:, a]
         else:  # SWAP
-            a, b = qs
-            xs[:, [a, b]] = xs[:, [b, a]]
-            zs[:, [a, b]] = zs[:, [b, a]]
+            ab, ba = np.concatenate([a, b]), np.concatenate([b, a])
+            xs[:, ab], zs[:, ab] = xs[:, ba], zs[:, ba]
     phases %= 4
 
 
 def conjugate(t: Tableau, g: GateSequence) -> Tableau:
+    """The tableau of t's generators conjugated by g.
+
+    Every gate maps the (x | z) rows by an invertible GF(2) map, so the
+    kernel of rowsᵀ does not change: the result takes t's dependencies and
+    rank instead of eliminating its rows again.  Its rows and phases are
+    checked as any tableau's are, the signs against those dependencies.
+    """
     rows, phases = t.rows.copy(), t.phases.copy()
     _apply_gates(rows, phases, g)
-    return Tableau(rows, phases)
+    out = object.__new__(Tableau)
+    vars(out).update(dependencies=t.dependencies, rank=t.rank)
+    out.__init__(rows, phases)
+    return out
 
 
 # ── the block stabilizer and its transversal operators ────────────────

@@ -106,14 +106,13 @@ outputs equal those of decoding every trial on its own.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from eaqc.channel import _probability
 from eaqc.eacode import EaCode
-from eaqc.gf2 import BinaryMatrix, DimensionMismatch, _matmul_words
+from eaqc.gf2 import BinaryMatrix, DimensionMismatch, _count, _matmul_words
 
 __all__ = [
     "TannerGraph",
@@ -205,18 +204,6 @@ def syndrome_batch(
     sx = _matmul_words(BinaryMatrix.from_dense(z).words, code.hx.words)
     sz = _matmul_words(BinaryMatrix.from_dense(x).words, code.hz.words)
     return sx, sz
-
-
-def _count(value, name: str) -> int:
-    """A count named name as a plain int.
-
-    A bool, or anything without __index__, raises TypeError, so a count
-    fails where it is given (2.5, or 100.0) rather than in the loop that
-    reads it; an np.int64 becomes the int of the same value.
-    """
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 def _set_count(config, name: str) -> None:

@@ -23,6 +23,7 @@ replaces each exponent ``e`` by the right-circulant permutation power
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,18 @@ _MATMUL_BYTES = 2**20
 
 class DimensionMismatch(ValueError):
     """Shapes are incompatible for the requested operation."""
+
+
+def _count(value, name: str) -> int:
+    """A count or index named name as a plain int: the package's one integer rule.
+
+    A bool, or anything without __index__, raises TypeError, so a count
+    fails where it is given (2.5, or 100.0) rather than in the code that
+    reads it; an np.int64 becomes the int of the same value.
+    """
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _n_words(cols: int) -> int:

@@ -48,7 +48,6 @@ from eaqc.decoder import (
     DecoderConfig,
     SyndromeTable,
     TannerGraph,
-    _count,
     _safe_p,
     _set_count,
     build_graphs,
@@ -56,7 +55,7 @@ from eaqc.decoder import (
     syndrome_batch,
 )
 from eaqc.eacode import EaCode
-from eaqc.gf2 import BinaryMatrix, DimensionMismatch, RowBasis
+from eaqc.gf2 import BinaryMatrix, DimensionMismatch, RowBasis, _count
 
 __all__ = [
     "SimConfig",

@@ -13,6 +13,8 @@ from eaqc.clifford import (
     GateSequence,
     Tableau,
     _apply_gates,
+    _dependencies,
+    _negative_dependency,
     _product_phases,
     _quotient_rows,
     code_tableau,
@@ -34,6 +36,7 @@ from eaqc.eacode import (
     build_theorem9,
 )
 from eaqc.gf2 import BinaryMatrix, RowBasis, gfrank
+from clifford_reference import apply_gates_one_at_a_time
 from gf2_reference import independent_rows
 from paulis import PauliVector, generators, logical_pairs, logical_stack, tableau
 
@@ -202,6 +205,17 @@ def test_malformed_gates_rejected():
             GateSequence((bad,))
 
 
+def test_gate_sequences_take_integer_qubit_indices_only():
+    # 1.5 failed inside conjugate with an IndexError, True with a broadcast
+    # ValueError; both now fail where the sequence is built
+    for bad in [("H", 1.5), ("H", True), ("CZ", 0, 1.0), ("SWAP", "0", 1)]:
+        with pytest.raises(TypeError, match="must be an integer"):
+            GateSequence((bad,))
+    seq = GateSequence((("H", np.int64(1)), ("CZ", np.int64(0), np.uint8(2))))
+    assert seq.gates == (("H", 1), ("CZ", 0, 2))
+    assert all(type(q) is int for _, *qs in seq for q in qs)
+
+
 def test_out_of_range_gate_rejected_at_application():
     v = PauliVector.from_support(2)
     with pytest.raises(ValueError):
@@ -287,6 +301,17 @@ def test_tableau_holds_read_only_copies():
 def test_tableau_rejects_misshapen_rows_and_phases(rows, phases):
     with pytest.raises(ValueError, match="one phase per row"):
         Tableau(rows, phases)
+
+
+def test_tableau_rejects_non_integer_input():
+    # a phase of 0.5 was read as 0, and a row entry of 1.7 as bit 1
+    with pytest.raises(TypeError, match="integer rows and phases"):
+        Tableau([[1, 0]], [0.5])
+    with pytest.raises(TypeError, match="integer rows and phases"):
+        Tableau([[1.7, 0]], [0])
+    # integers are still read mod 2 (bits) and mod 4 (phases)
+    t = Tableau(np.array([[3, 0], [-1, 2]], np.int64), np.array([6, -2]))
+    assert t.rows.tolist() == [[1, 0], [1, 0]] and t.phases.tolist() == [2, 2]
 
 
 def test_tableau_needs_a_generator():
@@ -814,3 +839,129 @@ def test_action_refuses_broken_basis():
     bad[3, 1] = logs[2, 1]
     with pytest.raises(ValueError):
         logical_action(t, bad, hadamard_swap(3))
+
+
+# ── gate runs, inherited dependencies and the CSS sign rule ───────────
+
+
+def test_gate_runs_split_where_the_name_changes_or_qubits_meet():
+    seq = GateSequence((
+        ("H", 0), ("H", 1), ("H", 0), ("S", 2), ("S", 3), ("SDG", 3),
+        ("CZ", 0, 1), ("CZ", 2, 3), ("CZ", 1, 2), ("SWAP", 0, 1), ("SWAP", 3, 2),
+    ))
+    got = [(name, qs.tolist()) for name, qs in seq._runs]
+    assert got == [
+        ("H", [[0], [1]]), ("H", [[0]]), ("S", [[2], [3]]), ("SDG", [[3]]),
+        ("CZ", [[0, 1], [2, 3]]), ("CZ", [[1, 2]]), ("SWAP", [[0, 1], [3, 2]]),
+    ]
+
+
+def _clustered_gates(rng, q: int, count: int) -> GateSequence:
+    """Gates over all five names on q qubits; a name often repeats, and
+    qubits repeat and overlap, so runs form and split."""
+    names = ["H", "S", "SDG", "CZ", "SWAP"]
+    gates, name = [], names[0]
+    for _ in range(count):
+        if rng.random() < 0.4:
+            name = names[rng.integers(len(names))]
+        arity = 2 if name in ("CZ", "SWAP") else 1
+        gates.append((name, *rng.choice(q, arity, replace=False).tolist()))
+    return GateSequence(tuple(gates))
+
+
+def test_gate_runs_match_the_gate_at_a_time_reference():
+    rng = np.random.default_rng(31)
+    run_lengths = []
+    for _ in range(400):
+        q = int(rng.integers(2, 7))
+        seq = _clustered_gates(rng, q, int(rng.integers(1, 40)))
+        rows = rng.integers(0, 2, (int(rng.integers(1, 6)), 2 * q), dtype=np.uint8)
+        phases = rng.integers(0, 4, len(rows))
+        got_rows, got_phases = rows.copy(), phases.copy()
+        _apply_gates(got_rows, got_phases, seq)
+        apply_gates_one_at_a_time(rows, phases, seq)
+        assert np.array_equal(got_rows, rows), seq
+        assert np.array_equal(got_phases, phases), seq
+        run_lengths += [len(qs) for _, qs in seq._runs]
+    # about a third of the runs hold several gates, up to a full register
+    assert max(run_lengths) == 6 and run_lengths.count(1) < 0.8 * len(run_lengths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tableau_pairs(), st.data())
+def test_a_conjugate_inherits_the_dependencies_of_a_fresh_build(pair, data):
+    t = pair[0]
+    got = conjugate(t, data.draw(_gate_sequences(t.qubits)))
+    fresh = Tableau(got.rows, got.phases)  # the same rows and phases are accepted
+    assert got.dependencies is t.dependencies
+    assert got.rank == fresh.rank == gfrank(BinaryMatrix.from_dense(got.rows))
+    # the inherited rows annihilate the new rows and span their whole kernel
+    deps = got.dependencies
+    assert not ((deps.astype(np.int64) @ got.rows) % 2).any()
+    assert len(deps) == len(got.rows) - got.rank
+    assert gfrank(BinaryMatrix.from_dense(deps)) == len(deps)
+    assert not deps.flags.writeable
+
+
+def test_each_group_eliminates_its_dependencies_once(monkeypatch):
+    from eaqc import clifford
+
+    calls = []
+
+    def counted(rows):
+        calls.append(rows.shape)
+        return _dependencies(rows)
+
+    monkeypatch.setattr(clifford, "_dependencies", counted)
+    # CSS tableaux of phase 0 build with none
+    t = stabilizer_matrix(5)
+    code_tableau(build_theorem8(6, 2))
+    assert calls == []
+    logs = logical_operators(t)
+    for seq in (hadamard_swap(5), s_cz(5), h_s_cz(5)):
+        assert group_preserved(t, conjugate(t, seq))
+        logical_action(t, logs, seq)
+    # t's own once, for its rank; every conjugate inherits it; each of
+    # the six group_preserved calls eliminates its stack
+    assert calls == [(20, 52)] + [(40, 52)] * 6
+
+
+def _css_stack(rng, q: int) -> np.ndarray:
+    """Commuting X and Z rows on q qubits, with repeats and products among
+    them, shuffled: X rows drawn from the kernel of the Z rows."""
+    hz = rng.integers(0, 2, (int(rng.integers(1, q + 1)), q), dtype=np.uint8)
+    hz = np.vstack([hz, (rng.integers(0, 2, (2, len(hz))) @ hz) % 2])
+    kernel = RowBasis.build(BinaryMatrix.from_dense(hz)).kernel().to_dense()
+    hx = (rng.integers(0, 2, (int(rng.integers(0, q + 2)), len(kernel))) @ kernel) % 2
+    rows = np.vstack([np.hstack([hx, np.zeros_like(hx)]),
+                      np.hstack([np.zeros_like(hz), hz])]).astype(np.uint8)
+    return rows[rng.permutation(len(rows))]
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_random_css_stacks_of_phase_zero_have_no_negative_dependency(q, seed):
+    rows = _css_stack(np.random.default_rng(seed), q)
+    phases = np.zeros(len(rows), np.int64)
+    assert not symplectic_product(rows, rows).any()
+    assert not _negative_dependency(_dependencies(rows), rows, phases)
+    Tableau(rows, phases)
+
+
+@pytest.mark.parametrize(
+    "builder,args,kwargs,digest", _README_LOGICALS_SHA256,
+    ids=[f"{b.__name__}{a}" for b, a, *_ in _README_LOGICALS_SHA256],
+)
+def test_readme_code_tableaux_have_no_negative_dependency(builder, args, kwargs, digest):
+    t = code_tableau(builder(*args, **kwargs))
+    assert not t.phases.any()
+    assert not _negative_dependency(_dependencies(t.rows), t.rows, t.phases)
+
+
+def test_a_css_tableau_with_a_nonzero_phase_checks_its_signs():
+    # X1 twice with phases 0 and 2: X1 · (-X1) = -I
+    with pytest.raises(ValueError, match="multiplies to -I"):
+        Tableau([[1, 0], [1, 0]], [0, 2])
+    with pytest.raises(ValueError, match="multiplies to -I"):
+        Tableau([[1, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]], [0, 0, 2])
+    assert Tableau([[1, 0], [1, 0]], [2, 2]).rank == 1
