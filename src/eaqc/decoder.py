@@ -102,6 +102,13 @@ graph and DecoderConfig, it decodes nothing: a batch whose rows are the
 table's, in order, reads the table's outputs, and any other batch, or a
 table of another graph or config, raises ValueError.  Either way the
 outputs equal those of decoding every trial on its own.
+
+The points of a `harness.sweep` share one decode this way.  When all of
+them fit one chunk together, the sweep samples every point and decodes
+the rows of them all, in point order, in one `decode_batch` call, so a
+syndrome that recurs or stalls in several points runs its passes once.
+It cuts the outputs into one `SyndromeTable` per point, and each point's
+`run_trials` reads its own rows' outputs from it by position.
 """
 
 from __future__ import annotations

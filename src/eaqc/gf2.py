@@ -159,18 +159,24 @@ class BinaryMatrix:
 
 @dataclass(frozen=True)
 class ModelMatrix:
-    """Exponent grid over Z_order; the compressed quasi-cyclic form."""
+    """Exponent grid over Z_order; the compressed quasi-cyclic form.
+
+    order is read as a `_count`, and a non-empty grid of any dtype but an
+    integer one raises TypeError, so 0.7 is not truncated to 0.
+    """
 
     order: int
     exponents: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "exponents", np.ascontiguousarray(self.exponents, dtype=np.int64)
-        )
+        object.__setattr__(self, "order", _count(self.order, "circulant order"))
+        e = np.asarray(self.exponents)
+        if e.size and e.dtype.kind not in "iu":
+            raise TypeError(f"exponents must be integers, got {e.dtype}")
+        e = np.ascontiguousarray(e, dtype=np.int64)
+        object.__setattr__(self, "exponents", e)
         if self.order < 1:
             raise ValueError(f"circulant order must be positive, got {self.order}")
-        e = self.exponents
         if e.ndim != 2:
             raise ValueError("exponent grid must be 2-D")
         if e.size and (e.min() < 0 or e.max() >= self.order):

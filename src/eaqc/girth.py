@@ -146,8 +146,9 @@ def girth_bfs(h: BinaryMatrix, cap: int) -> int | float:
     checks, so the roots are the smaller side.  Roots go through in blocks
     whose scratch holds at most `gf2._MATMUL_BYTES`, and a block after a
     hit searches only the levels below it.  Returns the integer girth, or
-    math.inf when every cycle (if any) is longer than cap.
+    math.inf when every cycle (if any) is longer than cap, a `_count`.
     """
+    cap = gf2._count(cap, "cap")
     if cap < 4 or cap % 2 != 0:
         raise ValueError(f"cap must be an even integer >= 4, got {cap}")
     table = _neighbours(h)

@@ -8,17 +8,11 @@ syndrome.  Per-trial randomness comes from (master_seed, trial)
 counter seeds, so results are independent of how trials are scheduled.
 
 `run_trials` runs a point in chunks of at most `_chunk_trials` trials,
-each sampled, decoded and tested before the next, and the decoder decodes
-each distinct syndrome of a chunk once.  When all the points of a `sweep`
-fit one chunk together, the sweep first samples every point and decodes
-the rows of them all, in point order, in one `decoder.decode_batch` call,
-which decodes each distinct syndrome among them once.  It cuts the outputs
-into one `SyndromeTable` per point and hands each point's `run_trials` its
-own, whose decode reads the point's rows from it by position and decodes
-nothing.  The points then share one run of each stalled syndrome.  How
-that run streams the syndromes through its window is the `decoder`
-module's to describe.  Each point still samples, decodes and tests all its
-own trials, so its SimResult can be rebuilt from its own steps.
+each sampled, decoded and tested before the next.  When all the points of
+a `sweep` fit one chunk together, they share one decode of their rows, as
+the `decoder` docstring describes with the window it runs through.  Each
+point still samples, decodes and tests all its own trials, so its
+SimResult can be rebuilt from its own steps.
 
 The exhaustive oracles (ML coset decoding over all 4^n errors, min-weight
 decoding by weight layer, and the burst-window audit) read every column
@@ -153,6 +147,8 @@ class BurstReport:
 
 
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval of failures out of trials, both `_count`s."""
+    failures, trials = _count(failures, "failures"), _count(trials, "trials")
     z = _WILSON_Z
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -221,6 +221,7 @@ def test_criterion_04_geometric_instance_ranks():
     assert elapsed < 60.0
 
 
+@pytest.mark.girth
 def test_criterion_05_girth_bfs_and_model_tests():
     above4 = []
     for p, l in ((3, 1), (5, 2), (7, 3), (11, 5), (13, 6)):

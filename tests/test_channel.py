@@ -227,6 +227,7 @@ def _counted(monkeypatch, name):
     return calls
 
 
+@pytest.mark.batching
 def test_the_points_of_a_sweep_share_one_draw(monkeypatch):
     cfg = SimConfig(build_theorem5(5, 2, 2), ChannelParams(0.02, 0.0),
                     DecoderConfig("binary-spa", 0.02), 40, 3)

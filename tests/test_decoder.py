@@ -1,6 +1,6 @@
 """The Tanner graph and the two syndrome decoders, pinned against exact
-single-error behavior, internal message identities, recorded outputs and a
-scalar reference decoder."""
+single-error behavior, internal message identities, recorded outputs and
+the scalar reference decoder of `decoder_reference.py`."""
 
 import hashlib
 import tracemalloc
@@ -31,8 +31,10 @@ from eaqc.decoder import (
     decode_quaternary_batch,
     syndrome_batch,
 )
-from eaqc.eacode import build_theorem5, build_theorem6, build_theorem8
+from eaqc.eacode import build_theorem5, build_theorem6, build_theorem7, build_theorem8
 from eaqc.gf2 import BinaryMatrix, DimensionMismatch, RowBasis
+from decoder_probes import column_passes, flood_runs, recorded_streams, window_widths
+from decoder_reference import CLAMP, binary_block, column_sum, reference_decode
 
 _ALGS = ("binary-spa", "quaternary-spa")
 
@@ -126,23 +128,15 @@ def _column_edges(hx, hz, g):
 
 
 def _loop_sums(hx, hz, g, mu):
-    """Column sums by plain loops: the first message plus the rest, left to right.
-
-    Each column's messages are followed by zeros up to the largest column
-    degree, as the slot table pads them.
-    """
+    """Column sums by the reference decoder's rule, the first message plus
+    the rest added left to right, on each column's messages followed by
+    zeros up to the largest column degree, as the slot table pads them."""
     columns = _column_edges(hx, hz, g)
     width = max(1, max(map(len, columns)))
     out = np.empty((len(columns), mu.shape[1]))
     for c, rows in enumerate(columns):
         for t in range(mu.shape[1]):
-            first, *rest = [float(mu[r, t]) for r in rows] + [0.0] * (width - len(rows))
-            if rest:
-                total = rest[0]
-                for v in rest[1:]:
-                    total += v
-                first += total
-            out[c, t] = first
+            out[c, t] = column_sum([float(mu[r, t]) for r in rows] + [0.0] * (width - len(rows)))
     return out
 
 
@@ -503,6 +497,7 @@ def test_uniform_prior_first_messages_all_equal(nine):
     assert np.allclose(vals, vals[0])
 
 
+@pytest.mark.batching
 def test_results_do_not_depend_on_batching(twentyfive):
     code, _, g = twentyfive
     xs, zs = sample_error_batch(code.n, ChannelParams(0.05, 0.4), 77, 30)
@@ -545,6 +540,7 @@ def _shuffled():
     return g, sx, sz, {alg: decode_batch(g, sx, sz, DecoderConfig(alg, 0.05)) for alg in _ALGS}
 
 
+@pytest.mark.batching
 @settings(max_examples=20, deadline=None)
 @given(st.permutations(range(40)), st.integers(1, 40), st.sampled_from(_ALGS))
 def test_permuted_batch_decodes_to_permuted_outputs(order, keep, alg):
@@ -629,32 +625,7 @@ def _repeated(code, trials=30, copies=120):
     return sx[pick], sz[pick]
 
 
-def _flood_widths(monkeypatch):
-    """Record the row count of each message-passing run from now on."""
-    widths = []
-    flood = decoder._flood
-
-    def counted(g, rows, cfg, **kwargs):
-        widths.append(len(rows))
-        return flood(g, rows, cfg, **kwargs)
-
-    monkeypatch.setattr(decoder, "_flood", counted)
-    return widths
-
-
-def _recorded_streams(monkeypatch):
-    """Record each check block's stream that message passing makes from now on."""
-    streams = []
-
-    class Recorded(decoder._Stream):
-        def __init__(self, *args):
-            super().__init__(*args)
-            streams.append(self)
-
-    monkeypatch.setattr(decoder, "_Stream", Recorded)
-    return streams
-
-
+@pytest.mark.batching
 @pytest.mark.parametrize("alg", _ALGS)
 def test_duplicated_syndromes_decode_as_each_trial_alone(twentyfive, alg, monkeypatch):
     code, _, g = twentyfive
@@ -662,13 +633,13 @@ def test_duplicated_syndromes_decode_as_each_trial_alone(twentyfive, alg, monkey
     cfg = DecoderConfig(alg, 0.05)
     rows = np.hstack([sx, sz])
     distinct = len(np.unique(rows, axis=0))
-    widths = _flood_widths(monkeypatch)
-    streams = _recorded_streams(monkeypatch)
+    runs = flood_runs(monkeypatch)
+    streams = recorded_streams(monkeypatch)
     got = decode_batch(g, sx, sz, cfg)
     # one run over every row, whose blocks each stream their distinct
     # syndromes: the rows under quaternary-spa, the sx and sz halves under
     # binary-spa
-    assert widths == [len(sx)] and distinct < len(sx)
+    assert [len(r) for r in runs] == [len(sx)] and distinct < len(sx)
     held = ([np.unique(sx, axis=0), np.unique(sz, axis=0)] if alg == "binary-spa"
             else [np.unique(rows, axis=0)])
     assert len(streams) == len(held)
@@ -689,6 +660,7 @@ def _table(g, sx, sz, cfg):
     return SyndromeTable(g, cfg, np.hstack([sx, sz]), *decode_batch(g, sx, sz, cfg))
 
 
+@pytest.mark.batching
 @pytest.mark.parametrize("alg", _ALGS)
 def test_a_syndrome_table_answers_every_row_or_raises(twentyfive, alg, monkeypatch):
     # a table answers the batch whose rows it holds, in order, and no
@@ -703,7 +675,7 @@ def test_a_syndrome_table_answers_every_row_or_raises(twentyfive, alg, monkeypat
         code.n, ChannelParams(0.05, 0.4), 78, len(sx)))
     flip = np.arange(len(sx))[::-1]
     assert not np.array_equal(np.hstack([sx, sz]), np.hstack([sx[flip], sz[flip]]))
-    widths = _flood_widths(monkeypatch)
+    runs = flood_runs(monkeypatch)
     got = decode_batch(g, sx, sz, cfg, known=table)
     for part, whole in zip(got, want):
         assert np.array_equal(part, whole)
@@ -718,21 +690,12 @@ def test_a_syndrome_table_answers_every_row_or_raises(twentyfive, alg, monkeypat
             ("any, from an empty table", (sx, sz), empty)):
         with pytest.raises(ValueError, match="another batch's syndromes"):
             decode_batch(g, *batch, cfg, known=known)
-    assert widths == []
+    assert runs == []
 
 
-def _window_widths(monkeypatch):
-    """Record the column count of each window the message passing makes
-    from now on: its first, and each it shrinks to once the stream ends."""
-    widths = []
-
-    class Recorded(decoder._RuleScratch):
-        def __init__(self, sign, dmax):
-            widths.append(sign.shape[1])
-            super().__init__(sign, dmax)
-
-    monkeypatch.setattr(decoder, "_RuleScratch", Recorded)
-    return widths
+def _decode_rows(g, rows, cfg):
+    """decode_batch on [sx | sz] rows."""
+    return decode_batch(g, rows[:, :g.x_checks], rows[:, g.x_checks:], cfg)
 
 
 def _stream(code):
@@ -744,6 +707,7 @@ def _stream(code):
     return np.insert(rows[np.random.default_rng(3).permutation(len(rows))], 70, 0, axis=0)
 
 
+@pytest.mark.batching
 @pytest.mark.parametrize("l_max", [1, 2, 100])
 @pytest.mark.parametrize("alg", _ALGS)
 def test_a_window_of_any_width_gives_equal_outputs(twentyfive, alg, l_max, monkeypatch):
@@ -757,7 +721,7 @@ def test_a_window_of_any_width_gives_equal_outputs(twentyfive, alg, l_max, monke
     code, _, g = twentyfive
     rows = _stream(code)
     cfg = DecoderConfig(alg, 0.05, l_max=l_max)
-    want = decoder._flood(g, rows, cfg)
+    want = _decode_rows(g, rows, cfg)
     assert len(rows) == 78 and np.flatnonzero(~rows.any(axis=1)).tolist() == [70]
     assert want[2][70] and want[3][70] == 0
     assert (~want[2]).any() and (want[2] & (want[3] > 0)).any()
@@ -765,11 +729,11 @@ def test_a_window_of_any_width_gives_equal_outputs(twentyfive, alg, l_max, monke
     streamed = (max(len(np.unique(rows[:, :x], axis=0)), len(np.unique(rows[:, x:], axis=0)))
                 if alg == "binary-spa" else len(rows))
     assert streamed == (48 if alg == "binary-spa" else 78)
-    windows = _window_widths(monkeypatch)
+    windows = window_widths(monkeypatch)
     for width in (1, 7, 64, len(rows)):
         del windows[:]
         monkeypatch.setattr(decoder, "_WINDOW", width)
-        got = decoder._flood(g, rows, cfg)
+        got = _decode_rows(g, rows, cfg)
         assert max(windows) == min(width, streamed)
         for part, full in zip(got, want):
             assert np.array_equal(part, full), width
@@ -789,20 +753,14 @@ def test_the_decode_work_of_a_stream_is_pinned(twentyfive, alg, width, passes, c
     code, _, g = twentyfive
     rows = _stream(code)
     monkeypatch.setattr(decoder, "_WINDOW", width)
-    column_sums, widths = decoder._column_sums, []
-
-    def counted(mu, slots):
-        assert mu.flags.c_contiguous
-        widths.append(mu.shape[1])
-        return column_sums(mu, slots)
-
-    monkeypatch.setattr(decoder, "_column_sums", counted)
-    iters = decoder._flood(g, rows, DecoderConfig(alg, 0.05, l_max=100))[3]
+    widths = column_passes(monkeypatch)
+    iters = _decode_rows(g, rows, DecoderConfig(alg, 0.05, l_max=100))[3]
     assert (len(widths), sum(widths)) == (passes, columns)
     if alg == "quaternary-spa":
         assert columns == (iters + 1).sum()
 
 
+@pytest.mark.batching
 @pytest.mark.parametrize("alg", _ALGS)
 def test_a_syndrome_table_of_another_config_or_graph_raises(nine, twentyfive, alg,
                                                            monkeypatch):
@@ -812,7 +770,7 @@ def test_a_syndrome_table_of_another_config_or_graph_raises(nine, twentyfive, al
     cfg = DecoderConfig(alg, 0.05)
     table = _table(g, sx, sz, cfg)
     want = decode_batch(g, sx, sz, cfg)
-    widths = _flood_widths(monkeypatch)
+    runs = flood_runs(monkeypatch)
     other_alg = _ALGS[1 - _ALGS.index(alg)]
     for other in (DecoderConfig(alg, 0.04), DecoderConfig(alg, 0.05, l_max=99),
                   DecoderConfig(other_alg, 0.05)):
@@ -826,121 +784,10 @@ def test_a_syndrome_table_of_another_config_or_graph_raises(nine, twentyfive, al
     again = decode_batch(build_graphs(code), sx, sz, cfg, known=table)
     for part, whole in zip(again, want):
         assert np.array_equal(part, whole)
-    assert widths == []
+    assert runs == []
 
 
-# ── a scalar reference decoder ────────────────────────────────────────
-#
-# It decodes one trial at a time with plain loops over the checks and
-# their edges, and shares no code with `eaqc.decoder`: it builds its own
-# edge lists from hx and hz, and its own variable-to-check messages from
-# the commutation class of each Pauli with each check.  Its sums and
-# products run left to right, so its messages may differ from the
-# vectorized ones in the last bits; the estimates, convergence flags and
-# iteration counts must still be equal.
-
-CLIP = 1.0 - 1e-12  # tanh-domain clip
-CLAMP = 30.0  # message clamp
-
-
-def _check_rule(m, syndrome_bit):
-    """Outgoing messages of one check from its incoming messages m."""
-    sign = -1.0 if syndrome_bit else 1.0
-    d = len(m)
-    t = [np.tanh(v / 2.0) for v in m]
-    out = []
-    for e in range(d):
-        pe = 1.0
-        for f in range(d):
-            if f != e:
-                pe *= t[f]
-        pe = min(max(pe, -CLIP), CLIP)
-        out.append(min(max(2.0 * sign * np.arctanh(pe), -CLAMP), CLAMP))
-    return out
-
-
-def _binary_block(rows, syndrome, n, prior, l_max):
-    """One check block as a graph of its own: (bits, converged, iteration)."""
-    mu = [[0.0] * len(cols) for cols in rows]
-    into = [[] for _ in range(n)]  # (check, slot) of each edge into a bit
-    for c, cols in enumerate(rows):
-        for e, j in enumerate(cols):
-            into[j].append((c, e))
-    for it in range(l_max + 1):
-        total = [prior + sum([mu[c][e] for c, e in into[j]]) for j in range(n)]
-        bits = [1 if t < 0.0 else 0 for t in total]
-        if all(sum(bits[j] for j in cols) % 2 == syndrome[c]
-               for c, cols in enumerate(rows)):
-            return bits, True, it
-        if it == l_max:
-            return bits, False, l_max
-        mu = [_check_rule([total[j] - mu[c][e] for e, j in enumerate(cols)],
-                          syndrome[c])
-              for c, cols in enumerate(rows)]
-
-
-def _fmax(a, b):
-    """The Jacobian logarithm log(e^a + e^b)."""
-    return max(a, b) + np.log1p(np.exp(-abs(a - b)))
-
-
-def _quaternary(x_rows, z_rows, sx, sz, n, m0, l_max):
-    # checks in [hx; hz] order: (is an X check, columns, syndrome bit)
-    checks = ([(True, cols, s) for cols, s in zip(x_rows, sx)]
-              + [(False, cols, s) for cols, s in zip(z_rows, sz)])
-    mu = [[0.0] * len(cols) for _, cols, _ in checks]
-    # per qubit, the edges of X checks (which Z and Y anticommute with)
-    # and of Z checks (which X and Y anticommute with)
-    from_x = [[] for _ in range(n)]
-    from_z = [[] for _ in range(n)]
-    for c, (is_x, cols, _) in enumerate(checks):
-        for e, j in enumerate(cols):
-            (from_x if is_x else from_z)[j].append((c, e))
-    for it in range(l_max + 1):
-        s_x = [sum([mu[c][e] for c, e in from_x[j]]) for j in range(n)]
-        s_z = [sum([mu[c][e] for c, e in from_z[j]]) for j in range(n)]
-        # log ratios against I: each anticommuting check subtracts its message
-        lx = [m0 - s_z[j] for j in range(n)]
-        lz = [m0 - s_x[j] for j in range(n)]
-        ly = [lx[j] - s_x[j] for j in range(n)]
-        cats = []
-        for j in range(n):
-            scores = (0.0, lx[j], ly[j], lz[j])  # I, X, Y, Z; ties go to I
-            cats.append(scores.index(max(scores)))
-        xb, zb = ([int(c in (1, 2)) for c in cats], [int(c in (2, 3)) for c in cats])
-        if all(sum((zb if is_x else xb)[j] for j in cols) % 2 == s
-               for is_x, cols, s in checks):
-            return xb, zb, True, it
-        if it == l_max:
-            return xb, zb, False, l_max
-        new = []
-        for c, (is_x, cols, s) in enumerate(checks):
-            m = []
-            for e, j in enumerate(cols):
-                # the pair commuting with the check against the other pair,
-                # without this check's own message
-                a, b = (lx[j], lz[j]) if is_x else (lz[j], lx[j])
-                m.append(_fmax(0.0, a) - _fmax(ly[j] + mu[c][e], b + mu[c][e]))
-            new.append(_check_rule(m, s))
-        mu = new
-
-
-def reference_decode(hx, hz, sx, sz, cfg):
-    """(est_x, est_z, converged, iterations) of one trial."""
-    n = hx.shape[1]
-    x_rows = [list(np.flatnonzero(r)) for r in hx]
-    z_rows = [list(np.flatnonzero(r)) for r in hz]
-    p = min(max(cfg.p_d, 1e-12), 1.0 - 1e-12)
-    if cfg.algorithm == "binary-spa":
-        prior = float(np.log((1.0 - p) / p))
-        # X checks explain the z bits from sx, Z checks the x bits from sz;
-        # each block stops on its own syndrome
-        zb, z_ok, z_it = _binary_block(x_rows, sx, n, prior, cfg.l_max)
-        xb, x_ok, x_it = _binary_block(z_rows, sz, n, prior, cfg.l_max)
-        return xb, zb, x_ok and z_ok, max(x_it, z_it)
-    m0 = float(np.log(p / (3.0 * (1.0 - p))))
-    return _quaternary(x_rows, z_rows, sx, sz, n, m0, cfg.l_max)
-
+# ── the scalar reference decoder ──────────────────────────────────────
 
 def _compare_dense(hx, hz, g, sx, sz, cfg):
     """Assert that decode_batch equals the reference on every row.
@@ -952,7 +799,7 @@ def _compare_dense(hx, hz, g, sx, sz, cfg):
     for t in range(len(sx)):
         key = (sx[t].tobytes(), sz[t].tobytes())
         if key not in seen:
-            seen[key] = reference_decode(hx, hz, list(sx[t]), list(sz[t]), cfg)
+            seen[key] = reference_decode(hx, hz, sx[t], sz[t], cfg)
         got = (est_x[t].tolist(), est_z[t].tolist(), bool(conv[t]), int(iters[t]))
         assert got == seen[key], (cfg.algorithm, t)
     return est_x, est_z, conv, iters
@@ -981,18 +828,20 @@ def test_flood_matches_the_reference_on_twentyfive(twentyfive, alg):
     assert (~conv).any() and (conv & (iters > 0)).any()
 
 
+@pytest.mark.batching
 @pytest.mark.parametrize("alg", _ALGS)
 def test_flood_matches_the_reference_in_a_window_of_three(twentyfive, alg, monkeypatch):
     # the sample above streamed through three columns, each refilled in
     # place as its row finishes
     code, _, g = twentyfive
     monkeypatch.setattr(decoder, "_WINDOW", 3)
-    windows = _window_widths(monkeypatch)
+    windows = window_widths(monkeypatch)
     xs, zs = sample_error_batch(code.n, ChannelParams(0.05, 0.4), 77, 40)
     conv, iters = _compare(code, g, xs, zs, DecoderConfig(alg, 0.05))
     assert (~conv).any() and (conv & (iters > 0)).any() and max(windows) == 3
 
 
+@pytest.mark.batching
 @pytest.mark.parametrize("alg", _ALGS)
 @pytest.mark.parametrize("p, l", [(5, 2), (7, 3)])
 def test_flood_matches_the_reference_as_each_block_streams_on_its_own(p, l, alg, monkeypatch):
@@ -1010,17 +859,17 @@ def test_flood_matches_the_reference_as_each_block_streams_on_its_own(p, l, alg,
     halves = [len(np.unique(rows[:, :x], axis=0)), len(np.unique(rows[:, x:], axis=0))]
     assert min(halves) < max(halves) < len(rows)  # rows share halves
     prior = float(np.log(0.95 / 0.05))
-    met = [[_binary_block([list(np.flatnonzero(r)) for r in h], list(s), code.n, prior, 100)[1]
+    met = [[binary_block([list(np.flatnonzero(r)) for r in h], list(s), code.n, prior, 100)[1]
             for s in part] for h, part in ((hx, rows[:, :x]), (hz, rows[:, x:]))]
     x_met, z_met = np.array(met)
     assert (x_met & ~z_met).any() and (~x_met & z_met).any()
     cfg = DecoderConfig(alg, 0.05)
-    want = [reference_decode(hx, hz, list(r[:x]), list(r[x:]), cfg) for r in rows]
-    windows = _window_widths(monkeypatch)
+    want = [reference_decode(hx, hz, r[:x], r[x:], cfg) for r in rows]
+    windows = window_widths(monkeypatch)
     for width in (1, 3, 7, len(rows)):  # the last holds every row at once
         del windows[:]
         monkeypatch.setattr(decoder, "_WINDOW", width)
-        est_x, est_z, conv, iters = decoder._flood(g, rows, cfg)
+        est_x, est_z, conv, iters = _decode_rows(g, rows, cfg)
         got = [(a.tolist(), b.tolist(), bool(c), int(i))
                for a, b, c, i in zip(est_x, est_z, conv, iters)]
         assert got == want, width
@@ -1102,3 +951,54 @@ def test_flood_matches_the_reference_on_columns_of_degree_nine_and_more(alg):
     degree = (g.slots != g.idx.size).sum(axis=0)
     assert degree[12] == 10 and degree[5] == 9 and np.sort(degree)[-3] < 9
     _compare_on_weight_two(hx, hz, DecoderConfig(alg, 0.1, l_max=30))
+
+
+# Trials of master seed 0 at (p_d, eta) = (0.03, 0.5) that stall after
+# l_max = 100 passes under a prior of 0.03, each a distinct syndrome.  A
+# reference that sums from 0 and multiplies the other slots in ascending
+# order differs from decode_batch on trial 2476 of n = 390 under
+# binary-spa, and on every quaternary-spa trial here.
+_STALLED = {
+    "n121": ((build_theorem7, 11, 5), {"binary-spa": (0,), "quaternary-spa": (13,)}),
+    "n390": ((build_theorem8, 6, 2), {"binary-spa": (1151, 2476), "quaternary-spa": (30,)}),
+}
+
+
+@pytest.mark.parametrize("alg", _ALGS)
+@pytest.mark.parametrize("name", list(_STALLED))
+def test_decode_batch_matches_the_reference_on_stalled_rows(name, alg):
+    (build, *args), trials = _STALLED[name]
+    code = build(*args)
+    channel = ChannelParams(0.03, 0.5)
+    xs, zs = (np.vstack(part) for part in zip(*(
+        sample_error_batch(code.n, channel, 0, 1, first=t) for t in trials[alg])))
+    conv, iters = _compare(code, build_graphs(code), xs, zs, DecoderConfig(alg, 0.03))
+    assert not conv.any() and (iters == 100).all()
+    rows = np.hstack(syndrome_batch(code, xs, zs))
+    assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+@pytest.mark.batching
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1), st.sampled_from(_ALGS),
+       st.sampled_from([0.02, 0.1, 0.3]), st.integers(1, 20), st.data())
+def test_a_batch_on_a_random_graph_equals_the_reference_and_each_row_alone(
+        n, seed, alg, p_d, l_max, data):
+    # random hx and hz on n qubits, whose rows and columns may have any
+    # weight, none included, and a batch of syndromes with repeats; at a
+    # window of any width up to the batch's, every row's outputs equal the
+    # reference's and those of the row decoded alone
+    rng = np.random.default_rng(seed)
+    hx, hz = ((rng.random((rng.integers(1, n + 1), n)) < 0.35).astype(np.uint8)
+              for _ in range(2))
+    x, z = (rng.random((2, rng.integers(1, 6), n)) < 0.2).astype(np.uint8)
+    pick = rng.integers(0, len(x), rng.integers(1, 13))
+    sx, sz = (z[pick] @ hx.T % 2).astype(np.uint8), (x[pick] @ hz.T % 2).astype(np.uint8)
+    g, cfg = _graph(hx, hz), DecoderConfig(alg, p_d, l_max=l_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder, "_WINDOW", data.draw(st.integers(1, len(sx)), label="window"))
+        got = _compare_dense(hx, hz, g, sx, sz, cfg)
+        for t in range(len(sx)):
+            alone = decode_batch(g, sx[t:t + 1], sz[t:t + 1], cfg)
+            for part, want in zip(got, alone):
+                assert np.array_equal(part[t], want[0])

@@ -17,6 +17,7 @@ from eaqc.gf2 import (
     gfrank,
     matmul,
 )
+from eaqc.models import special_prime_model
 from gf2_reference import independent_rows
 
 # ── independent oracles ───────────────────────────────────────────────
@@ -195,6 +196,31 @@ def test_model_matrix_rejects_out_of_range():
 
 
 # ── rank ──────────────────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("grid", [[[0.7, 1.2]], [[0.0, 1.0]], [[True, False]],
+                                  np.array([[0, 1]], object)])
+def test_model_matrix_exponents_that_are_not_integers_raise(grid):
+    # a float grid would otherwise be truncated: [[0.7, 1.2]] read as [[0, 1]]
+    with pytest.raises(TypeError, match="exponents must be integers"):
+        ModelMatrix(3, grid)
+    assert ModelMatrix(3, np.zeros((0, 2))).exponents.shape == (0, 2)
+
+
+def _row(order):
+    return ModelMatrix(order, [[0, 1]])
+
+
+@pytest.mark.parametrize("build, order", [
+    (_row, 5.5), (_row, 5.0), (_row, True), (_row, np.float64(5)),
+    (special_prime_model, 5.5), (special_prime_model, 5.0)],
+    ids=["5.5", "5.0", "True", "float64", "special-5.5", "special-5.0"])
+def test_model_matrix_order_that_is_not_an_integer_raises(build, order):
+    # 5.5 would otherwise fail later, inside expand, and 5.0 be kept as a float
+    with pytest.raises(TypeError, match="circulant order must be an integer"):
+        build(order)
+    m = build(np.int64(5))
+    assert type(m.order) is int and m == build(5)
 
 
 def test_rank_identity():

@@ -21,6 +21,9 @@ from eaqc.models import (
 )
 from girth_reference import girth_bfs_reference
 
+# every test here checks the girth oracle; CI selects them with criterion 05
+pytestmark = pytest.mark.girth
+
 CAPS = (4, 6, 8, 10, 12)
 
 
@@ -54,6 +57,15 @@ def test_girth_bfs_rejects_bad_caps():
     for cap in (-4, 0, 2, 3, 5, 7):
         with pytest.raises(ValueError, match="even integer >= 4"):
             girth_bfs(h, cap)
+
+
+@pytest.mark.parametrize("cap", [8.0, True, "8"])
+def test_girth_bfs_cap_that_is_not_an_integer_raises(cap):
+    # 8.0 would pass the range check and fail later, inside range
+    h = expand(special_prime_model(5))
+    with pytest.raises(TypeError, match="cap must be an integer"):
+        girth_bfs(h, cap)
+    assert girth_bfs(h, np.int64(8)) == girth_bfs(h, 8) == 6
 
 
 def test_girth_bfs_on_known_families():

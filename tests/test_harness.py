@@ -15,7 +15,6 @@ from eaqc.channel import ChannelParams, category_bits, sample_error_batch
 from eaqc.clifford import logical_operators, symplectic_product
 from eaqc.decoder import (
     DecoderConfig,
-    _flood,
     build_graphs,
     decode_batch,
     decode_quaternary_batch,
@@ -38,6 +37,7 @@ from eaqc.harness import (
     wilson_interval,
     write_csv,
 )
+from decoder_probes import column_passes, flood_runs, recorded_streams, window_widths
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +72,14 @@ def test_wilson_rejects_bad_input():
         wilson_interval(5, 4)
     with pytest.raises(ValueError):
         wilson_interval(-1, 10)
+
+
+@pytest.mark.parametrize("failures, trials", [(1.5, 10), (1, 10.5), (True, 10), (1, True)])
+def test_wilson_counts_that_are_not_integers_raise(failures, trials):
+    # True would otherwise read as 1, and 1.5 give an interval
+    with pytest.raises(TypeError, match="must be an integer"):
+        wilson_interval(failures, trials)
+    assert wilson_interval(np.int64(1), np.int64(10)) == wilson_interval(1, 10)
 
 
 @given(st.integers(1, 2000), st.data())
@@ -143,6 +151,7 @@ def test_run_trials_is_deterministic(nine):
     assert run_trials(cfg) == run_trials(cfg)
 
 
+@pytest.mark.batching
 @settings(max_examples=6, deadline=None)
 @given(st.integers(0, 2**16), st.sampled_from(["binary-spa", "quaternary-spa"]))
 def test_decode_chunks_do_not_change_the_result(twentyfive, seed, alg):
@@ -530,48 +539,18 @@ def test_ml_matches_the_reference_past_one_word_of_syndrome(order, x_rows, z_row
         _assert_same_table(ml_coset_decoder(code, p_d), _ml_reference(code, p_d))
 
 
-def _window_widths(monkeypatch):
-    """Record the column count of each window the message passing makes
-    from now on: its first, and each it shrinks to."""
-    widths = []
-
-    class Recorded(decoder._RuleScratch):
-        def __init__(self, sign, dmax):
-            widths.append(sign.shape[1])
-            super().__init__(sign, dmax)
-
-    monkeypatch.setattr(decoder, "_RuleScratch", Recorded)
-    return widths
-
-
-def _recorded_streams(monkeypatch):
-    """Record each check block's stream that message passing makes from now on."""
-    streams = []
-
-    class Recorded(decoder._Stream):
-        def __init__(self, *args):
-            super().__init__(*args)
-            streams.append(self)
-
-    monkeypatch.setattr(decoder, "_Stream", Recorded)
-    return streams
-
-
+@pytest.mark.batching
 def test_burst_oracle_decodes_each_distinct_syndrome_once(nine, monkeypatch):
-    calls, floods = [], []
+    calls = []
 
     def recorded(graph, sx, sz, cfg):
         calls.append((sx, sz, decode_batch(graph, sx, sz, cfg)))
         return calls[-1][2]
 
-    def flood(graph, rows, cfg):
-        floods.append(rows.copy())
-        return _flood(graph, rows, cfg)
-
     monkeypatch.setattr(harness, "decode_batch", recorded)
-    monkeypatch.setattr(decoder, "_flood", flood)
-    windows = _window_widths(monkeypatch)
-    streams = _recorded_streams(monkeypatch)
+    floods = flood_runs(monkeypatch)
+    windows = window_widths(monkeypatch)
+    streams = recorded_streams(monkeypatch)
     rep = burst_oracle(nine, 3)
     (got_sx, got_sz, (dx, dz, conv, _)), = calls
     # every window-3 pattern but the identity, repeats removed in order
@@ -601,12 +580,13 @@ def test_burst_oracle_failures_are_pinned(nine):
     assert burst_oracle(nine, 3).oracle_failures == _NINE_WINDOW3_FAILURES
 
 
+@pytest.mark.batching
 def test_a_burst_oracle_decode_keeps_to_the_window(nine, monkeypatch):
     # the 64 distinct syndromes of the window-3 audit stream through five
     # columns, refilled as they finish, and the report stays the same
     want = burst_oracle(nine, 3)
     monkeypatch.setattr(decoder, "_WINDOW", 5)
-    windows = _window_widths(monkeypatch)
+    windows = window_widths(monkeypatch)
     got = burst_oracle(nine, 3)
     assert windows[0] == max(windows) == 5
     assert got == want
@@ -742,18 +722,7 @@ def _recorded_decodes(monkeypatch):
     return calls
 
 
-def _flood_runs(monkeypatch):
-    """Record the rows of each message-passing run from now on."""
-    flood, runs = decoder._flood, []
-
-    def counted(g, rows, cfg):
-        runs.append(rows)
-        return flood(g, rows, cfg)
-
-    monkeypatch.setattr(decoder, "_flood", counted)
-    return runs
-
-
+@pytest.mark.batching
 @pytest.mark.parametrize("alg", ["binary-spa", "quaternary-spa"])
 def test_a_sweep_gives_equal_rows_with_and_without_its_syndrome_table(
         twentyfive, alg, monkeypatch):
@@ -781,6 +750,7 @@ def test_a_sweep_gives_equal_rows_with_and_without_its_syndrome_table(
     assert (~union[0][2]).any()  # the union holds stalled syndromes
 
 
+@pytest.mark.batching
 @pytest.mark.parametrize("alg", ["binary-spa", "quaternary-spa"])
 def test_a_one_chunk_sweep_decodes_its_rows_in_one_call_and_reads_them_by_position(
         twentyfive, alg, monkeypatch):
@@ -791,7 +761,7 @@ def test_a_one_chunk_sweep_decodes_its_rows_in_one_call_and_reads_them_by_positi
     cfg = SimConfig(twentyfive, ChannelParams(0.05, 0.0), DecoderConfig(alg, 0.05),
                     trials, 13)
     calls = _recorded_decodes(monkeypatch)
-    runs = _flood_runs(monkeypatch)
+    runs = flood_runs(monkeypatch)
     sweep(cfg, (0.04, 0.07), (0.0, 0.5, 0.9))
     (union, none, outputs), *points = calls
     assert none is None and len(union) == 6 * trials and len(points) == 6
@@ -810,6 +780,7 @@ def test_a_one_chunk_sweep_decodes_its_rows_in_one_call_and_reads_them_by_positi
     assert len(runs) == 1
 
 
+@pytest.mark.batching
 def test_a_sweep_syndrome_table_decodes_within_the_window(fortynine, monkeypatch):
     # the four points' rows hold more distinct syndromes than the decoder's
     # window, at a trial count other than the window's, yet decode in one
@@ -818,15 +789,9 @@ def test_a_sweep_syndrome_table_decodes_within_the_window(fortynine, monkeypatch
     trials = 60
     cfg = SimConfig(fortynine, ChannelParams(0.03, 0.5),
                     DecoderConfig("quaternary-spa", 0.03), trials, 0)
-    runs = _flood_runs(monkeypatch)
-    column_sums, passes = decoder._column_sums, []
-
-    def measured(mu, slots):
-        passes.append(mu.shape[1])
-        return column_sums(mu, slots)
-
-    monkeypatch.setattr(decoder, "_column_sums", measured)
-    windows = _window_widths(monkeypatch)
+    runs = flood_runs(monkeypatch)
+    passes = column_passes(monkeypatch)
+    windows = window_widths(monkeypatch)
     sweep(cfg, (0.02, 0.03), (0.0, 0.5))
     (rows,) = runs
     distinct = len(np.unique(rows, axis=0))
