@@ -25,30 +25,32 @@ which one reused PCG64 takes through its public `state` setter before
 drawing the trial's 2n uniforms.
 
 The uniforms of one call depend on (2n, master seed, trial count, first
-trial) alone, so the last such draw is kept (`_keep_last` on `_draw`,
-one slot) and handed out again, marked read-only; the chain only
-reads it, and every call returns fresh x and z arrays.  The key holds the
-ints `operator.index` makes of the arguments, checked before the cache is
-consulted, so a float seed such as 0.0 still raises TypeError rather than
-hitting the key of seed 0.  The points of a sweep share one seed and one
-trial count, and so does each decoder's sweep of one code: when a point
-fits one decode chunk (every point of the criterion-08 grid does), all of
-them read one draw.  The cache holds one chunk's array, 16n bytes per
-trial of the chunk: a full chunk is 2.8 MB on [[49,12;1]] and
-[[390,132;128]], 4.2 MB on [[25,8;1]] and 8.4 MB on [[9,4;1]].  The kept
-draw is dropped before the next one is made, so two never coexist.  A
-point of several chunks never asks for a chunk's draw again, so
-`harness.run_trials` drops each one once it is sampled, and such a point
-peaks no higher than it would without the cache.
+trial) alone, so the last such draw is kept (`functools.lru_cache` of
+one slot on `_draw`) and handed out again, marked read-only; the chain
+only reads it, and every call returns fresh x and z arrays.  The
+arguments are read as `gf2._count`s before the cache is consulted, so a
+float seed such as 0.0 or a bool such as True raises TypeError rather
+than hitting the key of seed 0 or 1.  The points of a sweep share one
+seed and one trial count, and so does each decoder's sweep of one code:
+when a point fits one decode chunk (every point of the criterion-08 grid
+does), all of them read one draw.  A draw is one chunk's array, 16n
+bytes per trial of the chunk: a full chunk is 2.8 MB on [[49,12;1]] and
+[[390,132;128]], 4.2 MB on [[25,8;1]] and 8.4 MB on [[9,4;1]].  The cache
+makes a new draw before it drops the kept one, so two such draws may
+exist for a moment.  A point of several chunks never asks for a chunk's
+draw again, so `harness.run_trials` clears the cache once each chunk is
+sampled: such a point holds one draw at a time and peaks no higher than
+it would without the cache.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import wraps
+from functools import lru_cache
 
 import numpy as np
+
+from eaqc.gf2 import _count
 
 __all__ = [
     "ChannelParams",
@@ -207,8 +209,8 @@ def _uniforms(width: int, master_seed: int, trials: int, first: int) -> np.ndarr
     (see the module docstring).  Raises ValueError for a negative master
     seed, a negative first trial, or a trial index from 2^64 up.
     """
-    width, trials = operator.index(width), operator.index(trials)
-    master_seed, first = operator.index(master_seed), operator.index(first)
+    width, trials = _count(width, "width"), _count(trials, "trials")
+    master_seed, first = _count(master_seed, "master seed"), _count(first, "first trial")
     if master_seed < 0:
         raise ValueError(f"master seed must be non-negative, got {master_seed}")
     if first < 0 or first + trials > 2**64:
@@ -216,27 +218,7 @@ def _uniforms(width: int, master_seed: int, trials: int, first: int) -> np.ndarr
     return _draw(width, master_seed, trials, first)
 
 
-def _keep_last(fn):
-    """fn with its last result kept for a call with the same arguments.
-
-    Like functools.lru_cache(maxsize=1), it has cache_clear() and
-    __wrapped__.  Unlike lru_cache, a call with new arguments drops the
-    kept result before fn runs, so two results never exist at once.
-    """
-    kept: dict = {}
-
-    @wraps(fn)
-    def call(*key):
-        if key not in kept:
-            kept.clear()
-            kept[key] = fn(*key)
-        return kept[key]
-
-    call.cache_clear = kept.clear
-    return call
-
-
-@_keep_last
+@lru_cache(maxsize=1)
 def _draw(width: int, master_seed: int, trials: int, first: int) -> np.ndarray:
     """`_uniforms` of validated ints, kept for the last key.
 
@@ -261,8 +243,10 @@ def sample_error_batch(
     Trial t chains the first 2n uniforms of default_rng((master_seed, t)),
     so any way of splitting the trial range into batches reproduces the
     same rows.  Raises ValueError for an empty register, a negative master
-    seed, a negative first trial, or a trial index from 2^64 up.
+    seed, a negative first trial, or a trial index from 2^64 up, and
+    TypeError for a count or seed that is not an integer (`gf2._count`).
     """
+    n = _count(n, "n")
     if n < 1:
         raise ValueError("qubit count must be at least 1")
     uv = _uniforms(2 * n, master_seed, trials, first)

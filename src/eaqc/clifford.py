@@ -167,9 +167,6 @@ class GateSequence:
             gates.append((name, *qs))
         object.__setattr__(self, "gates", tuple(gates))
 
-    def __iter__(self):
-        return iter(self.gates)
-
     @cached_property
     def _runs(self) -> tuple[tuple[str, np.ndarray], ...]:
         """The gates as maximal runs of one name on pairwise-disjoint qubits.
@@ -331,7 +328,7 @@ def stabilizer_matrix(p: int) -> Tableau:
 
 def hadamard_swap(p: int) -> GateSequence:
     """Transversal H on every qubit, then block j <-> block p+1-j swaps."""
-    _require_odd_prime(p)
+    p = _require_odd_prime(p)
     q = p * p + 1
     gates = [("H", i) for i in range(q)]
     for i in range(2, (p + 1) // 2 + 1):
@@ -348,7 +345,7 @@ def s_cz(p: int) -> GateSequence:
     Every gate acts on a disjoint qubit set, so the listed order is
     immaterial.
     """
-    _require_odd_prime(p)
+    p = _require_odd_prime(p)
     gates = []
     for j in range(1, (p - 1) // 2 + 1):
         for k in range(1, p + 1):

@@ -119,7 +119,7 @@ import numpy as np
 
 from eaqc.channel import _probability
 from eaqc.eacode import EaCode
-from eaqc.gf2 import BinaryMatrix, DimensionMismatch, _count, _matmul_words
+from eaqc.gf2 import BinaryMatrix, DimensionMismatch, _matmul_words, _set_count
 
 __all__ = [
     "TannerGraph",
@@ -211,11 +211,6 @@ def syndrome_batch(
     sx = _matmul_words(BinaryMatrix.from_dense(z).words, code.hx.words)
     sz = _matmul_words(BinaryMatrix.from_dense(x).words, code.hz.words)
     return sx, sz
-
-
-def _set_count(config, name: str) -> None:
-    """Store field name of a frozen dataclass as a `_count`."""
-    object.__setattr__(config, name, _count(getattr(config, name), name))
 
 
 @dataclass(frozen=True)

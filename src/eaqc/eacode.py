@@ -1,9 +1,10 @@
 """Entanglement-assisted code assembly from quasi-cyclic model matrices.
 
-Each builder expands its model matrices, measures the GF(2) ranks that fix
-the code parameters, extends both parity-check sides until they commute,
-and double-checks every closed-form prediction its family makes.  A failed
-prediction raises instead of shipping a wrong code.
+Each builder takes its model matrices from `models`, the home of every
+family's exponent grid and parameter domain, expands them, measures the
+GF(2) ranks that fix the code parameters, extends both parity-check sides
+until they commute, and double-checks every closed-form prediction its
+family makes.  A failed prediction raises instead of shipping a wrong code.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from eaqc.gf2 import (
 )
 from eaqc.girth import has_four_cycle, has_six_cycle
 from eaqc.models import (
-    _require_odd_prime,
-    special_prime_model,
+    theorem5_selection,
     theorem6_models,
+    theorem7_model,
     theorem8_model,
     theorem9_model,
     theorem10_model,
@@ -35,8 +36,6 @@ __all__ = [
     "StructureCheckFailed",
     "extend",
     "girth_floor_of",
-    "theorem5_selection",
-    "theorem7_model",
     "build_theorem5",
     "build_theorem6",
     "build_theorem7",
@@ -158,25 +157,6 @@ def _expect(family: str, name: str, got: int, want: int) -> None:
 # ── scalar-multiple prime family (one appended column) ────────────────
 
 
-def theorem5_selection(p: int, l1: int, l2: int) -> tuple[ModelMatrix, ModelMatrix]:
-    """The disjoint X and Z block-row banks of the deterministic prime grid.
-
-    X takes rows 1..l1, Z the top l2 rows; when every row is spoken for
-    (l1 + l2 = p) the Z bank swaps its lowest pick for the zero row to
-    keep the banks disjoint.
-    """
-    _require_odd_prime(p)
-    if l1 < 1 or l2 < 1 or l1 + l2 > p:
-        raise ValueError(f"need l1, l2 >= 1 with l1 + l2 <= p; got {l1}, {l2}, p={p}")
-    base = special_prime_model(p)
-    mx = base.row_submodel(range(1, l1 + 1))
-    if l1 + l2 == p:
-        mz = base.row_submodel([0, *range(p - l2 + 1, p)])
-    else:
-        mz = base.row_submodel(range(p - l2, p))
-    return mx, mz
-
-
 def build_theorem5(p: int, l1: int, l2: int) -> EaCode:
     """[[p², p² − 2p − (p−1)(l1+l2−2) + 1; 1]] from the banks of `theorem5_selection`."""
     mx, mz = theorem5_selection(p, l1, l2)
@@ -205,14 +185,6 @@ def build_theorem6(p: int, l1: int, l2: int) -> EaCode:
 
 
 # ── symmetric single-matrix prime family ──────────────────────────────
-
-
-def theorem7_model(p: int, l: int) -> ModelMatrix:
-    """Rows 1..l of the deterministic prime grid (the shared H)."""
-    _require_odd_prime(p)
-    if l < 1 or 2 * l >= p:
-        raise ValueError(f"need 1 <= l with 2l < p; got l={l}, p={p}")
-    return special_prime_model(p).row_submodel(range(1, l + 1))
 
 
 def build_theorem7(p: int, l: int) -> EaCode:

@@ -52,13 +52,21 @@ class DimensionMismatch(ValueError):
 def _count(value, name: str) -> int:
     """A count or index named name as a plain int: the package's one integer rule.
 
-    A bool, or anything without __index__, raises TypeError, so a count
-    fails where it is given (2.5, or 100.0) rather than in the code that
-    reads it; an np.int64 becomes the int of the same value.
+    A bool, or anything without __index__, raises TypeError naming it, so
+    2.5 or 100.0 fails where it is given; an np.int64 becomes its int.
+    Every entry point reads its integers here: the channel's qubit count,
+    seed and trial range, each family's parameters and exponents
+    (`models`), the circulant order, gate qubits, `girth_bfs`'s cap,
+    l_max, a point's trials and seed, and the oracles' counts.
     """
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def _set_count(config, name: str) -> None:
+    """Store field name of a frozen dataclass as a `_count`."""
+    object.__setattr__(config, name, _count(getattr(config, name), name))
 
 
 def _n_words(cols: int) -> int:
@@ -211,7 +219,7 @@ class ModelMatrix:
         return ModelMatrix(self.order, np.vstack([self.exponents, other.exponents]))
 
     def to_json_dict(self) -> dict:
-        return {"order": int(self.order), "exponents": self.exponents.tolist()}
+        return {"order": self.order, "exponents": self.exponents.tolist()}
 
 
 # ── operations ────────────────────────────────────────────────────────

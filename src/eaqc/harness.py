@@ -43,13 +43,12 @@ from eaqc.decoder import (
     SyndromeTable,
     TannerGraph,
     _safe_p,
-    _set_count,
     build_graphs,
     decode_batch,
     syndrome_batch,
 )
 from eaqc.eacode import EaCode
-from eaqc.gf2 import BinaryMatrix, DimensionMismatch, RowBasis, _count
+from eaqc.gf2 import BinaryMatrix, DimensionMismatch, RowBasis, _count, _set_count
 
 __all__ = [
     "SimConfig",
@@ -213,7 +212,8 @@ def run_trials(cfg: SimConfig, known: SyndromeTable | None = None) -> SimResult:
                                     min(step, cfg.trials - lo), first=lo)
         if cfg.trials > step:
             # no later call asks for a chunk of a point of several chunks,
-            # so its kept draw would only add to the peak
+            # so its kept draw would only add to the peak, beside the next
+            # chunk's draw while that is made
             _draw.cache_clear()
         sx, sz = syndrome_batch(code, xs, zs)
         est_x, est_z, conv, _ = decode_batch(graph, sx, sz, cfg.decoder, known=known)

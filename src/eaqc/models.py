@@ -1,15 +1,22 @@
 """Model-matrix construction for every quasi-cyclic family.
 
-Each construction rule has one home here:
+Each construction rule, and each family's exponent grid and parameter
+domain, has one home here:
 
 * the scalar-multiple class over a prime p, row i = scalars[i]·base
   mod p, is `scalar_rows`; the randomized prime family, the deterministic
   grid with exponent ``i*j mod p`` and the identity-free banks of
   `theorem6_models` all build from it;
+* Theorem 5's disjoint X and Z banks (`theorem5_selection`) and
+  Theorem 7's shared H (`theorem7_model`) are block-rows of that
+  deterministic grid;
 * the randomized composite-order family rejects each candidate row that
   closes a 4-cycle with the earlier rows, by `girth.has_four_cycle`;
 * the wide-girth families build their rows from geometric sequences of
   powers of w, the four-row ones through `_geometric_four_row`.
+
+Every integer parameter is read as a `gf2._count`; a value outside its
+family's domain raises ValueError.
 
 All "random" choices consume draws from ``numpy.random.default_rng(seed)``
 in a documented order, so outputs are reproducible across platforms.
@@ -21,7 +28,7 @@ import math
 
 import numpy as np
 
-from eaqc.gf2 import ModelMatrix
+from eaqc.gf2 import ModelMatrix, _count
 from eaqc.girth import has_four_cycle
 
 __all__ = [
@@ -30,7 +37,9 @@ __all__ = [
     "construct_prime_model",
     "special_prime_model",
     "construct_composite_model",
+    "theorem5_selection",
     "theorem6_models",
+    "theorem7_model",
     "theorem8_model",
     "theorem9_model",
     "theorem10_model",
@@ -59,9 +68,12 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
-def _require_odd_prime(p: int) -> None:
+def _require_odd_prime(p: int) -> int:
+    """p as a `_count`, raising ValueError unless it is an odd prime."""
+    p = _count(p, "p")
     if not _is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+    return p
 
 
 # ── prime-order families ──────────────────────────────────────────────
@@ -83,7 +95,7 @@ def construct_prime_model(p: int, seed) -> ModelMatrix:
     deterministic grid.  It stays only because the benchmark's tracer
     wraps it by name.
     """
-    _require_odd_prime(p)
+    p = _require_odd_prime(p)
     rng = np.random.default_rng(seed)
     base = np.concatenate([[0], rng.permutation(np.arange(1, p))])
     scalars = np.concatenate([[0, 1], rng.permutation(np.arange(2, p))])
@@ -92,7 +104,7 @@ def construct_prime_model(p: int, seed) -> ModelMatrix:
 
 def special_prime_model(p: int) -> ModelMatrix:
     """Deterministic member of the prime family: exponent(i, j) = i*j mod p."""
-    _require_odd_prime(p)
+    p = _require_odd_prime(p)
     idx = np.arange(p, dtype=np.int64)
     return scalar_rows(p, idx, idx)
 
@@ -142,7 +154,26 @@ def construct_composite_model(n: int, q: int, r: int, seed) -> ModelMatrix:
     return ModelMatrix(n, grid)
 
 
-# ── paired-code selections ────────────────────────────────────────────
+# ── selections from the deterministic prime grid ──────────────────────
+
+
+def theorem5_selection(p: int, l1: int, l2: int) -> tuple[ModelMatrix, ModelMatrix]:
+    """The disjoint X and Z block-row banks of the deterministic prime grid.
+
+    X takes rows 1..l1, Z the top l2 rows; when every row is spoken for
+    (l1 + l2 = p) the Z bank swaps its lowest pick for the zero row to
+    keep the banks disjoint.
+    """
+    p, l1, l2 = _require_odd_prime(p), _count(l1, "l1"), _count(l2, "l2")
+    if l1 < 1 or l2 < 1 or l1 + l2 > p:
+        raise ValueError(f"need l1, l2 >= 1 with l1 + l2 <= p; got {l1}, {l2}, p={p}")
+    base = special_prime_model(p)
+    mx = base.row_submodel(range(1, l1 + 1))
+    if l1 + l2 == p:
+        mz = base.row_submodel([0, *range(p - l2 + 1, p)])
+    else:
+        mz = base.row_submodel(range(p - l2, p))
+    return mx, mz
 
 
 def theorem6_models(p: int, l1: int, l2: int) -> tuple[ModelMatrix, ModelMatrix]:
@@ -151,7 +182,7 @@ def theorem6_models(p: int, l1: int, l2: int) -> tuple[ModelMatrix, ModelMatrix]
     X-side rows use scalars 1..l1, Z-side rows continue at l1+1..l1+l2;
     column j carries exponent scalar*j for j = 1..p-1.
     """
-    _require_odd_prime(p)
+    p, l1, l2 = _require_odd_prime(p), _count(l1, "l1"), _count(l2, "l2")
     if not (1 <= l1 <= p - 2 and 1 <= l2 <= p - 2 and l1 + l2 <= p - 1):
         raise ValueError(
             f"need 1 <= l1, l2 <= p-2 and l1+l2 <= p-1; got l1={l1}, l2={l2}, p={p}"
@@ -161,11 +192,20 @@ def theorem6_models(p: int, l1: int, l2: int) -> tuple[ModelMatrix, ModelMatrix]
             scalar_rows(p, np.arange(l1 + 1, l1 + l2 + 1), cols))
 
 
+def theorem7_model(p: int, l: int) -> ModelMatrix:
+    """Rows 1..l of the deterministic prime grid (the shared H)."""
+    p, l = _require_odd_prime(p), _count(l, "l")
+    if l < 1 or 2 * l >= p:
+        raise ValueError(f"need 1 <= l with 2l < p; got l={l}, p={p}")
+    return special_prime_model(p).row_submodel(range(1, l + 1))
+
+
 # ── wide-girth families ───────────────────────────────────────────────
 
 
 def theorem8_model(l: int, w: int) -> ModelMatrix:
     """3 x l grid over Z_{w^l + 1}: zero row, w-powers, their negatives."""
+    l, w = _count(l, "l"), _count(w, "w")
     if l < 6:
         raise ValueError(f"need l >= 6, got {l}")
     if w < 2:
@@ -187,11 +227,14 @@ def _geometric_four_row(s: tuple[int, ...], w: int) -> ModelMatrix:
     return ModelMatrix(order, np.vstack(rows))
 
 
-def _check_ascending(s: tuple[int, ...]) -> None:
+def _ascending_exponents(s) -> tuple[int, ...]:
+    """The exponent set s as `_count`s, strictly ascending from at least 2."""
+    s = tuple(_count(a, "exponent") for a in s)
     if len(s) < 1 or any(b <= a for a, b in zip(s, s[1:])):
         raise ValueError(f"exponent set must be strictly ascending, got {s}")
     if s[0] < 2:
         raise ValueError(f"every exponent must be >= 2, got smallest {s[0]}")
+    return s
 
 
 def theorem9_model(s, w: int, *, enforce_scale: bool = True) -> ModelMatrix:
@@ -201,8 +244,7 @@ def theorem9_model(s, w: int, *, enforce_scale: bool = True) -> ModelMatrix:
     waived so the structure can be exercised at reduced size; every other
     constraint still applies.
     """
-    s = tuple(int(a) for a in s)
-    _check_ascending(s)
+    s, w = _ascending_exponents(s), _count(w, "w")
     if w < 2 or w % 2 != 0:
         raise ValueError(f"w must be an even integer >= 2, got {w}")
     gaps = [b - a for a, b in zip(s, s[1:])]
@@ -219,8 +261,7 @@ def theorem9_model(s, w: int, *, enforce_scale: bool = True) -> ModelMatrix:
 
 def theorem10_model(s, w: int, *, enforce_scale: bool = True) -> ModelMatrix:
     """4-row geometric grid; all pairwise exponent gaps must be >= 2."""
-    s = tuple(int(a) for a in s)
-    _check_ascending(s)
+    s, w = _ascending_exponents(s), _count(w, "w")
     if w < 2:
         raise ValueError(f"w must be an integer >= 2, got {w}")
     for a, b in zip(s, s[1:]):

@@ -49,8 +49,6 @@ from eaqc.eacode import (
     build_theorem8,
     build_theorem9,
     build_theorem10,
-    theorem5_selection,
-    theorem7_model,
 )
 from eaqc.gf2 import BinaryMatrix, ModelMatrix, expand, gfrank, matmul
 from eaqc.girth import girth_bfs, has_four_cycle, has_six_cycle
@@ -67,7 +65,9 @@ from eaqc.harness import (
 )
 from eaqc.models import (
     special_prime_model,
+    theorem5_selection,
     theorem6_models,
+    theorem7_model,
     theorem8_model,
     theorem9_model,
     theorem10_model,

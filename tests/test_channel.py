@@ -206,13 +206,23 @@ def test_a_changed_argument_draws_afresh(args):
 
 def test_the_kept_draw_does_not_answer_a_bad_seed():
     params = ChannelParams(0.1, 0.0)
-    sample_error_batch(9, params, 0, 3)
-    # 0.0 == 0 with one hash: the seed is checked before the cache is read
-    with pytest.raises(TypeError):
-        sample_error_batch(9, params, 0.0, 3)
+    for seed, bad in ((0, 0.0), (1, True)):
+        sample_error_batch(9, params, seed, 3)
+        # bad == seed with one hash: the seed is checked before the cache is read
+        with pytest.raises(TypeError, match="^master seed must be an integer"):
+            sample_error_batch(9, params, bad, 3)
     for _ in range(2):
         with pytest.raises(ValueError, match="-1"):
             sample_error_batch(9, params, -1, 3)
+
+
+def test_counts_are_refused_by_name_unless_integers():
+    params = ChannelParams(0.1, 0.0)
+    for args, name in (((9, params, 1, True), "trials"),
+                       ((9, params, 1, 3, True), "first trial"),
+                       ((9.0, params, 1, 3), "n")):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            sample_error_batch(*args)
 
 
 def _counted(monkeypatch, name):

@@ -213,7 +213,7 @@ def test_gate_sequences_take_integer_qubit_indices_only():
             GateSequence((bad,))
     seq = GateSequence((("H", np.int64(1)), ("CZ", np.int64(0), np.uint8(2))))
     assert seq.gates == (("H", 1), ("CZ", 0, 2))
-    assert all(type(q) is int for _, *qs in seq for q in qs)
+    assert all(type(q) is int for _, *qs in seq.gates for q in qs)
 
 
 def test_out_of_range_gate_rejected_at_application():
@@ -413,6 +413,13 @@ def test_block_stabilizer_rejects_composite():
         stabilizer_matrix(9)
 
 
+@pytest.mark.parametrize("build", [stabilizer_matrix, hadamard_swap, s_cz, h_s_cz])
+def test_transversal_builders_refuse_a_bool_p(build):
+    # True used to read as 1 and raise "p must be an odd prime, got True"
+    with pytest.raises(TypeError, match="^p must be an integer"):
+        build(True)
+
+
 def test_noncommuting_generators_rejected():
     x0 = PauliVector.from_support(2, x_on=[0])
     z0 = PauliVector.from_support(2, z_on=[0])
@@ -537,30 +544,29 @@ def test_tableau_builds_its_row_basis_once(monkeypatch):
 # ── the transversal operators ─────────────────────────────────────────
 
 def test_hadamard_then_block_reversal_gate_list():
-    g = hadamard_swap(3)
-    assert list(g)[:10] == [("H", i) for i in range(10)]
-    assert list(g)[10:] == [("SWAP", 3, 6), ("SWAP", 4, 7), ("SWAP", 5, 8)]
+    g = hadamard_swap(3).gates
+    assert g[:10] == tuple(("H", i) for i in range(10))
+    assert g[10:] == (("SWAP", 3, 6), ("SWAP", 4, 7), ("SWAP", 5, 8))
 
 
 def test_phase_and_pair_cz_gate_list():
-    g = s_cz(3)
-    assert list(g) == [
+    assert s_cz(3).gates == (
         ("CZ", 3, 6), ("CZ", 4, 7), ("CZ", 5, 8),
         ("S", 0), ("S", 1), ("S", 2), ("SDG", 9),
-    ]
+    )
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_operator_gate_counts(p):
     q = p * p + 1
-    hs = [g[0] for g in hadamard_swap(p)]
+    hs = [g[0] for g in hadamard_swap(p).gates]
     assert hs.count("H") == q
     assert hs.count("SWAP") == p * (p - 1) // 2
-    sc = [g[0] for g in s_cz(p)]
+    sc = [g[0] for g in s_cz(p).gates]
     assert sc.count("CZ") == p * (p - 1) // 2
     assert sc.count("S") == p
     assert sc.count("SDG") == 1
-    hsc = [g[0] for g in h_s_cz(p)]
+    hsc = [g[0] for g in h_s_cz(p).gates]
     assert hsc.count("H") == 2 * q
 
 
@@ -879,7 +885,7 @@ def test_gate_runs_match_the_gate_at_a_time_reference():
         phases = rng.integers(0, 4, len(rows))
         got_rows, got_phases = rows.copy(), phases.copy()
         _apply_gates(got_rows, got_phases, seq)
-        apply_gates_one_at_a_time(rows, phases, seq)
+        apply_gates_one_at_a_time(rows, phases, seq.gates)
         assert np.array_equal(got_rows, rows), seq
         assert np.array_equal(got_phases, phases), seq
         run_lengths += [len(qs) for _, qs in seq._runs]

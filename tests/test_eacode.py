@@ -20,12 +20,13 @@ from eaqc.eacode import (
     build_theorem10,
     extend,
     girth_floor_of,
-    theorem5_selection,
-    theorem7_model,
 )
 from eaqc.gf2 import BinaryMatrix, DimensionMismatch, ModelMatrix, expand, gfrank, matmul
+from eaqc import models
 from eaqc.models import (
+    theorem5_selection,
     theorem6_models,
+    theorem7_model,
     theorem8_model,
     theorem9_model,
     theorem10_model,
@@ -402,6 +403,39 @@ def test_builder_constraint_errors():
         build_theorem7(5, 3)  # 2l not below p
     with pytest.raises(ValueError):
         build_theorem6(5, 4, 1)  # l1 above p-2
+
+
+_REDUCED = {"enforce_scale": False}
+
+
+@pytest.mark.parametrize("build, args, kwargs, name", [
+    (build_theorem5, (5, 2.0, 2), {}, "l1"),
+    (build_theorem5, (5.0, 2, 2), {}, "p"),
+    (build_theorem5, (5, 2, True), {}, "l2"),
+    (build_theorem6, (True, 1, 1), {}, "p"),
+    (build_theorem6, (7, 2, 2.0), {}, "l2"),
+    (build_theorem7, (11, 5.0), {}, "l"),
+    (build_theorem7, (True, 1), {}, "p"),
+    (build_theorem8, (6, 2.0), {}, "w"),
+    (build_theorem8, (True, 2), {}, "l"),
+    (build_theorem9, ((2.5, 4, 6), 2), _REDUCED, "exponent"),
+    (build_theorem9, ((2, 4, 6), True), _REDUCED, "w"),
+    (build_theorem10, ((2.5, 4, 6), 2), _REDUCED, "exponent"),
+    (build_theorem10, ((2, 4, 6), 2.0), _REDUCED, "w"),
+], ids=["thm5-l1", "thm5-p", "thm5-l2-bool", "thm6-p-bool", "thm6-l2", "thm7-l",
+        "thm7-p-bool", "thm8-w", "thm8-l-bool", "thm9-exponent", "thm9-w-bool",
+        "thm10-exponent", "thm10-w"])
+def test_builders_refuse_a_float_or_bool_by_name(build, args, kwargs, name):
+    # each used to fail deep inside with no name, read True as 1, or (for
+    # 2.5 in an exponent set) build the (2, 4, 6) code
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        build(*args, **kwargs)
+
+
+def test_the_grids_resolve_through_eacode_too():
+    # perfbench/workloads.py reads the Theorem 5 and 7 grids as eacode's
+    assert eacode.theorem5_selection is models.theorem5_selection
+    assert eacode.theorem7_model is models.theorem7_model
 
 
 # ── structure guards ──────────────────────────────────────────────────

@@ -211,13 +211,15 @@ def _row(order):
     return ModelMatrix(order, [[0, 1]])
 
 
-@pytest.mark.parametrize("build, order", [
-    (_row, 5.5), (_row, 5.0), (_row, True), (_row, np.float64(5)),
-    (special_prime_model, 5.5), (special_prime_model, 5.0)],
+@pytest.mark.parametrize("build, order, name", [
+    (_row, 5.5, "circulant order"), (_row, 5.0, "circulant order"),
+    (_row, True, "circulant order"), (_row, np.float64(5), "circulant order"),
+    (special_prime_model, 5.5, "p"), (special_prime_model, 5.0, "p")],
     ids=["5.5", "5.0", "True", "float64", "special-5.5", "special-5.0"])
-def test_model_matrix_order_that_is_not_an_integer_raises(build, order):
-    # 5.5 would otherwise fail later, inside expand, and 5.0 be kept as a float
-    with pytest.raises(TypeError, match="circulant order must be an integer"):
+def test_model_matrix_order_that_is_not_an_integer_raises(build, order, name):
+    # 5.5 would otherwise fail later, inside expand, and 5.0 be kept as a
+    # float; a prime family names its p before the grid is made
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
         build(order)
     m = build(np.int64(5))
     assert type(m.order) is int and m == build(5)

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eaqc import gf2
-from eaqc.eacode import theorem5_selection, theorem7_model
 from eaqc.gf2 import BinaryMatrix, ModelMatrix, expand
 from eaqc.girth import girth_bfs, has_four_cycle, has_six_cycle
 from eaqc.models import (
     special_prime_model,
+    theorem5_selection,
     theorem6_models,
+    theorem7_model,
     theorem8_model,
     theorem9_model,
     theorem10_model,

@@ -307,6 +307,8 @@ def test_theorem9_constraints():
         theorem9_model((2, 4, 6), 2)  # top exponent below the full-size floor
     with pytest.raises(ValueError):
         theorem9_model((4, 2, 6), 2, enforce_scale=False)  # not ascending
+    with pytest.raises(TypeError, match="^exponent must be an integer"):
+        theorem9_model((2.5, 4, 6), 2, enforce_scale=False)  # was read as 2
     m = theorem9_model((2, 4, 6), 2, enforce_scale=False)
     assert m.order == 2**7 - 1
     assert m.exponents.shape == (4, 3)
@@ -323,6 +325,8 @@ def test_theorem10_constraints():
         theorem10_model((2, 3, 6), 2, enforce_scale=False)  # gap below 2
     with pytest.raises(ValueError):
         theorem10_model((2, 4, 6), 2)  # below the full-size floor
+    with pytest.raises(TypeError, match="^exponent must be an integer"):
+        theorem10_model((2.5, 4, 6), 2, enforce_scale=False)  # was read as 2
     m = theorem10_model((2, 4, 6), 3, enforce_scale=False)  # odd w allowed here
     assert m.order == 3**7 - 1
     m = theorem10_model((2, 4, 6, 8, 10, 12, 14), 2)
